@@ -14,16 +14,15 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
 from . import enumeration as en
 from . import number_theory as nt
 from .exact_core import format_rational, parse_int
 from .poset_mobius import FinitePoset, PosetError, SubsetFamily
-from .poset_mobius import invert, invert_dual, jordan_counts, mobius
-from .poset_mobius import sylvester_count, sylvester_numbers
-from .recursive_matrix import binomial_matrix, gentile_matrix
+from .poset_mobius import invert, invert_dual, mobius, sieve_counts
+from .recursive_matrix import RecursiveMatrix, binomial_matrix, gentile_matrix
 from .recursive_matrix import multiset_matrix
 from .verify import SUITES, run_suites
 
@@ -33,99 +32,82 @@ class CommandResult(NamedTuple):
     payload: str
 
 
-def _ints(args: Sequence[str], want: int, family: str) -> list[int]:
-    if len(args) != want:
-        raise ValueError(f"{family} expects {want} integer argument(s), got {len(args)}")
-    return [parse_int(a) for a in args]
+# Each family of `coeff` and `enumerate` is a pair (argument parser,
+# library function).  The parser turns the family name and the parsed
+# command line into the positional arguments of the function.
+Parser = Callable[[str, argparse.Namespace], Sequence]
 
 
-def _type_vector(args: Sequence[str]) -> ct.TypeVector:
-    if not args:
-        raise ValueError("expected: n nu1 [nu2 ...]")
-    n, *nu = (parse_int(a) for a in args)
-    return ct.TypeVector(n, nu)
+def _ints(count: int, *options: str) -> Parser:
+    """`count` integer arguments, then the values of the named options."""
+    def parse(family: str, args: argparse.Namespace) -> list:
+        if len(args.args) != count:
+            raise ValueError(
+                f"{family} expects {count} integer argument(s), got {len(args.args)}"
+            )
+        return [*map(parse_int, args.args), *(getattr(args, o) for o in options)]
+    return parse
+
+
+def _n_and_list(usage: str) -> Parser:
+    """n followed by one or more integers, as (n, [h1, h2, ...])."""
+    def parse(family: str, args: argparse.Namespace) -> tuple:
+        if not args.args:
+            raise ValueError(usage)
+        n, *rest = map(parse_int, args.args)
+        return n, rest
+    return parse
+
+
+def _graph_args(family: str, args: argparse.Namespace) -> list:
+    if len(args.args) not in (2, 3):
+        raise ValueError(f"{family} expects: kind n [k]")
+    kind, *numbers = args.args
+    return [kind, *map(parse_int, numbers)]
+
+
+_TYPE_VECTOR = _n_and_list("expected: n nu1 [nu2 ...]")
 
 
 # ---------------------------------------------------------------------------
 # coeff
 # ---------------------------------------------------------------------------
 
+COEFF: dict[str, tuple[Parser, Callable]] = {
+    "binomial": (_ints(2), ct.binomial),
+    "multiset": (_ints(2), ct.multiset_coeff),
+    "gentile": (_ints(3), ct.gentile_coeff),
+    "multinomial": (_n_and_list("multinomial expects: n h1 [h2 ...]"), ct.multinomial),
+    "stirling1": (_ints(2), ct.stirling1_signed),
+    "stirling2": (_ints(2), ct.stirling2),
+    "cycles": (_ints(2), ct.cycle_count),
+    "bell": (_ints(1), ct.bell),
+    "faa": (_TYPE_VECTOR, lambda n, nu: ct.faa_di_bruno(ct.TypeVector(n, nu))),
+    "cauchy": (_TYPE_VECTOR, lambda n, nu: ct.cauchy_count(ct.TypeVector(n, nu))),
+    "derangement": (_ints(1), ct.derangement),
+    "dnk": (_ints(2), ct.derangement_fixed),
+    "surjections": (_ints(2), ct.surjection_count),
+    "gergonne": (_ints(3, "circular"), lambda *q: ct.gergonne(ct.GergonneQuery(*q))),
+    "touchard": (_ints(1), ct.touchard),
+    "menage": (_ints(1), ct.menage_count),
+    "phi": (_ints(1), nt.euler_phi),
+    "mobius": (_ints(1), nt.mobius_classical),
+    "birthday": (_ints(1, "days"), ct.birthday_probability),
+    "graph": (_graph_args, ct.graph_count),
+}
+
+
+def _show(value) -> str:
+    """An int as a decimal, a Fraction as "p/q", and gergonne's
+    (count, probability) pair as both, separated by a space."""
+    if isinstance(value, tuple):
+        return " ".join(map(format_rational, value))
+    return format_rational(value)
+
 
 def _cmd_coeff(args: argparse.Namespace) -> CommandResult:
-    family, rest = args.family, args.args
-    if family == "binomial":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.binomial(n, k)))
-    if family == "multiset":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.multiset_coeff(n, k)))
-    if family == "gentile":
-        p, n, k = _ints(rest, 3, family)
-        return CommandResult(0, str(ct.gentile_coeff(p, n, k)))
-    if family == "multinomial":
-        if len(rest) < 1:
-            raise ValueError("multinomial expects: n h1 [h2 ...]")
-        n, *parts = (parse_int(a) for a in rest)
-        return CommandResult(0, str(ct.multinomial(n, parts)))
-    if family == "stirling1":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.stirling1_signed(n, k)))
-    if family == "stirling2":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.stirling2(n, k)))
-    if family == "cycles":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.cycle_count(n, k)))
-    if family == "bell":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(ct.bell(n)))
-    if family == "faa":
-        return CommandResult(0, str(ct.faa_di_bruno(_type_vector(rest))))
-    if family == "cauchy":
-        return CommandResult(0, str(ct.cauchy_count(_type_vector(rest))))
-    if family == "derangement":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(ct.derangement(n)))
-    if family == "dnk":
-        n, k = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.derangement_fixed(n, k)))
-    if family == "surjections":
-        k, n = _ints(rest, 2, family)
-        return CommandResult(0, str(ct.surjection_count(k, n)))
-    if family == "gergonne":
-        n, k, m = _ints(rest, 3, family)
-        count, prob = ct.gergonne(ct.GergonneQuery(n, k, m, circular=args.circular))
-        return CommandResult(0, f"{count} {format_rational(prob)}")
-    if family == "touchard":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(ct.touchard(n)))
-    if family == "menage":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(ct.menage_count(n)))
-    if family == "phi":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(nt.euler_phi(n)))
-    if family == "mobius":
-        (n,) = _ints(rest, 1, family)
-        return CommandResult(0, str(nt.mobius_classical(n)))
-    if family == "birthday":
-        (k,) = _ints(rest, 1, family)
-        return CommandResult(0, format_rational(ct.birthday_probability(k, args.days)))
-    if family == "graph":
-        if len(rest) not in (2, 3):
-            raise ValueError("graph expects: kind n [k]")
-        kind = rest[0]
-        n = parse_int(rest[1])
-        k = parse_int(rest[2]) if len(rest) == 3 else None
-        return CommandResult(0, str(ct.graph_count(kind, n, k)))
-    raise ValueError(f"unknown coefficient family {family!r}")
-
-
-COEFF_FAMILIES = (
-    "binomial multiset gentile multinomial stirling1 stirling2 cycles bell "
-    "faa cauchy derangement dnk surjections gergonne touchard menage phi "
-    "mobius birthday graph"
-).split()
+    parse, fn = COEFF[args.family]
+    return CommandResult(0, _show(fn(*parse(args.family, args))))
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +115,33 @@ COEFF_FAMILIES = (
 # ---------------------------------------------------------------------------
 
 
-def _table_rows(family: str, rows: int, cols: int, p: Optional[int]) -> list[list[int]]:
-    order = max(cols - 1, 0)
-    if family == "binomial":
-        return binomial_matrix(order).table(rows, cols)
-    if family == "multiset":
-        return multiset_matrix(order).table(rows, cols)
-    if family == "gentile":
-        if p is None:
-            raise ValueError("gentile tables need --p")
-        return gentile_matrix(p, order).table(rows, cols)
-    pointwise = {
-        "stirling1": ct.stirling1_signed,
-        "stirling2": ct.stirling2,
-        "cycles": ct.cycle_count,
-    }
-    if family in pointwise:
-        fn = pointwise[family]
-        return [[fn(n, k) for k in range(cols)] for n in range(rows)]
-    raise ValueError(f"unknown table family {family!r}")
+def _matrix_rows(build: Callable[[int, Optional[int]], RecursiveMatrix]):
+    """Rows by the RecursiveMatrix route; `build(order, p)` makes the matrix."""
+    def rows(family: str, args: argparse.Namespace) -> list[list[int]]:
+        return build(max(args.cols - 1, 0), args.p).table(args.rows, args.cols)
+    return rows
+
+
+def _coeff_rows(family: str, args: argparse.Namespace) -> list[list[int]]:
+    """Rows entry by entry, from the family's function in the coeff table."""
+    fn = COEFF[family][1]
+    return [[fn(n, k) for k in range(args.cols)] for n in range(args.rows)]
+
+
+def _gentile_matrix(order: int, p: Optional[int]) -> RecursiveMatrix:
+    if p is None:
+        raise ValueError("gentile tables need --p")
+    return gentile_matrix(p, order)
+
+
+TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
+    "binomial": _matrix_rows(lambda order, p: binomial_matrix(order)),
+    "multiset": _matrix_rows(lambda order, p: multiset_matrix(order)),
+    "gentile": _matrix_rows(_gentile_matrix),
+    "stirling1": _coeff_rows,
+    "stirling2": _coeff_rows,
+    "cycles": _coeff_rows,
+}
 
 
 def _cmd_table(args: argparse.Namespace) -> CommandResult:
@@ -159,7 +149,7 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
         raise ValueError("--rows and --cols must be >= 1")
     if args.rows > 2000 or args.cols > 2000:
         raise ValueError("table dumps are capped at 2000 rows/columns")
-    table = _table_rows(args.family, args.rows, args.cols, args.p)
+    table = TABLE[args.family](args.family, args)
     if args.format == "json":
         payload = json.dumps(
             {"family": args.family, "rows": [[str(v) for v in row] for row in table]}
@@ -174,48 +164,46 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
+def _words(enumerate_family: Callable) -> Callable:
+    """The enumerator with each object it yields written as a word."""
+    return lambda *a: map(en.as_word, enumerate_family(*a))
+
+
+def _subset_args(family: str, args: argparse.Namespace) -> list:
+    return _ints(1 if len(args.args) == 1 else 2)(family, args)
+
+
+def _partition_lines(n: int, k: Optional[int]):
+    return (
+        "|".join("{" + ",".join(map(str, b)) + "}" for b in part)
+        for part in en.enumerate_set_partitions(n, k)
+    )
+
+
+# the functions here yield the output lines
+ENUMERATE: dict[str, tuple[Parser, Callable]] = {
+    "functions": (_ints(2, "mode"), _words(en.enumerate_functions)),
+    "subsets": (_subset_args, _words(en.enumerate_subsets)),
+    "multisets": (_ints(2), lambda n, k: (
+        f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k)
+    )),
+    "partitions": (_ints(1, "blocks"), _partition_lines),
+    "permutations": (_ints(1, "cycles", "derangements"), _words(
+        lambda n, c, d: en.enumerate_permutations(n, cycles=c, derangement_only=d)
+    )),
+    "gergonne": (_ints(3, "circular"), _words(
+        lambda *q: en.enumerate_gergonne(ct.GergonneQuery(*q))
+    )),
+    "menage": (_ints(1), _words(en.enumerate_menage)),
+}
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
-    family, rest = args.family, args.args
+    if args.limit < 0:
+        raise ValueError("--limit must be >= 0")
+    parse, lines_of = ENUMERATE[args.family]
     lines: list[str] = []
-    if family == "functions":
-        k, n = _ints(rest, 2, family)
-        items = (en.as_word(f) for f in en.enumerate_functions(k, n, args.mode))
-    elif family == "subsets":
-        if len(rest) == 1:
-            (n,) = _ints(rest, 1, family)
-            items = (en.as_word(s) for s in en.enumerate_subsets(n))
-        else:
-            n, k = _ints(rest, 2, family)
-            items = (en.as_word(s) for s in en.enumerate_subsets(n, k))
-    elif family == "multisets":
-        n, k = _ints(rest, 2, family)
-        items = (
-            f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k)
-        )
-    elif family == "partitions":
-        (n,) = _ints(rest, 1, family)
-        items = (
-            "|".join("{" + ",".join(map(str, b)) + "}" for b in part)
-            for part in en.enumerate_set_partitions(n, k=args.blocks)
-        )
-    elif family == "permutations":
-        (n,) = _ints(rest, 1, family)
-        items = (
-            en.as_word(p)
-            for p in en.enumerate_permutations(
-                n, cycles=args.cycles, derangement_only=args.derangements
-            )
-        )
-    elif family == "gergonne":
-        n, k, m = _ints(rest, 3, family)
-        q = ct.GergonneQuery(n, k, m, circular=args.circular)
-        items = (en.as_word(s) for s in en.enumerate_gergonne(q))
-    elif family == "menage":
-        (n,) = _ints(rest, 1, family)
-        items = (en.as_word(f) for f in en.enumerate_menage(n))
-    else:
-        raise ValueError(f"unknown enumeration family {family!r}")
-    for i, line in enumerate(items):
+    for i, line in enumerate(lines_of(*parse(args.family, args))):
         if args.limit and i >= args.limit:
             lines.append("...")
             break
@@ -285,6 +273,8 @@ def _cmd_poset(args: argparse.Namespace) -> CommandResult:
         P = _load_poset(args.poset)
         with open(args.values, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object of values")
         from .exact_core import parse_rational
 
         g = {}
@@ -299,11 +289,12 @@ def _cmd_poset(args: argparse.Namespace) -> CommandResult:
     if args.subcmd == "sieve":
         with open(args.family, encoding="utf-8") as fh:
             fam = SubsetFamily.from_json(fh.read())
+        numbers, exactly = sieve_counts(fam)
         payload = json.dumps(
             {
-                "sylvester": [str(v) for v in sylvester_numbers(fam)],
-                "survivors": str(sylvester_count(fam)),
-                "exactly": [str(v) for v in jordan_counts(fam)],
+                "sylvester": [str(v) for v in numbers],
+                "survivors": str(exactly[0]),
+                "exactly": [str(v) for v in exactly],
             }
         )
         return CommandResult(0, payload)
@@ -351,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_coeff = sub.add_parser("coeff", help="print one exact coefficient")
-    p_coeff.add_argument("family", choices=COEFF_FAMILIES)
+    p_coeff.add_argument("family", choices=list(COEFF))
     p_coeff.add_argument("args", nargs="*")
     p_coeff.add_argument("--circular", action="store_true",
                          help="circular variant (gergonne)")
@@ -360,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.set_defaults(fn=_cmd_coeff)
 
     p_table = sub.add_parser("table", help="dump a coefficient table")
-    p_table.add_argument(
-        "family",
-        choices=["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"],
-    )
+    p_table.add_argument("family", choices=list(TABLE))
     p_table.add_argument("--rows", type=int, required=True)
     p_table.add_argument("--cols", type=int, required=True)
     p_table.add_argument("--p", type=int, default=None,
@@ -372,13 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(fn=_cmd_table)
 
     p_enum = sub.add_parser("enumerate", help="dump a family, one object per line")
-    p_enum.add_argument(
-        "family",
-        choices=[
-            "functions", "subsets", "multisets", "partitions",
-            "permutations", "gergonne", "menage",
-        ],
-    )
+    p_enum.add_argument("family", choices=list(ENUMERATE))
     p_enum.add_argument("args", nargs="*")
     p_enum.add_argument("--mode", choices=["all", "injective", "surjective"],
                         default="all", help="filter (functions)")

@@ -126,10 +126,28 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
-        data = json.loads(text)
-        elements = data["elements"]
-        leq = [tuple(pair) for pair in data.get("leq", [])]
-        return cls(elements, leq)
+        data = _json_object(text)
+        elements, leq = data["elements"], data.get("leq", [])
+        if not isinstance(elements, list) or not all(map(_is_scalar, elements)):
+            raise ValueError("elements must be a list of strings or numbers")
+        if not isinstance(leq, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_scalar, pair))
+            for pair in leq
+        ):
+            raise ValueError("leq must be a list of [x, y] pairs of elements")
+        return cls(elements, [tuple(pair) for pair in leq])
+
+
+def _json_object(text: str) -> dict:
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
+
+
+def _is_scalar(value) -> bool:
+    """A JSON string or number, so hashable and usable as an element."""
+    return isinstance(value, (str, int, float))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +298,15 @@ class SubsetFamily:
 
     @classmethod
     def from_json(cls, text: str) -> "SubsetFamily":
-        data = json.loads(text)
-        return cls(data["universe"], data["sets"])
+        data = _json_object(text)
+        universe, sets = data["universe"], data["sets"]
+        if not isinstance(universe, int):
+            raise ValueError("universe must be an integer")
+        if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(isinstance(x, int) for x in s) for s in sets
+        ):
+            raise ValueError("sets must be a list of lists of integers")
+        return cls(universe, sets)
 
 
 def sylvester_numbers(fam: SubsetFamily) -> list[int]:
@@ -303,23 +328,17 @@ def sylvester_numbers(fam: SubsetFamily) -> list[int]:
 
 
 def sylvester_count(fam: SubsetFamily) -> int:
-    """|universe minus the union| by the alternating Sylvester sum,
-    checked against a direct membership scan."""
-    s = sylvester_numbers(fam)
-    total = sum(-v if k % 2 else v for k, v in enumerate(s))
-    union = frozenset().union(*fam.sets) if fam.sets else frozenset()
-    direct = fam.universe - len(union)
-    if total != direct:
-        raise ArithmeticError(
-            f"internal inconsistency: sieve gave {total}, scan gave {direct}"
-        )
-    return total
+    """|universe minus the union| by the alternating Sylvester sum: e_0 of
+    `sieve_counts`, checked there against a direct membership scan."""
+    return sieve_counts(fam)[1][0]
 
 
-def jordan_counts(fam: SubsetFamily) -> list[int]:
-    """e_m = number of universe elements lying in exactly m of the sets,
-    from the Sylvester numbers; the e_m must sum to the universe size and
-    e_0 must agree with the Sylvester survivor count."""
+def sieve_counts(fam: SubsetFamily) -> tuple[list[int], list[int]]:
+    """The Sylvester numbers S_k and the Jordan counts e_m (universe
+    elements lying in exactly m of the sets), from one computation of the
+    S_k.  The e_m must sum to the universe size, and e_0, which is term
+    for term the alternating Sylvester sum, must agree with a direct
+    membership scan."""
     n = len(fam.sets)
     s = sylvester_numbers(fam)
     out = []
@@ -329,6 +348,18 @@ def jordan_counts(fam: SubsetFamily) -> list[int]:
             term = binomial(k, m) * s[k]
             e += -term if (k - m) % 2 else term
         out.append(e)
-    if sum(out) != fam.universe or out[0] != sylvester_count(fam):
+    if sum(out) != fam.universe:
         raise ArithmeticError("internal inconsistency in Jordan counts")
-    return out
+    union = frozenset().union(*fam.sets) if fam.sets else frozenset()
+    direct = fam.universe - len(union)
+    if out[0] != direct:
+        raise ArithmeticError(
+            f"internal inconsistency: sieve gave {out[0]}, scan gave {direct}"
+        )
+    return s, out
+
+
+def jordan_counts(fam: SubsetFamily) -> list[int]:
+    """e_m = number of universe elements lying in exactly m of the sets,
+    checked as in `sieve_counts`."""
+    return sieve_counts(fam)[1]

@@ -5,6 +5,12 @@ prints one line per check and exits nonzero if anything failed.  The
 "errata" suite pins values that are frequently misprinted in hand-typed
 tables: it reports both the bad value and the one the recursions and
 brute-force oracles agree on.
+
+A check that runs over a range is a `*_failure` function: it takes the
+range and returns the first failing case, or None (for seeded random
+cases, the index of the failing trial).  The suites call them at ranges
+that keep `verify` fast; the acceptance tests call the same functions at
+larger ranges.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
 from . import counting as ct
 from . import enumeration as en
@@ -33,6 +39,12 @@ class Check:
 
 def _mk(checks: list[Check], name: str, ok: bool, detail: str = ""):
     checks.append(Check(name, bool(ok), detail))
+
+
+def _no_failure(checks: list[Check], name: str, failure) -> None:
+    """A check that passes when a `*_failure` function found no failure."""
+    _mk(checks, name, failure is None,
+        "" if failure is None else f"first failure {failure}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,32 +98,63 @@ def suite_series() -> list[Check]:
     return out
 
 
+# family: (matrix of a given order, closed form of its entries)
+MATRICES = {
+    "binomial": (binomial_matrix, ct.binomial),
+    "multiset": (multiset_matrix, ct.multiset_coeff),
+    "gentile p=2": (lambda order: gentile_matrix(2, order),
+                    lambda n, k: ct.gentile_coeff(2, n, k)),
+}
+# the first rows of each matrix as printed in the paper's tables
+PRINTED_ROWS = {
+    "binomial": [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 1, 0, 0], [1, 3, 3, 1, 0]],
+    "multiset": [[1, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 2, 3, 4, 5], [1, 3, 6, 10, 15]],
+    "gentile p=2": [[1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0, 0],
+                    [1, 2, 3, 2, 1, 0, 0], [1, 3, 6, 7, 6, 3, 1]],
+}
+
+
+def printed_rows_failure(family: str, order: int, rows: Iterable[int]) -> Optional[int]:
+    """First of `rows` where the matrix of this order differs from PRINTED_ROWS."""
+    printed = PRINTED_ROWS[family]
+    table = MATRICES[family][0](order).table(len(printed), len(printed[0]))
+    return next((n for n in rows if table[n] != printed[n]), None)
+
+
+def closed_form_failure(rows: int, order: int) -> Optional[tuple]:
+    """First (family, n, k), n < rows, k <= order: entry != closed form."""
+    for family, (build, closed) in MATRICES.items():
+        mat = build(order)
+        for n in range(rows):
+            for k in range(order + 1):
+                if mat.entry(n, k) != closed(n, k):
+                    return family, n, k
+    return None
+
+
+def convolution_failure(families: Iterable[str], rows: int,
+                        order: int) -> Optional[tuple]:
+    """First (family, i, j, k), i + j < rows: convolution != entry(i + j, k)."""
+    for family in families:
+        mat = MATRICES[family][0](order)
+        for n in range(rows):
+            for i in range(n + 1):
+                for k in range(order + 1):
+                    if mat.vandermonde_convolve(i, n - i, k) != mat.entry(n, k):
+                        return family, i, n - i, k
+    return None
+
+
 def suite_matrix() -> list[Check]:
     out: list[Check] = []
-    pascal = binomial_matrix(6)
-    _mk(out, "Pascal rows 0..3", pascal.table(4, 5)
-        == [[1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 1, 0, 0], [1, 3, 3, 1, 0]])
-    multi = multiset_matrix(6)
-    _mk(out, "multiset rows 0..3", multi.table(4, 5)
-        == [[1, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 2, 3, 4, 5], [1, 3, 6, 10, 15]])
-    gent = gentile_matrix(2, 6)
-    _mk(out, "occupancy-bound p=2 row 3",
-        [gent.entry(3, k) for k in range(7)] == [1, 3, 6, 7, 6, 3, 1])
-    ok = True
-    for mat, closed in (
-        (pascal, ct.binomial),
-        (multi, ct.multiset_coeff),
-        (gent, lambda n, k: ct.gentile_coeff(2, n, k)),
-    ):
-        for n in range(9):
-            ok &= all(mat.entry(n, k) == closed(n, k) for k in range(7))
-    _mk(out, "rows match closed forms to n=8", ok)
-    ok = True
-    for n in range(9):
-        for i in range(n + 1):
-            for k in range(7):
-                ok &= pascal.vandermonde_convolve(i, n - i, k) == pascal.entry(n, k)
-    _mk(out, "convolutions over all splits to n=8", ok)
+    _no_failure(out, "Pascal rows 0..3", printed_rows_failure("binomial", 6, range(4)))
+    _no_failure(out, "multiset rows 0..3",
+                printed_rows_failure("multiset", 6, range(4)))
+    _no_failure(out, "occupancy-bound p=2 row 3",
+                printed_rows_failure("gentile p=2", 6, [3]))
+    _no_failure(out, "rows match closed forms to n=8", closed_form_failure(9, 6))
+    _no_failure(out, "convolutions over all splits to n=8",
+                convolution_failure(["binomial"], 9, 6))
     return out
 
 
@@ -169,60 +212,88 @@ def _compositions_of(n: int, k: int):
             yield (first,) + rest
 
 
+def functions_failure(size: int) -> Optional[tuple]:
+    """First (k, n), both < size, where the functions from a k-set to an n-set,
+    in all or only the injective or surjective ones, are miscounted."""
+    for k in range(size):
+        for n in range(size):
+            if (len(list(en.enumerate_functions(k, n))) != n**k
+                    or len(list(en.enumerate_functions(k, n, "injective")))
+                    != ct.falling_factorial(n, k)
+                    or len(list(en.enumerate_functions(k, n, "surjective")))
+                    != ct.surjection_count(k, n)):
+                return k, n
+    return None
+
+
+def subsets_failure(size: int) -> Optional[int]:
+    """First n < size: subsets, in full by size or per size k, miscounted."""
+    for n in range(size):
+        row = [ct.binomial(n, k) for k in range(n + 2)]
+        by_size = [0] * (n + 2)
+        for s in en.enumerate_subsets(n):
+            by_size[len(s)] += 1
+        by_k = [len(list(en.enumerate_subsets(n, k))) for k in range(n + 2)]
+        if sum(by_size) != 2**n or by_size != row or by_k != row:
+            return n
+    return None
+
+
+def multisets_failure(ns: int, ks: int) -> Optional[tuple]:
+    """First (n, k), n < ns, k < ks: multisets miscounted."""
+    return next(
+        ((n, k) for n in range(ns) for k in range(ks)
+         if len(list(en.enumerate_multisets(n, k))) != ct.multiset_coeff(n, k)),
+        None,
+    )
+
+
+def partitions_failure(size: int) -> Optional[int]:
+    """First n < size: set partitions, in all or by blocks, miscounted."""
+    for n in range(size):
+        by_blocks = [0] * (n + 1)
+        for p in en.enumerate_set_partitions(n):
+            by_blocks[len(p)] += 1
+        if (sum(by_blocks) != ct.bell(n)
+                or by_blocks != [ct.stirling2(n, k) for k in range(n + 1)]):
+            return n
+    return None
+
+
+def permutations_failure(size: int) -> Optional[int]:
+    """First n < size: permutations, by cycles or fixed points, miscounted."""
+    for n in range(size):
+        by_cycles = [0] * (n + 1)
+        by_fixed = [0] * (n + 1)
+        for p in en.enumerate_permutations(n):
+            by_cycles[len(en.cycle_decompose(p))] += 1
+            by_fixed[len(en.fixed_points(p))] += 1
+        if (sum(by_cycles) != factorial(n)
+                or by_cycles != [ct.cycle_count(n, k) for k in range(n + 1)]
+                or by_fixed != [ct.derangement_fixed(n, k) for k in range(n + 1)]):
+            return n
+    return None
+
+
 def suite_oracles() -> list[Check]:
     out: list[Check] = []
-    ok = True
-    for k in range(5):
-        for n in range(5):
-            fs = list(en.enumerate_functions(k, n))
-            ok &= len(fs) == n**k
-            ok &= len(list(en.enumerate_functions(k, n, "injective"))) \
-                == ct.falling_factorial(n, k)
-            ok &= len(list(en.enumerate_functions(k, n, "surjective"))) \
-                == ct.surjection_count(k, n)
-    _mk(out, "function counts", ok)
-    ok = all(
-        len(list(en.enumerate_subsets(n, k))) == ct.binomial(n, k)
-        for n in range(9)
-        for k in range(n + 2)
-    )
-    _mk(out, "subset counts", ok)
-    ok = all(
-        len(list(en.enumerate_multisets(n, k))) == ct.multiset_coeff(n, k)
-        for n in range(5)
-        for k in range(6)
-    )
-    _mk(out, "multiset counts", ok)
-    ok = True
-    for n in range(8):
-        parts = list(en.enumerate_set_partitions(n))
-        ok &= len(parts) == ct.bell(n)
-        for k in range(n + 1):
-            ok &= sum(1 for p in parts if len(p) == k) == ct.stirling2(n, k)
-    _mk(out, "partition counts", ok)
-    ok = True
-    for n in range(7):
-        perms = list(en.enumerate_permutations(n))
-        ok &= len(perms) == factorial(n)
-        for k in range(n + 1):
-            ok &= sum(1 for p in perms if len(en.cycle_decompose(p)) == k) \
-                == ct.cycle_count(n, k)
-            ok &= sum(1 for p in perms if len(en.fixed_points(p)) == k) \
-                == ct.derangement_fixed(n, k)
-    _mk(out, "permutation counts", ok)
+    _no_failure(out, "function counts", functions_failure(5))
+    _no_failure(out, "subset counts", subsets_failure(9))
+    _no_failure(out, "multiset counts", multisets_failure(5, 6))
+    _no_failure(out, "partition counts", partitions_failure(8))
+    _no_failure(out, "permutation counts", permutations_failure(7))
     return out
 
 
-def suite_faa() -> list[Check]:
-    out: list[Check] = []
-    rng = random.Random(99)
-    ok = True
-    for _ in range(8):
-        f = FormalSeries([rng.randint(-3, 3) for _ in range(7)])
-        g = FormalSeries([0] + [rng.randint(-3, 3) for _ in range(6)])
+def faa_failure(seed: int, trials: int, order: int, bound: int) -> Optional[tuple]:
+    """First (trial, n) where f(g(t)) disagrees with the sum over partition
+    types; f and g are random series of `order`, coefficients in [-bound, bound]."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        f = FormalSeries([rng.randint(-bound, bound) for _ in range(order + 1)])
+        g = FormalSeries([0] + [rng.randint(-bound, bound) for _ in range(order)])
         comp = f.compose(g)
-        for n in range(1, 7):
-            lhs = factorial(n) * comp.coeff_at(n)
+        for n in range(1, order + 1):
             rhs = Fraction(0)
             for tv in ct.iter_type_vectors(n):
                 term = Fraction(ct.faa_di_bruno(tv))
@@ -230,20 +301,32 @@ def suite_faa() -> list[Check]:
                 for i, v in enumerate(tv.nu, start=1):
                     term *= (factorial(i) * g.coeff_at(i)) ** v
                 rhs += term
-            ok &= lhs == rhs
-    _mk(out, "composite-derivative coefficients via partition types", ok)
+            if factorial(n) * comp.coeff_at(n) != rhs:
+                return trial, n
+    return None
+
+
+def suite_faa() -> list[Check]:
+    out: list[Check] = []
+    _no_failure(out, "composite-derivative coefficients via partition types",
+                faa_failure(seed=99, trials=8, order=6, bound=3))
     return out
+
+
+def falling_roundtrip_failure(size: int) -> Optional[int]:
+    """First n < size: x^n to the falling basis and back is not x^n."""
+    return next(
+        (n for n in range(size)
+         if poly.power_from_falling(poly.power_to_falling(n))
+         != poly.trim([0] * n + [1])),
+        None,
+    )
 
 
 def suite_stirling() -> list[Check]:
     out: list[Check] = []
     _mk(out, "transition matrices invert (12x12)", poly.stirling_inverse_check(12))
-    ok = True
-    for n in range(11):
-        back = poly.power_from_falling(poly.power_to_falling(n))
-        expect = poly.trim([0] * n + [1])
-        ok &= back == expect
-    _mk(out, "power <-> falling roundtrip", ok)
+    _no_failure(out, "power <-> falling roundtrip", falling_roundtrip_failure(11))
     ok = all(
         poly.rising_expansion_coeffs(n)[k] == ct.cycle_count(n, k)
         and poly.falling_expansion_coeffs(n)[k] == ct.stirling1_signed(n, k)
@@ -254,101 +337,170 @@ def suite_stirling() -> list[Check]:
     return out
 
 
-def suite_mobius() -> list[Check]:
-    out: list[Check] = []
-    ok = True
-    for n in range(7):
+def boolean_mobius_failure(size: int) -> Optional[tuple]:
+    """First (a, b) on fewer than `size` atoms: mu(a, b) != (-1)^|b - a|."""
+    for n in range(size):
         lat = pm.boolean_lattice(n)
         mu = pm.mobius(lat)
-        ok &= all(
-            mu(a, b) == (-1) ** (len(b) - len(a))
-            for a in lat.elements
-            for b in lat.up(a)
-        )
-    _mk(out, "boolean lattice closed form to n=6", ok)
-    ok = all(
-        pm.mobius(pm.divisor_poset(n))(1, n) == nt.mobius_classical(n)
-        for n in range(1, 201)
+        for a in lat.elements:
+            for b in lat.up(a):
+                if mu(a, b) != (-1) ** (len(b) - len(a)):
+                    return a, b
+    return None
+
+
+def divisor_mobius_failure(top: int) -> Optional[int]:
+    """First n <= top: mu(1, n) on the divisors != classical mu(n)."""
+    return next(
+        (n for n in range(1, top + 1)
+         if pm.mobius(pm.divisor_poset(n))(1, n) != nt.mobius_classical(n)),
+        None,
     )
-    _mk(out, "divisor poset matches classical mu to 200", ok)
-    rng = random.Random(5)
-    ok = True
-    for _ in range(12):
-        P = random_poset(rng, rng.randint(1, 8))
-        ok &= pm.delta_check(P)
+
+
+def inversion_failure(seed: int, trials: int, max_size: int) -> Optional[int]:
+    """First of `trials` random posets (at most `max_size` elements) that fails
+    zeta*mu = delta or a roundtrip of inversion or dual inversion."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        P = random_poset(rng, rng.randint(1, max_size))
         f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
-        ok &= pm.invert(P, pm.accumulate(P, f)) == f
-        ok &= pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
-    _mk(out, "zeta*mu = delta and inversion roundtrips", ok)
+        if (not pm.delta_check(P) or pm.invert(P, pm.accumulate(P, f)) != f
+                or pm.invert_dual(P, pm.accumulate_dual(P, f)) != f):
+            return trial
+    return None
+
+
+def suite_mobius() -> list[Check]:
+    out: list[Check] = []
+    _no_failure(out, "boolean lattice closed form to n=6", boolean_mobius_failure(7))
+    _no_failure(out, "divisor poset matches classical mu to 200",
+                divisor_mobius_failure(200))
+    _no_failure(out, "zeta*mu = delta and inversion roundtrips",
+                inversion_failure(seed=5, trials=12, max_size=8))
     return out
 
 
-def suite_sieve() -> list[Check]:
-    out: list[Check] = []
-    ok = True
-    for n in range(1, 7):
+def derangement_sieve_failure(size: int) -> Optional[int]:
+    """First n in 1..size-1 where the sieve over the permutations fixing each
+    point misses the derangement or fixed-point counts."""
+    for n in range(1, size):
         fam = derangement_family(n)
-        ok &= pm.sylvester_count(fam) == ct.derangement(n)
-        ok &= pm.jordan_counts(fam) == [
-            ct.derangement_fixed(n, k) for k in range(n + 1)
-        ]
-    _mk(out, "derangement families via sieve", ok)
-    rng = random.Random(21)
-    ok = True
-    for _ in range(10):
-        universe = rng.randint(1, 300)
+        if (pm.sylvester_count(fam) != ct.derangement(n)
+                or pm.jordan_counts(fam)
+                != [ct.derangement_fixed(n, k) for k in range(n + 1)]):
+            return n
+    return None
+
+
+def random_sieve_failure(seed: int, trials: int, max_universe: int,
+                         max_sets: int) -> Optional[int]:
+    """First of `trials` random families (at most `max_sets` sets, universe at
+    most `max_universe`) whose sieve counts differ from a membership scan."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        universe = rng.randint(1, max_universe)
         sets = [
             frozenset(rng.sample(range(universe), rng.randint(0, universe)))
-            for _ in range(rng.randint(0, 6))
+            for _ in range(rng.randint(0, max_sets))
         ]
         fam = pm.SubsetFamily(universe, sets)
         exact = [sum(1 for x in range(universe)
                      if sum(x in s for s in sets) == m)
                  for m in range(len(sets) + 1)]
-        ok &= pm.jordan_counts(fam) == exact
-    _mk(out, "random families: exactly-m counts by scan", ok)
+        if pm.sylvester_count(fam) != exact[0] or pm.jordan_counts(fam) != exact:
+            return trial
+    return None
+
+
+def suite_sieve() -> list[Check]:
+    out: list[Check] = []
+    _no_failure(out, "derangement families via sieve", derangement_sieve_failure(7))
+    _no_failure(out, "random families: exactly-m counts by scan",
+                random_sieve_failure(seed=21, trials=10, max_universe=300, max_sets=6))
     return out
+
+
+def _draws_failure(queries) -> Optional[ct.GergonneQuery]:
+    return next(
+        (q for q in queries
+         if ct.gergonne(q)[0] != len(list(en.enumerate_gergonne(q)))),
+        None,
+    )
+
+
+def linear_draws_failure(size: int) -> Optional[ct.GergonneQuery]:
+    """First draw (n < size, m < 4) whose count differs from enumeration."""
+    return _draws_failure(
+        ct.GergonneQuery(n, k, m)
+        for n in range(1, size) for k in range(n + 1) for m in range(4)
+    )
+
+
+def circular_draws_failure(size: int) -> Optional[ct.GergonneQuery]:
+    """First circular draw (even n < size) miscounted against enumeration."""
+    return _draws_failure(
+        ct.GergonneQuery(n, k, 1, circular=True)
+        for n in range(2, size, 2) for k in range(n + 1)
+    )
 
 
 def suite_gergonne() -> list[Check]:
     out: list[Check] = []
-    ok = True
-    for n in range(1, 11):
-        for k in range(n + 1):
-            for m in range(4):
-                q = ct.GergonneQuery(n, k, m)
-                ok &= ct.gergonne(q)[0] == len(list(en.enumerate_gergonne(q)))
-    _mk(out, "linear draws match enumeration", ok)
-    ok = True
-    for n in range(2, 11, 2):
-        for k in range(n + 1):
-            q = ct.GergonneQuery(n, k, 1, circular=True)
-            ok &= ct.gergonne(q)[0] == len(list(en.enumerate_gergonne(q)))
-    _mk(out, "circular draws match enumeration", ok)
+    _no_failure(out, "linear draws match enumeration", linear_draws_failure(11))
+    _no_failure(out, "circular draws match enumeration", circular_draws_failure(11))
     return out
+
+
+def menage_seating_failure(size: int) -> Optional[int]:
+    """First n in 2..size-1: U_n differs from exhaustive seating."""
+    return next(
+        (n for n in range(2, size)
+         if ct.touchard(n) != len(list(en.enumerate_menage(n)))),
+        None,
+    )
+
+
+def menage_count_failure(size: int) -> Optional[int]:
+    """First n in 2..size-1: the full seating count is not 2 n! U_n."""
+    return next(
+        (n for n in range(2, size)
+         if ct.menage_count(n) != 2 * factorial(n) * ct.touchard(n)),
+        None,
+    )
 
 
 def suite_menage() -> list[Check]:
     out: list[Check] = []
     _mk(out, "U3=1 U4=2 U5=13",
         ct.touchard(3) == 1 and ct.touchard(4) == 2 and ct.touchard(5) == 13)
-    ok = all(
-        ct.touchard(n) == len(list(en.enumerate_menage(n))) for n in range(2, 6)
-    )
-    _mk(out, "formula matches exhaustive seating", ok)
-    _mk(out, "full count is 2 n! U_n",
-        all(ct.menage_count(n) == 2 * factorial(n) * ct.touchard(n)
-            for n in range(2, 8)))
+    _no_failure(out, "formula matches exhaustive seating", menage_seating_failure(6))
+    _no_failure(out, "full count is 2 n! U_n", menage_count_failure(8))
     return out
+
+
+def totient_failure(top: int) -> Optional[int]:
+    """First n <= top: product formula != divisor-classification count."""
+    counts = nt.totient_counts(top)
+    return next((n for n in range(1, top + 1) if nt.euler_phi(n) != counts[n]), None)
+
+
+def rsa_roundtrip_failure(keys: Iterable[tuple[int, int, int]]) -> Optional[tuple]:
+    """First (p, q, e, m), over every 1 <= m < pq, failing the roundtrip."""
+    for p, q, e in keys:
+        key = nt.rsa_keygen(p, q, e)
+        for m in range(1, key.n):
+            if nt.mod_pow(m, key.e * key.d, key.n) != m:
+                return p, q, e, m
+    return None
 
 
 def suite_numbers() -> list[Check]:
     out: list[Check] = []
     _mk(out, "totient golden", nt.euler_phi(30) == 8 and nt.euler_phi(100) == 40
         and nt.euler_phi(125) == 100 and nt.euler_phi(210) == 48)
-    counts = nt.totient_counts(2000)
-    ok = all(nt.euler_phi(n) == counts[n] for n in range(1, 2001))
-    _mk(out, "product formula vs divisor-classification count to 2000", ok)
+    _no_failure(out, "product formula vs divisor-classification count to 2000",
+                totient_failure(2000))
     ok = all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600))
     _mk(out, "product formula vs literal scan to 600", ok)
     _mk(out, "classical mu golden", nt.mobius_classical(6) == 1
@@ -357,11 +509,8 @@ def suite_numbers() -> list[Check]:
         and nt.mod_pow(19, 7, 25) == 14)
     _mk(out, "raw demo n=25", nt.mod_pow(14, 3, 25) == 19
         and nt.mod_pow(19, 7, 25) == 14)
-    key = nt.rsa_keygen(5, 11, 3)
-    ok = key.d == 27 and all(
-        nt.mod_pow(m, key.e * key.d, key.n) == m for m in range(1, key.n)
-    )
-    _mk(out, "keypair (5,11,3) full roundtrip", ok)
+    _mk(out, "keypair (5,11,3) full roundtrip", nt.rsa_keygen(5, 11, 3).d == 27
+        and rsa_roundtrip_failure([(5, 11, 3)]) is None)
     return out
 
 
@@ -376,23 +525,35 @@ def suite_birthday() -> list[Check]:
     return out
 
 
-def suite_surjections() -> list[Check]:
-    out: list[Check] = []
-    ok = all(
-        ct.surjection_count(k, n)
-        == len(list(en.enumerate_functions(k, n, "surjective")))
-        for k in range(6)
-        for n in range(5)
+def surjection_filter_failure(ks: int, ns: int) -> Optional[tuple]:
+    """First (k, n), k < ks, n < ns: surjection count != surjective words."""
+    return next(
+        ((k, n) for k in range(ks) for n in range(ns)
+         if ct.surjection_count(k, n)
+         != len(list(en.enumerate_functions(k, n, "surjective")))),
+        None,
     )
-    _mk(out, "alternating sum matches filtered enumeration", ok)
-    ok = True
-    for n in range(1, 5):
+
+
+def surjection_inversion_failure(ns: int, ks: int) -> Optional[tuple]:
+    """First (n, k), 1 <= n < ns and k < ks, where inverting |B|^k on the
+    subsets B of an n-set misses the surjection count."""
+    for n in range(1, ns):
         lat = pm.boolean_lattice(n)
         top = frozenset(range(1, n + 1))
-        for k in range(5):
+        for k in range(ks):
             g = {b: Fraction(len(b) ** k) for b in lat.elements}
-            ok &= pm.invert(lat, g)[top] == ct.surjection_count(k, n)
-    _mk(out, "matches inversion on the subset lattice", ok)
+            if pm.invert(lat, g)[top] != ct.surjection_count(k, n):
+                return n, k
+    return None
+
+
+def suite_surjections() -> list[Check]:
+    out: list[Check] = []
+    _no_failure(out, "alternating sum matches filtered enumeration",
+                surjection_filter_failure(6, 5))
+    _no_failure(out, "matches inversion on the subset lattice",
+                surjection_inversion_failure(5, 5))
     return out
 
 
@@ -411,6 +572,20 @@ ERRATA = [
 ]
 
 
+def errata_oracle_failure(derangements: Iterable[int]) -> Optional[str]:
+    """First pinned value that brute force does not confirm; d(n) is
+    enumerated for each n in `derangements`."""
+    oracle = {
+        f"d({n})": sum(1 for _ in en.enumerate_permutations(n, derangement_only=True))
+        for n in derangements
+    }
+    oracle["B(7)"] = len(list(en.enumerate_set_partitions(7)))
+    oracle["C(3,1)"] = sum(1 for _ in en.enumerate_permutations(3, cycles=1))
+    oracle["C(4,2)"] = sum(1 for _ in en.enumerate_permutations(4, cycles=2))
+    pinned = {name: good for name, _, good, _ in ERRATA}
+    return next((name for name, got in oracle.items() if got != pinned[name]), None)
+
+
 def suite_errata() -> list[Check]:
     out: list[Check] = []
     for name, fn, good, misprint in ERRATA:
@@ -421,14 +596,7 @@ def suite_errata() -> list[Check]:
             got == good and got != misprint,
             f"computed {got}; guarded misprint {misprint}",
         )
-    oracle = {
-        "d(4)": sum(1 for _ in en.enumerate_permutations(4, derangement_only=True)),
-        "B(7)": len(list(en.enumerate_set_partitions(7))),
-        "C(3,1)": sum(1 for _ in en.enumerate_permutations(3, cycles=1)),
-        "C(4,2)": sum(1 for _ in en.enumerate_permutations(4, cycles=2)),
-    }
-    _mk(out, "oracle confirms pinned values",
-        oracle == {"d(4)": 9, "B(7)": 877, "C(3,1)": 2, "C(4,2)": 11})
+    _no_failure(out, "oracle confirms pinned values", errata_oracle_failure([4]))
     return out
 
 

@@ -1,355 +1,133 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL
-line (run with `pytest tests/test_acceptance.py -s` to see them).
+"""Acceptance suite: every `verify` suite, the same checks at larger
+ranges, and the oracles that no suite runs.
 
-Everything here is exact integer/rational equality; the printed timings
-are informational.
+Everything here is exact integer/rational equality.
 """
 
 import random
-import time
-from contextlib import contextmanager
-from fractions import Fraction
+from collections import Counter
 
 import numpy as np
+import pytest
 
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
-import exactcomb.poly_identities as poly
-import exactcomb.poset_mobius as pm
-from exactcomb.exact_core import factorial
-from exactcomb.recursive_matrix import binomial_matrix, gentile_matrix, multiset_matrix
-from exactcomb.series import FormalSeries
-from exactcomb.verify import ERRATA, derangement_family, random_poset
+import exactcomb.verify as vf
 
 
-@contextmanager
-def criterion(num, name):
-    start = time.perf_counter()
-    try:
-        yield
-    except BaseException:
-        print(f"[acceptance] {num:02d} FAIL {name}")
-        raise
-    elapsed = time.perf_counter() - start
-    print(f"[acceptance] {num:02d} PASS {name} ({elapsed:.2f}s)")
+@pytest.mark.parametrize("suite", list(vf.SUITES))
+def test_suite(suite):
+    failed = [check for check in vf.SUITES[suite]() if not check.ok]
+    assert not failed, failed
 
 
 def test_criterion_01_table_fidelity():
-    with criterion(1, "printed-table fidelity (Pascal/multiset/occupancy/Stirling)"):
-        assert binomial_matrix(4).table(4, 5) == [
-            [1, 0, 0, 0, 0],
-            [1, 1, 0, 0, 0],
-            [1, 2, 1, 0, 0],
-            [1, 3, 3, 1, 0],
-        ]
-        assert multiset_matrix(4).table(4, 5) == [
-            [1, 0, 0, 0, 0],
-            [1, 1, 1, 1, 1],
-            [1, 2, 3, 4, 5],
-            [1, 3, 6, 10, 15],
-        ]
-        assert gentile_matrix(2, 6).table(4, 7) == [
-            [1, 0, 0, 0, 0, 0, 0],
-            [1, 1, 1, 0, 0, 0, 0],
-            [1, 2, 3, 2, 1, 0, 0],
-            [1, 3, 6, 7, 6, 3, 1],
-        ]
-        assert [
-            [ct.stirling2(n, k) for k in range(5)] for n in range(5)
-        ] == [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 1, 1, 0, 0],
-            [0, 1, 3, 1, 0],
-            [0, 1, 7, 6, 1],
-        ]
+    assert vf.printed_rows_failure("binomial", 4, range(4)) is None
+    assert vf.printed_rows_failure("multiset", 4, range(4)) is None
+    assert vf.printed_rows_failure("gentile p=2", 6, range(4)) is None
+    assert [[ct.stirling2(n, k) for k in range(5)] for n in range(5)] == [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 1, 1, 0, 0],
+        [0, 1, 3, 1, 0],
+        [0, 1, 7, 6, 1],
+    ]
 
 
 def test_criterion_02_oracle_equivalence():
-    families = []
-
-    def family(name, ok):
-        families.append(name)
-        assert ok, f"oracle mismatch in family {name}"
-
-    with criterion(2, "oracle equivalence across all coefficient families"):
-        family("functions", all(
-            len(list(en.enumerate_functions(k, n))) == n**k
-            for k in range(6) for n in range(6)
-        ))
-        family("injections", all(
-            len(list(en.enumerate_functions(k, n, "injective")))
-            == ct.falling_factorial(n, k)
-            for k in range(6) for n in range(6)
-        ))
-        family("surjections", all(
-            len(list(en.enumerate_functions(k, n, "surjective")))
-            == ct.surjection_count(k, n)
-            for k in range(6) for n in range(6)
-        ))
-
-        ok_all, ok_k = True, True
-        for n in range(17):
-            subsets = list(en.enumerate_subsets(n))
-            ok_all &= len(subsets) == 2**n
-            by_size = [0] * (n + 1)
-            for s in subsets:
-                by_size[len(s)] += 1
-            ok_k &= by_size == [ct.binomial(n, k) for k in range(n + 1)]
-        family("subsets", ok_all)
-        family("k-subsets", ok_k)
-
-        family("multisets", all(
-            len(list(en.enumerate_multisets(n, k))) == ct.multiset_coeff(n, k)
-            for n in range(6) for k in range(8)
-        ))
-        family("occupancy-bounded", all(
-            sum(1 for rho in en.enumerate_multisets(n, k) if max(rho, default=0) <= p)
-            == ct.gentile_coeff(p, n, k)
-            for p in (1, 2, 3) for n in range(1, 5) for k in range(8)
-        ))
-        family("compositions", all(
-            sum(
-                1 for f in en.enumerate_functions(n, k)
-                if tuple(f.count(i) for i in range(1, k + 1)) == h
-            ) == ct.multinomial(n, h)
-            for n in range(5) for k in range(1, 4)
-            for h in {tuple(f.count(i) for i in range(1, k + 1))
-                      for f in en.enumerate_functions(n, k)}
-        ))
-
-        ok_s, ok_b, ok_f = True, True, True
-        for n in range(11):
-            parts = list(en.enumerate_set_partitions(n))
-            ok_b &= len(parts) == ct.bell(n)
-            by_blocks = [0] * (n + 1)
-            types: dict = {}
-            for p in parts:
-                by_blocks[len(p)] += 1
-                tv = en.partition_type(p)
-                types[tv] = types.get(tv, 0) + 1
-            ok_s &= by_blocks == [ct.stirling2(n, k) for k in range(n + 1)]
-            ok_f &= all(types[tv] == ct.faa_di_bruno(tv) for tv in types)
-            ok_f &= set(types) == set(ct.iter_type_vectors(n))
-        family("set-partitions (Bell)", ok_b)
-        family("k-partitions (Stirling 2nd)", ok_s)
-        family("typed partitions", ok_f)
-
-        ok_c, ok_t, ok_d, ok_dk = True, True, True, True
-        for n in range(9):
-            perms = list(en.enumerate_permutations(n))
-            by_cycles = [0] * (n + 1)
-            by_fixed = [0] * (n + 1)
-            types = {}
-            for p in perms:
-                by_cycles[len(en.cycle_decompose(p))] += 1
-                by_fixed[len(en.fixed_points(p))] += 1
-                tv = en.permutation_type(p)
-                types[tv] = types.get(tv, 0) + 1
-            ok_c &= by_cycles == [ct.cycle_count(n, k) for k in range(n + 1)]
-            ok_t &= all(types[tv] == ct.cauchy_count(tv) for tv in types)
-            ok_d &= by_fixed[0] == ct.derangement(n) or n == 0
-            ok_dk &= by_fixed == [ct.derangement_fixed(n, k) for k in range(n + 1)]
-        family("cycle-counted permutations", ok_c)
-        family("typed permutations (Cauchy)", ok_t)
-        family("derangements", ok_d)
-        family("fixed-point counts", ok_dk)
-
-        ok_lin, ok_circ = True, True
-        for n in range(1, 13):
-            for k in range(n + 1):
-                for m in range(4):
-                    q = ct.GergonneQuery(n, k, m)
-                    ok_lin &= ct.gergonne(q)[0] == len(list(en.enumerate_gergonne(q)))
-            if n % 2 == 0:
-                for k in range(n + 1):
-                    q = ct.GergonneQuery(n, k, 1, circular=True)
-                    ok_circ &= ct.gergonne(q)[0] == len(list(en.enumerate_gergonne(q)))
-        family("winning draws (linear)", ok_lin)
-        family("winning draws (circular)", ok_circ)
-
-        family("menage seatings", all(
-            ct.touchard(n) == sum(1 for _ in en.enumerate_menage(n))
-            for n in range(2, 6)
-        ))
-        family("graphs", all(
-            ct.graph_count("graph", n) == len(list(
-                en.enumerate_subsets(ct.binomial(n, 2))
-            ))
-            for n in range(5)
-        ))
-        assert len(families) >= 16, families
-        print(f"\n[acceptance]    {len(families)} families cross-checked: "
-              + ", ".join(families))
+    assert vf.functions_failure(6) is None
+    assert vf.subsets_failure(17) is None
+    assert vf.multisets_failure(6, 8) is None
+    assert vf.partitions_failure(11) is None
+    assert vf.permutations_failure(9) is None
+    assert vf.linear_draws_failure(13) is None
+    assert vf.circular_draws_failure(13) is None
+    # families that no suite counts by enumeration
+    for p in (1, 2, 3):
+        for n in range(1, 5):
+            for k in range(8):
+                rhos = en.enumerate_multisets(n, k)
+                bounded = sum(1 for rho in rhos if max(rho, default=0) <= p)
+                assert bounded == ct.gentile_coeff(p, n, k), (p, n, k)
+    for n in range(5):
+        for k in range(1, 4):
+            occupancy = Counter(
+                tuple(f.count(i) for i in range(1, k + 1))
+                for f in en.enumerate_functions(n, k)
+            )
+            for h, count in occupancy.items():
+                assert count == ct.multinomial(n, h), (n, h)
+    for n in range(11):
+        types = Counter(map(en.partition_type, en.enumerate_set_partitions(n)))
+        assert set(types) == set(ct.iter_type_vectors(n))
+        assert all(count == ct.faa_di_bruno(tv) for tv, count in types.items())
+    for n in range(9):
+        perms = list(en.enumerate_permutations(n))
+        types = Counter(map(en.permutation_type, perms))
+        assert all(count == ct.cauchy_count(tv) for tv, count in types.items())
+        assert n == 0 or sum(not en.fixed_points(p) for p in perms) == ct.derangement(n)
+    for n in range(5):
+        edge_sets = sum(1 for _ in en.enumerate_subsets(ct.binomial(n, 2)))
+        assert ct.graph_count("graph", n) == edge_sets
 
 
 def test_criterion_03_errata_regressions():
-    with criterion(3, "pinned misprint regressions"):
-        for name, fn, good, misprint in ERRATA:
-            got = fn()
-            assert got == good, f"{name}: expected {good}, got {got}"
-            assert got != misprint, f"{name}: reproduced the misprint {misprint}"
-        # the same values straight from brute force
-        assert sum(1 for _ in en.enumerate_permutations(4, derangement_only=True)) == 9
-        assert sum(1 for _ in en.enumerate_permutations(5, derangement_only=True)) == 44
-        assert sum(1 for _ in en.enumerate_permutations(6, derangement_only=True)) == 265
-        assert ct.derangement(7) == 1854 and ct.derangement(8) == 14833
-        assert len(list(en.enumerate_set_partitions(7))) == 877
-        assert sum(1 for _ in en.enumerate_permutations(3, cycles=1)) == 2
-        assert sum(1 for _ in en.enumerate_permutations(4, cycles=2)) == 11
+    assert vf.errata_oracle_failure([4, 5, 6]) is None
 
 
 def test_criterion_04_generating_function_identities():
-    with criterion(4, "matrix rows vs closed forms + convolutions to row 12"):
-        mats = {
-            "binomial": (binomial_matrix(12), ct.binomial),
-            "multiset": (multiset_matrix(12), ct.multiset_coeff),
-            "gentile2": (gentile_matrix(2, 12), lambda n, k: ct.gentile_coeff(2, n, k)),
-        }
-        for mat, closed in mats.values():
-            for n in range(13):
-                for k in range(13):
-                    assert mat.entry(n, k) == closed(n, k)
-            for n in range(13):
-                for i in range(n + 1):
-                    for k in range(13):
-                        assert mat.vandermonde_convolve(i, n - i, k) == mat.entry(n, k)
+    assert vf.closed_form_failure(13, 12) is None
+    assert vf.convolution_failure(vf.MATRICES, 13, 12) is None
 
 
 def test_criterion_05_composition_coefficients():
-    with criterion(5, "composite-series coefficients via partition types"):
-        rng = random.Random(2024)
-        for _ in range(20):
-            f = FormalSeries([rng.randint(-4, 4) for _ in range(9)])
-            g = FormalSeries([0] + [rng.randint(-4, 4) for _ in range(8)])
-            comp = f.compose(g)
-            for n in range(1, 9):
-                lhs = factorial(n) * comp.coeff_at(n)
-                rhs = Fraction(0)
-                for tv in ct.iter_type_vectors(n):
-                    term = Fraction(ct.faa_di_bruno(tv))
-                    term *= factorial(tv.block_count) * f.coeff_at(tv.block_count)
-                    for i, v in enumerate(tv.nu, start=1):
-                        term *= (factorial(i) * g.coeff_at(i)) ** v
-                    rhs += term
-                assert lhs == rhs
+    assert vf.faa_failure(seed=2024, trials=20, order=8, bound=4) is None
 
 
 def test_criterion_06_mobius_suite():
-    with criterion(6, "Mobius: closed forms, divisor poset, inversion roundtrips"):
-        for n in range(11):
-            lat = pm.boolean_lattice(n)
-            mu = pm.mobius(lat)
-            for a in lat.elements:
-                for b in lat.up(a):
-                    assert mu(a, b) == (-1) ** (len(b) - len(a))
-        for n in range(1, 501):
-            assert pm.mobius(pm.divisor_poset(n))(1, n) == nt.mobius_classical(n)
-        rng = random.Random(77)
-        for _ in range(50):
-            P = random_poset(rng, rng.randint(1, 10))
-            assert pm.delta_check(P)
-            f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                 for e in P.elements}
-            assert pm.invert(P, pm.accumulate(P, f)) == f
-            assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
+    assert vf.boolean_mobius_failure(11) is None
+    assert vf.divisor_mobius_failure(500) is None
+    assert vf.inversion_failure(seed=77, trials=50, max_size=10) is None
 
 
 def test_criterion_07_sieve():
-    with criterion(7, "Sylvester/Jordan vs direct membership scans"):
-        for n in range(1, 8):
-            fam = derangement_family(n)
-            assert pm.sylvester_count(fam) == ct.derangement(n)
-            assert pm.jordan_counts(fam) == [
-                ct.derangement_fixed(n, k) for k in range(n + 1)
-            ]
-        rng = random.Random(123)
-        for _ in range(20):
-            universe = rng.randint(1, 1000)
-            sets = [
-                frozenset(rng.sample(range(universe), rng.randint(0, universe)))
-                for _ in range(rng.randint(0, 8))
-            ]
-            fam = pm.SubsetFamily(universe, sets)
-            survivors = sum(
-                1 for x in range(universe) if not any(x in s for s in sets)
-            )
-            assert pm.sylvester_count(fam) == survivors
-            exact = [
-                sum(1 for x in range(universe) if sum(x in s for s in sets) == m)
-                for m in range(len(sets) + 1)
-            ]
-            assert pm.jordan_counts(fam) == exact
+    assert vf.derangement_sieve_failure(8) is None
+    assert vf.random_sieve_failure(
+        seed=123, trials=20, max_universe=1000, max_sets=8
+    ) is None
 
 
 def test_criterion_08_menage():
-    with criterion(8, "menage numbers by formula and exhaustive seating"):
-        assert ct.touchard(3) == 1 == sum(1 for _ in en.enumerate_menage(3))
-        assert ct.touchard(4) == 2 == sum(1 for _ in en.enumerate_menage(4))
-        assert ct.touchard(5) == 13 == sum(1 for _ in en.enumerate_menage(5))
-        for n in range(2, 9):
-            assert ct.menage_count(n) == 2 * factorial(n) * ct.touchard(n)
+    assert vf.menage_seating_failure(6) is None
+    assert vf.menage_count_failure(9) is None
 
 
 def test_criterion_09_stirling_inversion():
-    with criterion(9, "Stirling transition matrices invert; basis roundtrips"):
-        assert poly.stirling_inverse_check(12)
-        for n in range(16):
-            back = poly.power_from_falling(poly.power_to_falling(n))
-            assert back == poly.trim([0] * n + [1])
+    assert vf.falling_roundtrip_failure(16) is None
+
+
+def _coprime_count(n):
+    """Totatives of n by numpy's gcd, an oracle independent of the library."""
+    return int(np.count_nonzero(
+        np.gcd(np.arange(1, n + 1, dtype=np.int64), np.int64(n)) == 1
+    ))
 
 
 def test_criterion_10_number_theory():
-    with criterion(10, "totient across the full range + toy RSA roundtrips"):
-        assert nt.euler_phi(30) == 8
-        assert nt.euler_phi(100) == 40
-        assert nt.euler_phi(125) == 100
-        assert nt.euler_phi(210) == 48
-        # product formula vs the gcd-classification count, every n to 1e5
-        counts = nt.totient_counts(100_000)
-        assert all(nt.euler_phi(n) == counts[n] for n in range(1, 100_001))
-        # the literal gcd scan: dense to 3000, sampled dense above
-        for n in range(1, 3001):
-            scan = int(np.count_nonzero(
-                np.gcd(np.arange(1, n + 1, dtype=np.int64), np.int64(n)) == 1
-            ))
-            assert scan == nt.euler_phi(n)
-        rng = random.Random(42)
-        for _ in range(300):
-            n = rng.randint(3001, 100_000)
-            scan = int(np.count_nonzero(
-                np.gcd(np.arange(1, n + 1, dtype=np.int64), np.int64(n)) == 1
-            ))
-            assert scan == nt.euler_phi(n)
-        # the classic demo values, modulus 25 = 5^2
-        assert nt.rsa_encrypt(25, 3, 14) == 19
-        assert nt.rsa_decrypt(25, 7, 19) == 14
-        # full roundtrip over every message for keypairs with pq <= 3000
-        for p, q, e in ((5, 11, 3), (7, 11, 7), (13, 17, 5), (41, 71, 11),
-                        (47, 59, 3)):
-            key = nt.rsa_keygen(p, q, e)
-            assert key.n <= 3000
-            for m in range(1, key.n):
-                assert nt.mod_pow(m, key.e * key.d, key.n) == m
-
-
-def test_criterion_11_birthday_threshold():
-    with criterion(11, "birthday collision threshold at 23"):
-        assert ct.birthday_probability(23) > Fraction(1, 2)
-        assert ct.birthday_probability(22) < Fraction(1, 2)
+    assert vf.totient_failure(100_000) is None
+    # the literal gcd scan: dense to 3000, sampled above
+    rng = random.Random(42)
+    for n in [*range(1, 3001), *(rng.randint(3001, 100_000) for _ in range(300))]:
+        assert _coprime_count(n) == nt.euler_phi(n), n
+    # the classic demo values, modulus 25 = 5^2
+    assert nt.rsa_encrypt(25, 3, 14) == 19
+    assert nt.rsa_decrypt(25, 7, 19) == 14
+    keys = [(5, 11, 3), (7, 11, 7), (13, 17, 5), (41, 71, 11), (47, 59, 3)]
+    assert all(p * q <= 3000 for p, q, _ in keys)
+    assert vf.rsa_roundtrip_failure(keys) is None
 
 
 def test_criterion_12_surjections():
-    with criterion(12, "surjection formula vs filter and vs inversion"):
-        for k in range(7):
-            for n in range(6):
-                assert ct.surjection_count(k, n) == len(
-                    list(en.enumerate_functions(k, n, "surjective"))
-                )
-        for n in range(1, 5):
-            lat = pm.boolean_lattice(n)
-            top = frozenset(range(1, n + 1))
-            for k in range(7):
-                g = {b: Fraction(len(b) ** k) for b in lat.elements}
-                assert pm.invert(lat, g)[top] == ct.surjection_count(k, n)
+    assert vf.surjection_filter_failure(7, 6) is None
+    assert vf.surjection_inversion_failure(5, 7) is None

@@ -98,6 +98,7 @@ def test_enumerate():
     derang = out(["enumerate", "permutations", "3", "--derangements"]).splitlines()
     assert derang == ["231", "312"]
     assert run(["enumerate", "permutations", "11"]).code == 2  # size guard
+    assert run(["enumerate", "subsets", "3", "--limit", "-1"]).code == 2
 
 
 def test_verify_suites():
@@ -141,6 +142,14 @@ def test_poset_malformed_reports_witness(tmp_path):
     result = run(["poset", "mobius", str(bad)])
     assert result.code == 2
     assert "transitivity" in result.payload and "witness" in result.payload
+    for subcmd, data in (
+        ("sieve", {"universe": "10", "sets": []}),
+        ("mobius", {"elements": [[1], [2]], "leq": []}),
+        ("mobius", {"elements": 5}),
+    ):
+        bad.write_text(json.dumps(data))
+        result = run(["poset", subcmd, str(bad)])
+        assert result.code == 2 and result.payload.startswith("error: "), data
 
 
 def test_poset_invert_command(tmp_path):
@@ -157,6 +166,8 @@ def test_poset_invert_command(tmp_path):
         out(["poset", "invert", str(poset), str(values), "--dual"])
     )
     assert dual == {"0": "-2", "1": "-3", "2": "6"}
+    values.write_text("5")
+    assert run(["poset", "invert", str(poset), str(values)]).code == 2
 
 
 def test_poset_sieve_command(tmp_path):

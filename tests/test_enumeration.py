@@ -5,6 +5,7 @@ import pytest
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
 from exactcomb.exact_core import factorial
+from exactcomb.verify import functions_failure
 
 
 def test_function_words():
@@ -24,17 +25,7 @@ def test_function_modes():
 
 
 def test_function_counts_match_formulas():
-    for k in range(5):
-        for n in range(5):
-            assert len(list(en.enumerate_functions(k, n))) == n**k
-            assert (
-                len(list(en.enumerate_functions(k, n, "injective")))
-                == ct.falling_factorial(n, k)
-            )
-            assert (
-                len(list(en.enumerate_functions(k, n, "surjective")))
-                == ct.surjection_count(k, n)
-            )
+    assert functions_failure(5) is None
 
 
 def test_subsets():

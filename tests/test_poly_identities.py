@@ -4,6 +4,7 @@ import pytest
 
 import exactcomb.counting as ct
 import exactcomb.poly_identities as poly
+from exactcomb.verify import falling_roundtrip_failure
 
 
 def test_rising_falling_golden():
@@ -50,9 +51,7 @@ def test_power_to_falling_golden():
 
 
 def test_power_falling_roundtrip():
-    for n in range(16):
-        back = poly.power_from_falling(poly.power_to_falling(n))
-        assert back == poly.trim([0] * n + [1])
+    assert falling_roundtrip_failure(16) is None
 
 
 def test_evaluate():

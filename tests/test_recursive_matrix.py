@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactcomb.counting import binomial, gentile_coeff, multiset_coeff
+from exactcomb.counting import binomial, multiset_coeff
 from exactcomb.recursive_matrix import (
     RecursiveMatrix,
     binomial_matrix,
@@ -11,27 +11,7 @@ from exactcomb.recursive_matrix import (
     multiset_matrix,
 )
 from exactcomb.series import FormalSeries
-
-PASCAL_0_3 = [
-    [1, 0, 0, 0, 0],
-    [1, 1, 0, 0, 0],
-    [1, 2, 1, 0, 0],
-    [1, 3, 3, 1, 0],
-]
-
-MULTISET_0_3 = [
-    [1, 0, 0, 0, 0],
-    [1, 1, 1, 1, 1],
-    [1, 2, 3, 4, 5],
-    [1, 3, 6, 10, 15],
-]
-
-GENTILE2_0_3 = [
-    [1, 0, 0, 0, 0, 0, 0],
-    [1, 1, 1, 0, 0, 0, 0],
-    [1, 2, 3, 2, 1, 0, 0],
-    [1, 3, 6, 7, 6, 3, 1],
-]
+from exactcomb.verify import MATRICES, closed_form_failure, convolution_failure
 
 
 def test_row_series_golden():
@@ -55,9 +35,7 @@ def test_entry_golden():
 
 
 def test_builders_against_tables():
-    assert binomial_matrix(4).table(4, 5) == PASCAL_0_3
-    assert multiset_matrix(4).table(4, 5) == MULTISET_0_3
-    assert gentile_matrix(2, 6).table(4, 7) == GENTILE2_0_3
+    # the printed tables themselves are checked in test_acceptance, criterion 1
     assert all(multiset_matrix(9).entry(1, k) == 1 for k in range(10))
 
 
@@ -85,21 +63,11 @@ def test_vandermonde_golden():
 
 
 def test_vandermonde_all_splits():
-    mats = [binomial_matrix(8), multiset_matrix(8), gentile_matrix(2, 8)]
-    for mat in mats:
-        for n in range(13):
-            for i in range(n + 1):
-                for k in range(9):
-                    assert mat.vandermonde_convolve(i, n - i, k) == mat.entry(n, k)
+    assert convolution_failure(MATRICES, 13, 8) is None
 
 
 def test_entries_match_closed_forms():
-    b, m, g = binomial_matrix(10), multiset_matrix(10), gentile_matrix(2, 10)
-    for n in range(13):
-        for k in range(11):
-            assert b.entry(n, k) == binomial(n, k)
-            assert m.entry(n, k) == multiset_coeff(n, k)
-            assert g.entry(n, k) == gentile_coeff(2, n, k)
+    assert closed_form_failure(13, 10) is None
 
 
 def test_pascal_recursion_entrywise():
