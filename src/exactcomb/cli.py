@@ -4,7 +4,7 @@ dumps, poset/sieve tools, toy RSA, and the self-check suites.
 All commands are one-shot; numbers are printed as exact decimal strings
 (rationals as "p/q"), and JSON output keeps integers as strings so that
 consumers cannot silently lose precision.  Exit codes: 0 ok, 1
-verification failure, 2 usage or input error.
+verification failure or internal inconsistency, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import counting as ct
 from . import enumeration as en
 from . import number_theory as nt
-from .exact_core import format_rational, parse_int
+from .exact_core import format_rational, parse_int, parse_rational
 from .poset_mobius import FinitePoset, PosetError, SubsetFamily
 from .poset_mobius import invert, invert_dual, mobius, sieve_counts
 from .recursive_matrix import RecursiveMatrix, binomial_matrix, gentile_matrix
@@ -28,8 +28,8 @@ from .verify import SUITES, run_suites
 
 
 class CommandResult(NamedTuple):
-    code: int  # 0 ok, 1 verification failure, 2 usage error
-    payload: str
+    code: int  # 0 ok, 1 verification failure or internal inconsistency, 2 usage error
+    payload: str  # on stderr when it starts with "error: ", else on stdout
 
 
 # Each family of `coeff` and `enumerate` is a pair (argument parser,
@@ -254,51 +254,51 @@ def _load_poset(path: str) -> FinitePoset:
         return FinitePoset.from_json(fh.read())
 
 
-def _cmd_poset(args: argparse.Namespace) -> CommandResult:
-    if args.subcmd == "mobius":
-        P = _load_poset(args.poset)
-        mu = mobius(P)
-        rank = {e: i for i, e in enumerate(P.linear_extension())}
-        triples = [
-            [x, y, str(mu(x, y))]
-            for x in P.elements
-            for y in sorted(P.up(x), key=rank.__getitem__)
-        ]
-        if args.format == "json":
-            return CommandResult(0, json.dumps({"mobius": triples}))
-        return CommandResult(
-            0, "\n".join(f"{x},{y},{v}" for x, y, v in triples)
-        )
-    if args.subcmd == "invert":
-        P = _load_poset(args.poset)
-        with open(args.values, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("expected a JSON object of values")
-        from .exact_core import parse_rational
+def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
+    P = _load_poset(args.poset)
+    mu = mobius(P)
+    rank = {e: i for i, e in enumerate(P.linear_extension())}
+    triples = [
+        [x, y, str(mu(x, y))]
+        for x in P.elements
+        for y in sorted(P.up(x), key=rank.__getitem__)
+    ]
+    if args.format == "json":
+        return CommandResult(0, json.dumps({"mobius": triples}))
+    return CommandResult(
+        0, "\n".join(f"{x},{y},{v}" for x, y, v in triples)
+    )
 
-        g = {}
-        for e in P.elements:
-            key = str(e)
-            if key not in raw:
-                raise ValueError(f"missing value for element {key!r}")
-            g[e] = parse_rational(str(raw[key]))
-        f = invert_dual(P, g) if args.dual else invert(P, g)
-        out = {str(e): format_rational(f[e]) for e in P.elements}
-        return CommandResult(0, json.dumps(out))
-    if args.subcmd == "sieve":
-        with open(args.family, encoding="utf-8") as fh:
-            fam = SubsetFamily.from_json(fh.read())
-        numbers, exactly = sieve_counts(fam)
-        payload = json.dumps(
-            {
-                "sylvester": [str(v) for v in numbers],
-                "survivors": str(exactly[0]),
-                "exactly": [str(v) for v in exactly],
-            }
-        )
-        return CommandResult(0, payload)
-    raise ValueError(f"unknown poset subcommand {args.subcmd!r}")
+
+def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
+    P = _load_poset(args.poset)
+    with open(args.values, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object of values")
+    g = {}
+    for e in P.elements:
+        key = str(e)
+        if key not in raw:
+            raise ValueError(f"missing value for element {key!r}")
+        g[e] = parse_rational(str(raw[key]))
+    f = invert_dual(P, g) if args.dual else invert(P, g)
+    out = {str(e): format_rational(f[e]) for e in P.elements}
+    return CommandResult(0, json.dumps(out))
+
+
+def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
+    with open(args.family, encoding="utf-8") as fh:
+        fam = SubsetFamily.from_json(fh.read())
+    numbers, exactly = sieve_counts(fam)
+    payload = json.dumps(
+        {
+            "sylvester": [str(v) for v in numbers],
+            "survivors": str(exactly[0]),
+            "exactly": [str(v) for v in exactly],
+        }
+    )
+    return CommandResult(0, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +306,28 @@ def _cmd_poset(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rsa(args: argparse.Namespace) -> CommandResult:
-    if args.subcmd == "keygen":
-        key = nt.rsa_keygen(args.p, args.q, args.e)
-        payload = json.dumps(
-            {
-                "p": str(key.p),
-                "q": str(key.q),
-                "n": str(key.n),
-                "phi": str(key.phi),
-                "e": str(key.e),
-                "d": str(key.d),
-                "note": "toy parameters, no cryptographic security",
-            }
-        )
-        return CommandResult(0, payload)
-    if args.subcmd == "encrypt":
-        return CommandResult(0, str(nt.rsa_encrypt(args.n, args.e, args.m)))
-    if args.subcmd == "decrypt":
-        return CommandResult(0, str(nt.rsa_decrypt(args.n, args.d, args.c)))
-    raise ValueError(f"unknown rsa subcommand {args.subcmd!r}")
+def _cmd_rsa_keygen(args: argparse.Namespace) -> CommandResult:
+    key = nt.rsa_keygen(args.p, args.q, args.e)
+    payload = json.dumps(
+        {
+            "p": str(key.p),
+            "q": str(key.q),
+            "n": str(key.n),
+            "phi": str(key.phi),
+            "e": str(key.e),
+            "d": str(key.d),
+            "note": "toy parameters, no cryptographic security",
+        }
+    )
+    return CommandResult(0, payload)
+
+
+def _cmd_rsa_encrypt(args: argparse.Namespace) -> CommandResult:
+    return CommandResult(0, str(nt.rsa_encrypt(args.n, args.e, args.m)))
+
+
+def _cmd_rsa_decrypt(args: argparse.Namespace) -> CommandResult:
+    return CommandResult(0, str(nt.rsa_decrypt(args.n, args.d, args.c)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     pp = poset_sub.add_parser("mobius", help="Mobius function of a poset JSON file")
     pp.add_argument("poset")
     pp.add_argument("--format", choices=["csv", "json"], default="csv")
-    pp.set_defaults(fn=_cmd_poset)
+    pp.set_defaults(fn=_cmd_poset_mobius)
     pi = poset_sub.add_parser("invert", help="Mobius inversion of a value table")
     pi.add_argument("poset")
     pi.add_argument("values", help='JSON file {"element": "p/q", ...}')
     pi.add_argument("--dual", action="store_true", help="invert on the reversed order")
-    pi.set_defaults(fn=_cmd_poset)
+    pi.set_defaults(fn=_cmd_poset_invert)
     ps = poset_sub.add_parser("sieve", help="Sylvester/Jordan counts of a family")
     ps.add_argument("family", help='JSON file {"universe": N, "sets": [[...], ...]}')
-    ps.set_defaults(fn=_cmd_poset)
+    ps.set_defaults(fn=_cmd_poset_sieve)
 
     p_rsa = sub.add_parser("rsa", help="toy RSA (no security!)")
     rsa_sub = p_rsa.add_subparsers(dest="subcmd", required=True)
@@ -398,23 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--p", type=int, required=True)
     rk.add_argument("--q", type=int, required=True)
     rk.add_argument("--e", type=int, required=True)
-    rk.set_defaults(fn=_cmd_rsa)
+    rk.set_defaults(fn=_cmd_rsa_keygen)
     re_ = rsa_sub.add_parser("encrypt")
     re_.add_argument("--n", type=int, required=True)
     re_.add_argument("--e", type=int, required=True)
     re_.add_argument("--m", type=int, required=True)
-    re_.set_defaults(fn=_cmd_rsa)
+    re_.set_defaults(fn=_cmd_rsa_encrypt)
     rd = rsa_sub.add_parser("decrypt")
     rd.add_argument("--n", type=int, required=True)
     rd.add_argument("--d", type=int, required=True)
     rd.add_argument("--c", type=int, required=True)
-    rd.set_defaults(fn=_cmd_rsa)
+    rd.set_defaults(fn=_cmd_rsa_decrypt)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
-    """Parse and execute; usage and input errors come back as code 2."""
+    """Parse and execute; usage and input errors come back as code 2, and
+    a disagreement between two routes (ArithmeticError) as code 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -426,12 +429,14 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
         return CommandResult(2, f"error: not a partial order: {exc} (witness {exc.witness})")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return CommandResult(2, f"error: {exc}")
+    except ArithmeticError as exc:
+        return CommandResult(1, f"error: {exc}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     result = run(argv)
     if result.payload:
-        stream = sys.stderr if result.code == 2 else sys.stdout
+        stream = sys.stderr if result.payload.startswith("error: ") else sys.stdout
         print(result.payload, file=stream)
     return result.code
 

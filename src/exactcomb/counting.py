@@ -3,18 +3,19 @@
 Where two independent computation routes exist (closed form vs recursion,
 or two printed formulas), both are evaluated and compared on every call;
 a mismatch raises ArithmeticError, since it would mean the implementation
-is internally inconsistent.  Results are memoized per process.
+is internally inconsistent.  Results are memoized per process; each
+row-by-row recursion is one `RowTable` with its own lock, so building one
+large table never stalls another family.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional, Sequence
 
-from .exact_core import factorial
+from .exact_core import RowTable, factorial
 
 __all__ = [
     "TypeVector",
@@ -44,10 +45,6 @@ __all__ = [
     "iter_type_vectors",
     "GRAPH_KINDS",
 ]
-
-
-# guards growth of the shared row tables; lookups of finished rows are free
-_TABLE_LOCK = threading.Lock()
 
 
 def _agree(label: str, *values):
@@ -188,7 +185,16 @@ def multiset_coeff(n: int, k: int) -> int:
     return _agree(f"multiset_coeff({n},{k})", via_rising, via_binomial, row[k])
 
 
-_GENTILE_ROWS: dict[int, list[list[int]]] = {}
+# c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i)
+def _gentile_row(p: int, rows: list[list[int]], m: int) -> list[int]:
+    prev = rows[-1]
+    return [
+        sum(prev[k - i] for i in range(min(p, k) + 1) if k - i < len(prev))
+        for k in range(m * p + 1)
+    ]
+
+
+_GENTILE: dict[int, RowTable] = {}
 
 
 def gentile_coeff(p: int, n: int, k: int) -> int:
@@ -199,18 +205,11 @@ def gentile_coeff(p: int, n: int, k: int) -> int:
         raise ValueError("n and k must be >= 0")
     if k > n * p:
         return 0
-    with _TABLE_LOCK:
-        rows = _GENTILE_ROWS.setdefault(p, [[1]])
-        while len(rows) <= n:
-            prev = rows[-1]
-            width = len(rows) * p
-            nxt = [0] * (width + 1)
-            for kk in range(width + 1):
-                nxt[kk] = sum(
-                    prev[kk - i] for i in range(min(p, kk) + 1) if kk - i < len(prev)
-                )
-            rows.append(nxt)
-        row = rows[n]
+    table = _GENTILE.get(p)
+    if table is None:
+        # setdefault is atomic: racing threads all get the one table it keeps
+        table = _GENTILE.setdefault(p, RowTable([1], partial(_gentile_row, p)))
+    row = table[n]
     return row[k] if k < len(row) else 0
 
 
@@ -230,38 +229,32 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 # partitions: Stirling 2nd kind, Bell, partition types
 # ---------------------------------------------------------------------------
 
-_STIRLING2_ROWS: list[list[int]] = [[1]]
+# S(m, j) = S(m-1, j-1) + j S(m-1, j)
+def _stirling2_row(rows: list[list[int]], m: int) -> list[int]:
+    prev = rows[-1] + [0]
+    return [0] + [prev[j - 1] + j * prev[j] for j in range(1, m + 1)]
+
+
+_STIRLING2 = RowTable([1], _stirling2_row)
 
 
 def stirling2(n: int, k: int) -> int:
     """S(n, k), k-block set partitions, via the bad-element recursion."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    with _TABLE_LOCK:
-        while len(_STIRLING2_ROWS) <= n:
-            m = len(_STIRLING2_ROWS)
-            prev = _STIRLING2_ROWS[-1]
-            nxt = [0] * (m + 1)
-            for j in range(1, m + 1):
-                nxt[j] = prev[j - 1] + (j * prev[j] if j < m else 0)
-            _STIRLING2_ROWS.append(nxt)
-        row = _STIRLING2_ROWS[n]
+    row = _STIRLING2[n]
     return row[k] if k < len(row) else 0
 
 
-_BELL: list[int] = [1]
+# B_m = sum_k C(m-1, k) B_k
+_BELL = RowTable(1, lambda rows, m: sum(binomial(m - 1, k) * rows[k] for k in range(m)))
 
 
 def bell(n: int) -> int:
     """B_n, all set partitions of an n-set, by the binomial-sum recursion."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _TABLE_LOCK:
-        while len(_BELL) <= n:
-            m = len(_BELL) - 1  # B_{m+1} from B_0..B_m
-            _BELL.append(sum(binomial(m, k) * _BELL[k] for k in range(m + 1)))
-        value = _BELL[n]
-    return _agree(f"bell({n})", value, sum(stirling2(n, k) for k in range(n + 1)))
+    return _agree(f"bell({n})", _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
 
 
 def faa_di_bruno(tv: TypeVector) -> int:
@@ -280,7 +273,13 @@ def faa_di_bruno(tv: TypeVector) -> int:
 # permutations: cycle counts, Cauchy coefficients, derangements
 # ---------------------------------------------------------------------------
 
-_CYCLE_ROWS: list[list[int]] = [[1]]
+# c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
+def _cycle_row(rows: list[list[int]], m: int) -> list[int]:
+    prev = rows[-1] + [0]
+    return [0] + [prev[j - 1] + (m - 1) * prev[j] for j in range(1, m + 1)]
+
+
+_CYCLES = RowTable([1], _cycle_row)
 
 
 def cycle_count(n: int, k: int) -> int:
@@ -288,17 +287,7 @@ def cycle_count(n: int, k: int) -> int:
     numbers of the first kind)."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    with _TABLE_LOCK:
-        while len(_CYCLE_ROWS) <= n:
-            m = len(_CYCLE_ROWS)
-            prev = _CYCLE_ROWS[-1]
-            nxt = [0] * (m + 1)
-            for j in range(1, m + 1):
-                nxt[j] = (prev[j - 1] if j - 1 < len(prev) else 0) + (
-                    (m - 1) * prev[j] if j < len(prev) else 0
-                )
-            _CYCLE_ROWS.append(nxt)
-        row = _CYCLE_ROWS[n]
+    row = _CYCLES[n]
     return row[k] if k < len(row) else 0
 
 
@@ -320,20 +309,15 @@ def cauchy_count(tv: TypeVector) -> int:
     return num // den
 
 
-_DERANGEMENTS: list[int] = [1, 0]  # d_0 := 1 so that d_{n,n} = C(n,n) * d_0
+# d_m = (m-1)(d_{m-2} + d_{m-1}); d_0 := 1 so that d_{n,n} = C(n,n) * d_0
+_DERANGEMENTS = RowTable(1, lambda rows, m: (m - 1) * sum(rows[-2:]))
 
 
 def derangement(n: int) -> int:
     """d_n, fixed-point-free permutations, via d_n = (n-1)(d_{n-2} + d_{n-1})."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _TABLE_LOCK:
-        while len(_DERANGEMENTS) <= n:
-            m = len(_DERANGEMENTS)
-            _DERANGEMENTS.append(
-                (m - 1) * (_DERANGEMENTS[m - 2] + _DERANGEMENTS[m - 1])
-            )
-        return _DERANGEMENTS[n]
+    return _DERANGEMENTS[n]
 
 
 def derangement_fixed(n: int, k: int) -> int:

@@ -10,12 +10,34 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from fractions import Fraction
+from typing import Callable
 
 ExactInt = int
 ExactRat = Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+
+class RowTable:
+    """Rows 0, 1, 2, ... of a recursion, each built once under the table's lock.
+
+    ``step(rows, m)`` returns row m from the finished rows 0..m-1; the lock does
+    not re-enter, so a step must not index its own table.  Finished rows are
+    read without the lock: the list only grows and ``append`` is atomic."""
+
+    def __init__(self, first, step: Callable[[list, int], object]):
+        self._rows = [first]
+        self._step = step
+        self._lock = threading.Lock()
+
+    def __getitem__(self, n: int):
+        rows = self._rows
+        if n >= len(rows):
+            with self._lock:
+                while len(rows) <= n:
+                    rows.append(self._step(rows, len(rows)))
+        return rows[n]
 
 
 def factorial(n: int) -> int:

@@ -3,8 +3,8 @@
 A matrix is determined by its recursion rule: row 0's generating series
 is the constant 1, and row n's series is the rule raised to the n-th
 power.  Columns are truncated at a caller-chosen order; rows are
-materialized lazily (one series multiplication each) and cached forever,
-which is cheap at the sizes this library targets.
+materialized lazily (one series multiplication each, in a `RowTable`
+with its own lock) and cached forever, cheap at the sizes targeted here.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 
+from .exact_core import RowTable
 from .series import FormalSeries, geometric_series
 
 
@@ -22,23 +23,17 @@ class RecursiveMatrix:
             order = rule.order
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.rule = rule.truncate(order)
+        rule = self.rule = rule.truncate(order)
         self.order = order
-        self._rows: dict[int, FormalSeries] = {0: FormalSeries.one(order)}
+        # row(m) = rule * row(m-1); the local `rule` keeps self out of a ref cycle
+        self._table = RowTable(FormalSeries.one(order), lambda rows, m: rule * rows[-1])
 
     def row_series(self, n: int) -> FormalSeries:
         """Generating series of row n: rule**n, memoized via the one-step
         recursion row(n) = rule * row(n-1)."""
         if n < 0:
             raise ValueError("row index must be >= 0")
-        rows = self._rows
-        if n not in rows:
-            top = max(rows)
-            series = rows[top]
-            for m in range(top + 1, n + 1):
-                series = self.rule * series
-                rows[m] = series
-        return rows[n]
+        return self._table[n]
 
     def entry(self, n: int, k: int) -> int:
         """M(n, k): coefficient of t^k in row n, guaranteed integral."""

@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-from exactcomb.cli import run
+import exactcomb.counting as ct
+import exactcomb.poset_mobius as pm
+from exactcomb.cli import main, run
 from exactcomb.exact_core import parse_int, parse_rational
 
 
@@ -200,7 +203,29 @@ def test_rsa_commands():
     assert run(["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "1"]).code == 2
 
 
-def test_console_entry_point():
+def test_route_disagreement_exits_1(monkeypatch, capsys):
+    sylvester_numbers = pm.sylvester_numbers
+    # S_3 overcounted: the Jordan counts no longer match the membership scan
+    monkeypatch.setattr(pm, "sylvester_numbers", lambda fam: [
+        v + (k == 3) for k, v in enumerate(sylvester_numbers(fam))
+    ])
+    result = run(["verify", "sieve", "errata"])
+    lines = result.payload.splitlines()
+    assert result.code == 1
+    assert lines[0].startswith("FAIL  sieve: raised ArithmeticError  [internal")
+    assert all(line.startswith("PASS  errata: ") for line in lines[1:-1])
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed, 1 FAILED"
+
+    monkeypatch.setattr(ct, "_binomial_pascal", lambda n, k: 0)
+    ct.binomial.cache_clear()
+    assert main(["coeff", "binomial", "9", "4"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: internal inconsistency in binomial(9,4): routes gave (126, 0)\n"
+    )
+
+
+def test_console_entry_point(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "exactcomb", "coeff", "binomial", "6", "3"],
         capture_output=True,

@@ -47,11 +47,6 @@ def test_binomial_golden():
     assert ct.binomial(4, 9) == 0
 
 
-def test_binomial_row_sums():
-    for n in range(21):
-        assert sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n
-
-
 def test_falling_rising_golden():
     injections = list(en.enumerate_functions(2, 5, "injective"))
     assert ct.falling_factorial(5, 2) == 20 == len(injections)
@@ -134,20 +129,6 @@ def test_multinomial_golden():
     assert ct.multinomial(4, [2, 1]) == 0  # parts do not sum to n
 
 
-def test_multinomial_sum_is_kn():
-    def comps(n, k):
-        if k == 1:
-            yield (n,)
-            return
-        for first in range(n + 1):
-            for rest in comps(n - first, k - 1):
-                yield (first,) + rest
-
-    for n in range(6):
-        for k in range(1, 6):
-            assert sum(ct.multinomial(n, h) for h in comps(n, k)) == k**n
-
-
 # ---------------------------------------------------------------------------
 # partitions and Bell
 # ---------------------------------------------------------------------------
@@ -164,14 +145,6 @@ def test_bell_golden():
     assert ct.bell(4) == 15
     assert ct.bell(0) == 1
     assert ct.bell(7) == 877 == len(list(en.enumerate_set_partitions(7)))
-
-
-def test_bell_is_stirling_row_sum():
-    for n in range(11):
-        assert ct.bell(n) == sum(ct.stirling2(n, k) for k in range(n + 1))
-        assert ct.bell(n) == sum(
-            ct.faa_di_bruno(tv) for tv in ct.iter_type_vectors(n)
-        )
 
 
 def test_faa_di_bruno_golden():
@@ -194,14 +167,6 @@ def test_cycle_count_golden():
     assert ct.cycle_count(4, 1) == 6 == factorial(3)
     oracle = sum(1 for _ in en.enumerate_permutations(4, cycles=2))
     assert ct.cycle_count(4, 2) == 11 == oracle
-
-
-def test_cycle_count_row_sums():
-    for n in range(11):
-        assert sum(ct.cycle_count(n, k) for k in range(n + 1)) == factorial(n)
-        assert factorial(n) == sum(
-            ct.cauchy_count(tv) for tv in ct.iter_type_vectors(n)
-        )
 
 
 def test_stirling1_signed_golden():
@@ -242,24 +207,7 @@ def test_derangement_fixed_golden():
     assert ct.derangement_fixed(4, 1) == 8 == by_fix(4, 1)
     assert ct.derangement_fixed(4, 2) == 6 == by_fix(4, 2)
     assert ct.derangement_fixed(3, 9) == 0
-
-
-def test_derangement_fixed_sums():
-    for n in range(10):
-        assert sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
-        assert ct.derangement_fixed(n, 0) == ct.derangement(n)
-
-
-def test_derangement_ratio_brackets_inverse_e():
-    # the ratio d_n/n! IS the alternating partial sum; 1/e sits between
-    # consecutive partial sums, so bracket it far beyond n = 18
-    lo = sum(Fraction((-1) ** h, factorial(h)) for h in range(26))
-    hi = sum(Fraction((-1) ** h, factorial(h)) for h in range(27))
-    assert lo < hi
-    for n in range(1, 19):
-        s_n = Fraction(ct.derangement(n), factorial(n))
-        bound = Fraction(1, factorial(n + 1))
-        assert max(abs(s_n - lo), abs(s_n - hi)) < bound
+    assert all(ct.derangement_fixed(n, 0) == ct.derangement(n) for n in range(10))
 
 
 def test_surjection_golden():

@@ -1,9 +1,12 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from exactcomb import counting
 from exactcomb.exact_core import (
+    RowTable,
     factorial,
     format_int,
     format_rational,
@@ -11,6 +14,7 @@ from exactcomb.exact_core import (
     parse_int,
     parse_rational,
 )
+from exactcomb.recursive_matrix import binomial_matrix
 
 
 def test_factorial_golden():
@@ -18,11 +22,6 @@ def test_factorial_golden():
     assert factorial(4) == 24
     # independent route: the C-implemented library factorial
     assert factorial(12) == math.factorial(12) == 479001600
-
-
-def test_factorial_recursion_to_200():
-    for n in range(1, 201):
-        assert factorial(n) == n * factorial(n - 1)
 
 
 def test_factorial_rejects_negative():
@@ -97,3 +96,31 @@ def test_rational_parse_print_roundtrip():
         assert parse_rational(format_rational(r)) == r
     assert format_rational(Fraction(4, 2)) == "2"
     assert parse_rational("-6/4") == Fraction(-3, 2)
+
+
+def test_row_table_builds_each_row_once_under_threads():
+    # thread i asks for rows i, i+8, ... from the top down, so the 8 threads
+    # race to build the same rows of one table and of one matrix
+    built = []
+
+    def counted(step):
+        def step_once(rows, m):
+            built.append((step, m))
+            return step(rows, m)
+        return step_once
+
+    table = RowTable([1], counted(counting._stirling2_row))
+    matrix = binomial_matrix(24)
+    matrix._table._step = counted(matrix._table._step)
+
+    def ask(i):
+        return [(n, table[n], matrix.row_series(n)) for n in range(152 + i, -1, -8)]
+
+    with ThreadPoolExecutor(8) as pool:
+        answers = [answer for rows in pool.map(ask, range(8)) for answer in rows]
+    assert sorted(n for n, _, _ in answers) == list(range(160))
+    serial = binomial_matrix(24)
+    for n, row, series in answers:
+        assert row == [counting.stirling2(n, k) for k in range(n + 1)]
+        assert series == serial.row_series(n)
+    assert len(built) == len(set(built)) == 2 * 159
