@@ -207,7 +207,12 @@ def test_derangement_fixed_golden():
     assert ct.derangement_fixed(4, 1) == 8 == by_fix(4, 1)
     assert ct.derangement_fixed(4, 2) == 6 == by_fix(4, 2)
     assert ct.derangement_fixed(3, 9) == 0
-    assert all(ct.derangement_fixed(n, 0) == ct.derangement(n) for n in range(10))
+
+
+def test_derangement_fixed_sums():
+    for n in range(10):
+        assert sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
+        assert ct.derangement_fixed(n, 0) == ct.derangement(n)
 
 
 def test_surjection_golden():
