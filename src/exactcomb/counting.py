@@ -6,16 +6,25 @@ a mismatch raises ArithmeticError, since it would mean the implementation
 is internally inconsistent.  Results are memoized per process; each
 row-by-row recursion is one `RowTable` with its own lock, so building one
 large table never stalls another family.
+
+`binomial` runs two cheap routes: `math.comb` and the prime-power product
+of Legendre's formula and Kummer's theorem, over primes from a shared sieve.
+`multiset_coeff` adds the rising factorial to those two.  The O(n k) Pascal
+and step-2 sweeps they replaced, `_binomial_pascal` and `_multiset_sweep`,
+stay as reference routes that the tests and `verify` check them against.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
-from .exact_core import RowTable, factorial
+from .exact_core import CACHE_SIZE, RowTable, factorial
 
 __all__ = [
     "TypeVector",
@@ -157,32 +166,73 @@ def _binomial_pascal(n: int, k: int) -> int:
     return row[k]
 
 
-@lru_cache(maxsize=None)
+# (limit, primes <= limit); a bigger sieve replaces it in one assignment, so
+# a reader sees the old pair or the new one and needs no lock.  Each call
+# answers from the pair it built or read, so a race between two growths can
+# cost a rebuild but never a wrong prime list.
+_SIEVE: tuple[int, list[int]] = (1, [])
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, sliced from the shared sieve (grown by doubling)."""
+    global _SIEVE
+    limit, primes = _SIEVE
+    if n > limit:
+        limit = max(n, 2 * limit)
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        primes = list(compress(range(limit + 1), flags))
+        _SIEVE = (limit, primes)
+    return primes[: bisect_right(primes, n)]
+
+
+def _binomial_legendre(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n as prod p^e over primes p <= n, where by
+    Legendre's formula e = sum_i floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i)
+    (Kummer: the number of carries when adding k and n-k in base p)."""
+    factors = []
+    for p in _primes_upto(n):
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    return math.prod(factors)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def binomial(n: int, k: int) -> int:
-    """C(n, k), zero when k > n; closed form and Pascal recursion agree."""
+    """C(n, k), zero when k > n; math.comb and the Legendre product agree."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 0 or k > n:
         return 0
-    closed = falling_factorial(n, k) // factorial(k)
-    return _agree(f"binomial({n},{k})", closed, _binomial_pascal(n, k))
+    return _agree(f"binomial({n},{k})", math.comb(n, k), _binomial_legendre(n, k))
 
 
-@lru_cache(maxsize=None)
+def _multiset_sweep(n: int, k: int) -> int:
+    # step-2 recursion <n,k> = <n,k-1> + <n-1,k>, from row n=0
+    row = [1] + [0] * k
+    for _ in range(n):
+        for j in range(1, k + 1):
+            row[j] += row[j - 1]
+    return row[k]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def multiset_coeff(n: int, k: int) -> int:
-    """<n, k>, the number of k-multisets on an n-set (three routes)."""
+    """<n, k>, the number of k-multisets on an n-set (three routes: the
+    rising factorial over k!, and C(n+k-1, k) by binomial's two)."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
     if n == 0:
         return 1 if k == 0 else 0
     via_rising = rising_factorial(n, k) // factorial(k)
-    via_binomial = binomial(n + k - 1, k)
-    # step-2 recursion <n,k> = <n,k-1> + <n-1,k>
-    row = [1] * (k + 1)  # row n=1
-    for _ in range(n - 1):
-        for j in range(1, k + 1):
-            row[j] += row[j - 1]
-    return _agree(f"multiset_coeff({n},{k})", via_rising, via_binomial, row[k])
+    return _agree(f"multiset_coeff({n},{k})", via_rising, binomial(n + k - 1, k))
 
 
 # c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i)
@@ -328,11 +378,11 @@ def derangement_fixed(n: int, k: int) -> int:
         return 0
     via_choose = binomial(n, k) * derangement(n - k)
     # n!/k! * sum_{h=k}^{n} (-1)^(h-k) / (h-k)!   (termwise integral)
-    base = factorial(n) // factorial(k)
+    term = factorial(n) // factorial(k)  # n!/k! / (h-k)!, carried from h to h+1
     total = 0
     for h in range(k, n + 1):
-        term = base // factorial(h - k)
         total += -term if (h - k) % 2 else term
+        term //= h - k + 1
     return _agree(f"derangement_fixed({n},{k})", via_choose, total)
 
 
@@ -421,10 +471,12 @@ def touchard(n: int) -> int:
     if n < 2:
         raise ValueError("menage seatings need n >= 2 couples")
     total = 0
-    for k in range(n + 1):
+    fact = 1  # (n-k)!, carried from k to k-1
+    for k in range(n, -1, -1):
         circ = binomial(2 * n - k, k) + binomial(2 * n - k - 1, k - 1)
-        term = circ * factorial(n - k)
+        term = circ * fact
         total += -term if k % 2 else term
+        fact *= n - k + 1
     return total
 
 

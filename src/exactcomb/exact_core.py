@@ -19,6 +19,11 @@ ExactRat = Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
+# maxsize of every lru_cache in the library: well above the working set of a
+# long session, yet bounded, so no cache grows without limit
+CACHE_SIZE = 1 << 15
+
+
 class RowTable:
     """Rows 0, 1, 2, ... of a recursion, each built once under the table's lock.
 
@@ -74,7 +79,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     num, sep, den = text.partition("/")
     if sep:
-        return Fraction(parse_int(num), parse_int(den))
+        q = parse_int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(parse_int(num), q)
     return Fraction(parse_int(text))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_core import gcd
+from .exact_core import CACHE_SIZE, gcd
 
 TRIAL_DIVISION_BOUND = 10**12
 # totient calls below this cross-check the product formula against the
@@ -84,7 +84,7 @@ def phi_scan(n: int) -> int:
     return sum(1 for m in range(1, n + 1) if math.gcd(m, n) == 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def euler_phi(n: int) -> int:
     """Euler's totient by the product over prime divisors,
     n * prod(1 - 1/p) carried out in integers; small arguments are

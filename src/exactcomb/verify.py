@@ -164,6 +164,7 @@ def suite_counting() -> list[Check]:
         and ct.binomial(7, 0) == 1)
     _mk(out, "row sums are powers of two",
         all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))
+    _no_failure(out, "fast routes match the Pascal sweep to n=40", fast_routes_failure(41))
     ok = True
     for n in range(7):
         for k in range(1, 7):
@@ -198,6 +199,17 @@ def suite_counting() -> list[Check]:
         and ct.alternating_convolution(3, 1, 2) == 1
         and ct.alternating_convolution(1, 3, 2) == 3)
     return out
+
+
+def fast_routes_failure(size: int) -> Optional[tuple]:
+    """First (n, k), n < size and k <= n + 2, where binomial or multiset_coeff
+    differs from its reference sweep (Pascal, step-2 recursion)."""
+    return next(
+        ((n, k) for n in range(size) for k in range(n + 3)
+         if ct.binomial(n, k) != ct._binomial_pascal(n, k)
+         or ct.multiset_coeff(n, k) != ct._multiset_sweep(n, k)),
+        None,
+    )
 
 
 def functions_failure(size: int) -> Optional[tuple]:

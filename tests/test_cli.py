@@ -171,6 +171,10 @@ def test_poset_invert_command(tmp_path):
     assert dual == {"0": "-2", "1": "-3", "2": "6"}
     values.write_text("5")
     assert run(["poset", "invert", str(poset), str(values)]).code == 2
+    values.write_text(json.dumps({"0": "1/0", "1": "3", "2": "6"}))
+    assert run(["poset", "invert", str(poset), str(values)]) == (
+        2, "error: zero denominator in '1/0'"
+    )
 
 
 def test_poset_sieve_command(tmp_path):
@@ -216,7 +220,7 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     assert all(line.startswith("PASS  errata: ") for line in lines[1:-1])
     assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed, 1 FAILED"
 
-    monkeypatch.setattr(ct, "_binomial_pascal", lambda n, k: 0)
+    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: 0)
     ct.binomial.cache_clear()
     assert main(["coeff", "binomial", "9", "4"]) == 1
     assert capsys.readouterr() == (

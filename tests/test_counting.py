@@ -1,9 +1,14 @@
 """Counting formulas against their brute-force oracles and each other."""
 
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
@@ -45,6 +50,45 @@ def test_binomial_golden():
     assert all(ct.binomial(n, 0) == 1 for n in range(10))
     assert ct.binomial(6, 3) == 20 == sum(1 for _ in combinations(range(6), 3))
     assert ct.binomial(4, 9) == 0
+
+
+def pairs(n_max, k_over):
+    """(n, k) with n <= n_max and 0 <= k <= n + k_over."""
+    return st.integers(0, n_max).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n + k_over))
+    )
+
+
+@given(pairs(300, 2))  # k = 0 and k > n are both drawn
+@settings(deadline=None)
+def test_fast_routes_match_reference_sweeps(pair):
+    n, k = pair
+    assert ct.binomial(n, k) == ct._binomial_pascal(n, k)
+    assert ct.multiset_coeff(n, k) == ct._multiset_sweep(n, k)
+
+
+@given(pairs(5000, 0))
+@settings(deadline=None)
+def test_legendre_product_matches_math_comb(pair):
+    n, k = pair
+    assert ct._binomial_legendre(n, k) == math.comb(n, k)
+
+
+def test_prime_sieve_grows_safely_under_threads(monkeypatch):
+    # 8 threads grow one fresh sieve to interleaved limits, switching often;
+    # each must get exactly the primes up to its own n
+    monkeypatch.setattr(ct, "_SIEVE", (1, []))
+    ns = list(range(2, 4000, 37))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(ct._primes_upto, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    primes = [p for p in range(2, 4000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n, answer in zip(ns, got):
+        assert answer == [p for p in primes if p <= n]
 
 
 def test_falling_rising_golden():

@@ -6,6 +6,7 @@ import pytest
 
 from exactcomb import counting
 from exactcomb.exact_core import (
+    CACHE_SIZE,
     RowTable,
     factorial,
     format_int,
@@ -14,6 +15,7 @@ from exactcomb.exact_core import (
     parse_int,
     parse_rational,
 )
+from exactcomb.number_theory import euler_phi
 from exactcomb.recursive_matrix import binomial_matrix
 
 
@@ -96,6 +98,14 @@ def test_rational_parse_print_roundtrip():
         assert parse_rational(format_rational(r)) == r
     assert format_rational(Fraction(4, 2)) == "2"
     assert parse_rational("-6/4") == Fraction(-3, 2)
+    # a bad input, not a disagreement between routes (ZeroDivisionError)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_rational("1/0")
+
+
+def test_caches_are_bounded():
+    for cached in (counting.binomial, counting.multiset_coeff, euler_phi):
+        assert cached.cache_parameters()["maxsize"] == CACHE_SIZE
 
 
 def test_row_table_builds_each_row_once_under_threads():
