@@ -371,6 +371,20 @@ def inversion_failure(seed: int, trials: int, max_size: int) -> Optional[int]:
     return None
 
 
+def mobius_route_failure(seed: int, trials: int, max_size: int) -> Optional[int]:
+    """First of `trials` posets where the bit-plane `mobius` differs from the
+    frozenset interval recursion.  Trials alternate between random posets (at
+    most `max_size` elements) and layered ones (at most `max_size` levels),
+    whose values span several bit planes of both signs."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        size = rng.randint(1, max_size)
+        P = layered_poset(rng, size) if trial % 2 else random_poset(rng, size)
+        if pm.mobius(P).table != pm._mobius_reference(P).table:
+            return trial
+    return None
+
+
 def suite_mobius() -> list[Check]:
     out: list[Check] = []
     _no_failure(out, "boolean lattice closed form to n=6", boolean_mobius_failure(7))
@@ -378,6 +392,8 @@ def suite_mobius() -> list[Check]:
                 divisor_mobius_failure(200))
     _no_failure(out, "zeta*mu = delta and inversion roundtrips",
                 inversion_failure(seed=5, trials=12, max_size=8))
+    _no_failure(out, "bit-plane Mobius matches the interval recursion",
+                mobius_route_failure(seed=6, trials=12, max_size=10))
     return out
 
 
@@ -655,6 +671,20 @@ def random_poset(rng: random.Random, size: int) -> pm.FinitePoset:
                 up[i] |= up[j]
     pairs = [(i, j) for i in range(size) for j in up[i]]
     return pm.FinitePoset(list(range(size)), pairs)
+
+
+def layered_poset(rng: random.Random, levels: int) -> pm.FinitePoset:
+    """A random ordinal sum of antichains: `levels` levels of 1 to 4
+    elements, each element below every element of the later levels.  The
+    Mobius function from the bottom level to the top one is, up to sign, the
+    product of (size - 1) over the levels between, so it grows geometrically."""
+    elements: list[int] = []
+    pairs = []
+    for _ in range(levels):
+        level = range(len(elements), len(elements) + rng.randint(1, 4))
+        pairs += [(x, y) for x in elements for y in level]
+        elements += level
+    return pm.FinitePoset(elements, pairs)
 
 
 def derangement_family(n: int) -> pm.SubsetFamily:

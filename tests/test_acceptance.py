@@ -89,6 +89,7 @@ def test_criterion_06_mobius_suite():
     assert vf.boolean_mobius_failure(11) is None
     assert vf.divisor_mobius_failure(500) is None
     assert vf.inversion_failure(seed=77, trials=50, max_size=10) is None
+    assert vf.mobius_route_failure(seed=78, trials=50, max_size=14) is None
 
 
 def test_criterion_07_sieve():

@@ -1,9 +1,12 @@
 """Posets: construction, Mobius/zeta/delta, inversion, lattices, sieve."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
@@ -11,7 +14,7 @@ import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 from exactcomb.exact_core import factorial
 import exactcomb.verify as vf
-from exactcomb.verify import derangement_family, menage_family, random_poset
+from exactcomb.verify import derangement_family, layered_poset, menage_family, random_poset
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -43,6 +46,84 @@ def test_transitivity_violation():
 def test_duplicate_elements_rejected():
     with pytest.raises(ValueError):
         pm.FinitePoset([1, 1], [])
+
+
+def _label(i):
+    """Mixed int and str element labels."""
+    return i if i % 2 else f"e{i}"
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8),
+)))
+@settings(deadline=None)
+def test_validation_matches_brute_force(case):
+    n, relation = case
+    closure = relation | {(i, i) for i in range(n)}
+    antisymmetry = {(x, y) for x, y in closure if x != y and (y, x) in closure}
+    transitivity = {(x, y, z) for x, y in closure for w, z in closure
+                    if w == y and (x, z) not in closure}
+    labelled = [(_label(x), _label(y)) for x, y in relation]
+    if not antisymmetry and not transitivity:
+        P = pm.FinitePoset(map(_label, range(n)), labelled)
+        assert all(P.leq(_label(x), _label(y)) == ((x, y) in closure)
+                   for x in range(n) for y in range(n))
+        return
+    with pytest.raises(pm.PosetError) as err:
+        pm.FinitePoset(map(_label, range(n)), labelled)
+    index = {_label(i): i for i in range(n)}
+    witness = tuple(index[e] for e in err.value.witness)
+    if len(witness) == 2:
+        x, y = err.value.witness
+        assert witness in antisymmetry
+        assert str(err.value) == f"antisymmetry violated: {x!r} <= {y!r} and {y!r} <= {x!r}"
+    else:
+        x, y, z = err.value.witness
+        assert witness in transitivity
+        assert str(err.value) == (f"transitivity violated: {x!r} <= {y!r} <= {z!r} "
+                                  f"but not {x!r} <= {z!r}")
+
+
+def _relabelled(P, rng):
+    """P with its element order shuffled and mixed int and str labels."""
+    elements = [_label(e) for e in P.elements]
+    rng.shuffle(elements)
+    pairs = [(_label(x), _label(y)) for x in P.elements for y in P.up(x)]
+    rng.shuffle(pairs)
+    return pm.FinitePoset(elements, pairs)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.booleans())
+@settings(deadline=None)
+def test_bitset_mobius_matches_reference(seed, size, layered):
+    rng = random.Random(seed)
+    base = layered_poset(rng, size // 2) if layered else random_poset(rng, size)
+    P = _relabelled(base, rng)
+    assert pm.mobius(P).table == pm._mobius_reference(P).table
+    assert pm.delta_check(P)
+    f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
+    assert pm.invert(P, pm.accumulate(P, f)) == f
+    assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
+    R = P.reversed()
+    Q = pm.FinitePoset(P.elements, [(y, x) for x in P.elements for y in P.up(x)])
+    assert all(R.up(e) == Q.up(e) and R.down(e) == Q.down(e) for e in P.elements)
+    ext = R.linear_extension()
+    assert len(ext) == len(P) and set(ext) == set(P.elements)
+    pos = {e: i for i, e in enumerate(ext)}
+    assert all(pos[x] <= pos[y] for x in P.elements for y in R.up(x))
+
+
+def test_bit_planes_carry_large_values():
+    # a bottom, three antichains of 4 and a top: mu(bottom, top) = -(1-4)^3
+    levels = [[0], [1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13]]
+    pairs = [(x, y) for i, low in enumerate(levels)
+             for high in levels[i + 1:] for x in low for y in high]
+    P = pm.FinitePoset(range(14), pairs)
+    mu = pm.mobius(P)
+    assert mu(0, 13) == 27 and mu(1, 13) == -9 and mu(0, 9) == -9
+    assert mu.table == pm._mobius_reference(P).table
+    assert pm.delta_check(P)
 
 
 def test_linear_extension_respects_order():
@@ -201,6 +282,18 @@ def test_boolean_lattice_shape():
     assert sum(1 for a in lat.elements for _ in lat.up(a)) == 3**3
     with pytest.raises(ValueError):
         pm.boolean_lattice(17)
+
+
+def test_boolean_lattice_cap_rejects_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            pm.boolean_lattice(pm.MAX_BOOLEAN_GROUND + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the smallest lattice past the cap would hold 8192 frozensets, megabytes
+    assert peak < 64 * 1024
 
 
 def test_divisor_poset_shape():
