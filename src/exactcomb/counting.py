@@ -296,8 +296,16 @@ def stirling2(n: int, k: int) -> int:
     return row[k] if k < len(row) else 0
 
 
-# B_m = sum_k C(m-1, k) B_k
-_BELL = RowTable(1, lambda rows, m: sum(binomial(m - 1, k) * rows[k] for k in range(m)))
+# B_m = sum_k C(m-1, k) B_k, with C(m-1, k+1) = C(m-1, k) (m-1-k) / (k+1)
+def _bell_row(rows: list[int], m: int) -> int:
+    total, choose = 0, 1
+    for k, b in enumerate(rows):
+        total += choose * b
+        choose = choose * (m - 1 - k) // (k + 1)
+    return total
+
+
+_BELL = RowTable(1, _bell_row)
 
 
 def bell(n: int) -> int:

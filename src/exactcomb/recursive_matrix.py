@@ -3,8 +3,19 @@
 A matrix is determined by its recursion rule: row 0's generating series
 is the constant 1, and row n's series is the rule raised to the n-th
 power.  Columns are truncated at a caller-chosen order; rows are
-materialized lazily (one series multiplication each, in a `RowTable`
-with its own lock) and cached forever, cheap at the sizes targeted here.
+materialized lazily in a `RowTable` with its own lock and cached forever,
+cheap at the sizes targeted here.
+
+A row is held as integers: (numerators, d), the row's series being
+numerators[k] / d.  With the rule written as integer numerators over its
+common denominator (`series.integer_form`), row n is the previous row
+convolved with the rule's nonzero terms (`series.convolve`), over the
+previous denominator times the rule's, so a rational rule runs the same
+route.  `entry` divides exactly and raises `ArithmeticError` on a
+non-integral entry; `row_series` builds the `FormalSeries` only on
+request.  The reference route is `rule**n` by repeated `Fraction`
+schoolbook products (`series._mul_schoolbook`), which the tests and
+`exactcomb verify` compare the rows against.
 """
 
 from __future__ import annotations
@@ -12,9 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 from .exact_core import RowTable
-from .series import FormalSeries, geometric_series
+from .series import FormalSeries, convolve, geometric_series, integer_form
 
 
 class RecursiveMatrix:
@@ -23,28 +35,39 @@ class RecursiveMatrix:
             order = rule.order
         if order < 0:
             raise ValueError("order must be >= 0")
-        rule = self.rule = rule.truncate(order)
+        self.rule = rule.truncate(order)
         self.order = order
-        # row(m) = rule * row(m-1); the local `rule` keeps self out of a ref cycle
-        self._table = RowTable(FormalSeries.one(order), lambda rows, m: rule * rows[-1])
+        nums, den = integer_form(self.rule.coeffs)
+        # row(m) = rule * row(m-1); the locals keep self out of a ref cycle
+        self._table = RowTable(
+            ([1] + [0] * order, 1),
+            lambda rows, m: (convolve(nums, rows[-1][0]), rows[-1][1] * den),
+        )
 
-    def row_series(self, n: int) -> FormalSeries:
-        """Generating series of row n: rule**n, memoized via the one-step
+    def _row(self, n: int) -> tuple[list[int], int]:
+        """Row n as (numerators, denominator), memoized via the one-step
         recursion row(n) = rule * row(n-1)."""
         if n < 0:
             raise ValueError("row index must be >= 0")
         return self._table[n]
 
+    def row_series(self, n: int) -> FormalSeries:
+        """Generating series of row n: rule**n."""
+        nums, den = self._row(n)
+        return FormalSeries([Fraction(c, den) for c in nums])
+
     def entry(self, n: int, k: int) -> int:
         """M(n, k): coefficient of t^k in row n, guaranteed integral."""
         if not 0 <= k <= self.order:
             raise IndexError(f"column {k} out of range (order {self.order})")
-        value = self.row_series(n).coeff_at(k)
-        if value.denominator != 1:
+        nums, den = self._row(n)
+        value, rest = divmod(nums[k], den)
+        if rest:
             raise ArithmeticError(
-                f"internal inconsistency: entry ({n},{k}) is non-integer {value}"
+                f"internal inconsistency: entry ({n},{k}) is non-integer "
+                f"{Fraction(nums[k], den)}"
             )
-        return value.numerator
+        return value
 
     def vandermonde_convolve(self, i: int, j: int, k: int) -> int:
         """sum_h M(i,h) M(j,k-h); equals entry(i+j, k) for any split."""
@@ -57,7 +80,11 @@ class RecursiveMatrix:
     def table(self, rows: int, cols: int) -> list[list[int]]:
         if cols - 1 > self.order:
             raise IndexError(f"requested {cols} columns, order is {self.order}")
-        return [[self.entry(n, k) for k in range(cols)] for n in range(rows)]
+        out = []
+        for n in range(rows):
+            nums, den = self._row(n)
+            out.append(nums[:cols] if den == 1 else [self.entry(n, k) for k in range(cols)])
+        return out
 
     def to_csv(self, rows: int, cols: int) -> str:
         buf = io.StringIO()

@@ -5,14 +5,46 @@ operations truncate the result to the smaller operand order, so every
 coefficient that is kept is exact.  These series carry the rows of
 recursive matrices (integer coefficients) and the composition checks
 (rational coefficients), so there is a single series type.
+
+The product runs on integers: each operand is written as integer
+numerators over one common denominator (`integer_form`), the numerator
+lists are convolved (`convolve`, which skips zero terms), and one
+`Fraction` is built per output coefficient.  `**` squares repeatedly and
+`compose` is Horner's rule, both on that product.  The `Fraction`
+schoolbook product is kept as `_mul_schoolbook`, the reference route that
+the tests and `exactcomb verify` compare the product, powers (as n-fold
+schoolbook products) and composition against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators, d): coeffs[i] == numerators[i] / d, d the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients 0..len(b)-1 of the product of two integer coefficient
+    lists, len(a) <= len(b); the loop runs over the nonzero terms of `a`."""
+    size = len(b)
+    out = [0] * size
+    for i, x in enumerate(a):
+        if x:
+            # as long as out[i:], so the slice assignment keeps len(out)
+            tail = b[: size - i]
+            if x != 1:
+                tail = [x * y for y in tail]
+            out[i:] = map(add, out[i:], tail)
+    return out
 
 
 class FormalSeries:
@@ -87,15 +119,10 @@ class FormalSeries:
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return FormalSeries(out)
+        a, da = integer_form(self.coeffs[: n + 1])
+        b, db = integer_form(other.coeffs[: n + 1])
+        den = da * db
+        return FormalSeries([Fraction(c, den) for c in convolve(a, b)])
 
     def scale(self, c: Scalar) -> "FormalSeries":
         c = Fraction(c)
@@ -104,9 +131,13 @@ class FormalSeries:
     def __pow__(self, n: int) -> "FormalSeries":
         if n < 0:
             raise ValueError("series power needs n >= 0")
-        out = FormalSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
+        out, square = FormalSeries.one(self.order), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def compose(self, inner: "FormalSeries") -> "FormalSeries":
@@ -149,6 +180,20 @@ class FormalSeries:
         from .exact_core import format_rational
 
         return [format_rational(c) for c in self.coeffs]
+
+
+def _mul_schoolbook(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    """Reference route for `a * b`: the product term by term in `Fraction`s."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a.coeffs[: n + 1]):
+        if not x:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return FormalSeries(out)
 
 
 def geometric_series(order: int) -> FormalSeries:

@@ -26,8 +26,13 @@ from . import number_theory as nt
 from . import poly_identities as poly
 from . import poset_mobius as pm
 from .exact_core import factorial, gcd
-from .recursive_matrix import binomial_matrix, gentile_matrix, multiset_matrix
-from .series import FormalSeries, exp_series, geometric_series
+from .recursive_matrix import (
+    RecursiveMatrix,
+    binomial_matrix,
+    gentile_matrix,
+    multiset_matrix,
+)
+from .series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
 
 
 @dataclass
@@ -95,7 +100,51 @@ def suite_series() -> list[Check]:
         ok &= (x * y) * z == x * (y * z)
         ok &= x * (y + z) == x * y + x * z
     _mk(out, "commutative/associative/distributive", ok)
+    _no_failure(out, "integer kernel matches the Fraction schoolbook route",
+                series_route_failure(seed=8, trials=20, order=7, max_power=12))
     return out
+
+
+def schoolbook_power(a: FormalSeries, n: int) -> FormalSeries:
+    """Reference route for a**n: n schoolbook products."""
+    out = FormalSeries.one(a.order)
+    for _ in range(n):
+        out = _mul_schoolbook(out, a)
+    return out
+
+
+def schoolbook_compose(f: FormalSeries, g: FormalSeries) -> FormalSeries:
+    """Reference route for f.compose(g): Horner's rule on schoolbook products."""
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    acc = FormalSeries.zero(n)
+    for c in reversed(f.coeffs[: n + 1]):
+        acc = _mul_schoolbook(acc, g) + FormalSeries.one(n).scale(c)
+    return acc
+
+
+def random_rational_series(rng: random.Random, order: int) -> FormalSeries:
+    """Coefficients p/q, |p| <= 6, 1 <= q <= 6, about a third of them zero."""
+    return FormalSeries([Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                         if rng.random() < 0.7 else 0 for _ in range(order + 1)])
+
+
+def series_route_failure(seed: int, trials: int, order: int,
+                         max_power: int) -> Optional[int]:
+    """First of `trials` where a product, a power (at most `max_power`) or a
+    composition of random rational series of orders up to `order` differs
+    from the schoolbook route."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        a = random_rational_series(rng, rng.randint(0, order))
+        b = random_rational_series(rng, rng.randint(0, order))
+        g = random_rational_series(rng, rng.randint(1, order))
+        g = FormalSeries((0,) + g.coeffs[1:])
+        n = rng.randint(0, max_power)
+        if (a * b != _mul_schoolbook(a, b) or a**n != schoolbook_power(a, n)
+                or a.compose(g) != schoolbook_compose(a, g)):
+            return trial
+    return None
 
 
 # family: (matrix of a given order, closed form of its entries)
@@ -145,6 +194,40 @@ def convolution_failure(families: Iterable[str], rows: int,
     return None
 
 
+# 1 + t/2 + t^2/3: a rule whose rows have integral and non-integral entries
+RATIONAL_RULE = FormalSeries([1, Fraction(1, 2), Fraction(1, 3)])
+
+
+def _entries_or_none(mat: RecursiveMatrix, n: int) -> list[Optional[int]]:
+    """Row n entry by entry, None where `entry` reports a non-integer."""
+    out: list[Optional[int]] = []
+    for k in range(mat.order + 1):
+        try:
+            out.append(mat.entry(n, k))
+        except ArithmeticError:
+            out.append(None)
+    return out
+
+
+def matrix_route_failure(rows: int, order: int) -> Optional[tuple]:
+    """First (family, n), n < rows, where row n of a matrix of this order,
+    as its series or as integer entries (None where not integral), differs
+    from rule**n by repeated schoolbook products.  The families are MATRICES
+    and the rational rule RATIONAL_RULE."""
+    builds = {family: build for family, (build, _) in MATRICES.items()}
+    builds["rational 1+t/2+t^2/3"] = (
+        lambda order: RecursiveMatrix(RATIONAL_RULE.truncate(order), order))
+    for family, build in builds.items():
+        mat = build(order)
+        power = FormalSeries.one(order)
+        for n in range(rows):
+            integral = [c.numerator if c.denominator == 1 else None for c in power.coeffs]
+            if mat.row_series(n) != power or _entries_or_none(mat, n) != integral:
+                return family, n
+            power = _mul_schoolbook(power, mat.rule)
+    return None
+
+
 def suite_matrix() -> list[Check]:
     out: list[Check] = []
     _no_failure(out, "Pascal rows 0..3", printed_rows_failure("binomial", 6, range(4)))
@@ -155,6 +238,8 @@ def suite_matrix() -> list[Check]:
     _no_failure(out, "rows match closed forms to n=8", closed_form_failure(9, 6))
     _no_failure(out, "convolutions over all splits to n=8",
                 convolution_failure(["binomial"], 9, 6))
+    _no_failure(out, "integer rows match schoolbook rule powers to n=8",
+                matrix_route_failure(9, 8))
     return out
 
 

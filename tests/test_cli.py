@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import exactcomb.counting as ct
 import exactcomb.poset_mobius as pm
 from exactcomb.cli import main, run
@@ -82,6 +84,26 @@ def test_table_csv_and_json():
     )
     assert data["rows"][4] == ["0", "6", "11", "6", "1"]
     assert data["rows"][3] == ["0", "2", "3", "1", "0"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family, rows, cols, cell", [
+    ("binomial", 120, 130, ct.binomial),
+    ("multiset", 36, 36, ct.multiset_coeff),
+    ("gentile", 100, 101, lambda n, k: ct.gentile_coeff(3, n, k)),
+], ids=["binomial", "multiset", "gentile"])
+def test_matrix_tables_match_counting_routes(family, rows, cols, cell, fmt):
+    # benchmark-sized tables from the RecursiveMatrix rows, cell by cell
+    # against the counting functions, which never use recursive_matrix
+    argv = ["table", family, "--rows", str(rows), "--cols", str(cols), "--format", fmt]
+    text = out(argv + (["--p", "3"] if family == "gentile" else []))
+    if fmt == "json":
+        data = json.loads(text)
+        assert data["family"] == family
+        grid = data["rows"]
+    else:
+        grid = [line.split(",") for line in text.split("\n")]
+    assert grid == [[str(cell(n, k)) for k in range(cols)] for n in range(rows)]
 
 
 def test_table_usage_errors():

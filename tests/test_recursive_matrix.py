@@ -11,7 +11,13 @@ from exactcomb.recursive_matrix import (
     multiset_matrix,
 )
 from exactcomb.series import FormalSeries
-from exactcomb.verify import MATRICES, closed_form_failure, convolution_failure
+from exactcomb.verify import (
+    MATRICES,
+    RATIONAL_RULE,
+    closed_form_failure,
+    convolution_failure,
+    schoolbook_power,
+)
 
 
 def test_row_series_golden():
@@ -25,7 +31,7 @@ def test_row_series_golden():
 def test_row_series_equals_rule_power():
     for mat in (binomial_matrix(8), multiset_matrix(8), gentile_matrix(3, 8)):
         for n in range(7):
-            assert mat.row_series(n) == mat.rule**n
+            assert mat.row_series(n) == mat.rule**n == schoolbook_power(mat.rule, n)
 
 
 def test_entry_golden():
@@ -99,6 +105,20 @@ def test_non_integer_entry_is_reported():
     half = RecursiveMatrix(FormalSeries([1, Fraction(1, 2)]))
     with pytest.raises(ArithmeticError):
         half.entry(1, 1)
+
+
+def test_rational_rule_rows():
+    half = RecursiveMatrix(RATIONAL_RULE.truncate(8), 8)
+    for n in range(9):
+        assert half.row_series(n) == half.rule**n == schoolbook_power(half.rule, n)
+    # row 2 of 1 + t/2 + t^2/3 is 1 + t + 11/12 t^2 + 1/3 t^3 + 1/9 t^4
+    assert [half.entry(2, k) for k in (0, 1, 5, 8)] == [1, 1, 0, 0]
+    with pytest.raises(ArithmeticError, match=r"entry \(2,2\) is non-integer 11/12"):
+        half.entry(2, 2)
+    with pytest.raises(ArithmeticError):
+        half.table(3, 4)
+    assert half.table(1, 9) == [[1] + [0] * 8]
+    assert half.entry(4, 0) == 1 and half.entry(4, 1) == 2
 
 
 def test_csv_and_json_dumps():

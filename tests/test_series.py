@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcomb.series import FormalSeries, exp_series, geometric_series
+from exactcomb.series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
+from exactcomb.verify import schoolbook_compose, schoolbook_power
 
 small_series = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=5, max_size=5
+).map(FormalSeries)
+
+# rational coefficients with unequal denominators, so the product's common
+# denominator is exercised; orders differ, so truncation is too
+rational_series = st.lists(
+    st.one_of(st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=12)),
+    min_size=1, max_size=8,
 ).map(FormalSeries)
 
 
@@ -113,3 +121,22 @@ def test_text_and_json():
     assert s.text() == "1 + 1/2*t + 0*t^2 (order 2)"
     assert s.to_json() == ["1", "1/2", "0"]
     assert FormalSeries.from_json(s.to_json()) == s
+
+
+@given(rational_series, rational_series)
+@settings(max_examples=100)
+def test_integer_product_matches_schoolbook(a, b):
+    assert a * b == _mul_schoolbook(a, b)
+
+
+@given(rational_series, st.integers(min_value=0, max_value=12))
+@settings(max_examples=60)
+def test_power_matches_repeated_schoolbook_products(a, n):
+    assert a**n == schoolbook_power(a, n)
+
+
+@given(rational_series, rational_series)
+@settings(max_examples=60)
+def test_compose_matches_schoolbook_horner(f, g):
+    g = FormalSeries((0,) + g.coeffs[1:])
+    assert f.compose(g) == schoolbook_compose(f, g)
