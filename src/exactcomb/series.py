@@ -53,7 +53,8 @@ class FormalSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        # a Fraction is immutable and already reduced, so it is kept as is
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         self.coeffs: tuple[Fraction, ...] = cs
