@@ -308,6 +308,7 @@ def _bell_row(rows: list[int], m: int) -> int:
 _BELL = RowTable(1, _bell_row)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def bell(n: int) -> int:
     """B_n, all set partitions of an n-set, by the binomial-sum recursion."""
     if n < 0:

@@ -45,6 +45,13 @@ class RowTable:
         return rows[n]
 
 
+def integer_form(values) -> tuple[list[int], int]:
+    """(numerators, d): values[i] == numerators[i] / d for ints and Fractions,
+    d the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def factorial(n: int) -> int:
     """n! as an exact integer, by plain iterated product (0! = 1)."""
     if n < 0:

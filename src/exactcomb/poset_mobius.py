@@ -8,15 +8,48 @@ one down-mask per element, so an interval [x, y] is one AND and the
 order-reversed poset swaps the two lists.  `up`, `down` and `interval`
 build frozensets from the masks when asked.
 
-The Mobius function is computed by the interval recursion along a linear
-extension.  For a fixed x, the values mu(x, y) found so far are kept as
-bit planes: for each binary digit k of |mu|, one mask of the y with that
-digit set and mu(x, y) > 0 and one for mu(x, y) < 0.  The sum over an
-interval I is then sum_k 2^k (popcount(I & pos_k) - popcount(I & neg_k)).
-`delta_check` runs the same kernel down the columns.  `_mobius_reference`
-keeps the plain recursion over frozensets as the second route, which the
-tests and `verify` compare against.  Dual inversion reuses the same code
-on the reversed order, so there is a single proof obligation.
+`product_poset(P, Q)` orders pairs componentwise.  It builds its masks
+from the factors' cover relations, with no pair list: the up-mask of
+(a, b) is its own bit OR'd with the up-masks of the pairs one cover step
+above it.  A product remembers its factors and the index of each pair
+of factor indices among its elements.  `boolean_lattice(n)` is the
+product of the lattices on the first ceil(n/2) atoms and on the rest,
+so of n 2-chains; `divisor_poset(n)` is the product of the divisor
+lattices of two coprime parts of n, so of chains of prime powers.  Both
+keep their elements, element order, linear extension and JSON.
+
+The Mobius function is computed once per poset and kept on it (posets
+are immutable; a race between threads can only compute it twice).  It
+is stored by rows: for each x, the indices of the y >= x and the values
+mu(x, y), listed from x upward in an order that extends the poset order.
+Columns (the x <= y and mu(x, y), from y downward) are kept the same way
+once asked for.  There are three routes:
+
+* a product: each row (column) is the outer product of the factors'
+  rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
+  (Rota 1964; Stanley, EC1, Prop. 3.8.2);
+* an order-reversed poset: its rows are the columns of the original and
+  its columns the rows, as mu_{P^op}(x, y) = mu_P(y, x);
+* any other poset: the interval recursion along a linear extension.  For
+  a fixed x, the values mu(x, y) found so far are kept as bit planes: for
+  each binary digit k of |mu|, one mask of the y with that digit set and
+  mu(x, y) > 0 and one for mu(x, y) < 0.  The sum over an interval I is
+  then sum_k 2^k (popcount(I & pos_k) - popcount(I & neg_k)).  Columns
+  are the transposed rows.
+
+`_mobius_bitplane` runs the recursion on any poset, products included:
+it is the reference the tests and `verify` check the product route
+against, as `_mobius_reference`, the plain recursion over frozensets, is
+for the bit planes.  `delta_check` runs the bit-plane kernel down the
+columns.  `IncidenceFunction.table` is a read-only mapping view of the
+rows.
+
+Inversion and accumulation write the values as integer numerators over
+their least common denominator, sum integers along the stored columns
+(or the down-masks), and build one `Fraction` per output; integer values
+give integer results.  `_invert_reference` keeps the `Fraction` sum.
+Dual inversion is inversion on the reversed order, so there is a single
+proof obligation.
 
 Sieve counting (Sylvester's alternating sum and Jordan's exactly-m
 formula) lives here too, over explicit subset families.
@@ -25,22 +58,31 @@ formula) lives here too, over explicit subset families.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from operator import mul
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
-from .number_theory import divisors
+from .exact_core import integer_form
+from .number_theory import factorize
 
 Element = Hashable
 Rational = Union[int, Fraction]
+# one row (or column) of an incidence function: element indices and values
+Row = tuple[list[int], list[int]]
 
-# boolean_lattice(12) plus its Mobius table takes about 2 s and 100 MB
-# (CPython 3.11, one x86-64 core); each further atom costs about 4x the
-# time and 3x the memory, so n = 13 already needs 8 s and 310 MB
-MAX_BOOLEAN_GROUND = 12
-MAX_DIVISOR_COUNT = 10**4
+# Poset plus Mobius table, peak RSS of a fresh process (about 17 MB at
+# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.12 s and
+# 32 MB, (13) 0.32 s and 64 MB, (14) 0.66 s and 163 MB, the masks and the
+# table each about 3x per atom; 13 is the last within 100 MB.
+MAX_BOOLEAN_GROUND = 13
+# divisor_poset(963761198400), whose 6720 divisors are the most of any n
+# that factorize accepts (n <= 10**12), takes 0.04 s to build and 0.29 s
+# with its Mobius table, at a 57 MB peak; the cap admits exactly that range.
+MAX_DIVISOR_COUNT = 6720
 
 
 class PosetError(ValueError):
@@ -65,6 +107,16 @@ def _bits(mask: int) -> list[int]:
 class FinitePoset:
     """Explicit finite poset: elements plus a reflexive, antisymmetric,
     transitive relation (checked at construction)."""
+
+    # a product's factors, and a * len(Q) + b -> the index of (a, b)
+    _factors: Optional[tuple[FinitePoset, FinitePoset]] = None
+    _pair_index: Optional[list[int]] = None
+    # the poset this one is the order-reversal of
+    _dual_of: Optional[FinitePoset] = None
+    # filled on first use: upper covers, Mobius rows and columns
+    _covers: Optional[list[list[int]]] = None
+    _mobius_rows: Optional[list[Row]] = None
+    _mobius_columns: Optional[list[Row]] = None
 
     def __init__(
         self,
@@ -100,9 +152,11 @@ class FinitePoset:
 
     def _sort_extension(self):
         # any order sorted by down-set size is a linear extension,
-        # since x < y forces down(x) to be strictly inside down(y)
-        order = sorted(range(len(self.elements)),
-                       key=lambda i: (self._down[i].bit_count(), i))
+        # since x < y forces down(x) to be strictly inside down(y);
+        # the sort is stable, so ties stay in index order
+        sizes = [mask.bit_count() for mask in self._down]
+        order = sorted(range(len(self.elements)), key=sizes.__getitem__)
+        self._order = order
         self._extension = tuple(self.elements[i] for i in order)
         self._rank = [0] * len(order)
         for position, i in enumerate(order):
@@ -130,6 +184,16 @@ class FinitePoset:
     def _members(self, mask: int) -> list[Element]:
         return [self.elements[i] for i in _bits(mask)]
 
+    def _upper_covers(self) -> list[list[int]]:
+        """For each element, the indices of the elements covering it."""
+        if self._covers is None:
+            covers = []
+            for i, mask in enumerate(self._up):
+                above = mask ^ 1 << i
+                covers.append([j for j in _bits(above) if self._down[j] & above == 1 << j])
+            self._covers = covers
+        return self._covers
+
     # -- queries -------------------------------------------------------
 
     def leq(self, x: Element, y: Element) -> bool:
@@ -151,7 +215,12 @@ class FinitePoset:
         return self._extension
 
     def reversed(self) -> "FinitePoset":
-        return FinitePoset._from_masks(self.elements, self._index, self._down, self._up)
+        """The order-reversed poset; reversing that gives back this one."""
+        if self._dual_of is not None:
+            return self._dual_of
+        R = FinitePoset._from_masks(self.elements, self._index, self._down, self._up)
+        R._dual_of = self
+        return R
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -193,23 +262,134 @@ def _is_scalar(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+
+def _cover_closure(at: list[int], nb: int, covers_a: list[list[int]],
+                   covers_b: list[list[int]], order_a: list[int],
+                   order_b: list[int]) -> list[int]:
+    """The masks of a product, pair by pair: each is the pair's own bit OR'd
+    with the masks of the pairs one cover step away in either factor.  The
+    orders must visit those neighbours before the pair itself."""
+    masks = [0] * len(at)
+    for a in order_a:
+        row = a * nb
+        steps = [c * nb for c in covers_a[a]]
+        for b in order_b:
+            mask = 1 << at[row + b]
+            for step in steps:
+                mask |= masks[at[step + b]]
+            for c in covers_b[b]:
+                mask |= masks[at[row + c]]
+            masks[at[row + b]] = mask
+    return masks
+
+
+def _lower_covers(upper: list[list[int]]) -> list[list[int]]:
+    """For each element, the indices of the elements it covers."""
+    lower: list[list[int]] = [[] for _ in upper]
+    for i, above in enumerate(upper):
+        for j in above:
+            lower[j].append(i)
+    return lower
+
+
+def _product(P: FinitePoset, Q: FinitePoset, elements: tuple, at: list[int]) -> FinitePoset:
+    """P x Q ordered componentwise, where elements[at[a * len(Q) + b]] stands
+    for the pair of P's a-th and Q's b-th element."""
+    nb = len(Q)
+    above_p, above_q = P._upper_covers(), Q._upper_covers()
+    up = _cover_closure(at, nb, above_p, above_q, P._order[::-1], Q._order[::-1])
+    down = _cover_closure(at, nb, _lower_covers(above_p), _lower_covers(above_q),
+                          P._order, Q._order)
+    index = {e: i for i, e in enumerate(elements)}
+    R = FinitePoset._from_masks(elements, index, up, down)
+    R._factors, R._pair_index = (P, Q), at
+    return R
+
+
+def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
+    """The pairs (a, b) of P x Q, ordered componentwise
+    ((a, b) <= (a', b') when a <= a' and b <= b') and listed P-major."""
+    elements = tuple((a, b) for a in P.elements for b in Q.elements)
+    return _product(P, Q, elements, list(range(len(elements))))
+
+
+# ---------------------------------------------------------------------------
 # incidence functions
 # ---------------------------------------------------------------------------
 
 
 class IncidenceFunction:
     """A function on comparable pairs of a poset; incomparable pairs
-    evaluate to 0 (as for zeta, delta and the Mobius function)."""
+    evaluate to 0 (as for zeta, delta and the Mobius function).  Values are
+    kept by rows, one (indices of the y, values f(x, y)) pair of lists per
+    element x; `table` is a read-only view of them as {(x, y): value}."""
 
     def __init__(self, poset: FinitePoset, table: Mapping[tuple, Rational]):
-        self.poset = poset
-        self.table = dict(table)
+        rows: list[Row] = [([], []) for _ in poset.elements]
+        index = poset._index
+        for (x, y), value in table.items():
+            cols, vals = rows[index[x]]
+            cols.append(index[y])
+            vals.append(value)
+        self.poset, self._rows, self._maps = poset, rows, [None] * len(rows)
+
+    @classmethod
+    def _from_rows(cls, poset: FinitePoset, rows: list[Row]) -> "IncidenceFunction":
+        f = cls.__new__(cls)
+        f.poset, f._rows, f._maps = poset, rows, [None] * len(rows)
+        return f
+
+    def _row_map(self, i: int) -> dict:
+        """Row i as {index of y: value}, built on first lookup."""
+        found = self._maps[i]
+        if found is None:
+            found = self._maps[i] = dict(zip(*self._rows[i]))
+        return found
+
+    @property
+    def table(self) -> "_IncidenceTable":
+        return _IncidenceTable(self)
 
     def __call__(self, x: Element, y: Element) -> Rational:
-        return self.table.get((x, y), 0)
+        index = self.poset._index
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            return 0
+        return self._row_map(i).get(j, 0)
 
     def items(self):
         return self.table.items()
+
+
+class _IncidenceTable(Mapping):
+    """The values of an incidence function as a read-only mapping
+    {(x, y): f(x, y)}, row by row in element order."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: IncidenceFunction):
+        self._f = f
+
+    def __len__(self) -> int:
+        return sum(len(cols) for cols, _ in self._f._rows)
+
+    def __iter__(self):
+        elements = self._f.poset.elements
+        for x, (cols, _) in zip(elements, self._f._rows):
+            for j in cols:
+                yield x, elements[j]
+
+    def __getitem__(self, key) -> Rational:
+        index = self._f.poset._index
+        if isinstance(key, tuple) and len(key) == 2 and key[0] in index and key[1] in index:
+            row = self._f._row_map(index[key[0]])
+            j = index[key[1]]
+            if j in row:
+                return row[j]
+        raise KeyError(key)
 
 
 def _plane_add(planes: list[list[int]], bit: int, value: int) -> None:
@@ -231,16 +411,15 @@ def _plane_sum(mask: int, planes: list[list[int]]) -> int:
     return total
 
 
-def mobius(P: FinitePoset) -> IncidenceFunction:
-    """The Mobius function: mu(x,x) = 1 and, below y, the values on
-    [x, y) sum to -mu(x,y); evaluated along a linear extension, with the
-    row of values for x kept as bit planes."""
-    elements, up, down, rank = P.elements, P._up, P._down, P._rank
-    table: dict[tuple, int] = {}
-    for i, x in enumerate(elements):
-        table[(x, x)] = 1
+def _plane_rows(P: FinitePoset) -> list[Row]:
+    """The Mobius rows by the interval recursion along a linear extension,
+    with the row of values for x kept as bit planes."""
+    up, down, rank = P._up, P._down, P._rank
+    rows = []
+    for i, mask in enumerate(up):
+        cols, vals = [i], [1]
         planes = [[1 << i, 0]]
-        for j in sorted(_bits(up[i] ^ 1 << i), key=rank.__getitem__):
+        for j in sorted(_bits(mask ^ 1 << i), key=rank.__getitem__):
             # the planes hold only elements above x, and none is y yet,
             # so the AND with down(y) alone picks out [x, y)
             value = -_plane_sum(down[j], planes)
@@ -250,8 +429,71 @@ def mobius(P: FinitePoset) -> IncidenceFunction:
                 planes[0][1] |= 1 << j
             elif value:
                 _plane_add(planes, 1 << j, value)
-            table[(x, elements[j])] = value
-    return IncidenceFunction(P, table)
+            cols.append(j)
+            vals.append(value)
+        rows.append((cols, vals))
+    return rows
+
+
+def _transpose(P: FinitePoset, rows: list[Row]) -> list[Row]:
+    """The columns of a table given by rows, each from y downward: the rows
+    are read in reverse linear-extension order."""
+    columns: list[Row] = [([], []) for _ in rows]
+    for i in reversed(P._order):
+        cols, vals = rows[i]
+        for j, value in zip(cols, vals):
+            xs, column = columns[j]
+            xs.append(i)
+            column.append(value)
+    return columns
+
+
+def _outer(P: FinitePoset, columns: bool) -> list[Row]:
+    """The rows (or columns) of a product's Mobius table: the outer
+    products of its factors' rows (columns)."""
+    (A, B), at = P._factors, P._pair_index
+    nb, rows_b = len(B), _table(B, columns)
+    out: list[Row] = [([], [])] * len(at)
+    for a, (cols_a, vals_a) in enumerate(_table(A, columns)):
+        steps = [c * nb for c in cols_a]
+        row = a * nb
+        for b, (cols_b, vals_b) in enumerate(rows_b):
+            out[at[row + b]] = ([at[s + c] for s in steps for c in cols_b],
+                                [v * w for v in vals_a for w in vals_b])
+    return out
+
+
+def _table(P: FinitePoset, columns: bool = False) -> list[Row]:
+    """P's Mobius rows (or columns), computed on first use by the route that
+    fits P and kept on it whole, so a racing thread sees none or all."""
+    table = P._mobius_columns if columns else P._mobius_rows
+    if table is None:
+        if P._factors:
+            table = _outer(P, columns)
+        elif P._dual_of is not None:
+            table = _table(P._dual_of, not columns)
+        elif columns:
+            table = _transpose(P, _table(P))
+        else:
+            table = _plane_rows(P)
+        if columns:
+            P._mobius_columns = table
+        else:
+            P._mobius_rows = table
+    return table
+
+
+def mobius(P: FinitePoset) -> IncidenceFunction:
+    """The Mobius function: mu(x,x) = 1 and, below y, the values on
+    [x, y) sum to -mu(x,y); computed once per poset, by the product
+    theorem on a product and by the bit-plane recursion otherwise."""
+    return IncidenceFunction._from_rows(P, _table(P))
+
+
+def _mobius_bitplane(P: FinitePoset) -> IncidenceFunction:
+    """The bit-plane recursion on any poset, products included: the route
+    the product theorem is checked against."""
+    return IncidenceFunction._from_rows(P, _plane_rows(P))
 
 
 def _mobius_reference(P: FinitePoset) -> IncidenceFunction:
@@ -270,45 +512,74 @@ def _mobius_reference(P: FinitePoset) -> IncidenceFunction:
 
 
 def zeta(P: FinitePoset) -> IncidenceFunction:
-    return IncidenceFunction(
-        P, {(x, y): 1 for x in P.elements for y in P.up(x)}
-    )
+    return IncidenceFunction._from_rows(
+        P, [(cols, [1] * len(cols)) for cols in map(_bits, P._up)])
 
 
 def delta(P: FinitePoset) -> IncidenceFunction:
-    return IncidenceFunction(P, {(x, x): 1 for x in P.elements})
+    return IncidenceFunction._from_rows(P, [([i], [1]) for i in range(len(P))])
 
 
 def delta_check(P: FinitePoset) -> bool:
     """Verify sum_{x: z <= x <= y} mu(x, y) = delta(z, y) on all
     comparable pairs (the zeta * mu = delta identity), with the column
     of values below y kept as bit planes."""
-    mu = mobius(P).table
-    elements, up, down = P.elements, P._up, P._down
-    for j, y in enumerate(elements):
-        planes: list[list[int]] = []
-        for i in _bits(down[j]):
-            _plane_add(planes, 1 << i, mu[(elements[i], y)])
-        for i in _bits(down[j]):
+    up, down = P._up, P._down
+    for j, (xs, vals) in enumerate(_table(P, columns=True)):
+        planes = [[0, 0]]
+        for i, value in zip(xs, vals):
+            if value == 1:  # the common case in lattices, done inline
+                planes[0][0] |= 1 << i
+            elif value == -1:
+                planes[0][1] |= 1 << i
+            elif value:
+                _plane_add(planes, 1 << i, value)
+        for i in xs:
             if _plane_sum(up[i] & down[j], planes) != (1 if i == j else 0):
                 return False
     return True
 
 
+def _numerators(P: FinitePoset, g: Mapping[Element, Rational]) -> tuple[list[int], int, bool]:
+    """g's values in element order as integer numerators over the lcm of
+    their denominators, and whether every value was an int."""
+    values = [g[x] for x in P.elements]
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise TypeError("values must be ints or Fractions")
+    nums, den = integer_form(values)
+    return nums, den, all(isinstance(v, int) for v in values)
+
+
+def _quotients(P: FinitePoset, sums: list[int], den: int, ints: bool) -> dict:
+    """{element: sum / den}, as ints when the values were (den is then 1)."""
+    if ints:
+        return dict(zip(P.elements, sums))
+    return {e: Fraction(s, den) for e, s in zip(P.elements, sums)}
+
+
 def accumulate(P: FinitePoset, f: Mapping[Element, Rational]) -> dict:
-    """g(y) = sum_{x <= y} f(x)."""
-    return {
-        y: sum(f[x] for x in P._members(P._down[j]))
-        for j, y in enumerate(P.elements)
-    }
+    """g(y) = sum_{x <= y} f(x), summed on integer numerators."""
+    nums, den, ints = _numerators(P, f)
+    sums = [sum(map(nums.__getitem__, _bits(mask))) for mask in P._down]
+    return _quotients(P, sums, den, ints)
 
 
 def invert(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
     """The unique f with sum_{x <= y} f(x) = g(y), via
-    f(y) = sum_{x <= y} mu(x, y) g(x)."""
-    mu = mobius(P).table
+    f(y) = sum_{x <= y} mu(x, y) g(x): each Mobius column dotted with the
+    integer numerators of g."""
+    nums, den, ints = _numerators(P, g)
+    sums = [sum(map(mul, vals, map(nums.__getitem__, xs)))
+            for xs, vals in _table(P, columns=True)]
+    return _quotients(P, sums, den, ints)
+
+
+def _invert_reference(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
+    """`invert` as a plain `Fraction` sum over each down-set: the reference
+    route for the integer kernel."""
+    mu = mobius(P)
     return {
-        y: sum(mu[(x, y)] * g[x] for x in P._members(P._down[j]))
+        y: sum(mu(x, y) * g[x] for x in P._members(P._down[j]))
         for j, y in enumerate(P.elements)
     }
 
@@ -329,39 +600,70 @@ def invert_dual(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def boolean_lattice(n: int) -> FinitePoset:
-    """Subsets of {1..n} ordered by inclusion, smaller subsets first."""
-    if not 0 <= n <= MAX_BOOLEAN_GROUND:
-        raise ValueError(f"boolean lattice capped at n <= {MAX_BOOLEAN_GROUND}")
-    subsets = [c for size in range(n + 1) for c in combinations(range(n), size)]
-    elements = tuple(frozenset(i + 1 for i in c) for c in subsets)
-    masks = [sum(1 << i for i in c) for c in subsets]
-    position = [0] * len(masks)  # subset mask -> element index
-    for index, a in enumerate(masks):
-        position[a] = index
+def _chain(elements: tuple) -> FinitePoset:
+    """elements[0] < elements[1] < ... as a poset."""
+    n = len(elements)
     full = (1 << n) - 1
-    up = [0] * len(masks)
-    down = [0] * len(masks)
-    for i, a in enumerate(masks):
-        b = a
-        while True:  # every superset b of a, in increasing order
-            j = position[b]
-            up[i] |= 1 << j
-            down[j] |= 1 << i
-            if b == full:
-                break
-            b = (b + 1) | a
+    up = [full >> i << i for i in range(n)]
+    down = [(2 << i) - 1 for i in range(n)]
     index = {e: i for i, e in enumerate(elements)}
     return FinitePoset._from_masks(elements, index, up, down)
 
 
+def _subsets(n: int) -> list[tuple[int, ...]]:
+    """The subsets of {1..n}: by size, then lexicographically."""
+    return [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+
+
+def _subset_masks(n: int) -> list[int]:
+    """`_subsets(n)` as bit masks, bit i - 1 standing for i."""
+    bit = [0] + [1 << i for i in range(n)]
+    return [sum(map(bit.__getitem__, c)) for c in _subsets(n)]
+
+
+def boolean_lattice(n: int) -> FinitePoset:
+    """Subsets of {1..n} ordered by inclusion, smaller subsets first; the
+    product of the lattices on the first ceil(n/2) atoms and on the rest."""
+    if not 0 <= n <= MAX_BOOLEAN_GROUND:
+        raise ValueError(f"boolean lattice capped at n <= {MAX_BOOLEAN_GROUND}")
+    elements = tuple(map(frozenset, _subsets(n)))
+    if n < 2:
+        return _chain(elements)
+    position = [0] * len(elements)  # subset mask -> element index
+    for index, a in enumerate(_subset_masks(n)):
+        position[a] = index
+    k = (n + 1) // 2
+    at = [position[a | b << k] for a in _subset_masks(k) for b in _subset_masks(n - k)]
+    return _product(boolean_lattice(k), boolean_lattice(n - k), elements, at)
+
+
 def divisor_poset(n: int) -> FinitePoset:
     """The divisors of n ordered by divisibility (the interval [1, n])."""
-    divs = divisors(n)
-    if len(divs) > MAX_DIVISOR_COUNT:
+    factors = factorize(n)
+    count = 1
+    for _, e in factors:
+        count *= e + 1
+    if count > MAX_DIVISOR_COUNT:
         raise ValueError("too many divisors")
-    pairs = [(a, b) for a in divs for b in divs if b % a == 0]
-    return FinitePoset(divs, pairs, _trusted=True)
+    return _divisor_lattice(factors, count)
+
+
+def _divisor_lattice(factors: tuple[tuple[int, int], ...], count: int) -> FinitePoset:
+    """The divisors of prod p^e ordered by divisibility: a chain for one prime,
+    else the product of the lattices of two coprime parts, split where the
+    first part's divisor count reaches sqrt(count) so both stay small."""
+    if len(factors) < 2:
+        return _chain(tuple(p**i for p, e in factors for i in range(e + 1)) or (1,))
+    cut, size = 1, factors[0][1] + 1
+    while cut < len(factors) - 1 and size * size < count:
+        size *= factors[cut][1] + 1
+        cut += 1
+    low = _divisor_lattice(factors[:cut], size)
+    high = _divisor_lattice(factors[cut:], count // size)
+    labels = [a * b for a in low.elements for b in high.elements]
+    elements = tuple(sorted(labels))
+    index = {d: i for i, d in enumerate(elements)}
+    return _product(low, high, elements, [index[d] for d in labels])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ cheap at the sizes targeted here.
 
 A row is held as integers: (numerators, d), the row's series being
 numerators[k] / d.  With the rule written as integer numerators over its
-common denominator (`series.integer_form`), row n is the previous row
+common denominator (`exact_core.integer_form`), row n is the previous row
 convolved with the rule's nonzero terms (`series.convolve`), over the
 previous denominator times the rule's, so a rational rule runs the same
 route.  `entry` divides exactly and raises `ArithmeticError` on a
@@ -25,8 +25,8 @@ import io
 import json
 from fractions import Fraction
 
-from .exact_core import RowTable
-from .series import FormalSeries, convolve, geometric_series, integer_form
+from .exact_core import RowTable, integer_form
+from .series import FormalSeries, convolve, geometric_series
 
 
 class RecursiveMatrix:

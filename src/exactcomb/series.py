@@ -7,7 +7,7 @@ recursive matrices (integer coefficients) and the composition checks
 (rational coefficients), so there is a single series type.
 
 The product runs on integers: each operand is written as integer
-numerators over one common denominator (`integer_form`), the numerator
+numerators over one common denominator (`exact_core.integer_form`), the numerator
 lists are convolved (`convolve`, which skips zero terms), and one
 `Fraction` is built per output coefficient.  `**` squares repeatedly and
 `compose` is Horner's rule, both on that product.  The `Fraction`
@@ -18,18 +18,13 @@ schoolbook products) and composition against.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence, Union
 
+from .exact_core import integer_form
+
 Scalar = Union[int, Fraction]
-
-
-def integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators, d): coeffs[i] == numerators[i] / d, d the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -470,6 +470,59 @@ def mobius_route_failure(seed: int, trials: int, max_size: int) -> Optional[int]
     return None
 
 
+def product_route_failure(seed: int, trials: int, max_size: int) -> Optional[tuple]:
+    """First poset whose product-theorem Mobius table differs from the
+    bit-plane recursion: ("product", trial) for `trials` products of two or
+    three random or layered factors (at most `max_size` elements or levels
+    each), where the reversed product's table is compared too, then
+    ("boolean", n) for n <= 6 and ("divisor", n) for n <= 200."""
+    rng = random.Random(seed)
+
+    def factor() -> pm.FinitePoset:
+        size = rng.randint(1, max_size)
+        return layered_poset(rng, size) if rng.random() < 0.5 else random_poset(rng, size)
+
+    def cases():
+        for trial in range(trials):
+            P = pm.product_poset(factor(), factor())
+            if trial % 2:
+                P = pm.product_poset(P, factor())
+            yield ("product", trial), P
+            yield ("product", trial), P.reversed()
+        for n in range(7):
+            yield ("boolean", n), pm.boolean_lattice(n)
+        for n in range(1, 201):
+            yield ("divisor", n), pm.divisor_poset(n)
+
+    return next((case for case, P in cases()
+                 if pm.mobius(P).table != pm._mobius_bitplane(P).table), None)
+
+
+def integer_inversion_failure(seed: int, trials: int, max_size: int) -> Optional[int]:
+    """First of `trials` posets (random ones, every other one times a random
+    poset of at most 3 elements) where accumulation or the integer inversion
+    kernel, plain or dual, differs from the `Fraction` sums for values mixing
+    ints and Fractions, or integer values give a non-integer result."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        P = random_poset(rng, rng.randint(1, max_size))
+        if trial % 2:
+            P = pm.product_poset(P, random_poset(rng, rng.randint(1, 3)))
+        mixed = {e: rng.choice((rng.randint(-9, 9),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                 for e in P.elements}
+        ints = {e: rng.randint(-9, 9) for e in P.elements}
+        R = P.reversed()
+        for g in (mixed, ints):
+            got = [pm.invert(P, g), pm.invert_dual(P, g), pm.accumulate(P, g)]
+            want = [pm._invert_reference(P, g), pm._invert_reference(R, g),
+                    {y: sum(g[x] for x in P.down(y)) for y in P.elements}]
+            if got != want or g is ints and any(
+                    type(v) is not int for f in got for v in f.values()):
+                return trial
+    return None
+
+
 def suite_mobius() -> list[Check]:
     out: list[Check] = []
     _no_failure(out, "boolean lattice closed form to n=6", boolean_mobius_failure(7))
@@ -479,6 +532,10 @@ def suite_mobius() -> list[Check]:
                 inversion_failure(seed=5, trials=12, max_size=8))
     _no_failure(out, "bit-plane Mobius matches the interval recursion",
                 mobius_route_failure(seed=6, trials=12, max_size=10))
+    _no_failure(out, "product-theorem Mobius matches the bit-plane recursion",
+                product_route_failure(seed=7, trials=8, max_size=3))
+    _no_failure(out, "integer inversion matches the Fraction sum",
+                integer_inversion_failure(seed=8, trials=12, max_size=8))
     return out
 
 

@@ -191,6 +191,19 @@ def test_bell_golden():
     assert ct.bell(7) == 877 == len(list(en.enumerate_set_partitions(7)))
 
 
+def test_warm_bell_skips_its_check(monkeypatch):
+    # the Stirling row sum that checks B_n runs once per n, not per call
+    calls = []
+    stirling2 = ct.stirling2
+    monkeypatch.setattr(ct, "stirling2", lambda n, k: calls.append(n) or stirling2(n, k))
+    ct.bell.cache_clear()
+    assert ct.bell(23) == 44152005855084346
+    assert calls
+    calls.clear()
+    assert ct.bell(23) == 44152005855084346
+    assert calls == []
+
+
 def test_faa_di_bruno_golden():
     pairings = list(en.enumerate_set_partitions(4, type_vector=ct.TypeVector(4, (0, 2))))
     assert ct.faa_di_bruno(ct.TypeVector(4, (0, 2))) == 3 == len(pairings)

@@ -1,8 +1,13 @@
 """Posets: construction, Mobius/zeta/delta, inversion, lattices, sieve."""
 
 import random
+import sys
+import threading
 import tracemalloc
+from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +117,120 @@ def test_bitset_mobius_matches_reference(seed, size, layered):
     assert len(ext) == len(P) and set(ext) == set(P.elements)
     pos = {e: i for i, e in enumerate(ext)}
     assert all(pos[x] <= pos[y] for x in P.elements for y in R.up(x))
+
+
+def _factor(rng, size, layered):
+    return _relabelled(layered_poset(rng, (size + 1) // 2) if layered
+                       else random_poset(rng, size), rng)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 3), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_product_poset_matches_brute_force(seed, m, n, third, layered):
+    rng = random.Random(seed)
+    A, B = _factor(rng, m, layered), _factor(rng, n, not layered)
+    P = pm.product_poset(A, B)
+    assert P.elements == tuple((a, b) for a in A.elements for b in B.elements)
+    if third:  # nested products: (A x B) x C
+        C = _factor(rng, third, layered)
+        P = pm.product_poset(P, C)
+        leq = lambda p, q: (A.leq(p[0][0], q[0][0]) and B.leq(p[0][1], q[0][1])
+                            and C.leq(p[1], q[1]))
+    else:
+        leq = lambda p, q: A.leq(p[0], q[0]) and B.leq(p[1], q[1])
+    assert all(P.leq(p, q) == leq(p, q) for p in P.elements for q in P.elements)
+    rebuilt = pm.FinitePoset(P.elements, [(p, q) for p in P.elements for q in P.up(p)])
+    assert (rebuilt._up, rebuilt._down) == (P._up, P._down)
+    assert rebuilt.linear_extension() == P.linear_extension()
+
+    mu = pm.mobius(P)
+    assert mu.table == pm._mobius_reference(P).table == pm._mobius_bitplane(P).table
+    R = P.reversed()
+    assert R.reversed() is P
+    assert pm.mobius(R).table == {(y, x): v for (x, y), v in mu.items()}
+    assert pm.mobius(R).table == pm._mobius_bitplane(R).table
+    assert pm.delta_check(P) and pm.delta_check(R)
+    f = {e: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+         for e in P.elements}
+    assert pm.invert(P, pm.accumulate(P, f)) == f
+    assert pm.accumulate(P, pm.invert(P, f)) == f
+    assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
+    assert pm.accumulate_dual(P, pm.invert_dual(P, f)) == f
+    assert pm.invert(P, f) == pm._invert_reference(P, f)
+
+
+def test_mobius_is_computed_once_per_poset(monkeypatch):
+    calls = []
+    plane_rows = pm._plane_rows
+    monkeypatch.setattr(pm, "_plane_rows", lambda P: calls.append(P) or plane_rows(P))
+    P = random_poset(random.Random(4), 9)
+    g = {e: Fraction(e, 3) for e in P.elements}
+    assert pm.mobius(P).table == pm.mobius(P).table
+    pm.invert(P, g), pm.invert_dual(P, g), pm.delta_check(P)
+    assert calls == [P]
+    # a product needs only its factors' tables: boolean_lattice(6) is a
+    # product of six 2-chains, and each gets its rows by recursion once
+    B = pm.boolean_lattice(6)
+    calls.clear()
+    g = {e: len(e) for e in B.elements}
+    pm.mobius(B), pm.invert(B, g), pm.invert_dual(B, g), pm.delta_check(B)
+    assert len(calls) == len(set(map(id, calls))) == 6
+    assert all(len(Q) == 2 for Q in calls)
+
+
+def test_incidence_table_is_a_read_only_mapping():
+    P = pm.divisor_poset(12)
+    mu = pm.mobius(P)
+    want = {(x, y): nt.mobius_classical(y // x)
+            for x in P.elements for y in P.elements if y % x == 0}
+    table = mu.table
+    assert isinstance(table, Mapping) and len(table) == len(want) == 18
+    assert table == want and want == table and not table != want
+    assert table == pm._mobius_reference(P).table
+    assert table != {**want, (1, 2): 5} and table != dict(list(want.items())[1:])
+    assert sorted(table) == sorted(want) and dict(mu.items()) == want
+    assert len(list(mu.items())) == len(want) == len(list(table.values()))
+    assert table[(2, 12)] == 1 == mu(2, 12) and table.get((1, 12)) == 0
+    for key in ((4, 6), (5, 12), (1,), "ab", (1, 2, 3)):
+        assert key not in table and table.get(key) is None
+        with pytest.raises(KeyError):
+            table[key]
+    assert mu(4, 6) == mu(5, 12) == 0
+    with pytest.raises(TypeError):
+        table[(1, 2)] = 0
+    copy = dict(table)
+    copy[(1, 2)] = 0
+    assert mu(1, 2) == -1
+    # each row runs from x upward in an order that extends the poset order
+    for Q in (P, pm.boolean_lattice(4), random_poset(random.Random(5), 8)):
+        rows = {}
+        for x, y in pm.mobius(Q).table:
+            rows.setdefault(x, []).append(y)
+        for x, ys in rows.items():
+            assert ys[0] == x and set(ys) == Q.up(x)
+            assert all(not Q.leq(b, a) for i, a in enumerate(ys) for b in ys[i + 1:])
+    # zeta and delta still come from mappings too
+    f = pm.IncidenceFunction(P, {(1, 2): 3, (2, 2): Fraction(1, 2)})
+    assert f(1, 2) == 3 and f(2, 2) == Fraction(1, 2) and f(1, 4) == 0
+    assert dict(f.items()) == {(1, 2): 3, (2, 2): Fraction(1, 2)}
+    assert pm.zeta(P).table == {(x, y): 1 for x in P.elements for y in P.up(x)}
+    assert pm.delta(P).table == {(x, x): 1 for x in P.elements}
+
+
+def test_integer_inversion_keeps_types():
+    P = pm.divisor_poset(360)
+    ints = {e: e % 7 - 3 for e in P.elements}
+    for f in (pm.invert(P, ints), pm.invert_dual(P, ints), pm.accumulate(P, ints)):
+        assert all(type(v) is int for v in f.values())
+    assert pm.invert(P, ints) == pm._invert_reference(P, ints)
+    halves = {e: Fraction(v, 2) for e, v in ints.items()}
+    got = pm.invert(P, halves)
+    assert all(type(v) is Fraction for v in got.values())
+    assert got == pm._invert_reference(P, halves) == {e: Fraction(v, 2) for e, v in
+                                                     pm.invert(P, ints).items()}
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        pm.invert(P, {**ints, 1: 0.5})
 
 
 def test_bit_planes_carry_large_values():
@@ -292,8 +411,90 @@ def test_boolean_lattice_cap_rejects_before_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the smallest lattice past the cap would hold 8192 frozensets, megabytes
+    # the smallest lattice past the cap would hold 16384 frozensets, megabytes
     assert peak < 64 * 1024
+
+
+def test_divisor_cap_rejects_before_allocating(monkeypatch):
+    # no n that factorize accepts has more divisors than 963761198400, so
+    # the cap is lowered below its count to see where the check runs
+    n = 963761198400
+    count = len(nt.divisors(n))
+    assert count == pm.MAX_DIVISOR_COUNT
+    monkeypatch.setattr(pm, "MAX_DIVISOR_COUNT", count - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too many divisors"):
+            pm.divisor_poset(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # its 6720 divisors alone would be over 64 KB, its masks megabytes
+    assert peak < 64 * 1024
+
+
+def _boolean_by_pairs(n):
+    """The boolean lattice from its full list of pairs, validated."""
+    subsets = [frozenset(c) for size in range(n + 1)
+               for c in combinations(range(1, n + 1), size)]
+    return pm.FinitePoset(subsets, [(a, b) for a in subsets for b in subsets if a <= b])
+
+
+def _divisors_by_pairs(n):
+    """The divisor lattice from its full list of pairs, validated."""
+    divs = nt.divisors(n)
+    return pm.FinitePoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
+
+
+@pytest.mark.parametrize("kind, n", [("boolean", n) for n in range(8)]
+                         + [("divisor", n) for n in (1, 7, 840, 1260, 2520, 720720)])
+def test_lattices_match_pair_list_construction(kind, n):
+    if kind == "boolean":
+        P, Q = pm.boolean_lattice(n), _boolean_by_pairs(n)
+    else:
+        P, Q = pm.divisor_poset(n), _divisors_by_pairs(n)
+        assert P.to_json() == Q.to_json()  # frozenset elements have no JSON form
+    assert P.elements == Q.elements
+    assert P.linear_extension() == Q.linear_extension()
+    assert (P._up, P._down) == (Q._up, Q._down)
+    assert pm.mobius(P).table == pm.mobius(Q).table
+
+
+def test_largest_divisor_lattice_is_a_product():
+    P = pm.divisor_poset(963761198400)
+    assert P.elements == nt.divisors(963761198400)
+    low, high = P._factors
+    assert (low.elements[-1], high.elements[-1]) == (2**6 * 3**4 * 5**2, 7 * 11 * 13 * 17 * 19 * 23)
+    assert P.leq(1, 963761198400) and P.leq(6, 12) and not P.leq(12, 18)
+    mu, top = pm.mobius(P), 963761198400 // 23
+    for d in (1, 2, 4, 30, 210, 2310, top):
+        assert mu(d, top) == nt.mobius_classical(top // d)
+
+
+def test_shared_poset_tables_under_threads():
+    # 8 threads, switching often, fill one poset's Mobius rows and columns
+    # while inverting on it; each must see whole tables and the same answers
+    for make in (lambda: pm.boolean_lattice(7), lambda: pm.divisor_poset(720720),
+                 lambda: random_poset(random.Random(11), 40)):
+        P = make()
+        rng = random.Random(len(P))
+        g = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
+        fresh = make()
+        want = (pm._invert_reference(fresh, g), pm._invert_reference(fresh.reversed(), g), True)
+        start = threading.Barrier(8, timeout=60)
+
+        def work(_):
+            start.wait()
+            return pm.invert(P, g), pm.invert_dual(P, g), pm.delta_check(P)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(answer == want for answer in got)
 
 
 def test_divisor_poset_shape():
