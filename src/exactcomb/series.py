@@ -7,9 +7,9 @@ recursive matrices (integer coefficients) and the composition checks
 (rational coefficients), so there is a single series type.
 
 The product runs on integers: each operand is written as integer
-numerators over one common denominator (`exact_core.integer_form`), the numerator
-lists are convolved (`convolve`, which skips zero terms), and one
-`Fraction` is built per output coefficient.  `**` squares repeatedly and
+numerators over one common denominator (`exact_core.integer_form`), the
+numerator lists are convolved (`convolve`, which skips zero terms), and
+one `Fraction` is built per output coefficient.  `**` squares repeatedly and
 `compose` is Horner's rule, both on that product.  The `Fraction`
 schoolbook product is kept as `_mul_schoolbook`, the reference route that
 the tests and `exactcomb verify` compare the product, powers (as n-fold
