@@ -21,9 +21,8 @@ keep their elements, element order, linear extension and JSON.
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
 is stored by rows: for each x, the indices of the y >= x and the values
-mu(x, y), listed from x upward in an order that extends the poset order.
-Columns (the x <= y and mu(x, y), from y downward) are kept the same way
-once asked for.  There are three routes:
+mu(x, y).  Columns (the x <= y and mu(x, y)) are kept the same way once
+asked for.  There are three routes:
 
 * a product: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
@@ -366,7 +365,8 @@ class IncidenceFunction:
 
 class _IncidenceTable(Mapping):
     """The values of an incidence function as a read-only mapping
-    {(x, y): f(x, y)}, row by row in element order."""
+    {(x, y): f(x, y)}: x in element order, and the y of each x in
+    linear-extension order, as the recursion for mu visits them."""
 
     __slots__ = ("_f",)
 
@@ -377,9 +377,9 @@ class _IncidenceTable(Mapping):
         return sum(len(cols) for cols, _ in self._f._rows)
 
     def __iter__(self):
-        elements = self._f.poset.elements
+        elements, rank = self._f.poset.elements, self._f.poset._rank
         for x, (cols, _) in zip(elements, self._f._rows):
-            for j in cols:
+            for j in sorted(cols, key=rank.__getitem__):
                 yield x, elements[j]
 
     def __getitem__(self, key) -> Rational:
@@ -435,12 +435,10 @@ def _plane_rows(P: FinitePoset) -> list[Row]:
     return rows
 
 
-def _transpose(P: FinitePoset, rows: list[Row]) -> list[Row]:
-    """The columns of a table given by rows, each from y downward: the rows
-    are read in reverse linear-extension order."""
+def _transpose(rows: list[Row]) -> list[Row]:
+    """The columns of a table given by its rows."""
     columns: list[Row] = [([], []) for _ in rows]
-    for i in reversed(P._order):
-        cols, vals = rows[i]
+    for i, (cols, vals) in enumerate(rows):
         for j, value in zip(cols, vals):
             xs, column = columns[j]
             xs.append(i)
@@ -473,7 +471,7 @@ def _table(P: FinitePoset, columns: bool = False) -> list[Row]:
         elif P._dual_of is not None:
             table = _table(P._dual_of, not columns)
         elif columns:
-            table = _transpose(P, _table(P))
+            table = _transpose(_table(P))
         else:
             table = _plane_rows(P)
         if columns:

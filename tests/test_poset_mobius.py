@@ -202,14 +202,13 @@ def test_incidence_table_is_a_read_only_mapping():
     copy = dict(table)
     copy[(1, 2)] = 0
     assert mu(1, 2) == -1
-    # each row runs from x upward in an order that extends the poset order
-    for Q in (P, pm.boolean_lattice(4), random_poset(random.Random(5), 8)):
-        rows = {}
-        for x, y in pm.mobius(Q).table:
-            rows.setdefault(x, []).append(y)
-        for x, ys in rows.items():
-            assert ys[0] == x and set(ys) == Q.up(x)
-            assert all(not Q.leq(b, a) for i, a in enumerate(ys) for b in ys[i + 1:])
+    # iteration goes x by x in element order and, for each x, along the
+    # linear extension, as the recursion visits the pairs
+    for Q in (P, pm.boolean_lattice(4), random_poset(random.Random(5), 8),
+              pm.divisor_poset(360).reversed()):
+        rank = {e: i for i, e in enumerate(Q.linear_extension())}
+        order = [(x, y) for x in Q.elements for y in sorted(Q.up(x), key=rank.get)]
+        assert list(pm.mobius(Q).table) == order == list(pm._mobius_reference(Q).table)
     # zeta and delta still come from mappings too
     f = pm.IncidenceFunction(P, {(1, 2): 3, (2, 2): Fraction(1, 2)})
     assert f(1, 2) == 3 and f(2, 2) == Fraction(1, 2) and f(1, 4) == 0
