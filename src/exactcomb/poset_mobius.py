@@ -51,7 +51,9 @@ Dual inversion is inversion on the reversed order, so there is a single
 proof obligation.
 
 Sieve counting (Sylvester's alternating sum and Jordan's exactly-m
-formula) lives here too, over explicit subset families.
+formula) lives here too, over explicit subset families.  A family keeps
+each set as an int bitset over the universe, so an intersection is one
+AND and its size a popcount; no set is built while counting.
 """
 
 from __future__ import annotations
@@ -672,25 +674,39 @@ MAX_FAMILY_SETS = 20
 MAX_FAMILY_UNIVERSE = 10**5
 
 
+def _bitset(members: Iterable[int], size: int) -> int:
+    """The int with bit x set for each member x, which must be an int in
+    range(size)."""
+    digits = bytearray(b"0") * size  # digit x, read as binary once reversed
+    for x in members:
+        if not (isinstance(x, int) and 0 <= x < size):
+            raise ValueError("set member outside the universe")
+        digits[x] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2) if size else 0
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
-    """Subsets A_1..A_n of the universe {0 .. universe-1}."""
+    """Subsets A_1..A_n of the universe {0 .. universe-1}, kept as int
+    bitsets: bit x of masks[i] says x is in A_(i+1).  `sets` gives them
+    as frozensets."""
 
     universe: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
-        sets = tuple(frozenset(s) for s in sets)
         if universe < 0 or universe > MAX_FAMILY_UNIVERSE:
             raise ValueError("universe size out of range")
+        sets = tuple(sets)
         if len(sets) > MAX_FAMILY_SETS:
             raise ValueError(f"at most {MAX_FAMILY_SETS} sets supported")
-        full = range(universe)
-        for s in sets:
-            if not all(x in full for x in s):
-                raise ValueError("set member outside the universe")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "masks", tuple(_bitset(s, universe) for s in sets))
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -712,19 +728,20 @@ class SubsetFamily:
 
 def sylvester_numbers(fam: SubsetFamily) -> list[int]:
     """S_k = sum over k-element index sets of the intersection sizes;
-    S_0 is the universe size."""
-    n = len(fam.sets)
+    S_0 is the universe size.  An intersection is an AND of bitsets."""
+    masks = fam.masks
+    n = len(masks)
     out = [0] * (n + 1)
     out[0] = fam.universe
 
-    def rec(start: int, current: frozenset[int], depth: int):
+    def rec(start: int, current: int, depth: int):
         for i in range(start, n):
-            nxt = current & fam.sets[i]
-            out[depth + 1] += len(nxt)
+            nxt = current & masks[i]
+            out[depth + 1] += nxt.bit_count()
             if nxt:  # empty intersections only breed empty ones
                 rec(i + 1, nxt, depth + 1)
 
-    rec(0, frozenset(range(fam.universe)), 0)
+    rec(0, (1 << fam.universe) - 1, 0)
     return out
 
 
@@ -740,7 +757,7 @@ def sieve_counts(fam: SubsetFamily) -> tuple[list[int], list[int]]:
     S_k.  The e_m must sum to the universe size, and e_0, which is term
     for term the alternating Sylvester sum, must agree with a direct
     membership scan."""
-    n = len(fam.sets)
+    n = len(fam.masks)
     s = sylvester_numbers(fam)
     out = []
     for m in range(n + 1):
@@ -751,8 +768,10 @@ def sieve_counts(fam: SubsetFamily) -> tuple[list[int], list[int]]:
         out.append(e)
     if sum(out) != fam.universe:
         raise ArithmeticError("internal inconsistency in Jordan counts")
-    union = frozenset().union(*fam.sets) if fam.sets else frozenset()
-    direct = fam.universe - len(union)
+    union = 0
+    for mask in fam.masks:
+        union |= mask
+    direct = fam.universe - union.bit_count()
     if out[0] != direct:
         raise ArithmeticError(
             f"internal inconsistency: sieve gave {out[0]}, scan gave {direct}"

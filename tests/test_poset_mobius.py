@@ -517,6 +517,34 @@ def test_subset_family_validation():
     assert back == fam
 
 
+@pytest.mark.parametrize("member", [-1, 4, 1.0, "0", None])
+def test_subset_family_rejects_members_outside_range(member):
+    with pytest.raises(ValueError, match="outside the universe"):
+        pm.SubsetFamily(4, [[0], [1, member]])
+
+
+def test_subset_family_keeps_bitsets():
+    fam = pm.SubsetFamily(6, [[0, 2, 5], (), {3, 2}])
+    assert fam.masks == (0b100101, 0, 0b001100)
+    assert fam.sets == (frozenset({0, 2, 5}), frozenset(), frozenset({2, 3}))
+    same = pm.SubsetFamily(6, [{5, 2, 0}, [], [2, 3, 3]])
+    assert same == fam and hash(same) == hash(fam)
+    assert pm.SubsetFamily(7, [[0, 2, 5], (), {3, 2}]) != fam
+    assert pm.SubsetFamily(0, [[], []]).masks == (0, 0)
+
+
+def test_sieve_builds_no_sets():
+    fam = derangement_family(7)  # 5040 permutations, 720 fixing each point
+    tracemalloc.start()
+    try:
+        assert pm.jordan_counts(fam) == [ct.derangement_fixed(7, k) for k in range(8)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a frozenset of the 5040-element universe alone is over 200 KB
+    assert peak < 32 * 1024
+
+
 def test_sylvester_empty_family():
     fam = pm.SubsetFamily(9, [])
     assert pm.sylvester_numbers(fam) == [9]
