@@ -4,119 +4,92 @@ Counting formulas and recursions, truncated generating series,
 row-recursive matrices, polynomial bases, Mobius inversion on finite
 posets, sieve counting, elementary number theory with a toy RSA cycle,
 and brute-force enumerators that everything is validated against.
+
+Importing the package loads none of its modules: each name below is
+imported from its home module on first access (PEP 562) and then kept
+here, so `exactcomb.binomial is exactcomb.counting.binomial`.  A command
+line run therefore compiles only the modules its command uses.
 """
 
-from .counting import (
-    GergonneQuery,
-    TypeVector,
-    alternating_convolution,
-    bell,
-    binomial,
-    birthday_probability,
-    cauchy_count,
-    cycle_count,
-    derangement,
-    derangement_fixed,
-    faa_di_bruno,
-    falling_factorial,
-    gentile_coeff,
-    gergonne,
-    graph_count,
-    iter_type_vectors,
-    lower_bound_solutions,
-    menage_count,
-    multinomial,
-    multiset_coeff,
-    rising_factorial,
-    stirling1_signed,
-    stirling2,
-    surjection_count,
-    touchard,
-)
-from .exact_core import ExactInt, ExactRat, factorial, gcd
-from .poset_mobius import (
-    FinitePoset,
-    IncidenceFunction,
-    PosetError,
-    SubsetFamily,
-    accumulate,
-    accumulate_dual,
-    boolean_lattice,
-    delta_check,
-    divisor_poset,
-    invert,
-    invert_dual,
-    jordan_counts,
-    mobius,
-    product_poset,
-    sieve_counts,
-    sylvester_count,
-    sylvester_numbers,
-    zeta,
-)
-from .recursive_matrix import (
-    RecursiveMatrix,
-    binomial_matrix,
-    gentile_matrix,
-    multiset_matrix,
-)
-from .series import FormalSeries, exp_series, geometric_series
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactInt",
-    "ExactRat",
-    "factorial",
-    "gcd",
-    "FormalSeries",
-    "geometric_series",
-    "exp_series",
-    "RecursiveMatrix",
-    "binomial_matrix",
-    "multiset_matrix",
-    "gentile_matrix",
-    "TypeVector",
-    "GergonneQuery",
-    "binomial",
-    "falling_factorial",
-    "rising_factorial",
-    "multiset_coeff",
-    "gentile_coeff",
-    "multinomial",
-    "stirling2",
-    "bell",
-    "faa_di_bruno",
-    "cycle_count",
-    "stirling1_signed",
-    "cauchy_count",
-    "derangement",
-    "derangement_fixed",
-    "surjection_count",
-    "lower_bound_solutions",
-    "gergonne",
-    "touchard",
-    "menage_count",
-    "birthday_probability",
-    "graph_count",
-    "alternating_convolution",
-    "iter_type_vectors",
-    "FinitePoset",
-    "IncidenceFunction",
-    "PosetError",
-    "SubsetFamily",
-    "mobius",
-    "zeta",
-    "delta_check",
-    "accumulate",
-    "accumulate_dual",
-    "invert",
-    "invert_dual",
-    "boolean_lattice",
-    "divisor_poset",
-    "product_poset",
-    "sylvester_numbers",
-    "sylvester_count",
-    "jordan_counts",
-    "sieve_counts",
-]
+# home module -> the names it exports here, in the order of __all__
+_EXPORTS = {
+    "exact_core": ("ExactInt", "ExactRat", "factorial", "gcd"),
+    "series": ("FormalSeries", "geometric_series", "exp_series"),
+    "recursive_matrix": (
+        "RecursiveMatrix",
+        "binomial_matrix",
+        "multiset_matrix",
+        "gentile_matrix",
+    ),
+    "counting": (
+        "TypeVector",
+        "GergonneQuery",
+        "binomial",
+        "falling_factorial",
+        "rising_factorial",
+        "multiset_coeff",
+        "gentile_coeff",
+        "multinomial",
+        "stirling2",
+        "bell",
+        "faa_di_bruno",
+        "cycle_count",
+        "stirling1_signed",
+        "cauchy_count",
+        "derangement",
+        "derangement_fixed",
+        "surjection_count",
+        "lower_bound_solutions",
+        "gergonne",
+        "touchard",
+        "menage_count",
+        "birthday_probability",
+        "graph_count",
+        "alternating_convolution",
+        "iter_type_vectors",
+    ),
+    "poset_mobius": (
+        "FinitePoset",
+        "IncidenceFunction",
+        "PosetError",
+        "SubsetFamily",
+        "mobius",
+        "zeta",
+        "delta_check",
+        "accumulate",
+        "accumulate_dual",
+        "invert",
+        "invert_dual",
+        "boolean_lattice",
+        "divisor_poset",
+        "product_poset",
+        "sylvester_numbers",
+        "sylvester_count",
+        "jordan_counts",
+        "sieve_counts",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the modules that importing every export loads, listed by dir() as before
+_MODULES = (*_EXPORTS, "number_theory")
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    public = (n for n in globals() if not n.startswith("_") or n.startswith("__"))
+    return sorted({*public, *__all__, *_MODULES} - {"__getattr__", "__dir__"})

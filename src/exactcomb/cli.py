@@ -5,26 +5,26 @@ All commands are one-shot; numbers are printed as exact decimal strings
 (rationals as "p/q"), and JSON output keeps integers as strings so that
 consumers cannot silently lose precision.  Exit codes: 0 ok, 1
 verification failure or internal inconsistency, 2 usage or input error.
+
+Each command imports only the modules it runs: `coeff` and `rsa` need
+`counting`, `number_theory` and `exact_core`, loaded here; `table` loads
+`recursive_matrix` for its matrix families, `enumerate` loads
+`enumeration`, `poset` loads `poset_mobius` and `verify` loads `verify`,
+each when the command runs, and only the commands that print JSON load
+`json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
-from . import enumeration as en
 from . import number_theory as nt
 from .exact_core import format_rational, parse_int, parse_rational
-from .poset_mobius import FinitePoset, PosetError, SubsetFamily
-from .poset_mobius import invert, invert_dual, mobius, sieve_counts
-from .recursive_matrix import RecursiveMatrix, binomial_matrix, gentile_matrix
-from .recursive_matrix import multiset_matrix
-from .verify import SUITES, run_suites
 
 
 class CommandResult(NamedTuple):
@@ -115,10 +115,14 @@ def _cmd_coeff(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_rows(build: Callable[[int, Optional[int]], RecursiveMatrix]):
-    """Rows by the RecursiveMatrix route; `build(order, p)` makes the matrix."""
+def _matrix_rows(build: Callable) -> Callable:
+    """Rows by the RecursiveMatrix route; `build(recursive_matrix, order, p)`
+    makes the matrix."""
     def rows(family: str, args: argparse.Namespace) -> list[list[int]]:
-        return build(max(args.cols - 1, 0), args.p).table(args.rows, args.cols)
+        from . import recursive_matrix
+
+        matrix = build(recursive_matrix, max(args.cols - 1, 0), args.p)
+        return matrix.table(args.rows, args.cols)
     return rows
 
 
@@ -128,15 +132,15 @@ def _coeff_rows(family: str, args: argparse.Namespace) -> list[list[int]]:
     return [[fn(n, k) for k in range(args.cols)] for n in range(args.rows)]
 
 
-def _gentile_matrix(order: int, p: Optional[int]) -> RecursiveMatrix:
+def _gentile_matrix(rm, order: int, p: Optional[int]):
     if p is None:
         raise ValueError("gentile tables need --p")
-    return gentile_matrix(p, order)
+    return rm.gentile_matrix(p, order)
 
 
 TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
-    "binomial": _matrix_rows(lambda order, p: binomial_matrix(order)),
-    "multiset": _matrix_rows(lambda order, p: multiset_matrix(order)),
+    "binomial": _matrix_rows(lambda rm, order, p: rm.binomial_matrix(order)),
+    "multiset": _matrix_rows(lambda rm, order, p: rm.multiset_matrix(order)),
     "gentile": _matrix_rows(_gentile_matrix),
     "stirling1": _coeff_rows,
     "stirling2": _coeff_rows,
@@ -151,6 +155,8 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
         raise ValueError("table dumps are capped at 2000 rows/columns")
     table = TABLE[args.family](args.family, args)
     if args.format == "json":
+        import json
+
         payload = json.dumps(
             {"family": args.family, "rows": [[str(v) for v in row] for row in table]}
         )
@@ -165,45 +171,49 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
 
 
 def _words(enumerate_family: Callable) -> Callable:
-    """The enumerator with each object it yields written as a word."""
-    return lambda *a: map(en.as_word, enumerate_family(*a))
+    """The enumerator `enumerate_family(enumeration, *args)` with each
+    object it yields written as a word."""
+    return lambda en, *a: map(en.as_word, enumerate_family(en, *a))
 
 
 def _subset_args(family: str, args: argparse.Namespace) -> list:
     return _ints(1 if len(args.args) == 1 else 2)(family, args)
 
 
-def _partition_lines(n: int, k: Optional[int]):
+def _partition_lines(en, n: int, k: Optional[int]):
     return (
         "|".join("{" + ",".join(map(str, b)) + "}" for b in part)
         for part in en.enumerate_set_partitions(n, k)
     )
 
 
-# the functions here yield the output lines
+# the functions here take the enumeration module and the parsed arguments,
+# and yield the output lines
 ENUMERATE: dict[str, tuple[Parser, Callable]] = {
-    "functions": (_ints(2, "mode"), _words(en.enumerate_functions)),
-    "subsets": (_subset_args, _words(en.enumerate_subsets)),
-    "multisets": (_ints(2), lambda n, k: (
+    "functions": (_ints(2, "mode"), _words(lambda en, *a: en.enumerate_functions(*a))),
+    "subsets": (_subset_args, _words(lambda en, *a: en.enumerate_subsets(*a))),
+    "multisets": (_ints(2), lambda en, n, k: (
         f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k)
     )),
     "partitions": (_ints(1, "blocks"), _partition_lines),
     "permutations": (_ints(1, "cycles", "derangements"), _words(
-        lambda n, c, d: en.enumerate_permutations(n, cycles=c, derangement_only=d)
+        lambda en, n, c, d: en.enumerate_permutations(n, cycles=c, derangement_only=d)
     )),
     "gergonne": (_ints(3, "circular"), _words(
-        lambda *q: en.enumerate_gergonne(ct.GergonneQuery(*q))
+        lambda en, *q: en.enumerate_gergonne(ct.GergonneQuery(*q))
     )),
-    "menage": (_ints(1), _words(en.enumerate_menage)),
+    "menage": (_ints(1), _words(lambda en, n: en.enumerate_menage(n))),
 }
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
+    from . import enumeration
+
     if args.limit < 0:
         raise ValueError("--limit must be >= 0")
     parse, lines_of = ENUMERATE[args.family]
     lines: list[str] = []
-    for i, line in enumerate(lines_of(*parse(args.family, args))):
+    for i, line in enumerate(lines_of(enumeration, *parse(args.family, args))):
         if args.limit and i >= args.limit:
             lines.append("...")
             break
@@ -217,6 +227,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandResult:
+    from .verify import SUITES, run_suites
+
     if args.list:
         return CommandResult(0, "\n".join(SUITES))
     verbose = bool(os.environ.get("EXACTCOMB_VERBOSE"))
@@ -249,14 +261,19 @@ def _cmd_verify(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _load_poset(path: str) -> FinitePoset:
+def _load_poset(path: str):
+    """The poset in a JSON file, and the poset_mobius module."""
+    from . import poset_mobius
+
     with open(path, encoding="utf-8") as fh:
-        return FinitePoset.from_json(fh.read())
+        return poset_mobius.FinitePoset.from_json(fh.read()), poset_mobius
 
 
 def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
-    P = _load_poset(args.poset)
-    mu = mobius(P)
+    import json
+
+    P, pm = _load_poset(args.poset)
+    mu = pm.mobius(P)
     rank = {e: i for i, e in enumerate(P.linear_extension())}
     triples = [
         [x, y, str(mu(x, y))]
@@ -271,7 +288,9 @@ def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
-    P = _load_poset(args.poset)
+    import json
+
+    P, pm = _load_poset(args.poset)
     with open(args.values, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -282,15 +301,19 @@ def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
         if key not in raw:
             raise ValueError(f"missing value for element {key!r}")
         g[e] = parse_rational(str(raw[key]))
-    f = invert_dual(P, g) if args.dual else invert(P, g)
+    f = pm.invert_dual(P, g) if args.dual else pm.invert(P, g)
     out = {str(e): format_rational(f[e]) for e in P.elements}
     return CommandResult(0, json.dumps(out))
 
 
 def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
+    import json
+
+    from . import poset_mobius as pm
+
     with open(args.family, encoding="utf-8") as fh:
-        fam = SubsetFamily.from_json(fh.read())
-    numbers, exactly = sieve_counts(fam)
+        fam = pm.SubsetFamily.from_json(fh.read())
+    numbers, exactly = pm.sieve_counts(fam)
     payload = json.dumps(
         {
             "sylvester": [str(v) for v in numbers],
@@ -307,6 +330,8 @@ def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_rsa_keygen(args: argparse.Namespace) -> CommandResult:
+    import json
+
     key = nt.rsa_keygen(args.p, args.q, args.e)
     payload = json.dumps(
         {
@@ -425,9 +450,12 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
         return CommandResult(2 if exc.code else 0, "")
     try:
         return args.fn(args)
-    except PosetError as exc:
-        return CommandResult(2, f"error: not a partial order: {exc} (witness {exc.witness})")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError included
+        # a PosetError can only come from a command that loaded poset_mobius
+        pm = sys.modules.get(f"{__package__}.poset_mobius")
+        if pm is not None and isinstance(exc, pm.PosetError):
+            return CommandResult(
+                2, f"error: not a partial order: {exc} (witness {exc.witness})")
         return CommandResult(2, f"error: {exc}")
     except ArithmeticError as exc:
         return CommandResult(1, f"error: {exc}")

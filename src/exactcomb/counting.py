@@ -7,8 +7,10 @@ is internally inconsistent.  Results are memoized per process; each
 row-by-row recursion is one `RowTable` with its own lock, so building one
 large table never stalls another family.
 
-`binomial` runs two cheap routes: `math.comb` and the prime-power product
-of Legendre's formula and Kummer's theorem, over primes from a shared sieve.
+`binomial` runs two cheap routes: `math.comb` and, for small
+j = min(k, n - k), the falling factorial (n)_j over j!, else the
+prime-power product of Legendre's formula and Kummer's theorem, over
+primes from a shared sieve.
 `multiset_coeff` adds the rising factorial to those two.  The O(n k) Pascal
 and step-2 sweeps they replaced, `_binomial_pascal` and `_multiset_sweep`,
 stay as reference routes that the tests and `verify` check them against.
@@ -204,14 +206,33 @@ def _binomial_legendre(n: int, k: int) -> int:
     return math.prod(factors)
 
 
+def _binomial_falling(n: int, j: int) -> int:
+    """C(n, j) as the falling factorial (n)_j over j!."""
+    return falling_factorial(n, j) // factorial(j)
+
+
+# The falling factorial costs about j products and needs no sieve; the
+# Legendre product walks every prime <= n.  Measured with CPython 3.11 on one
+# x86-64 core, the falling factorial is the faster route for every j <= n/2
+# up to n = 100, and up to j = 189, 527, 1493, 2390 at n = 10^3, 10^4, 10^5,
+# 3*10^5, about 5 sqrt(n): so it is the second route while j^2 <= 25 n.
+_FALLING_MAX_SQUARE_OVER_N = 25
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def binomial(n: int, k: int) -> int:
-    """C(n, k), zero when k > n; math.comb and the Legendre product agree."""
+    """C(n, k), zero when k > n; math.comb agrees with the falling factorial
+    over j! for small j = min(k, n - k), else with the Legendre product."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 0 or k > n:
         return 0
-    return _agree(f"binomial({n},{k})", math.comb(n, k), _binomial_legendre(n, k))
+    j = min(k, n - k)
+    if j * j <= _FALLING_MAX_SQUARE_OVER_N * n:
+        second = _binomial_falling(n, j)
+    else:
+        second = _binomial_legendre(n, k)
+    return _agree(f"binomial({n},{k})", math.comb(n, k), second)
 
 
 def _multiset_sweep(n: int, k: int) -> int:

@@ -5,6 +5,7 @@ benchmark.
 """
 
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +30,20 @@ def test_bench_records_parse_and_are_complete():
                     assert metric[side]["q1"] <= metric[side]["median"] <= metric[side]["q3"], where
                 assert {"change", "parent", "ties"} == metric["wins"].keys(), where
                 assert sum(metric["wins"].values()) == len(entry["seeds"]), where
+
+
+def test_bench_records_keep_machine_speed():
+    # from BENCH_9.json on, every untraced entry keeps the reference-kernel
+    # time of each run on both sides
+    records = [path for path in ROOT.glob("BENCH_*.json")
+               if int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1)) >= 9]
+    for path in records:
+        for key, entry in json.loads(path.read_text())["workloads"].items():
+            if entry.get("trace"):
+                continue
+            speed = entry.get("reference_ms")
+            assert speed, (path.name, key)
+            for side in ("parent", "change"):
+                assert SIDE_KEYS <= speed[side].keys(), (path.name, key, side)
+                assert len(speed[side]["values"]) == len(entry["seeds"]), (path.name, key)
+                assert all(v > 0 for v in speed[side]["values"]), (path.name, key)

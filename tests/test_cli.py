@@ -242,7 +242,8 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     assert all(line.startswith("PASS  errata: ") for line in lines[1:-1])
     assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed, 1 FAILED"
 
-    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: 0)
+    # C(9, 4) has j = 4, so its second route is the falling factorial
+    monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: 0)
     ct.binomial.cache_clear()
     assert main(["coeff", "binomial", "9", "4"]) == 1
     assert capsys.readouterr() == (

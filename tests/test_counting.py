@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, product
@@ -72,6 +73,43 @@ def test_fast_routes_match_reference_sweeps(pair):
 def test_legendre_product_matches_math_comb(pair):
     n, k = pair
     assert ct._binomial_legendre(n, k) == math.comb(n, k)
+
+
+@given(pairs(5000, 0))
+@settings(deadline=None)
+def test_falling_route_matches_math_comb(pair):
+    n, k = pair
+    assert ct._binomial_falling(n, min(k, n - k)) == math.comb(n, k)
+
+
+def test_binomial_second_route_by_size(monkeypatch):
+    # j^2 <= 25 n takes the falling factorial, anything larger Legendre;
+    # either way a wrong second route is caught
+    monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: 0)
+    for n, k in ((9, 4), (100, 50), (10**4, 500), (10**4, 9500)):
+        with pytest.raises(ArithmeticError):
+            ct.binomial.__wrapped__(n, k)
+    assert ct.binomial.__wrapped__(1000, 500) == math.comb(1000, 500)
+    monkeypatch.undo()
+    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: 0)
+    with pytest.raises(ArithmeticError):
+        ct.binomial.__wrapped__(1000, 500)
+    assert ct.binomial.__wrapped__(10**4, 500) == math.comb(10**4, 500)
+
+
+def test_binomial_small_k_needs_no_sieve():
+    # C(10^7, 3) sieved every prime up to 10^7 (about 58 MB) before the
+    # falling-factorial route; C(n, 2) for n = 1.2e9 slots would need gigabytes
+    tracemalloc.start()
+    try:
+        assert ct.binomial.__wrapped__(10**7, 3) == math.comb(10**7, 3)
+        assert ct.binomial.__wrapped__(10**7, 10**7 - 3) == math.comb(10**7, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    slots = 50000 * 49999 // 2
+    assert ct.graph_count("graph", 50000, 2) == math.comb(slots, 2)
 
 
 def test_prime_sieve_grows_safely_under_threads(monkeypatch):

@@ -111,6 +111,9 @@ def test_bitset_mobius_matches_reference(seed, size, layered):
     assert pm.invert(P, pm.accumulate(P, f)) == f
     assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
     R = P.reversed()
+    assert pm.accumulate(P, f) == pm._accumulate_reference(P, f) == {
+        y: sum(f[x] for x in P.down(y)) for y in P.elements}
+    assert pm.accumulate_dual(P, f) == pm._accumulate_reference(R, f)
     Q = pm.FinitePoset(P.elements, [(y, x) for x in P.elements for y in P.up(x)])
     assert all(R.up(e) == Q.up(e) and R.down(e) == Q.down(e) for e in P.elements)
     ext = R.linear_extension()
@@ -158,6 +161,8 @@ def test_product_poset_matches_brute_force(seed, m, n, third, layered):
     assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
     assert pm.accumulate_dual(P, pm.invert_dual(P, f)) == f
     assert pm.invert(P, f) == pm._invert_reference(P, f)
+    assert pm.accumulate(P, f) == pm._accumulate_reference(P, f)
+    assert pm.accumulate_dual(P, f) == pm._accumulate_reference(R, f)
 
 
 def test_mobius_is_computed_once_per_poset(monkeypatch):
@@ -215,6 +220,23 @@ def test_incidence_table_is_a_read_only_mapping():
     assert dict(f.items()) == {(1, 2): 3, (2, 2): Fraction(1, 2)}
     assert pm.zeta(P).table == {(x, y): 1 for x in P.elements for y in P.up(x)}
     assert pm.delta(P).table == {(x, x): 1 for x in P.elements}
+
+
+def test_accumulate_by_factors_matches_bit_walk():
+    # products sum along one factor and then the other, nested products and
+    # reversed ones included; an empty factor gives an empty product
+    empty = pm.FinitePoset([], [])
+    for P in (pm.boolean_lattice(8), pm.divisor_poset(720720), pm.divisor_poset(1),
+              pm.product_poset(pm.divisor_poset(12), empty),
+              pm.product_poset(empty, pm.divisor_poset(12))):
+        ints = {e: hash(e) % 19 - 9 for e in P.elements}
+        halves = {e: Fraction(v, 2) for e, v in ints.items()}
+        for g in (ints, halves):
+            for Q in (P, P.reversed()):
+                got = pm.accumulate(Q, g)
+                assert got == pm._accumulate_reference(Q, g)
+                assert all(type(v) is type(g[e]) for e, v in got.items())
+            assert pm.accumulate_dual(P, g) == pm._accumulate_reference(P.reversed(), g)
 
 
 def test_integer_inversion_keeps_types():

@@ -4,7 +4,10 @@ Runs ``perfbench/run.py`` in two source checkouts, a parent and a change,
 once per seed and workload, alternating which side runs first.  For every
 metric it writes each side's median and quartiles, how many pairs each side
 won (by the metric's ``better`` direction in the change's BENCHMARK.json),
-the two git SHAs and the Python version.  Standard library only.
+the two git SHAs and the Python version.  For untraced runs it also keeps
+the machine speed each run measured, the ``reference_ms`` line that run.py
+prints (the median time of its fixed reference kernel), per run and per
+side.  Standard library only.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_7.json \\
         --workloads struct-ops coeff-session cli-oneshot --seeds 1 2 3 --seconds 20
@@ -42,7 +45,8 @@ def directions(checkout: Path) -> dict[str, str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON result line of one perfbench run in `checkout`."""
+    """The JSON result line of one perfbench run in `checkout`, plus the
+    `reference_ms` it printed, if any, under that key."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -50,7 +54,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    for line in lines:
+        fields = line.split()
+        if fields[:1] == ["reference_ms"]:
+            result["reference_ms"] = float(fields[1])
+    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -127,6 +137,9 @@ def main() -> int:
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "metrics": summarize(runs, better),
         }
+        if all("reference_ms" in r for rs in runs.values() for r in rs):
+            doc["workloads"][key]["reference_ms"] = {
+                side: spread([r["reference_ms"] for r in rs]) for side, rs in runs.items()}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
