@@ -69,6 +69,10 @@ def _graph_args(family: str, args: argparse.Namespace) -> list:
 _TYPE_VECTOR = _n_and_list("expected: n nu1 [nu2 ...]")
 
 
+def _gergonne_query(family: str, args: argparse.Namespace) -> list:
+    return [ct.GergonneQuery(*_ints(3, "circular")(family, args))]
+
+
 # ---------------------------------------------------------------------------
 # coeff
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ COEFF: dict[str, tuple[Parser, Callable]] = {
     "derangement": (_ints(1), ct.derangement),
     "dnk": (_ints(2), ct.derangement_fixed),
     "surjections": (_ints(2), ct.surjection_count),
-    "gergonne": (_ints(3, "circular"), lambda *q: ct.gergonne(ct.GergonneQuery(*q))),
+    "gergonne": (_gergonne_query, ct.gergonne),
     "touchard": (_ints(1), ct.touchard),
     "menage": (_ints(1), ct.menage_count),
     "phi": (_ints(1), nt.euler_phi),
@@ -115,13 +119,18 @@ def _cmd_coeff(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_rows(build: Callable) -> Callable:
-    """Rows by the RecursiveMatrix route; `build(recursive_matrix, order, p)`
-    makes the matrix."""
+def _matrix_rows(name: str, *options: str) -> Callable:
+    """Rows by the RecursiveMatrix route: the matrix is the recursive_matrix
+    function `name` called with the values of the named options, then the
+    order."""
     def rows(family: str, args: argparse.Namespace) -> list[list[int]]:
         from . import recursive_matrix
 
-        matrix = build(recursive_matrix, max(args.cols - 1, 0), args.p)
+        for option in options:
+            if getattr(args, option) is None:
+                raise ValueError(f"{family} tables need --{option}")
+        build = getattr(recursive_matrix, name)
+        matrix = build(*(getattr(args, o) for o in options), max(args.cols - 1, 0))
         return matrix.table(args.rows, args.cols)
     return rows
 
@@ -132,16 +141,10 @@ def _coeff_rows(family: str, args: argparse.Namespace) -> list[list[int]]:
     return [[fn(n, k) for k in range(args.cols)] for n in range(args.rows)]
 
 
-def _gentile_matrix(rm, order: int, p: Optional[int]):
-    if p is None:
-        raise ValueError("gentile tables need --p")
-    return rm.gentile_matrix(p, order)
-
-
 TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
-    "binomial": _matrix_rows(lambda rm, order, p: rm.binomial_matrix(order)),
-    "multiset": _matrix_rows(lambda rm, order, p: rm.multiset_matrix(order)),
-    "gentile": _matrix_rows(_gentile_matrix),
+    "binomial": _matrix_rows("binomial_matrix"),
+    "multiset": _matrix_rows("multiset_matrix"),
+    "gentile": _matrix_rows("gentile_matrix", "p"),
     "stirling1": _coeff_rows,
     "stirling2": _coeff_rows,
     "cycles": _coeff_rows,
@@ -170,50 +173,60 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _words(enumerate_family: Callable) -> Callable:
-    """The enumerator `enumerate_family(enumeration, *args)` with each
-    object it yields written as a word."""
-    return lambda en, *a: map(en.as_word, enumerate_family(en, *a))
+def _words(name: str) -> Callable:
+    """The enumeration function `name` with each object it yields written
+    as a word."""
+    def lines(*a):
+        from . import enumeration as en
+
+        return map(en.as_word, getattr(en, name)(*a))
+    return lines
 
 
 def _subset_args(family: str, args: argparse.Namespace) -> list:
     return _ints(1 if len(args.args) == 1 else 2)(family, args)
 
 
-def _partition_lines(en, n: int, k: Optional[int]):
+def _multiset_lines(n: int, k: int):
+    from . import enumeration as en
+
+    return (f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k))
+
+
+def _partition_lines(n: int, k: Optional[int]):
+    from . import enumeration as en
+
     return (
         "|".join("{" + ",".join(map(str, b)) + "}" for b in part)
         for part in en.enumerate_set_partitions(n, k)
     )
 
 
-# the functions here take the enumeration module and the parsed arguments,
-# and yield the output lines
+def _permutation_lines(n: int, cycles: Optional[int], derangements: bool):
+    from . import enumeration as en
+
+    return map(en.as_word, en.enumerate_permutations(
+        n, cycles=cycles, derangement_only=derangements))
+
+
+# the functions here yield the output lines
 ENUMERATE: dict[str, tuple[Parser, Callable]] = {
-    "functions": (_ints(2, "mode"), _words(lambda en, *a: en.enumerate_functions(*a))),
-    "subsets": (_subset_args, _words(lambda en, *a: en.enumerate_subsets(*a))),
-    "multisets": (_ints(2), lambda en, n, k: (
-        f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k)
-    )),
+    "functions": (_ints(2, "mode"), _words("enumerate_functions")),
+    "subsets": (_subset_args, _words("enumerate_subsets")),
+    "multisets": (_ints(2), _multiset_lines),
     "partitions": (_ints(1, "blocks"), _partition_lines),
-    "permutations": (_ints(1, "cycles", "derangements"), _words(
-        lambda en, n, c, d: en.enumerate_permutations(n, cycles=c, derangement_only=d)
-    )),
-    "gergonne": (_ints(3, "circular"), _words(
-        lambda en, *q: en.enumerate_gergonne(ct.GergonneQuery(*q))
-    )),
-    "menage": (_ints(1), _words(lambda en, n: en.enumerate_menage(n))),
+    "permutations": (_ints(1, "cycles", "derangements"), _permutation_lines),
+    "gergonne": (_gergonne_query, _words("enumerate_gergonne")),
+    "menage": (_ints(1), _words("enumerate_menage")),
 }
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
-    from . import enumeration
-
     if args.limit < 0:
         raise ValueError("--limit must be >= 0")
     parse, lines_of = ENUMERATE[args.family]
     lines: list[str] = []
-    for i, line in enumerate(lines_of(enumeration, *parse(args.family, args))):
+    for i, line in enumerate(lines_of(*parse(args.family, args))):
         if args.limit and i >= args.limit:
             lines.append("...")
             break
@@ -262,17 +275,19 @@ def _cmd_verify(args: argparse.Namespace) -> CommandResult:
 
 
 def _load_poset(path: str):
-    """The poset in a JSON file, and the poset_mobius module."""
-    from . import poset_mobius
+    """The poset in a JSON file."""
+    from .poset_mobius import FinitePoset
 
     with open(path, encoding="utf-8") as fh:
-        return poset_mobius.FinitePoset.from_json(fh.read()), poset_mobius
+        return FinitePoset.from_json(fh.read())
 
 
 def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
     import json
 
-    P, pm = _load_poset(args.poset)
+    from . import poset_mobius as pm
+
+    P = _load_poset(args.poset)
     mu = pm.mobius(P)
     rank = {e: i for i, e in enumerate(P.linear_extension())}
     triples = [
@@ -290,7 +305,9 @@ def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
 def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
     import json
 
-    P, pm = _load_poset(args.poset)
+    from . import poset_mobius as pm
+
+    P = _load_poset(args.poset)
     with open(args.values, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):

@@ -11,9 +11,11 @@ large table never stalls another family.
 j = min(k, n - k), the falling factorial (n)_j over j!, else the
 prime-power product of Legendre's formula and Kummer's theorem, over
 primes from a shared sieve.
-`multiset_coeff` adds the rising factorial to those two.  The O(n k) Pascal
-and step-2 sweeps they replaced, `_binomial_pascal` and `_multiset_sweep`,
-stay as reference routes that the tests and `verify` check them against.
+`multiset_coeff` adds the rising factorial to those two (the same
+product as the falling factorial when binomial takes that route).  The
+O(n k) Pascal and step-2 sweeps they replaced, `_binomial_pascal` and
+`_multiset_sweep`, stay as reference routes that the tests and `verify`
+check them against.
 """
 
 from __future__ import annotations
@@ -246,8 +248,11 @@ def _multiset_sweep(n: int, k: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def multiset_coeff(n: int, k: int) -> int:
-    """<n, k>, the number of k-multisets on an n-set (three routes: the
-    rising factorial over k!, and C(n+k-1, k) by binomial's two)."""
+    """<n, k>, the number of k-multisets on an n-set: the rising factorial
+    over k! against C(n+k-1, k) by binomial's two routes.  When binomial
+    takes its falling-factorial route, (n+k-1)_k over k! is the rising
+    factorial's product in the other order, so only two of the three routes
+    are independent there."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
     if n == 0:

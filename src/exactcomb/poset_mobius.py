@@ -44,13 +44,11 @@ columns.  `IncidenceFunction.table` is a read-only mapping view of the
 rows.
 
 Inversion and accumulation write the values as integer numerators over
-their least common denominator, sum integers, and build one `Fraction`
-per output; integer values give integer results.  Inversion sums along
-the stored Mobius columns; `_invert_reference` keeps the `Fraction` sum.
-Accumulation sums a product along one factor and then the other, and
-any other poset through its down-masks; `_accumulate_reference` keeps
-the walk over the bits of each mask.  Dual inversion is inversion on the
-reversed order, so there is a single proof obligation.
+their least common denominator, sum integers along the stored columns
+(or the down-masks), and build one `Fraction` per output; integer values
+give integer results.  `_invert_reference` keeps the `Fraction` sum.
+Dual inversion is inversion on the reversed order, so there is a single
+proof obligation.
 
 Sieve counting (Sylvester's alternating sum and Jordan's exactly-m
 formula) lives here too, over explicit subset families.  A family keeps
@@ -64,7 +62,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
@@ -559,47 +557,8 @@ def _quotients(P: FinitePoset, sums: list[int], den: int, ints: bool) -> dict:
     return {e: Fraction(s, den) for e, s in zip(P.elements, sums)}
 
 
-# bytes.translate table: binary digit characters "0", "1" -> bytes 0, 1
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _down_sums(P: FinitePoset, nums: list[int], upward: bool = False) -> list[int]:
-    """For each element y, the sum of nums[x] over the x <= y (x >= y when
-    `upward`).  A reversed poset sums upward on the original.  On a product
-    A x B the zeta function is the tensor product of the factors' zetas, so
-    whole rows (one per element of A, indexed by B) are added along A's
-    down-sets and then whole columns along B's, element by element in C.
-    Elsewhere each down-mask selects its terms through `compress`, with no
-    Python loop per bit."""
-    if P._dual_of is not None:
-        return _down_sums(P._dual_of, nums, not upward)
-    if P._factors and P.elements:
-        (A, B), at = P._factors, P._pair_index
-        nb = len(B)
-        rows = [[nums[i] for i in at[a:a + nb]] for a in range(0, len(at), nb)]
-        rows = [list(map(sum, zip(*map(rows.__getitem__, _bits(mask)))))
-                for mask in (A._up if upward else A._down)]
-        columns = list(zip(*rows))
-        columns = [list(map(sum, zip(*map(columns.__getitem__, _bits(mask)))))
-                   for mask in (B._up if upward else B._down)]
-        sums = [0] * len(at)
-        for b, column in enumerate(columns):
-            for i, value in zip(at[b::nb], column):
-                sums[i] = value
-        return sums
-    return [sum(compress(nums, bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
-            for mask in (P._up if upward else P._down)]
-
-
 def accumulate(P: FinitePoset, f: Mapping[Element, Rational]) -> dict:
     """g(y) = sum_{x <= y} f(x), summed on integer numerators."""
-    nums, den, ints = _numerators(P, f)
-    return _quotients(P, _down_sums(P, nums), den, ints)
-
-
-def _accumulate_reference(P: FinitePoset, f: Mapping[Element, Rational]) -> dict:
-    """`accumulate` as a walk over the bits of each down-mask: the reference
-    route for the product and `compress` sums."""
     nums, den, ints = _numerators(P, f)
     sums = [sum(map(nums.__getitem__, _bits(mask))) for mask in P._down]
     return _quotients(P, sums, den, ints)

@@ -111,9 +111,8 @@ def test_bitset_mobius_matches_reference(seed, size, layered):
     assert pm.invert(P, pm.accumulate(P, f)) == f
     assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
     R = P.reversed()
-    assert pm.accumulate(P, f) == pm._accumulate_reference(P, f) == {
-        y: sum(f[x] for x in P.down(y)) for y in P.elements}
-    assert pm.accumulate_dual(P, f) == pm._accumulate_reference(R, f)
+    assert pm.accumulate(P, f) == {y: sum(f[x] for x in P.down(y)) for y in P.elements}
+    assert pm.accumulate_dual(P, f) == {y: sum(f[x] for x in P.up(y)) for y in P.elements}
     Q = pm.FinitePoset(P.elements, [(y, x) for x in P.elements for y in P.up(x)])
     assert all(R.up(e) == Q.up(e) and R.down(e) == Q.down(e) for e in P.elements)
     ext = R.linear_extension()
@@ -161,8 +160,8 @@ def test_product_poset_matches_brute_force(seed, m, n, third, layered):
     assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
     assert pm.accumulate_dual(P, pm.invert_dual(P, f)) == f
     assert pm.invert(P, f) == pm._invert_reference(P, f)
-    assert pm.accumulate(P, f) == pm._accumulate_reference(P, f)
-    assert pm.accumulate_dual(P, f) == pm._accumulate_reference(R, f)
+    assert pm.accumulate(P, f) == {y: sum(f[x] for x in P.down(y)) for y in P.elements}
+    assert pm.accumulate_dual(P, f) == {y: sum(f[x] for x in P.up(y)) for y in P.elements}
 
 
 def test_mobius_is_computed_once_per_poset(monkeypatch):
@@ -222,9 +221,9 @@ def test_incidence_table_is_a_read_only_mapping():
     assert pm.delta(P).table == {(x, x): 1 for x in P.elements}
 
 
-def test_accumulate_by_factors_matches_bit_walk():
-    # products sum along one factor and then the other, nested products and
-    # reversed ones included; an empty factor gives an empty product
+def test_accumulate_on_products_matches_plain_sums():
+    # nested products and reversed ones included; an empty factor gives an
+    # empty product
     empty = pm.FinitePoset([], [])
     for P in (pm.boolean_lattice(8), pm.divisor_poset(720720), pm.divisor_poset(1),
               pm.product_poset(pm.divisor_poset(12), empty),
@@ -234,9 +233,9 @@ def test_accumulate_by_factors_matches_bit_walk():
         for g in (ints, halves):
             for Q in (P, P.reversed()):
                 got = pm.accumulate(Q, g)
-                assert got == pm._accumulate_reference(Q, g)
+                assert got == {y: sum(g[x] for x in Q.down(y)) for y in Q.elements}
                 assert all(type(v) is type(g[e]) for e, v in got.items())
-            assert pm.accumulate_dual(P, g) == pm._accumulate_reference(P.reversed(), g)
+            assert pm.accumulate_dual(P, g) == pm.accumulate(P.reversed(), g)
 
 
 def test_integer_inversion_keeps_types():
