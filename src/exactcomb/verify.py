@@ -514,11 +514,9 @@ def integer_inversion_failure(seed: int, trials: int, max_size: int) -> Optional
         ints = {e: rng.randint(-9, 9) for e in P.elements}
         R = P.reversed()
         for g in (mixed, ints):
-            got = [pm.invert(P, g), pm.invert_dual(P, g),
-                   pm.accumulate(P, g), pm.accumulate_dual(P, g)]
+            got = [pm.invert(P, g), pm.invert_dual(P, g), pm.accumulate(P, g)]
             want = [pm._invert_reference(P, g), pm._invert_reference(R, g),
-                    {y: sum(g[x] for x in P.down(y)) for y in P.elements},
-                    {y: sum(g[x] for x in P.up(y)) for y in P.elements}]
+                    {y: sum(g[x] for x in P.down(y)) for y in P.elements}]
             if got != want or g is ints and any(
                     type(v) is not int for f in got for v in f.values()):
                 return trial

@@ -221,23 +221,6 @@ def test_incidence_table_is_a_read_only_mapping():
     assert pm.delta(P).table == {(x, x): 1 for x in P.elements}
 
 
-def test_accumulate_on_products_matches_plain_sums():
-    # nested products and reversed ones included; an empty factor gives an
-    # empty product
-    empty = pm.FinitePoset([], [])
-    for P in (pm.boolean_lattice(8), pm.divisor_poset(720720), pm.divisor_poset(1),
-              pm.product_poset(pm.divisor_poset(12), empty),
-              pm.product_poset(empty, pm.divisor_poset(12))):
-        ints = {e: hash(e) % 19 - 9 for e in P.elements}
-        halves = {e: Fraction(v, 2) for e, v in ints.items()}
-        for g in (ints, halves):
-            for Q in (P, P.reversed()):
-                got = pm.accumulate(Q, g)
-                assert got == {y: sum(g[x] for x in Q.down(y)) for y in Q.elements}
-                assert all(type(v) is type(g[e]) for e, v in got.items())
-            assert pm.accumulate_dual(P, g) == pm.accumulate(P.reversed(), g)
-
-
 def test_integer_inversion_keeps_types():
     P = pm.divisor_poset(360)
     ints = {e: e % 7 - 3 for e in P.elements}
