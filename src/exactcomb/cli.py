@@ -288,13 +288,8 @@ def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
     from . import poset_mobius as pm
 
     P = _load_poset(args.poset)
-    mu = pm.mobius(P)
-    rank = {e: i for i, e in enumerate(P.linear_extension())}
-    triples = [
-        [x, y, str(mu(x, y))]
-        for x in P.elements
-        for y in sorted(P.up(x), key=rank.__getitem__)
-    ]
+    # x in element order, the y of each x in linear-extension order
+    triples = [[x, y, str(v)] for (x, y), v in pm.mobius(P).items()]
     if args.format == "json":
         return CommandResult(0, json.dumps({"mobius": triples}))
     return CommandResult(
@@ -479,7 +474,14 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    result = run(argv)
+    """Run and print.  Exact answers may run past CPython's limit on int-to-str
+    conversion (4300 digits), so that limit is lifted while the command runs."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        result = run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
     if result.payload:
         stream = sys.stderr if result.payload.startswith("error: ") else sys.stdout
         print(result.payload, file=stream)

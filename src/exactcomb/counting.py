@@ -1,11 +1,10 @@
 """Closed forms and recursions for every counting family, all exact.
 
 Where two independent computation routes exist (closed form vs recursion,
-or two printed formulas), both are evaluated and compared on every call;
-a mismatch raises ArithmeticError, since it would mean the implementation
-is internally inconsistent.  Results are memoized per process; each
-row-by-row recursion is one `RowTable` with its own lock, so building one
-large table never stalls another family.
+or two printed formulas), both are evaluated on every call and compared by
+`exact_core.agree`, under the cross-check contract stated there.  Results
+are memoized per process; each row-by-row recursion is one `RowTable` with
+its own lock, so building one large table never stalls another family.
 
 `binomial` runs two cheap routes: `math.comb` and, for small
 j = min(k, n - k), the falling factorial (n)_j over j!, else the
@@ -28,7 +27,7 @@ from functools import lru_cache, partial
 from itertools import compress
 from typing import Iterator, Optional, Sequence
 
-from .exact_core import CACHE_SIZE, RowTable, factorial
+from .exact_core import CACHE_SIZE, RowTable, agree, exact_quotient, factorial
 
 __all__ = [
     "TypeVector",
@@ -58,16 +57,6 @@ __all__ = [
     "iter_type_vectors",
     "GRAPH_KINDS",
 ]
-
-
-def _agree(label: str, *values):
-    first = values[0]
-    for v in values[1:]:
-        if v != first:
-            raise ArithmeticError(
-                f"internal inconsistency in {label}: routes gave {values}"
-            )
-    return first
 
 
 @dataclass(frozen=True)
@@ -234,7 +223,7 @@ def binomial(n: int, k: int) -> int:
         second = _binomial_falling(n, j)
     else:
         second = _binomial_legendre(n, k)
-    return _agree(f"binomial({n},{k})", math.comb(n, k), second)
+    return agree(f"binomial({n},{k})", math.comb(n, k), second)
 
 
 def _multiset_sweep(n: int, k: int) -> int:
@@ -258,7 +247,7 @@ def multiset_coeff(n: int, k: int) -> int:
     if n == 0:
         return 1 if k == 0 else 0
     via_rising = rising_factorial(n, k) // factorial(k)
-    return _agree(f"multiset_coeff({n},{k})", via_rising, binomial(n + k - 1, k))
+    return agree(f"multiset_coeff({n},{k})", via_rising, binomial(n + k - 1, k))
 
 
 # c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i)
@@ -339,7 +328,7 @@ def bell(n: int) -> int:
     """B_n, all set partitions of an n-set, by the binomial-sum recursion."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _agree(f"bell({n})", _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
+    return agree(f"bell({n})", _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
 
 
 def faa_di_bruno(tv: TypeVector) -> int:
@@ -348,10 +337,7 @@ def faa_di_bruno(tv: TypeVector) -> int:
     den = 1
     for i, v in enumerate(tv.nu, start=1):
         den *= factorial(i) ** v * factorial(v)
-    num = factorial(tv.n)
-    if num % den:
-        raise ArithmeticError(f"faa_di_bruno({tv}): non-integer quotient")
-    return num // den
+    return exact_quotient(f"faa_di_bruno({tv})", factorial(tv.n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +374,7 @@ def cauchy_count(tv: TypeVector) -> int:
     den = 1
     for i, v in enumerate(tv.nu, start=1):
         den *= i**v * factorial(v)
-    num = factorial(tv.n)
-    if num % den:
-        raise ArithmeticError(f"cauchy_count({tv}): non-integer quotient")
-    return num // den
+    return exact_quotient(f"cauchy_count({tv})", factorial(tv.n), den)
 
 
 # d_m = (m-1)(d_{m-2} + d_{m-1}); d_0 := 1 so that d_{n,n} = C(n,n) * d_0
@@ -418,7 +401,7 @@ def derangement_fixed(n: int, k: int) -> int:
     for h in range(k, n + 1):
         total += -term if (h - k) % 2 else term
         term //= h - k + 1
-    return _agree(f"derangement_fixed({n},{k})", via_choose, total)
+    return agree(f"derangement_fixed({n},{k})", via_choose, total)
 
 
 def surjection_count(k: int, n: int) -> int:
@@ -483,18 +466,14 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
         if k >= 1 and n - k - 1 >= 0:
             count += binomial(n - k - 1, k - 1)
         if n - k > 0:
-            _agree(
-                f"gergonne({q})",
-                Fraction(count),
-                Fraction(n, n - k) * binomial(n - k, k),
-            )
+            agree(f"gergonne({q})", count, Fraction(n, n - k) * binomial(n - k, k))
     else:
         top = n - m * k + m
         count = binomial(top, k) if top >= 0 else 0
         # same thing through the bounded-equation reduction
         if k >= 1 and n >= k:
             bounds = [0] + [m] * (k - 1) + [0]
-            _agree(f"gergonne({q})", count, lower_bound_solutions(k + 1, n - k, bounds))
+            agree(f"gergonne({q})", count, lower_bound_solutions(k + 1, n - k, bounds))
     total = binomial(n, k)
     prob = Fraction(count, total) if total else Fraction(0)
     return count, prob
@@ -590,4 +569,4 @@ def alternating_convolution(n: int, m: int, k: int) -> int:
         expected = 1 if k == 0 else 0
     else:
         expected = multiset_coeff(m - n, k)
-    return _agree(f"alternating_convolution({n},{m},{k})", total, expected)
+    return agree(f"alternating_convolution({n},{m},{k})", total, expected)

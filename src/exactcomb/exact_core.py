@@ -4,6 +4,12 @@ Integers are plain Python ints (arbitrary precision, so nothing here can
 overflow); rationals are `fractions.Fraction`, which is normalized at
 construction: always reduced, denominator strictly positive.  The two
 aliases below exist so that signatures elsewhere can say what they mean.
+
+The cross-check contract lives here: where independent routes compute one
+value, `agree` compares them, and where an exact division must come out
+whole, `exact_quotient` divides.  A mismatch or a remainder raises
+ArithmeticError, with a short message for values of any size, and never
+returns a value.  No other module raises ArithmeticError itself.
 """
 
 from __future__ import annotations
@@ -43,6 +49,43 @@ class RowTable:
                 while len(rows) <= n:
                     rows.append(self._step(rows, len(rows)))
         return rows[n]
+
+
+def _show(value) -> str:
+    """repr for an error message, cut at 300 characters per sequence, each int
+    over 200 bits given by its size: converting a wide int to decimal is slow,
+    and refused beyond CPython's digit limit."""
+    if isinstance(value, (list, tuple)):
+        text = ", ".join(map(_show, value))
+        if len(text) > 300:
+            text = text[:297] + "..."
+        return f"[{text}]" if isinstance(value, list) else f"({text})"
+    if isinstance(value, Fraction):
+        return f"{_show(value.numerator)}/{_show(value.denominator)}"
+    if isinstance(value, int) and value.bit_length() > 200:
+        return f"<{value.bit_length()}-bit int>"
+    return repr(value)
+
+
+def agree(label: str, *values):
+    """The common value of two or more routes; ArithmeticError if any differ."""
+    first = values[0]
+    for v in values[1:]:
+        if v != first:
+            raise ArithmeticError(
+                f"internal inconsistency in {label}: routes gave {_show(values)}"
+            )
+    return first
+
+
+def exact_quotient(label: str, num: int, den: int) -> int:
+    """num // den, which must divide exactly; ArithmeticError otherwise."""
+    value, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(
+            f"internal inconsistency: {label} is non-integer {_show(Fraction(num, den))}"
+        )
+    return value
 
 
 def integer_form(values) -> tuple[list[int], int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
-from .exact_core import format_rational
+from .exact_core import agree, format_rational
 
 Coeffs = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -85,11 +85,7 @@ def rising_expansion_coeffs(n: int) -> list[int]:
     expanded = rising_poly(n)
     padded = list(expanded) + [0] * (n + 1 - len(expanded))
     table = [cycle_count(n, k) for k in range(n + 1)]
-    if padded != table:
-        raise ArithmeticError(
-            f"internal inconsistency: <x>_{n} expansion {padded} != cycle counts {table}"
-        )
-    return padded
+    return agree(f"<x>_{n} expansion against cycle counts", padded, table)
 
 
 def falling_expansion_coeffs(n: int) -> list[int]:
@@ -98,11 +94,7 @@ def falling_expansion_coeffs(n: int) -> list[int]:
     expanded = falling_poly(n)
     padded = list(expanded) + [0] * (n + 1 - len(expanded))
     table = [stirling1_signed(n, k) for k in range(n + 1)]
-    if padded != table:
-        raise ArithmeticError(
-            f"internal inconsistency: (x)_{n} expansion {padded} != s(n,k) {table}"
-        )
-    return padded
+    return agree(f"(x)_{n} expansion against s(n,k)", padded, table)
 
 
 def power_to_falling(n: int) -> list[int]:
@@ -113,12 +105,8 @@ def power_to_falling(n: int) -> list[int]:
         raise ValueError("n must be >= 0")
     coeffs = [stirling2(n, k) for k in range(n + 1)]
     for m in range(n + 2):
-        lhs = m**n
         rhs = sum(coeffs[k] * falling_factorial(m, k) for k in range(n + 1))
-        if lhs != rhs:
-            raise ArithmeticError(
-                f"internal inconsistency: x^{n} vs falling expansion at x={m}"
-            )
+        agree(f"x^{n} against its falling expansion at x={m}", m**n, rhs)
     return coeffs
 
 

@@ -67,7 +67,7 @@ from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
-from .exact_core import integer_form
+from .exact_core import agree, integer_form
 from .number_theory import factorize
 
 Element = Hashable
@@ -119,12 +119,8 @@ class FinitePoset:
     _mobius_rows: Optional[list[Row]] = None
     _mobius_columns: Optional[list[Row]] = None
 
-    def __init__(
-        self,
-        elements: Sequence[Element],
-        relation: Iterable[tuple[Element, Element]],
-        _trusted: bool = False,
-    ):
+    def __init__(self, elements: Sequence[Element],
+                 relation: Iterable[tuple[Element, Element]]):
         self.elements: tuple[Element, ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -138,8 +134,7 @@ class FinitePoset:
             i, j = self._index[x], self._index[y]
             self._up[i] |= 1 << j
             self._down[j] |= 1 << i
-        if not _trusted:
-            self._validate()
+        self._validate()
         self._sort_extension()
 
     @classmethod
@@ -766,16 +761,11 @@ def sieve_counts(fam: SubsetFamily) -> tuple[list[int], list[int]]:
             term = binomial(k, m) * s[k]
             e += -term if (k - m) % 2 else term
         out.append(e)
-    if sum(out) != fam.universe:
-        raise ArithmeticError("internal inconsistency in Jordan counts")
+    agree("Jordan counts summed against the universe", sum(out), fam.universe)
     union = 0
     for mask in fam.masks:
         union |= mask
-    direct = fam.universe - union.bit_count()
-    if out[0] != direct:
-        raise ArithmeticError(
-            f"internal inconsistency: sieve gave {out[0]}, scan gave {direct}"
-        )
+    agree("sieve e_0 against a membership scan", out[0], fam.universe - union.bit_count())
     return s, out
 
 

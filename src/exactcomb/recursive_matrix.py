@@ -11,8 +11,8 @@ numerators[k] / d.  With the rule written as integer numerators over its
 common denominator (`exact_core.integer_form`), row n is the previous row
 convolved with the rule's nonzero terms (`series.convolve`), over the
 previous denominator times the rule's, so a rational rule runs the same
-route.  `entry` divides exactly and raises `ArithmeticError` on a
-non-integral entry; `row_series` builds the `FormalSeries` only on
+route.  `entry` divides by `exact_core.exact_quotient`, which raises on
+a non-integral entry; `row_series` builds the `FormalSeries` only on
 request.  The reference route is `rule**n` by repeated `Fraction`
 schoolbook products (`series._mul_schoolbook`), which the tests and
 `exactcomb verify` compare the rows against.
@@ -25,7 +25,7 @@ import io
 import json
 from fractions import Fraction
 
-from .exact_core import RowTable, integer_form
+from .exact_core import RowTable, exact_quotient, integer_form
 from .series import FormalSeries, convolve, geometric_series
 
 
@@ -61,13 +61,7 @@ class RecursiveMatrix:
         if not 0 <= k <= self.order:
             raise IndexError(f"column {k} out of range (order {self.order})")
         nums, den = self._row(n)
-        value, rest = divmod(nums[k], den)
-        if rest:
-            raise ArithmeticError(
-                f"internal inconsistency: entry ({n},{k}) is non-integer "
-                f"{Fraction(nums[k], den)}"
-            )
-        return value
+        return exact_quotient(f"entry ({n},{k})", nums[k], den)
 
     def vandermonde_convolve(self, i: int, j: int, k: int) -> int:
         """sum_h M(i,h) M(j,k-h); equals entry(i+j, k) for any split."""

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -266,3 +268,74 @@ def test_console_entry_point(monkeypatch):
         text=True,
     )
     assert bad.returncode == 2
+
+
+def test_wide_disagreement_exits_1(monkeypatch, capsys):
+    # C(10^6, 1500) has about 4900 digits, past CPython's default limit for
+    # int-to-str conversion; the message names it by size and stays short
+    monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: 0)
+    ct.binomial.cache_clear()
+    expected = (
+        "error: internal inconsistency in binomial(1000000,1500): "
+        f"routes gave (<{math.comb(10**6, 1500).bit_length()}-bit int>, 0)"
+    )
+    assert run(["coeff", "binomial", "1000000", "1500"]) == (1, expected)
+    assert main(["coeff", "binomial", "1000000", "1500"]) == 1
+    assert capsys.readouterr() == ("", expected + "\n")
+    ct.binomial.cache_clear()
+
+
+def test_main_lifts_the_digit_limit_only_while_it_runs(capsys, digit_limit):
+    # run() keeps the caller's limit; main() prints answers of any length
+    digit_limit(4300)
+    assert run(["coeff", "graph", "graph", "200"]).code == 2
+    assert main(["coeff", "graph", "graph", "200"]) == 0
+    assert sys.get_int_max_str_digits() == 4300
+    printed = capsys.readouterr().out
+    digit_limit(0)
+    assert printed == f"{2**19900}\n"
+
+
+def test_answers_past_the_digit_limit_print_in_full(digit_limit):
+    def derangements(m):  # d_m = m d_{m-1} + (-1)^m
+        d = 1
+        for i in range(1, m + 1):
+            d = i * d + (-1) ** i
+        return d
+
+    expected = {
+        ("binomial", "20000", "10000"): math.comb(20000, 10000),
+        ("graph", "graph", "200"): 2**19900,
+        ("dnk", "2000", "3"): math.comb(2000, 3) * derangements(1997),
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    procs = {
+        args: subprocess.Popen([sys.executable, "-m", "exactcomb", "coeff", *args], env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for args in expected
+    }
+    digit_limit(0)
+    for args, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (0, ""), args
+        assert len(stdout) > 4300 and stdout == f"{expected[args]}\n", args
+
+
+def test_poset_mobius_rows_follow_a_linear_extension(tmp_path):
+    # the divisors of 12, listed downwards: neither the element list nor
+    # numeric order is a linear extension, and mu(1, 4) = mu(1, 12) = 0
+    divisors = [12, 6, 4, 3, 2, 1]
+    poset = tmp_path / "d12.json"
+    poset.write_text(json.dumps({
+        "elements": divisors,
+        "leq": [[a, b] for a in divisors for b in divisors if a != b and b % a == 0],
+    }))
+    # x in element order, the y of each x in linear-extension order
+    expected = [
+        "12,12,1", "6,6,1", "6,12,-1", "4,4,1", "4,12,-1", "3,3,1", "3,6,-1",
+        "3,12,0", "2,2,1", "2,4,-1", "2,6,-1", "2,12,1", "1,1,1", "1,3,-1",
+        "1,2,-1", "1,4,0", "1,6,1", "1,12,0",
+    ]
+    assert out(["poset", "mobius", str(poset)]).splitlines() == expected
+    data = json.loads(out(["poset", "mobius", str(poset), "--format", "json"]))
+    assert [",".join(map(str, t)) for t in data["mobius"]] == expected

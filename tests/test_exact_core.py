@@ -1,6 +1,8 @@
+import ast
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from exactcomb import counting
 from exactcomb.exact_core import (
     CACHE_SIZE,
     RowTable,
+    agree,
+    exact_quotient,
     factorial,
     format_int,
     format_rational,
@@ -134,3 +138,56 @@ def test_row_table_builds_each_row_once_under_threads():
         assert row == [counting.stirling2(n, k) for k in range(n + 1)]
         assert series == serial.row_series(n)
     assert len(built) == len(set(built)) == 2 * 159
+
+
+def test_agree_returns_the_common_value():
+    assert agree("one", 7, 7, 7) == 7
+    assert agree("rows", [1, -2], [1, -2]) == [1, -2]
+    with pytest.raises(ArithmeticError) as info:
+        agree("binomial(9,4)", 126, 126, 0)
+    assert str(info.value) == (
+        "internal inconsistency in binomial(9,4): routes gave (126, 126, 0)")
+
+
+def test_exact_quotient_divides_or_raises():
+    assert exact_quotient("q", 12, 4) == 3
+    assert exact_quotient("q", -12, 4) == -3
+    for num, den, shown in ((11, 12, "11/12"), (-7, 2, "-7/2"), (22, 24, "11/12")):
+        with pytest.raises(ArithmeticError) as info:
+            exact_quotient("entry (2,2)", num, den)
+        assert str(info.value) == f"internal inconsistency: entry (2,2) is non-integer {shown}"
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_inconsistency_message_is_short_for_any_size(limit, digit_limit):
+    # 10**5000 is past CPython's default limit of 4300 digits for int-to-str
+    wide = 10**5000
+    cases = [
+        lambda: agree("wide", wide, wide + 1),
+        lambda: agree("wide rows", [1, wide, 3], [1, wide, 4]),
+        lambda: agree("long rows", list(range(2000)), list(range(1, 2001))),
+        lambda: exact_quotient("wide", wide + 1, 3 * wide),
+    ]
+    digit_limit(limit)
+    messages = []
+    for case in cases:
+        with pytest.raises(ArithmeticError) as info:
+            case()
+        messages.append(str(info.value))
+    assert all(m.startswith("internal inconsistency") and len(m) < 500 for m in messages)
+    assert messages[0] == (
+        "internal inconsistency in wide: routes gave (<16610-bit int>, <16610-bit int>)")
+    assert messages[1].endswith("([1, <16610-bit int>, 3], [1, <16610-bit int>, 4])")
+
+
+def test_only_exact_core_raises_arithmetic_error():
+    package = Path(counting.__file__).parent
+    raisers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                    raisers.add(path.name)
+    assert raisers == {"exact_core.py"}
+    assert not hasattr(counting, "_agree")
