@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
 from . import number_theory as nt
-from .exact_core import format_rational, parse_int, parse_rational
+from .exact_core import format_rational, guard, parse_int, parse_rational
 
 
 class CommandResult(NamedTuple):
@@ -154,8 +154,8 @@ TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
 def _cmd_table(args: argparse.Namespace) -> CommandResult:
     if args.rows < 1 or args.cols < 1:
         raise ValueError("--rows and --cols must be >= 1")
-    if args.rows > 2000 or args.cols > 2000:
-        raise ValueError("table dumps are capped at 2000 rows/columns")
+    guard(args.rows <= 2000 and args.cols <= 2000,
+          "table dumps are capped at 2000 rows/columns")
     table = TABLE[args.family](args.family, args)
     if args.format == "json":
         import json

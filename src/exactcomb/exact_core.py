@@ -10,6 +10,8 @@ value, `agree` compares them, and where an exact division must come out
 whole, `exact_quotient` divides.  A mismatch or a remainder raises
 ArithmeticError, with a short message for values of any size, and never
 returns a value.  No other module raises ArithmeticError itself.
+Every cap on the size of a request is checked by `guard`, which raises
+SizeGuardError (a ValueError) before the work starts.
 """
 
 from __future__ import annotations
@@ -88,6 +90,16 @@ def exact_quotient(label: str, num: int, den: int) -> int:
     return value
 
 
+class SizeGuardError(ValueError):
+    """A request past one of the library's caps on size."""
+
+
+def guard(ok: bool, what: str) -> None:
+    """Raise SizeGuardError naming `what` unless `ok`."""
+    if not ok:
+        raise SizeGuardError(f"size guard exceeded: {what}")
+
+
 def integer_form(values) -> tuple[list[int], int]:
     """(numerators, d): values[i] == numerators[i] / d for ints and Fractions,
     d the lcm of the denominators."""
@@ -118,10 +130,6 @@ def parse_int(text: str) -> int:
     if not _INT_RE.match(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
-
-
-def format_int(n: int) -> str:
-    return str(n)
 
 
 def parse_rational(text: str) -> Fraction:

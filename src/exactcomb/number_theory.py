@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_core import CACHE_SIZE, agree, gcd
+from .exact_core import CACHE_SIZE, agree, gcd, guard
 
 TRIAL_DIVISION_BOUND = 10**12
 # totient calls below this cross-check the product formula against the
@@ -23,8 +23,7 @@ _PHI_SELF_CHECK_BOUND = 1000
 
 def is_prime(n: int) -> bool:
     """Trial-division primality (certified; n capped at the trial bound)."""
-    if n > TRIAL_DIVISION_BOUND:
-        raise ValueError(f"n={n} exceeds the trial-division bound")
+    guard(n <= TRIAL_DIVISION_BOUND, f"n={n} exceeds the trial-division bound")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -42,8 +41,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     ascending; factorize(1) is the empty product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > TRIAL_DIVISION_BOUND:
-        raise ValueError(f"n={n} exceeds the trial-division bound")
+    guard(n <= TRIAL_DIVISION_BOUND, f"n={n} exceeds the trial-division bound")
     out: list[tuple[int, int]] = []
     for p in _trial_candidates():
         if p * p > n:

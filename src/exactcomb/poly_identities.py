@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
-from .exact_core import agree, format_rational
+from .exact_core import agree, format_rational, guard
 
 Coeffs = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -127,8 +127,7 @@ def stirling_inverse_check(n_max: int) -> bool:
     transition matrices both ways and compare with the identity."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > 30:
-        raise ValueError("n_max capped at 30")
+    guard(n_max <= 30, "n_max capped at 30")
     size = n_max + 1
     s = [[stirling1_signed(i, j) for j in range(size)] for i in range(size)]
     big_s = [[stirling2(i, j) for j in range(size)] for i in range(size)]

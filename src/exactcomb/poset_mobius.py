@@ -67,7 +67,7 @@ from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
-from .exact_core import agree, integer_form
+from .exact_core import agree, guard, integer_form
 from .number_theory import factorize
 
 Element = Hashable
@@ -619,8 +619,7 @@ def _subset_masks(n: int) -> list[int]:
 def boolean_lattice(n: int) -> FinitePoset:
     """Subsets of {1..n} ordered by inclusion, smaller subsets first; the
     product of the lattices on the first ceil(n/2) atoms and on the rest."""
-    if not 0 <= n <= MAX_BOOLEAN_GROUND:
-        raise ValueError(f"boolean lattice capped at n <= {MAX_BOOLEAN_GROUND}")
+    guard(0 <= n <= MAX_BOOLEAN_GROUND, f"boolean lattice capped at n <= {MAX_BOOLEAN_GROUND}")
     elements = tuple(map(frozenset, _subsets(n)))
     if n < 2:
         return _chain(elements)
@@ -638,8 +637,7 @@ def divisor_poset(n: int) -> FinitePoset:
     count = 1
     for _, e in factors:
         count *= e + 1
-    if count > MAX_DIVISOR_COUNT:
-        raise ValueError("too many divisors")
+    guard(count <= MAX_DIVISOR_COUNT, "too many divisors")
     return _divisor_lattice(factors, count)
 
 
@@ -691,11 +689,9 @@ class SubsetFamily:
     masks: tuple[int, ...]
 
     def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
-        if universe < 0 or universe > MAX_FAMILY_UNIVERSE:
-            raise ValueError("universe size out of range")
+        guard(0 <= universe <= MAX_FAMILY_UNIVERSE, "universe size out of range")
         sets = tuple(sets)
-        if len(sets) > MAX_FAMILY_SETS:
-            raise ValueError(f"at most {MAX_FAMILY_SETS} sets supported")
+        guard(len(sets) <= MAX_FAMILY_SETS, f"at most {MAX_FAMILY_SETS} sets supported")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "masks", tuple(_bitset(s, universe) for s in sets))
 

@@ -128,6 +128,22 @@ def test_enumerate():
     assert run(["enumerate", "subsets", "3", "--limit", "-1"]).code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["multisets", "1", "100000000"],
+    ["multisets", "2", "300000"],
+    ["gergonne", "2000000", "1000000", "0"],
+    ["functions", "30000000", "10"],
+])
+def test_oversized_enumeration_is_refused_at_once(argv):
+    # each of these once spent a minute or more deciding its size guard
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "exactcomb", "enumerate", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: size guard exceeded: ")
+
+
 def test_verify_suites():
     result = run(["verify", "errata"])
     assert result.code == 0

@@ -1,10 +1,17 @@
 """The generators themselves: canonical forms, counts, guards, structure maps."""
 
+import argparse
+import tracemalloc
+
 import pytest
 
+import exactcomb.cli as cli
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
-from exactcomb.exact_core import factorial
+import exactcomb.number_theory as nt
+import exactcomb.poly_identities as pi
+import exactcomb.poset_mobius as pm
+from exactcomb.exact_core import SizeGuardError, factorial
 from exactcomb.verify import functions_failure
 
 
@@ -145,21 +152,62 @@ def test_menage_enumeration():
     assert list(en.enumerate_menage(2)) == []
 
 
-def test_guards():
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_functions(30, 10))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_subsets(30))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_multisets(40, 40))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_set_partitions(20))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_permutations(12))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_menage(9))
-    with pytest.raises(en.SizeGuardError):
-        list(en.enumerate_gergonne(ct.GergonneQuery(40, 20, 0)))
+# one over-cap request per size guard in the library, each raising on the
+# first object asked for
+OVER_CAP = {
+    "injective functions": lambda: next(en.enumerate_functions(10, 30, "injective")),
+    "functions": lambda: next(en.enumerate_functions(30, 10)),
+    "subsets": lambda: next(en.enumerate_subsets(en.MAX_SUBSET_GROUND + 1)),
+    "multisets": lambda: next(en.enumerate_multisets(40, 40)),
+    "multiset letters": lambda: next(en.enumerate_multisets(10**6, 1)),
+    "partitions": lambda: next(en.enumerate_set_partitions(en.MAX_PARTITION_GROUND + 1)),
+    "permutations": lambda: next(en.enumerate_permutations(en.MAX_PERMUTATION_GROUND + 1)),
+    "gergonne": lambda: next(en.enumerate_gergonne(ct.GergonneQuery(40, 20, 0))),
+    "gergonne letters": lambda: next(
+        en.enumerate_gergonne(ct.GergonneQuery(10**6, 10**6 - 1, 0))),
+    "menage": lambda: next(en.enumerate_menage(en.MAX_MENAGE_COUPLES + 1)),
+    "table": lambda: cli._cmd_table(argparse.Namespace(
+        family="binomial", rows=2001, cols=3, p=None, format="csv")),
+    "is_prime": lambda: nt.is_prime(nt.TRIAL_DIVISION_BOUND + 1),
+    "factorize": lambda: nt.factorize(nt.TRIAL_DIVISION_BOUND + 1),
+    "stirling inverse": lambda: pi.stirling_inverse_check(31),
+    "boolean lattice": lambda: pm.boolean_lattice(pm.MAX_BOOLEAN_GROUND + 1),
+    # no n that factorize accepts has more divisors than 963761198400
+    "divisor count": lambda: pm.divisor_poset(963761198400),
+    "family universe": lambda: pm.SubsetFamily(pm.MAX_FAMILY_UNIVERSE + 1, []),
+    "family sets": lambda: pm.SubsetFamily(3, [[]] * (pm.MAX_FAMILY_SETS + 1)),
+}
+
+
+def test_guards(monkeypatch):
+    monkeypatch.setattr(pm, "MAX_DIVISOR_COUNT", pm.MAX_DIVISOR_COUNT - 1)
+    assert en.SizeGuardError is SizeGuardError
+    for name, request in OVER_CAP.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="^size guard exceeded: "):
+                request()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (name, peak)
+
+
+def test_huge_k_allocates_nothing():
+    # k past n leaves nothing to enumerate, and words over one letter are
+    # counted as over two; itertools would still allocate 8 bytes per unit of k
+    k = 10**6
+    tracemalloc.start()
+    try:
+        assert list(en.enumerate_subsets(5, k)) == []
+        assert list(en.enumerate_gergonne(ct.GergonneQuery(5, k, 1))) == []
+        assert list(en.enumerate_functions(k, 3, "injective")) == []
+        with pytest.raises(SizeGuardError):
+            next(en.enumerate_functions(k, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_generators_are_deterministic():

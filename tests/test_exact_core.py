@@ -12,10 +12,11 @@ from exactcomb.exact_core import (
     RowTable,
     agree,
     exact_quotient,
+    SizeGuardError,
     factorial,
-    format_int,
     format_rational,
     gcd,
+    guard,
     parse_int,
     parse_rational,
 )
@@ -90,7 +91,7 @@ def test_fraction_invariants():
 
 def test_int_parse_print_roundtrip():
     for n in (0, 7, -7, 10**30, -(10**30)):
-        assert parse_int(format_int(n)) == n
+        assert parse_int(str(n)) == n
     with pytest.raises(ValueError):
         parse_int("12.5")
     with pytest.raises(ValueError):
@@ -191,3 +192,47 @@ def test_only_exact_core_raises_arithmetic_error():
                     raisers.add(path.name)
     assert raisers == {"exact_core.py"}
     assert not hasattr(counting, "_agree")
+
+
+def test_guard_passes_or_raises_size_guard_error():
+    assert guard(True, "anything") is None
+    with pytest.raises(SizeGuardError) as info:
+        guard(False, "n=7 past the cap")
+    assert isinstance(info.value, ValueError)  # so the CLI exits 2
+    assert str(info.value) == "size guard exceeded: n=7 past the cap"
+
+
+# the guard calls of each module: one per cap
+GUARD_CALLS = {"cli.py": 1, "enumeration.py": 10, "number_theory.py": 2,
+               "poly_identities.py": 1, "poset_mobius.py": 4}
+
+
+def test_size_guards_are_one_mechanism():
+    package = Path(counting.__file__).parent
+    definers, calls = set(), {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        definers |= {path.name for node in nodes
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     and node.name in ("SizeGuardError", "guard")}
+        guards = [node for node in nodes if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "guard"]
+        if guards:
+            calls[path.name] = len(guards)
+        # every cap is read inside a guard call, and only there
+        in_guard = {id(n) for g in guards for n in ast.walk(g)}
+        cap_reads = [node for node in nodes if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)
+                     and (node.id.startswith("MAX_") or node.id == "TRIAL_DIVISION_BOUND")]
+        assert all(id(node) in in_guard for node in cap_reads), (
+            path.name, [node.lineno for node in cap_reads if id(node) not in in_guard])
+        if path.name == "enumeration.py":
+            # the oracle for counting's formulas calls none of them
+            imported = {(node.module, a.name) for node in nodes
+                        if isinstance(node, ast.ImportFrom) for a in node.names}
+            assert {name for module, name in imported if module == "counting"} == {
+                "TypeVector", "GergonneQuery"}
+            assert (None, "counting") not in imported
+    assert definers == {"exact_core.py"}
+    assert calls == GUARD_CALLS
