@@ -12,9 +12,9 @@ prime-power product of Legendre's formula and Kummer's theorem, over
 primes from a shared sieve.
 `multiset_coeff` adds the rising factorial to those two (the same
 product as the falling factorial when binomial takes that route).  The
-O(n k) Pascal and step-2 sweeps they replaced, `_binomial_pascal` and
-`_multiset_sweep`, stay as reference routes that the tests and `verify`
-check them against.
+rows of `recursive_matrix.binomial_matrix` and `multiset_matrix`, powers
+of the rules 1 + t and 1/(1 - t), are the reference routes that the tests
+and `verify` check both against.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Iterator, Optional, Sequence
 
 from .exact_core import CACHE_SIZE, RowTable, agree, exact_quotient, factorial
@@ -150,15 +150,6 @@ def rising_factorial(n: int, k: int) -> int:
     return out
 
 
-def _binomial_pascal(n: int, k: int) -> int:
-    # one-dimensional Pascal sweep over rows 0..n, columns 0..k
-    row = [1] + [0] * k
-    for _ in range(n):
-        for j in range(k, 0, -1):
-            row[j] += row[j - 1]
-    return row[k]
-
-
 # (limit, primes <= limit); a bigger sieve replaces it in one assignment, so
 # a reader sees the old pair or the new one and needs no lock.  Each call
 # answers from the pair it built or read, so a race between two growths can
@@ -226,15 +217,6 @@ def binomial(n: int, k: int) -> int:
     return agree(f"binomial({n},{k})", math.comb(n, k), second)
 
 
-def _multiset_sweep(n: int, k: int) -> int:
-    # step-2 recursion <n,k> = <n,k-1> + <n-1,k>, from row n=0
-    row = [1] + [0] * k
-    for _ in range(n):
-        for j in range(1, k + 1):
-            row[j] += row[j - 1]
-    return row[k]
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def multiset_coeff(n: int, k: int) -> int:
     """<n, k>, the number of k-multisets on an n-set: the rising factorial
@@ -250,13 +232,11 @@ def multiset_coeff(n: int, k: int) -> int:
     return agree(f"multiset_coeff({n},{k})", via_rising, binomial(n + k - 1, k))
 
 
-# c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i)
+# c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i): a window of the previous
+# row, padded with p zeros, as a difference of its prefix sums
 def _gentile_row(p: int, rows: list[list[int]], m: int) -> list[int]:
-    prev = rows[-1]
-    return [
-        sum(prev[k - i] for i in range(min(p, k) + 1) if k - i < len(prev))
-        for k in range(m * p + 1)
-    ]
+    sums = [0, *accumulate(rows[-1] + [0] * p)]
+    return [sums[k + 1] - sums[max(k - p, 0)] for k in range(m * p + 1)]
 
 
 _GENTILE: dict[int, RowTable] = {}
@@ -274,8 +254,7 @@ def gentile_coeff(p: int, n: int, k: int) -> int:
     if table is None:
         # setdefault is atomic: racing threads all get the one table it keeps
         table = _GENTILE.setdefault(p, RowTable([1], partial(_gentile_row, p)))
-    row = table[n]
-    return row[k] if k < len(row) else 0
+    return table[n][k]
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

@@ -22,18 +22,9 @@ _PHI_SELF_CHECK_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality (certified; n capped at the trial bound)."""
-    guard(n <= TRIAL_DIVISION_BOUND, f"n={n} exceeds the trial-division bound")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial-division primality (certified): n is its own factorization,
+    within factorize's bound."""
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

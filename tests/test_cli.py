@@ -125,6 +125,8 @@ def test_enumerate():
     derang = out(["enumerate", "permutations", "3", "--derangements"]).splitlines()
     assert derang == ["231", "312"]
     assert run(["enumerate", "permutations", "11"]).code == 2  # size guard
+    # one vector per line, built without a stack frame per slot
+    assert len(out(["enumerate", "multisets", "2000", "1"]).splitlines()) == 2000
     assert run(["enumerate", "subsets", "3", "--limit", "-1"]).code == 2
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
 from exactcomb.exact_core import factorial
+from exactcomb.recursive_matrix import binomial_matrix
 from exactcomb.series import FormalSeries, geometric_series
 from exactcomb.verify import circular_draws_failure, linear_draws_failure
 
@@ -60,12 +61,17 @@ def pairs(n_max, k_over):
     )
 
 
+# row n of the Pascal triangle (rule 1 + t) holds C(n, k), and <n, k> is
+# C(n+k-1, k) for n >= 1; row 0 of any rule matrix holds <0, k>
+PASCAL = binomial_matrix(302)
+
+
 @given(pairs(300, 2))  # k = 0 and k > n are both drawn
 @settings(deadline=None)
 def test_fast_routes_match_reference_sweeps(pair):
     n, k = pair
-    assert ct.binomial(n, k) == ct._binomial_pascal(n, k)
-    assert ct.multiset_coeff(n, k) == ct._multiset_sweep(n, k)
+    assert ct.binomial(n, k) == PASCAL.entry(n, k)
+    assert ct.multiset_coeff(n, k) == PASCAL.entry(n + k - 1 if n else 0, k)
 
 
 @given(pairs(5000, 0))

@@ -2,6 +2,7 @@
 
 import argparse
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -55,6 +56,11 @@ def test_multisets():
     for rho in en.enumerate_multisets(3, 4):
         word = en.multiset_word(rho)
         assert word == "".join(sorted(word))
+    # every n-tuple of sum k, in ascending lexicographic order
+    for n in range(6):
+        for k in range(6):
+            assert list(en.enumerate_multisets(n, k)) == [
+                rho for rho in product(range(k + 1), repeat=n) if sum(rho) == k]
 
 
 def test_set_partitions():

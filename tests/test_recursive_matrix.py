@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactcomb.counting import binomial, multiset_coeff
+from exactcomb.counting import binomial, gentile_coeff, multiset_coeff
 from exactcomb.recursive_matrix import (
     RecursiveMatrix,
     binomial_matrix,
@@ -74,6 +74,11 @@ def test_vandermonde_all_splits():
 
 def test_entries_match_closed_forms():
     assert closed_form_failure(13, 10) is None
+    # whole occupancy rows, past k = n p, for the bounds MATRICES leaves out
+    for p in (1, 3, 4, 5):
+        mat = gentile_matrix(p, 12 * p + 2)
+        assert all(mat.entry(n, k) == gentile_coeff(p, n, k)
+                   for n in range(13) for k in range(mat.order + 1))
 
 
 def test_pascal_recursion_entrywise():
