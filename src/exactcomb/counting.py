@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, compress
 from typing import Iterator, Optional, Sequence
 
-from .exact_core import CACHE_SIZE, RowTable, agree, exact_quotient, factorial
+from .exact_core import CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial
 
 __all__ = [
     "TypeVector",
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(Record):
     """Multiplicity vector of a partition or permutation type on an n-set.
 
     ``nu[i-1]`` is the number of blocks (or cycles) of size i; the weights
@@ -68,8 +66,7 @@ class TypeVector:
     equality is structural.
     """
 
-    n: int
-    nu: tuple[int, ...]
+    __slots__ = ("n", "nu")
 
     def __init__(self, n: int, nu: Sequence[int]):
         nu = tuple(nu)
@@ -82,8 +79,7 @@ class TypeVector:
         weight = sum(i * v for i, v in enumerate(nu, start=1))
         if weight != n:
             raise ValueError(f"type weights sum to {weight}, expected n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nu", nu)
+        super().__init__(n, nu)
 
     @classmethod
     def of_sizes(cls, sizes: Sequence[int]) -> "TypeVector":
@@ -414,27 +410,24 @@ def lower_bound_solutions(n: int, k: int, bounds: Sequence[int]) -> int:
     return multiset_coeff(n, rest)
 
 
-@dataclass(frozen=True)
-class GergonneQuery:
+class GergonneQuery(Record):
     """A deck query: n cards (or seats), draw size k, minimum gap m.
 
     Circular queries model seats on a round table; only m = 1 with an
     even seat count is supported there.
     """
 
-    n: int
-    k: int
-    m: int = 1
-    circular: bool = False
+    __slots__ = ("n", "k", "m", "circular")
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0 or self.m < 0:
+    def __init__(self, n: int, k: int, m: int = 1, circular: bool = False):
+        if n < 0 or k < 0 or m < 0:
             raise ValueError("n, k, m must be nonnegative")
-        if self.circular:
-            if self.m != 1:
+        if circular:
+            if m != 1:
                 raise ValueError("circular queries support only minimum gap m = 1")
-            if self.n % 2 or self.n < 2:
+            if n % 2 or n < 2:
                 raise ValueError("circular queries need an even seat count n >= 2")
+        super().__init__(n, k, m, circular)
 
 
 def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:

@@ -53,6 +53,51 @@ class RowTable:
         return rows[n]
 
 
+class Record:
+    """Base of the library's small immutable value classes, written out by
+    hand so that no command pays at start-up for a generated-class builder
+    and the `inspect` and `ast` modules it imports.
+
+    The fields are the subclass's ``__slots__``, in order; its ``__init__``
+    validates and then passes their values to ``Record.__init__``.  Equality
+    (against the same class only), hashing and repr go by the fields, and
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # pickle and copy restore the slots through these, past __setattr__
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        Record.__init__(self, *state)
+
+
 def _show(value) -> str:
     """repr for an error message, cut at 300 characters per sequence, each int
     over 200 bits given by its size: converting a wide int to decimal is slow,

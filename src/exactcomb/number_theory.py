@@ -10,10 +10,9 @@ mechanism only: tiny primes, no padding, no security properties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact_core import CACHE_SIZE, agree, gcd, guard
+from .exact_core import CACHE_SIZE, Record, agree, gcd, guard
 
 TRIAL_DIVISION_BOUND = 10**12
 # totient calls below this cross-check the product formula against the
@@ -177,16 +176,13 @@ def fermat_exponent_check(a: int, m: int, n: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RsaKeyPair:
+class RsaKeyPair(Record):
     """A toy keypair; (n, e) is public, (n, d) private, p/q/phi secret."""
 
-    p: int
-    q: int
-    n: int
-    phi: int
-    e: int
-    d: int
+    __slots__ = ("p", "q", "n", "phi", "e", "d")
+
+    def __init__(self, p: int, q: int, n: int, phi: int, e: int, d: int):
+        super().__init__(p, q, n, phi, e, d)
 
     def encrypt(self, m: int) -> int:
         return rsa_encrypt(self.n, self.e, m)

@@ -60,14 +60,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
-from .exact_core import agree, guard, integer_form
+from .exact_core import Record, agree, guard, integer_form
 from .number_theory import factorize
 
 Element = Hashable
@@ -679,21 +678,18 @@ def _bitset(members: Iterable[int], size: int) -> int:
     return int(digits, 2) if size else 0
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Record):
     """Subsets A_1..A_n of the universe {0 .. universe-1}, kept as int
     bitsets: bit x of masks[i] says x is in A_(i+1).  `sets` gives them
     as frozensets."""
 
-    universe: int
-    masks: tuple[int, ...]
+    __slots__ = ("universe", "masks")
 
     def __init__(self, universe: int, sets: Iterable[Iterable[int]]):
         guard(0 <= universe <= MAX_FAMILY_UNIVERSE, "universe size out of range")
         sets = tuple(sets)
         guard(len(sets) <= MAX_FAMILY_SETS, f"at most {MAX_FAMILY_SETS} sets supported")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "masks", tuple(_bitset(s, universe) for s in sets))
+        super().__init__(universe, tuple(_bitset(s, universe) for s in sets))
 
     @property
     def sets(self) -> tuple[frozenset[int], ...]:

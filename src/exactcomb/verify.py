@@ -16,7 +16,6 @@ larger ranges.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -25,7 +24,7 @@ from . import enumeration as en
 from . import number_theory as nt
 from . import poly_identities as poly
 from . import poset_mobius as pm
-from .exact_core import factorial, gcd
+from .exact_core import Record, factorial, gcd
 from .recursive_matrix import (
     RecursiveMatrix,
     binomial_matrix,
@@ -35,11 +34,11 @@ from .recursive_matrix import (
 from .series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        super().__init__(name, ok, detail)
 
 
 def _mk(checks: list[Check], name: str, ok: bool, detail: str = ""):
@@ -249,6 +248,9 @@ def suite_counting() -> list[Check]:
         and ct.binomial(7, 0) == 1)
     _mk(out, "row sums are powers of two",
         all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))
+    # 71 <= k <= 129 has j = min(k, 200 - k) with j^2 > 25 * 200, where
+    # binomial's second route is the Legendre product
+    _mk(out, "row 200 sums to 2^200", sum(ct.binomial(200, k) for k in range(201)) == 2**200)
     ok = True
     for n in range(7):
         for k in range(1, 7):
@@ -630,6 +632,14 @@ def totient_failure(top: int) -> Optional[int]:
     return next((n for n in range(1, top + 1) if nt.euler_phi(n) != counts[n]), None)
 
 
+def primality_failure(top: int) -> Optional[int]:
+    """First 2 <= n <= top where trial division and the totient table
+    disagree on primality: n is prime iff phi(n) = n - 1."""
+    counts = nt.totient_counts(top)
+    return next((n for n in range(2, top + 1) if nt.is_prime(n) != (counts[n] == n - 1)),
+                None)
+
+
 def rsa_roundtrip_failure(keys: Iterable[tuple[int, int, int]]) -> Optional[tuple]:
     """First (p, q, e, m), over every 1 <= m < pq, failing the roundtrip."""
     for p, q, e in keys:
@@ -648,6 +658,7 @@ def suite_numbers() -> list[Check]:
                 totient_failure(2000))
     ok = all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600))
     _mk(out, "product formula vs literal scan to 600", ok)
+    _no_failure(out, "trial division vs phi(p) = p - 1 to 2000", primality_failure(2000))
     _mk(out, "classical mu golden", nt.mobius_classical(6) == 1
         and nt.mobius_classical(4) == 0 and nt.mobius_classical(1) == 1)
     _mk(out, "inverse and power golden", nt.mod_inverse(3, 20) == 7

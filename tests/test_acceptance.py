@@ -132,3 +132,28 @@ def test_criterion_10_number_theory():
 def test_criterion_12_surjections():
     assert vf.surjection_filter_failure(7, 6) is None
     assert vf.surjection_inversion_failure(5, 7) is None
+
+
+def test_verify_runs_the_legendre_binomial_route(monkeypatch):
+    calls = []
+    legendre = ct._binomial_legendre
+    monkeypatch.setattr(ct, "_binomial_legendre",
+                        lambda n, k: calls.append((n, k)) or legendre(n, k))
+    ct.binomial.cache_clear()
+    assert all(check.ok for check in vf.suite_counting())
+    assert (200, 100) in calls
+    # a wrong Legendre product fails the check (the disagreement is caught)
+    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: legendre(n, k) + 1)
+    ct.binomial.cache_clear()
+    failed = [check.name for _, check in vf.run_suites(["counting"]) if not check.ok]
+    ct.binomial.cache_clear()
+    assert failed == ["raised ArithmeticError"]
+
+
+def test_verify_numbers_checks_primality(monkeypatch):
+    assert vf.primality_failure(2000) is None
+    # prime powers taken for primes: the first is 4
+    monkeypatch.setattr(nt, "is_prime", lambda n: len(nt.factorize(n)) == 1)
+    assert vf.primality_failure(2000) == 4
+    failed = [check.name for check in vf.suite_numbers() if not check.ok]
+    assert failed == ["trial division vs phi(p) = p - 1 to 2000"]

@@ -27,11 +27,15 @@ def test_type_vector_validation():
     tv = ct.TypeVector(4, (0, 2))
     assert tv.nu == (0, 2) and tv.block_count == 2
     assert ct.TypeVector(4, (0, 2, 0, 0)) == tv  # trailing zeros trimmed
-    with pytest.raises(ValueError):
-        ct.TypeVector(4, (1, 2))  # weight 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^type weights sum to 5, expected n=4$"):
+        ct.TypeVector(4, (1, 2))
+    with pytest.raises(ValueError, match=r"^multiplicities must be nonnegative$"):
         ct.TypeVector(2, (-2, 2))
+    with pytest.raises(ValueError, match=r"^type vector longer than n=1$"):
+        ct.TypeVector(1, (0, 1))
     assert ct.TypeVector.of_sizes([1, 2, 3]) == ct.TypeVector(6, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^sizes must be positive$"):
+        ct.TypeVector.of_sizes([2, 0])
 
 
 def test_iter_type_vectors_counts_integer_partitions():
@@ -215,6 +219,7 @@ def test_multinomial_golden():
     assert ct.multinomial(5, [5]) == 1
     assert ct.multinomial(3, [1, 1, 1]) == 6 == factorial(3)
     assert ct.multinomial(4, [2, 1]) == 0  # parts do not sum to n
+    assert ct.multinomial(3, [4, -1]) == 0  # they sum to n, but one is negative
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +387,20 @@ def test_gergonne_circular():
     assert circular_draws_failure(13) is None
 
 
+def test_gergonne_query_rejects_negatives():
+    for n, k, m in [(-1, 0, 1), (5, -1, 1), (5, 2, -1)]:
+        with pytest.raises(ValueError, match=r"^n, k, m must be nonnegative$"):
+            ct.GergonneQuery(n, k, m)
+
+
 def test_gergonne_circular_validation():
-    with pytest.raises(ValueError):
-        ct.GergonneQuery(8, 3, 2, circular=True)  # only m = 1 is defined
-    with pytest.raises(ValueError):
-        ct.GergonneQuery(7, 3, 1, circular=True)  # odd seat count
+    with pytest.raises(ValueError, match=r"^circular queries support only minimum gap m = 1$"):
+        ct.GergonneQuery(8, 3, 2, circular=True)
+    for n in (7, 0):
+        with pytest.raises(ValueError, match=r"^circular queries need an even seat count n >= 2$"):
+            ct.GergonneQuery(n, 0, 1, circular=True)
+    # the linear query has neither circular restriction
+    assert ct.GergonneQuery(7, 3, 2).m == 2
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +459,11 @@ def test_birthday_probability():
         1 for f in en.enumerate_functions(k, days) if len(set(f)) < k
     )
     assert ct.birthday_probability(k, days) == Fraction(collides, days**k)
+    assert ct.birthday_probability(0) == 0
+    with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+        ct.birthday_probability(-1)
+    with pytest.raises(ValueError, match=r"^days must be >= 1$"):
+        ct.birthday_probability(2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from exactcomb import counting
 from exactcomb.exact_core import (
     CACHE_SIZE,
+    Record,
     RowTable,
     agree,
     exact_quotient,
@@ -20,8 +23,10 @@ from exactcomb.exact_core import (
     parse_int,
     parse_rational,
 )
-from exactcomb.number_theory import euler_phi
+from exactcomb.number_theory import euler_phi, rsa_keygen
+from exactcomb.poset_mobius import SubsetFamily
 from exactcomb.recursive_matrix import binomial_matrix
+from exactcomb.verify import Check
 
 
 def test_factorial_golden():
@@ -236,3 +241,42 @@ def test_size_guards_are_one_mechanism():
             assert (None, "counting") not in imported
     assert definers == {"exact_core.py"}
     assert calls == GUARD_CALLS
+
+
+# the library's value classes: (build, repr, field values)
+RECORDS = {
+    "TypeVector": (lambda: counting.TypeVector(4, [0, 2, 0]),
+                   "TypeVector(n=4, nu=(0, 2))", (4, (0, 2))),
+    "GergonneQuery": (lambda: counting.GergonneQuery(5, 2),
+                      "GergonneQuery(n=5, k=2, m=1, circular=False)", (5, 2, 1, False)),
+    "GergonneQuery circular": (lambda: counting.GergonneQuery(8, 3, circular=True),
+                               "GergonneQuery(n=8, k=3, m=1, circular=True)", (8, 3, 1, True)),
+    "RsaKeyPair": (lambda: rsa_keygen(5, 11, 3),
+                   "RsaKeyPair(p=5, q=11, n=55, phi=40, e=3, d=27)", (5, 11, 55, 40, 3, 27)),
+    "SubsetFamily": (lambda: SubsetFamily(6, [[0, 2, 5], (), {3, 2}]),
+                     "SubsetFamily(universe=6, masks=(37, 0, 12))", (6, (37, 0, 12))),
+    "Check": (lambda: Check("gcd golden", False, "first failure 3"),
+              "Check(name='gcd golden', ok=False, detail='first failure 3')",
+              ("gcd golden", False, "first failure 3")),
+}
+
+
+@pytest.mark.parametrize("case", RECORDS)
+def test_record_repr_equality_hash_and_immutability(case):
+    build, text, values = RECORDS[case]
+    record = build()
+    assert isinstance(record, Record) and repr(record) == text
+    assert record._values() == values
+    # equal only to a record of the same class with the same fields
+    assert record == build() and not record != build()
+    assert record != values and values != record
+    assert record != type("Other", (Record,), {"__slots__": record.__slots__})(*values)
+    assert hash(record) == hash(build()) == hash(values)
+    for name in (record.__slots__[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, record.__slots__[0])
+    assert record._values() == values
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and repr(twin) == text

@@ -1,7 +1,7 @@
 """The import surface: a lazy package `__init__` and per-command imports.
 
 Each CLI command runs in a fresh interpreter, as `python -m exactcomb`
-does, and reports which exactcomb modules it loaded.
+does, and reports which modules it loaded.
 """
 
 import importlib
@@ -48,17 +48,22 @@ MODULES = ["counting", "exact_core", "number_theory", "poset_mobius", "recursive
 DIR = sorted(ALL + DUNDERS + MODULES)
 
 # runs `python -m exactcomb <args>` in this interpreter, then prints the exit
-# code and the exactcomb modules it loaded as one JSON line
+# code and every module it loaded as one JSON line
 PROBE = """
 import json, runpy, sys
 try:
     runpy.run_module("exactcomb", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("exactcomb"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 HEAVY = {"exactcomb.verify", "exactcomb.enumeration", "exactcomb.poset_mobius"}
+# standard-library modules that no command needs: `dataclasses` alone
+# imports `inspect`, `ast`, `dis` and `tokenize`, about 10 ms of start-up
+START_UP = {"dataclasses", "inspect"}
+# stands for the path of a small subset-family JSON file in argv
+FAMILY = "<family.json>"
 
 
 def fresh(*code_and_args: str) -> subprocess.CompletedProcess:
@@ -82,18 +87,24 @@ def command(*argv: str) -> tuple[int, list[str], subprocess.CompletedProcess]:
 def test_command_loads_only_its_modules(argv, absent):
     code, modules, proc = command(*argv)
     assert code == 0, proc.stderr
-    assert not absent & set(modules), modules
+    assert not (absent | START_UP) & set(modules), modules
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (["enumerate", "subsets", "3"], "exactcomb.enumeration"),
     (["verify", "--list"], "exactcomb.verify"),
     (["table", "stirling2", "--rows", "3", "--cols", "3"], "exactcomb.counting"),
+    (["verify", "numbers"], "exactcomb.verify"),
+    (["poset", "sieve", FAMILY], "exactcomb.poset_mobius"),
+    (["enumerate", "partitions", "4"], "exactcomb.enumeration"),
 ])
-def test_command_loads_its_own_module(argv, loaded):
-    code, modules, proc = command(*argv)
+def test_command_loads_its_own_module(argv, loaded, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"universe": 4, "sets": [[0, 1], [1, 2]]}))
+    code, modules, proc = command(*(str(family) if a == FAMILY else a for a in argv))
     assert code == 0, proc.stderr
     assert loaded in modules
+    assert not START_UP & set(modules), modules
     if argv[0] == "table":  # rows read from the coeff table need no matrix
         assert "exactcomb.recursive_matrix" not in modules
 
