@@ -349,6 +349,30 @@ def permutations_failure(size: int) -> Optional[int]:
     return None
 
 
+def graph_count_failure(size: int, edges: int) -> Optional[tuple]:
+    """First (kind, n, k), n < size and k None or < edges, where `graph_count`
+    differs from enumeration.  The slots of a kind are the 2-subsets of the
+    vertices, or for digraphs the 2-letter words (injective ones when
+    loopless); a graph is a set of slots and a multigraph a multiset."""
+    for kind in ct.GRAPH_KINDS:
+        for n in range(size):
+            if "digraph" not in kind:
+                slots = len(list(en.enumerate_subsets(n, 2)))
+            else:
+                mode = "injective" if "loopless" in kind else "all"
+                slots = len(list(en.enumerate_functions(2, n, mode)))
+            for k in (None, *range(edges)):
+                if "multi" in kind:
+                    if k is None:
+                        continue  # an infinite family
+                    count = len(list(en.enumerate_multisets(slots, k)))
+                else:
+                    count = len(list(en.enumerate_subsets(slots, k)))
+                if count != ct.graph_count(kind, n, k):
+                    return kind, n, k
+    return None
+
+
 def suite_oracles() -> list[Check]:
     out: list[Check] = []
     _no_failure(out, "function counts", functions_failure(5))
@@ -356,6 +380,7 @@ def suite_oracles() -> list[Check]:
     _no_failure(out, "multiset counts", multisets_failure(5, 6))
     _no_failure(out, "partition counts", partitions_failure(8))
     _no_failure(out, "permutation counts", permutations_failure(7))
+    _no_failure(out, "graph counts on every kind", graph_count_failure(4, 4))
     return out
 
 

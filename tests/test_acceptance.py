@@ -41,6 +41,7 @@ def test_criterion_02_oracle_equivalence():
     assert vf.multisets_failure(6, 8) is None
     assert vf.partitions_failure(11) is None
     assert vf.permutations_failure(9) is None
+    assert vf.graph_count_failure(5, 6) is None
     assert vf.linear_draws_failure(13) is None
     assert vf.circular_draws_failure(13) is None
     # families that no suite counts by enumeration
@@ -77,7 +78,7 @@ def test_criterion_03_errata_regressions():
 
 
 def test_criterion_04_generating_function_identities():
-    assert vf.closed_form_failure(13, 12) is None
+    assert vf.closed_form_failure(81, 82) is None
     assert vf.convolution_failure(vf.MATRICES, 13, 12) is None
 
 
@@ -90,6 +91,8 @@ def test_criterion_06_mobius_suite():
     assert vf.divisor_mobius_failure(500) is None
     assert vf.inversion_failure(seed=77, trials=50, max_size=10) is None
     assert vf.mobius_route_failure(seed=78, trials=50, max_size=14) is None
+    assert vf.product_route_failure(seed=71, trials=40, max_size=4) is None
+    assert vf.integer_inversion_failure(seed=72, trials=50, max_size=10) is None
 
 
 def test_criterion_07_sieve():
@@ -100,7 +103,7 @@ def test_criterion_07_sieve():
 
 
 def test_criterion_08_menage():
-    assert vf.menage_seating_failure(6) is None
+    assert vf.menage_seating_failure(10) is None
     assert vf.menage_count_failure(9) is None
 
 

@@ -163,15 +163,15 @@ def test_menage_enumeration():
 OVER_CAP = {
     "injective functions": lambda: next(en.enumerate_functions(10, 30, "injective")),
     "functions": lambda: next(en.enumerate_functions(30, 10)),
-    "subsets": lambda: next(en.enumerate_subsets(en.MAX_SUBSET_GROUND + 1)),
+    "subsets": lambda: next(en.enumerate_subsets(20)),
     "multisets": lambda: next(en.enumerate_multisets(40, 40)),
     "multiset letters": lambda: next(en.enumerate_multisets(10**6, 1)),
-    "partitions": lambda: next(en.enumerate_set_partitions(en.MAX_PARTITION_GROUND + 1)),
-    "permutations": lambda: next(en.enumerate_permutations(en.MAX_PERMUTATION_GROUND + 1)),
+    "partitions": lambda: next(en.enumerate_set_partitions(12)),
+    "permutations": lambda: next(en.enumerate_permutations(10)),
     "gergonne": lambda: next(en.enumerate_gergonne(ct.GergonneQuery(40, 20, 0))),
     "gergonne letters": lambda: next(
         en.enumerate_gergonne(ct.GergonneQuery(10**6, 10**6 - 1, 0))),
-    "menage": lambda: next(en.enumerate_menage(en.MAX_MENAGE_COUPLES + 1)),
+    "menage": lambda: next(en.enumerate_menage(10)),
     "table": lambda: cli._cmd_table(argparse.Namespace(
         family="binomial", rows=2001, cols=3, p=None, format="csv")),
     "is_prime": lambda: nt.is_prime(nt.TRIAL_DIVISION_BOUND + 1),
@@ -197,6 +197,59 @@ def test_guards(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, (name, peak)
+
+
+# per family, the last request the cost model admits and the first it
+# refuses: at most MAX_OBJECTS objects visited and MAX_LETTERS letters built
+BOUNDARY = {
+    "functions": (en.enumerate_functions, (1, 10**6), (1, 10**6 + 1)),
+    "functions k=7": (en.enumerate_functions, (7, 7), (7, 8)),
+    "injective functions": (en.enumerate_functions, (9, 9, "injective"),
+                            (9, 10, "injective")),
+    "subsets": (en.enumerate_subsets, (19,), (20,)),
+    "2-subsets": (en.enumerate_subsets, (1414, 2), (1415, 2)),
+    "multisets": (en.enumerate_multisets, (3, 269), (3, 270)),
+    "multiset letters": (en.enumerate_multisets, (1, 10**7 - 1), (1, 10**7)),
+    "partitions": (en.enumerate_set_partitions, (11,), (12,)),
+    "permutations": (en.enumerate_permutations, (9,), (10,)),
+    "gergonne": (en.enumerate_gergonne, (ct.GergonneQuery(1414, 2, 0),),
+                 (ct.GergonneQuery(1415, 2, 0),)),
+    "gergonne letters": (en.enumerate_gergonne, (ct.GergonneQuery(3162, 3161, 0),),
+                         (ct.GergonneQuery(3163, 3162, 0),)),
+    "menage": (en.enumerate_menage, (9,), (10,)),
+}
+
+
+@pytest.mark.parametrize("family", list(BOUNDARY))
+def test_cost_model_boundary(family):
+    walk, admitted, refused = BOUNDARY[family]
+    assert next(walk(*admitted)) is not None
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="^size guard exceeded: "):
+            next(walk(*refused))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_two_caps():
+    caps = {name: value for name, value in vars(en).items() if name.startswith("MAX_")}
+    assert caps == {"MAX_OBJECTS": 10**6, "MAX_LETTERS": 10**7}
+
+
+def test_negative_ground_set_is_an_input_error():
+    for walk in (en.enumerate_subsets, en.enumerate_set_partitions,
+                 en.enumerate_permutations, en.enumerate_menage):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            next(walk(-1))
+
+
+def test_bell_bound_follows_aitkens_triangle():
+    for n in range(16):
+        for cap in (ct.bell(n) - 1, ct.bell(n)):
+            assert en._bell_within(n, cap) is (ct.bell(n) <= cap), (n, cap)
 
 
 def test_huge_k_allocates_nothing():
