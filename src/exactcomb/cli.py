@@ -10,8 +10,8 @@ Each command imports only the modules it runs: `coeff` and `rsa` need
 `counting`, `number_theory` and `exact_core`, loaded here; `table` loads
 `recursive_matrix` for its matrix families, `enumerate` loads
 `enumeration`, `poset` loads `poset_mobius` and `verify` loads `verify`,
-each when the command runs, and only the commands that print JSON load
-`json`.
+each when the command runs, and only the commands that read or print
+JSON load `json`.
 """
 
 from __future__ import annotations

@@ -312,7 +312,7 @@ def faa_di_bruno(tv: TypeVector) -> int:
     den = 1
     for i, v in enumerate(tv.nu, start=1):
         den *= factorial(i) ** v * factorial(v)
-    return exact_quotient(f"faa_di_bruno({tv})", factorial(tv.n), den)
+    return exact_quotient(("faa_di_bruno", tv), factorial(tv.n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def cauchy_count(tv: TypeVector) -> int:
     den = 1
     for i, v in enumerate(tv.nu, start=1):
         den *= i**v * factorial(v)
-    return exact_quotient(f"cauchy_count({tv})", factorial(tv.n), den)
+    return exact_quotient(("cauchy_count", tv), factorial(tv.n), den)
 
 
 # d_m = (m-1)(d_{m-2} + d_{m-1}); d_0 := 1 so that d_{n,n} = C(n,n) * d_0
@@ -438,14 +438,14 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
         if k >= 1 and n - k - 1 >= 0:
             count += binomial(n - k - 1, k - 1)
         if n - k > 0:
-            agree(f"gergonne({q})", count, Fraction(n, n - k) * binomial(n - k, k))
+            agree(("gergonne", q), count, Fraction(n, n - k) * binomial(n - k, k))
     else:
         top = n - m * k + m
         count = binomial(top, k) if top >= 0 else 0
         # same thing through the bounded-equation reduction
         if k >= 1 and n >= k:
             bounds = [0] + [m] * (k - 1) + [0]
-            agree(f"gergonne({q})", count, lower_bound_solutions(k + 1, n - k, bounds))
+            agree(("gergonne", q), count, lower_bound_solutions(k + 1, n - k, bounds))
     total = binomial(n, k)
     prob = Fraction(count, total) if total else Fraction(0)
     return count, prob
@@ -493,13 +493,11 @@ GRAPH_KINDS = (
     "loopless_multidigraph",
 )
 
+# edge or arrow slots on n vertices; a multigraph kind has those of its kind less "multi"
 _SLOT_COUNTS = {
     "graph": lambda n: binomial(n, 2),
     "digraph": lambda n: n * n,
     "loopless_digraph": lambda n: n * (n - 1),
-    "multigraph": lambda n: binomial(n, 2),
-    "multidigraph": lambda n: n * n,
-    "loopless_multidigraph": lambda n: n * (n - 1),
 }
 
 
@@ -511,7 +509,7 @@ def graph_count(kind: str, n: int, k: Optional[int] = None) -> int:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRAPH_KINDS}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    slots = _SLOT_COUNTS[kind](n)
+    slots = _SLOT_COUNTS[kind.replace("multi", "")](n)
     if "multi" in kind:
         if k is None:
             raise ValueError(f"{kind} on {n} vertices is an infinite family; pass k")

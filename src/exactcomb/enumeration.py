@@ -11,11 +11,13 @@ objects and build at most `MAX_LETTERS` letters.  The objects a walk
 visits include those its filter drops (derangements, surjections, menage
 seatings, Gergonne draws, partitions with k blocks).  That admits
 functions and subsets up to 10**6 words (`subsets 19`), set partitions to
-n = 11, and permutations and menage seatings to n = 9; multisets are
-bounded by their letters alone.  As the oracle for `counting`, this
-module calls none of its formulas: each count is built up by bounded
-integer arithmetic only until it passes the cap.  An empty answer
-(k > n) returns before itertools allocates.
+n = 11, and permutations and menage seatings to n = 9; multisets, and
+words over one letter, are bounded by their letters alone.  As the
+oracle for `counting`, this module calls none of its formulas: each
+count is built up by bounded integer arithmetic only until it passes
+the cap.  An empty answer
+(k > n, or words of k >= 1 letters over none) returns before itertools
+allocates.
 
 Conventions: ground sets are {1..n}; functions and permutations are
 tuples of 1-based images; set partitions are tuples of blocks, each
@@ -114,9 +116,11 @@ def enumerate_functions(
                     f"(n)_k words with n={n}, k={k}")
         yield from permutations(range(1, n + 1), k)
         return
-    # words over fewer than 2 letters are counted as over 2, which bounds k
-    _guard_walk(lambda cap: _product_within(repeat(max(n, 2), k), cap), k,
-                f"n^k words with n={n}, k={k}")
+    if n == 0 < k:  # no word at all
+        return
+    # n^k words: over one letter (or none, k = 0) one word, for the letter cap alone
+    _guard_walk(lambda cap: 1 <= cap if n < 2 else _product_within(repeat(n, k), cap),
+                k, f"n^k words with n={n}, k={k}")
     everything = product(range(1, n + 1), repeat=k)
     if mode == "all":
         yield from everything
@@ -130,6 +134,8 @@ def enumerate_subsets(n: int, k: Optional[int] = None) -> Iterator[tuple[int, ..
     words); all of them, or only the k-subsets."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     if k is None:
         _guard_walk(lambda cap: _product_within(repeat(2, n), cap), n,
                     f"2^n subsets with n={n}")
@@ -193,6 +199,8 @@ def enumerate_set_partitions(
     given type.  Blocks come out ascending and ordered by minimum."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     _guard_walk(lambda cap: _bell_within(n, cap), n, f"B(n) partitions with n={n}")
     if type_vector is not None and type_vector.n != n:
         raise ValueError("type vector weight differs from n")
@@ -257,6 +265,8 @@ def enumerate_permutations(
     cycle count, cycle type, or to derangements."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if cycles is not None and cycles < 0:
+        raise ValueError("cycles must be >= 0")
     _guard_walk(lambda cap: _product_within(range(2, n + 1), cap), n,
                 f"n! permutations with n={n}")
     if type_vector is not None and type_vector.n != n:

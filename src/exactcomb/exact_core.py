@@ -9,7 +9,9 @@ The cross-check contract lives here: where independent routes compute one
 value, `agree` compares them, and where an exact division must come out
 whole, `exact_quotient` divides.  A mismatch or a remainder raises
 ArithmeticError, with a short message for values of any size, and never
-returns a value.  No other module raises ArithmeticError itself.
+returns a value.  Each names its check by a label: a string, or a tuple
+(name, *args) that is formatted only when the check fails.  No other
+module raises ArithmeticError itself.
 Every cap on the size of a request is checked by `guard`, which raises
 SizeGuardError (a ValueError) before the work starts.
 """
@@ -114,24 +116,30 @@ def _show(value) -> str:
     return repr(value)
 
 
-def agree(label: str, *values):
+def _label(label: str | tuple) -> str:
+    """A check's label as text; a tuple (name, *args) reads "name(a,b)"."""
+    if isinstance(label, tuple):
+        return f"{label[0]}({','.join(map(str, label[1:]))})"
+    return label
+
+
+def agree(label: str | tuple, *values):
     """The common value of two or more routes; ArithmeticError if any differ."""
     first = values[0]
     for v in values[1:]:
         if v != first:
             raise ArithmeticError(
-                f"internal inconsistency in {label}: routes gave {_show(values)}"
+                f"internal inconsistency in {_label(label)}: routes gave {_show(values)}"
             )
     return first
 
 
-def exact_quotient(label: str, num: int, den: int) -> int:
+def exact_quotient(label: str | tuple, num: int, den: int) -> int:
     """num // den, which must divide exactly; ArithmeticError otherwise."""
     value, rest = divmod(num, den)
     if rest:
-        raise ArithmeticError(
-            f"internal inconsistency: {label} is non-integer {_show(Fraction(num, den))}"
-        )
+        raise ArithmeticError(f"internal inconsistency: {_label(label)} is non-integer "
+                              f"{_show(Fraction(num, den))}")
     return value
 
 

@@ -15,6 +15,7 @@ from typing import Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
 from .exact_core import agree, format_rational, guard
+from .series import convolve
 
 Coeffs = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -28,14 +29,9 @@ def trim(coeffs: Sequence[int]) -> Coeffs:
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim(out)
+    """a * b by `series.convolve`, with b padded to the product's length; its
+    loop runs over the terms of a, so pass the shorter operand first."""
+    return trim(convolve(a, list(b) + [0] * (len(a) - 1)))
 
 
 def evaluate(coeffs: Sequence[int], alpha: Scalar) -> Fraction:
@@ -65,7 +61,7 @@ def rising_poly(n: int) -> Coeffs:
         raise ValueError("n must be >= 0")
     out: Coeffs = (1,)
     for i in range(n):
-        out = poly_mul(out, (i, 1))  # multiply by (x + i)
+        out = poly_mul((i, 1), out)  # multiply by (x + i)
     return out
 
 
@@ -75,7 +71,7 @@ def falling_poly(n: int) -> Coeffs:
         raise ValueError("n must be >= 0")
     out: Coeffs = (1,)
     for i in range(n):
-        out = poly_mul(out, (-i, 1))  # multiply by (x - i)
+        out = poly_mul((-i, 1), out)  # multiply by (x - i)
     return out
 
 

@@ -8,15 +8,18 @@ one down-mask per element, so an interval [x, y] is one AND and the
 order-reversed poset swaps the two lists.  `up`, `down` and `interval`
 build frozensets from the masks when asked.
 
-`product_poset(P, Q)` orders pairs componentwise.  It builds its masks
-from the factors' cover relations, with no pair list: the up-mask of
-(a, b) is its own bit OR'd with the up-masks of the pairs one cover step
-above it.  A product remembers its factors and the index of each pair
-of factor indices among its elements.  `boolean_lattice(n)` is the
-product of the lattices on the first ceil(n/2) atoms and on the rest,
-so of n 2-chains; `divisor_poset(n)` is the product of the divisor
-lattices of two coprime parts of n, so of chains of prime powers.  Both
-keep their elements, element order, linear extension and JSON.
+One builder, `_labelled_product`, makes every product: each pair of
+factor elements gets a label, and the sorted labels are the elements.
+`product_poset(P, Q)` labels (a, b) by itself, in pair order;
+`boolean_lattice(n)` is the product of the lattices on the first
+ceil(n/2) atoms and on the rest, so of n 2-chains, labelled by unions;
+`divisor_poset(n)` is the product of the divisor lattices of two coprime
+parts of n, so of chains of prime powers, labelled by products.  The
+masks come from the factors' cover relations, with no pair list: the
+up-mask of (a, b) is its own bit OR'd with the up-masks of the pairs one
+cover step above it.  A product remembers its factors and the index of
+each pair of factor indices among its elements.  JSON is imported only
+by the functions that read or write it.
 
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
@@ -58,12 +61,10 @@ AND and its size a popcount; no set is built while counting.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
 from .exact_core import Record, agree, guard, integer_form
@@ -223,6 +224,8 @@ class FinitePoset:
     # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> str:
+        import json
+
         pairs = sorted(
             ((x, y) for i, x in enumerate(self.elements)
              for y in self._members(self._up[i] & ~(1 << i))),
@@ -245,6 +248,8 @@ class FinitePoset:
 
 
 def _json_object(text: str) -> dict:
+    import json
+
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -290,15 +295,20 @@ def _lower_covers(upper: list[list[int]]) -> list[list[int]]:
     return lower
 
 
-def _product(P: FinitePoset, Q: FinitePoset, elements: tuple, at: list[int]) -> FinitePoset:
-    """P x Q ordered componentwise, where elements[at[a * len(Q) + b]] stands
-    for the pair of P's a-th and Q's b-th element."""
+def _labelled_product(P: FinitePoset, Q: FinitePoset, label: Callable,
+                      key: Optional[Callable] = None) -> FinitePoset:
+    """P x Q ordered componentwise, the pair of P's element a and Q's
+    element b standing for label(a, b): the labels, which must be distinct,
+    sorted by `key` are the elements."""
+    labels = [label(a, b) for a in P.elements for b in Q.elements]
+    elements = tuple(sorted(labels, key=key))
+    index = {e: i for i, e in enumerate(elements)}
+    at = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
     nb = len(Q)
     above_p, above_q = P._upper_covers(), Q._upper_covers()
     up = _cover_closure(at, nb, above_p, above_q, P._order[::-1], Q._order[::-1])
     down = _cover_closure(at, nb, _lower_covers(above_p), _lower_covers(above_q),
                           P._order, Q._order)
-    index = {e: i for i, e in enumerate(elements)}
     R = FinitePoset._from_masks(elements, index, up, down)
     R._factors, R._pair_index = (P, Q), at
     return R
@@ -307,8 +317,8 @@ def _product(P: FinitePoset, Q: FinitePoset, elements: tuple, at: list[int]) -> 
 def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """The pairs (a, b) of P x Q, ordered componentwise
     ((a, b) <= (a', b') when a <= a' and b <= b') and listed P-major."""
-    elements = tuple((a, b) for a in P.elements for b in Q.elements)
-    return _product(P, Q, elements, list(range(len(elements))))
+    return _labelled_product(P, Q, lambda a, b: (a, b),
+                             key=lambda pair: (P._index[pair[0]], Q._index[pair[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,30 +614,21 @@ def _chain(elements: tuple) -> FinitePoset:
     return FinitePoset._from_masks(elements, index, up, down)
 
 
-def _subsets(n: int) -> list[tuple[int, ...]]:
-    """The subsets of {1..n}: by size, then lexicographically."""
-    return [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
-
-
-def _subset_masks(n: int) -> list[int]:
-    """`_subsets(n)` as bit masks, bit i - 1 standing for i."""
-    bit = [0] + [1 << i for i in range(n)]
-    return [sum(map(bit.__getitem__, c)) for c in _subsets(n)]
-
-
 def boolean_lattice(n: int) -> FinitePoset:
     """Subsets of {1..n} ordered by inclusion, smaller subsets first; the
     product of the lattices on the first ceil(n/2) atoms and on the rest."""
     guard(0 <= n <= MAX_BOOLEAN_GROUND, f"boolean lattice capped at n <= {MAX_BOOLEAN_GROUND}")
-    elements = tuple(map(frozenset, _subsets(n)))
-    if n < 2:
-        return _chain(elements)
-    position = [0] * len(elements)  # subset mask -> element index
-    for index, a in enumerate(_subset_masks(n)):
-        position[a] = index
-    k = (n + 1) // 2
-    at = [position[a | b << k] for a in _subset_masks(k) for b in _subset_masks(n - k)]
-    return _product(boolean_lattice(k), boolean_lattice(n - k), elements, at)
+    return _subset_lattice(tuple(range(1, n + 1)))
+
+
+def _subset_lattice(atoms: tuple[int, ...]) -> FinitePoset:
+    """The subsets of the ascending `atoms` by inclusion, listed by size and
+    then lexicographically, halved as in `boolean_lattice`."""
+    if len(atoms) < 2:
+        return _chain((frozenset(),) + tuple(frozenset([a]) for a in atoms))
+    k = (len(atoms) + 1) // 2
+    return _labelled_product(_subset_lattice(atoms[:k]), _subset_lattice(atoms[k:]),
+                             frozenset.union, key=lambda s: (len(s), sorted(s)))
 
 
 def divisor_poset(n: int) -> FinitePoset:
@@ -650,12 +651,8 @@ def _divisor_lattice(factors: tuple[tuple[int, int], ...], count: int) -> Finite
     while cut < len(factors) - 1 and size * size < count:
         size *= factors[cut][1] + 1
         cut += 1
-    low = _divisor_lattice(factors[:cut], size)
-    high = _divisor_lattice(factors[cut:], count // size)
-    labels = [a * b for a in low.elements for b in high.elements]
-    elements = tuple(sorted(labels))
-    index = {d: i for i, d in enumerate(elements)}
-    return _product(low, high, elements, [index[d] for d in labels])
+    return _labelled_product(_divisor_lattice(factors[:cut], size),
+                             _divisor_lattice(factors[cut:], count // size), mul)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +693,8 @@ class SubsetFamily(Record):
         return tuple(frozenset(_bits(mask)) for mask in self.masks)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {"universe": self.universe, "sets": [sorted(s) for s in self.sets]}
         )

@@ -15,14 +15,12 @@ route.  `entry` divides by `exact_core.exact_quotient`, which raises on
 a non-integral entry; `row_series` builds the `FormalSeries` only on
 request.  The reference route is `rule**n` by repeated `Fraction`
 schoolbook products (`series._mul_schoolbook`), which the tests and
-`exactcomb verify` compare the rows against.
+`exactcomb verify` compare the rows against.  `table` gives the first
+rows and columns as ints; `exactcomb table` writes them as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 
 from .exact_core import RowTable, exact_quotient, integer_form
@@ -69,8 +67,6 @@ class RecursiveMatrix:
             raise IndexError(f"column {k} out of range (order {self.order})")
         return sum(self.entry(i, h) * self.entry(j, k - h) for h in range(k + 1))
 
-    # -- table dumps ---------------------------------------------------
-
     def table(self, rows: int, cols: int) -> list[list[int]]:
         if cols - 1 > self.order:
             raise IndexError(f"requested {cols} columns, order is {self.order}")
@@ -79,18 +75,6 @@ class RecursiveMatrix:
             nums, den = self._row(n)
             out.append(nums[:cols] if den == 1 else [self.entry(n, k) for k in range(cols)])
         return out
-
-    def to_csv(self, rows: int, cols: int) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in self.table(rows, cols):
-            writer.writerow(row)
-        return buf.getvalue()
-
-    def to_json(self, rows: int, cols: int) -> str:
-        # integers as decimal strings so consumers cannot lose precision
-        data = [[str(v) for v in row] for row in self.table(rows, cols)]
-        return json.dumps({"rows": data})
 
 
 def binomial_matrix(order: int) -> RecursiveMatrix:

@@ -509,3 +509,36 @@ def test_alternating_convolution_series_oracle():
             prod = minus * plus
             for k in range(order + 1):
                 assert ct.alternating_convolution(n, m, k) == prod.coeff_at(k)
+
+
+# ---------------------------------------------------------------------------
+# cross-check labels
+# ---------------------------------------------------------------------------
+
+
+def test_check_labels_name_the_record_on_failure(monkeypatch):
+    q, tv = ct.GergonneQuery(6, 2, 1), ct.TypeVector(3, (1, 1))
+    monkeypatch.setattr(ct, "lower_bound_solutions", lambda n, k, bounds: 0)
+    with pytest.raises(ArithmeticError) as raised:
+        ct.gergonne(q)
+    assert str(raised.value) == (
+        f"internal inconsistency in gergonne({q!r}): routes gave (10, 0)")
+    # 3! read as 7: the quotient by 1! * 2! is no longer whole
+    monkeypatch.setattr(ct, "factorial", lambda n: 7 if n == 3 else factorial(n))
+    for fn in (ct.faa_di_bruno, ct.cauchy_count):
+        with pytest.raises(ArithmeticError) as raised:
+            fn(tv)
+        assert str(raised.value) == (
+            f"internal inconsistency: {fn.__name__}({tv!r}) is non-integer 7/2")
+
+
+def test_passing_checks_format_no_label(monkeypatch):
+    def no_repr(self):
+        raise AssertionError("a label was formatted")
+
+    for record in (ct.GergonneQuery, ct.TypeVector):
+        monkeypatch.setattr(record, "__repr__", no_repr)
+    assert ct.gergonne(ct.GergonneQuery(6, 2, 1))[0] == 10
+    assert ct.gergonne(ct.GergonneQuery(8, 3, 1, circular=True))[0] == 16
+    assert ct.faa_di_bruno(ct.TypeVector(4, (0, 2))) == 3
+    assert ct.cauchy_count(ct.TypeVector(4, (0, 2))) == 3

@@ -204,6 +204,7 @@ def test_guards(monkeypatch):
 BOUNDARY = {
     "functions": (en.enumerate_functions, (1, 10**6), (1, 10**6 + 1)),
     "functions k=7": (en.enumerate_functions, (7, 7), (7, 8)),
+    "one-letter words": (en.enumerate_functions, (10**7, 1), (10**7 + 1, 1)),
     "injective functions": (en.enumerate_functions, (9, 9, "injective"),
                             (9, 10, "injective")),
     "subsets": (en.enumerate_subsets, (19,), (20,)),
@@ -246,6 +247,26 @@ def test_negative_ground_set_is_an_input_error():
             next(walk(-1))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["subsets", "5", "-1"], "k must be >= 0"),
+    (["partitions", "4", "--blocks", "-1"], "k must be >= 0"),
+    (["permutations", "4", "--cycles", "-2"], "cycles must be >= 0"),
+])
+def test_negative_counts_are_input_errors(argv, message):
+    assert cli.run(["enumerate", *argv]) == (2, f"error: {message}")
+
+
+def test_words_over_fewer_than_two_letters():
+    assert cli.run(["enumerate", "functions", "20", "1"]) == (0, "1" * 20)
+    assert cli.run(["enumerate", "functions", "1000000000", "0"]) == (0, "")
+    assert list(en.enumerate_functions(0, 0)) == [()]
+    assert list(en.enumerate_functions(3, 1, "surjective")) == [(1, 1, 1)]
+    assert list(en.enumerate_functions(0, 1, "surjective")) == []
+    assert list(en.enumerate_functions(2, 0, "surjective")) == []
+    result = cli.run(["enumerate", "functions", "10000001", "1"])
+    assert result.code == 2 and result.payload.startswith("error: size guard exceeded: ")
+
+
 def test_bell_bound_follows_aitkens_triangle():
     for n in range(16):
         for cap in (ct.bell(n) - 1, ct.bell(n)):
@@ -253,16 +274,18 @@ def test_bell_bound_follows_aitkens_triangle():
 
 
 def test_huge_k_allocates_nothing():
-    # k past n leaves nothing to enumerate, and words over one letter are
-    # counted as over two; itertools would still allocate 8 bytes per unit of k
+    # k past n leaves nothing to enumerate, no word has k >= 1 letters over
+    # none, and one word over one letter is refused past the letter cap;
+    # itertools would still allocate 8 bytes per unit of k
     k = 10**6
     tracemalloc.start()
     try:
         assert list(en.enumerate_subsets(5, k)) == []
         assert list(en.enumerate_gergonne(ct.GergonneQuery(5, k, 1))) == []
         assert list(en.enumerate_functions(k, 3, "injective")) == []
+        assert list(en.enumerate_functions(1000 * k, 0)) == []
         with pytest.raises(SizeGuardError):
-            next(en.enumerate_functions(k, 1))
+            next(en.enumerate_functions(en.MAX_LETTERS + 1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

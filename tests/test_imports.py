@@ -48,14 +48,17 @@ MODULES = ["counting", "exact_core", "number_theory", "poset_mobius", "recursive
 DIR = sorted(ALL + DUNDERS + MODULES)
 
 # runs `python -m exactcomb <args>` in this interpreter, then prints the exit
-# code and every module it loaded as one JSON line
+# code and every module it loaded as one JSON line; `json` is imported only
+# once that list is taken
 PROBE = """
-import json, runpy, sys
+import runpy, sys
 try:
     runpy.run_module("exactcomb", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, modules]))
 """
 
 HEAVY = {"exactcomb.verify", "exactcomb.enumeration", "exactcomb.poset_mobius"}
@@ -107,6 +110,19 @@ def test_command_loads_its_own_module(argv, loaded, tmp_path):
     assert not START_UP & set(modules), modules
     if argv[0] == "table":  # rows read from the coeff table need no matrix
         assert "exactcomb.recursive_matrix" not in modules
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (["table", "binomial", "--rows", "5", "--cols", "5", "--format", "csv"], False),
+    (["verify", "core"], False),
+    (["coeff", "binomial", "6", "3"], False),
+    (["enumerate", "subsets", "3"], False),
+    (["table", "binomial", "--rows", "2", "--cols", "2", "--format", "json"], True),
+])
+def test_only_json_commands_load_json(argv, loads_json):
+    code, modules, proc = command(*argv)
+    assert code == 0, proc.stderr
+    assert ("json" in modules) is loads_json and "csv" not in modules, modules
 
 
 def test_poset_error_in_fresh_process(tmp_path):

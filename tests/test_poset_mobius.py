@@ -338,6 +338,15 @@ def test_zeta_and_delta_check():
     assert pm.delta_check(pm.boolean_lattice(3))
 
 
+def test_delta_check_fails_on_a_corrupted_table():
+    # one value of the last column off by one, on a product and on a poset
+    # whose table comes from the bit-plane recursion
+    for P in (pm.boolean_lattice(3), pm.divisor_poset(12), random_poset(random.Random(5), 8)):
+        xs, vals = pm._table(P, columns=True)[-1]
+        P._mobius_columns[-1] = (xs, [vals[0] + 1, *vals[1:]])
+        assert not pm.delta_check(P)
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
@@ -449,8 +458,9 @@ def _divisors_by_pairs(n):
     return pm.FinitePoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
 
 
-@pytest.mark.parametrize("kind, n", [("boolean", n) for n in range(8)]
-                         + [("divisor", n) for n in (1, 7, 840, 1260, 2520, 720720)])
+@pytest.mark.parametrize("kind, n", [("boolean", n) for n in range(11)]
+                         + [("divisor", n) for n in (1, 7, 840, 1260, 2520, 720720, 2**10,
+                                                     75600, 9699690)])
 def test_lattices_match_pair_list_construction(kind, n):
     if kind == "boolean":
         P, Q = pm.boolean_lattice(n), _boolean_by_pairs(n)

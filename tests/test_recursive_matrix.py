@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -124,13 +123,6 @@ def test_rational_rule_rows():
         half.table(3, 4)
     assert half.table(1, 9) == [[1] + [0] * 8]
     assert half.entry(4, 0) == 1 and half.entry(4, 1) == 2
-
-
-def test_csv_and_json_dumps():
-    b = binomial_matrix(4)
-    assert b.to_csv(3, 4) == "1,0,0,0\n1,1,0,0\n1,2,1,0\n"
-    data = json.loads(b.to_json(2, 3))
-    assert data == {"rows": [["1", "0", "0"], ["1", "1", "0"]]}
 
 
 def test_column_guard():
