@@ -263,8 +263,6 @@ def test_words_over_fewer_than_two_letters():
     assert list(en.enumerate_functions(3, 1, "surjective")) == [(1, 1, 1)]
     assert list(en.enumerate_functions(0, 1, "surjective")) == []
     assert list(en.enumerate_functions(2, 0, "surjective")) == []
-    result = cli.run(["enumerate", "functions", "10000001", "1"])
-    assert result.code == 2 and result.payload.startswith("error: size guard exceeded: ")
 
 
 def test_bell_bound_follows_aitkens_triangle():

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 import exactcomb.counting as ct
+import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
 import exactcomb.poly_identities as pi
 import exactcomb.poset_mobius as pm
 import exactcomb.recursive_matrix as rm
 from exactcomb.cli import run
 from exactcomb.exact_core import SizeGuardError
-from exactcomb.series import FormalSeries
+from exactcomb.series import FormalSeries, geometric_series
 
 # (call, exception type, the whole message)
 REJECTED = [
@@ -38,13 +39,16 @@ REJECTED = [
     (lambda: nt.factorize(10**13), SizeGuardError,
      "size guard exceeded: n=10000000000000 exceeds the trial-division bound"),
     (lambda: nt.phi_scan(0), ValueError, "n must be >= 1"),
+    (lambda: nt.euler_phi(0), ValueError, "n must be >= 1"),
     (lambda: nt.divisors(0), ValueError, "n must be >= 1"),
     (lambda: nt.mod_inverse(3, 1), ValueError, "modulus must be >= 2"),
     (lambda: nt.mod_inverse(0, 7), ValueError, "need 0 < x < n, got x=0, n=7"),
     (lambda: nt.mod_pow(2, -1, 7), ValueError, "exponent must be >= 0"),
     (lambda: nt.mod_pow(2, 3, 0), ValueError, "modulus must be >= 1"),
+    (lambda: nt.fermat_exponent_check(2, -1, 1, 5), ValueError, "exponents must be >= 0"),
     (lambda: pi.rising_poly(-1), ValueError, "n must be >= 0"),
     (lambda: pi.falling_poly(-1), ValueError, "n must be >= 0"),
+    (lambda: pi.power_to_falling(-1), ValueError, "n must be >= 0"),
     (lambda: pi.stirling_inverse_check(-1), ValueError, "n_max must be >= 0"),
     (lambda: pm.FinitePoset([1, 2], [(1, 3)]), ValueError,
      "relation pair (1, 3) outside element set"),
@@ -56,10 +60,21 @@ REJECTED = [
     (lambda: rm.RecursiveMatrix(FormalSeries([1, 1]), -1), ValueError,
      "order must be >= 0"),
     (lambda: rm.binomial_matrix(3).entry(-1, 0), ValueError, "row index must be >= 0"),
+    (lambda: rm.binomial_matrix(3).vandermonde_convolve(1, 1, 4), IndexError,
+     "column 4 out of range (order 3)"),
     (lambda: FormalSeries([]), ValueError,
      "a series needs at least its constant coefficient"),
     (lambda: FormalSeries([1, 2]).truncate(-1), ValueError, "order must be >= 0"),
     (lambda: FormalSeries([1, 2]) ** -1, ValueError, "series power needs n >= 0"),
+    (lambda: FormalSeries.identity(0), ValueError, "identity series needs order >= 1"),
+    (lambda: geometric_series(-1), ValueError, "order must be >= 0"),
+    (lambda: next(en.enumerate_functions(-1, 2)), ValueError, "k and n must be >= 0"),
+    (lambda: next(en.enumerate_multisets(-1, 2)), ValueError, "n and k must be >= 0"),
+    (lambda: next(en.enumerate_set_partitions(3, type_vector=ct.TypeVector(2, (2,)))),
+     ValueError, "type vector weight differs from n"),
+    (lambda: next(en.enumerate_permutations(3, type_vector=ct.TypeVector(2, (2,)))),
+     ValueError, "type vector weight differs from n"),
+    (lambda: en.cycles_to_permutation([(1, 2)], 3), ValueError, "cycles do not cover 1..n"),
 ]
 
 
@@ -74,6 +89,8 @@ def test_edge_branches():
     assert [tv.multiplicity(size) for size in (1, 2, 3)] == [2, 1, 0]
     a, b = FormalSeries([1, Fraction(1, 2), 3]), FormalSeries([2, 1])
     assert a - b == FormalSeries([-1, Fraction(-1, 2)])
+    assert b.__eq__([2, 1]) is NotImplemented and hash(b) == hash(FormalSeries([2, 1]))
+    assert repr(b) == "FormalSeries([Fraction(2, 1), Fraction(1, 1)])"
     assert pi.poly_mul((), (1, 2)) == pi.poly_mul((1, 2), ()) == ()
 
 
