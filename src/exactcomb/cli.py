@@ -4,7 +4,9 @@ dumps, poset/sieve tools, toy RSA, and the self-check suites.
 All commands are one-shot; numbers are printed as exact decimal strings
 (rationals as "p/q"), and JSON output keeps integers as strings so that
 consumers cannot silently lose precision.  Exit codes: 0 ok, 1
-verification failure or internal inconsistency, 2 usage or input error.
+verification failure or internal inconsistency, 2 usage or input error
+or a request too large to finish (refused by a size guard, or a
+`MemoryError` while it ran).
 
 Each command imports only the modules it runs: `coeff` and `rsa` need
 `counting`, `number_theory` and `exact_core`, loaded here; `table` loads
@@ -28,7 +30,7 @@ from .exact_core import format_rational, guard, parse_int, parse_rational
 
 
 class CommandResult(NamedTuple):
-    code: int  # 0 ok, 1 verification failure or internal inconsistency, 2 usage error
+    code: int  # 0 ok, 1 verification failure or inconsistency, 2 usage error or too large
     payload: str  # on stderr when it starts with "error: ", else on stdout
 
 
@@ -248,7 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandResult:
     started = time.perf_counter()
     try:
         results = run_suites(args.suites or ["all"])
-    except KeyError as exc:
+    except KeyError as exc:  # only a name: a check that raises is a FAIL line
         raise ValueError(
             f"unknown suite {exc.args[0]!r}; available: all, {', '.join(SUITES)}"
         ) from None
@@ -453,8 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
-    """Parse and execute; usage and input errors come back as code 2, and
-    a disagreement between two routes (ArithmeticError) as code 1."""
+    """Parse and execute; usage and input errors come back as code 2, as
+    does a request that ran out of memory (too large, like one a size guard
+    refuses), and a disagreement between two routes (ArithmeticError) as
+    code 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -471,6 +475,9 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
         return CommandResult(2, f"error: {exc}")
     except ArithmeticError as exc:
         return CommandResult(1, f"error: {exc}")
+    except MemoryError:
+        return CommandResult(2, f"error: out of memory: {args.command} needs more "
+                                "memory than this process could allocate")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

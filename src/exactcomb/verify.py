@@ -1,14 +1,18 @@
-"""Self-check suites: every identity the library claims, run end to end.
+"""Self-checks: every identity the library claims, run end to end.
 
-Each suite returns a list of named checks; the CLI `verify` command
-prints one line per check and exits nonzero if anything failed.  The
-"errata" suite pins values that are frequently misprinted in hand-typed
-tables: it reports both the bad value and the one the recursions and
-brute-force oracles agree on.
+`CHECKS` is the one table of checks: rows (suite, name, thunk) in print
+order, where a thunk takes no argument and returns (ok, detail), and
+`SUITES` names the suites in that order.  `run_suites` runs the checks of
+the named suites, each on its own: a check that raises an Exception fails
+alone, with "raised <Type>: <message>" as its detail, and every other
+check still runs.  The CLI `verify` command prints one line per check and
+exits nonzero if anything failed.  The "errata" suite pins values that are
+frequently misprinted in hand-typed tables: it reports both the bad value
+and the one the recursions and brute-force oracles agree on.
 
 A check that runs over a range is a `*_failure` function: it takes the
 range and returns the first failing case, or None (for seeded random
-cases, the index of the failing trial).  The suites call them at ranges
+cases, the index of the failing trial).  `CHECKS` calls them at ranges
 that keep `verify` fast; the acceptance tests call the same functions at
 larger ranges.
 """
@@ -41,67 +45,34 @@ class Check(Record):
         super().__init__(name, ok, detail)
 
 
-def _mk(checks: list[Check], name: str, ok: bool, detail: str = ""):
-    checks.append(Check(name, bool(ok), detail))
-
-
-def _no_failure(checks: list[Check], name: str, failure) -> None:
-    """A check that passes when a `*_failure` function found no failure."""
-    _mk(checks, name, failure is None,
-        "" if failure is None else f"first failure {failure}")
-
-
 # ---------------------------------------------------------------------------
-# suites
+# checks over ranges and seeds
 # ---------------------------------------------------------------------------
 
 
-def suite_core() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "factorial golden", factorial(0) == 1 and factorial(4) == 24
-        and factorial(12) == 479001600)
-    ok = all(factorial(n) == n * factorial(n - 1) for n in range(1, 201))
-    _mk(out, "factorial recursion to 200", ok)
-    _mk(out, "gcd golden", gcd(3, 20) == 1 and gcd(7, 0) == 7 and gcd(30, 210) == 30)
-    rng = random.Random(11)
-    ok = True
-    for _ in range(200):
+def gcd_failure(seed: int, trials: int) -> Optional[int]:
+    """First of `trials` random pairs in [-500, 500], not both 0, whose gcd
+    is not symmetric, positive and a divisor of both."""
+    rng = random.Random(seed)
+    for trial in range(trials):
         a, b = rng.randint(-500, 500), rng.randint(-500, 500)
         if a == b == 0:
             continue
         g = gcd(a, b)
-        ok &= g == gcd(b, a) and (g > 0) and (a % g == 0) and (b % g == 0)
-    _mk(out, "gcd commutative and divides", ok)
-    return out
+        if g != gcd(b, a) or g <= 0 or a % g or b % g:
+            return trial
+    return None
 
 
-def suite_series() -> list[Check]:
-    out: list[Check] = []
-    one = FormalSeries.one(4)
-    a = FormalSeries([1, 2, 1, 0, 0])
-    _mk(out, "unit element", one * a == a and a * one == a)
-    _mk(out, "(1+t)^3 row", (FormalSeries([1, 1, 0, 0]) ** 3).to_json()
-        == ["1", "3", "3", "1"])
-    geo = geometric_series(5)
-    prod = FormalSeries([1, -1, 0, 0, 0, 0]) * geo
-    _mk(out, "(1-t) * geometric = 1", prod == FormalSeries.one(5))
-    comp = exp_series(4).compose(FormalSeries([0, 2, 0, 0, 0]))
-    _mk(out, "exp composed with 2t",
-        [comp.coeff_at(k) for k in range(5)]
-        == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)])
-    rng = random.Random(7)
-    ok = True
-    for _ in range(40):
-        def rand_series():
-            return FormalSeries([rng.randint(-4, 4) for _ in range(6)])
-        x, y, z = rand_series(), rand_series(), rand_series()
-        ok &= x * y == y * x
-        ok &= (x * y) * z == x * (y * z)
-        ok &= x * (y + z) == x * y + x * z
-    _mk(out, "commutative/associative/distributive", ok)
-    _no_failure(out, "integer kernel matches the Fraction schoolbook route",
-                series_route_failure(seed=8, trials=20, order=7, max_power=12))
-    return out
+def series_ring_failure(seed: int, trials: int) -> Optional[int]:
+    """First of `trials` triples of random integer series of order 5 whose
+    product is not commutative, associative or distributive over the sum."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        x, y, z = (FormalSeries([rng.randint(-4, 4) for _ in range(6)]) for _ in range(3))
+        if x * y != y * x or (x * y) * z != x * (y * z) or x * (y + z) != x * y + x * z:
+            return trial
+    return None
 
 
 def schoolbook_power(a: FormalSeries, n: int) -> FormalSeries:
@@ -227,64 +198,28 @@ def matrix_route_failure(rows: int, order: int) -> Optional[tuple]:
     return None
 
 
-def suite_matrix() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "Pascal rows 0..3", printed_rows_failure("binomial", 6, range(4)))
-    _no_failure(out, "multiset rows 0..3",
-                printed_rows_failure("multiset", 6, range(4)))
-    _no_failure(out, "occupancy-bound p=2 row 3",
-                printed_rows_failure("gentile p=2", 6, [3]))
-    _no_failure(out, "rows match closed forms to n=40", closed_form_failure(41, 42))
-    _no_failure(out, "convolutions over all splits to n=8",
-                convolution_failure(["binomial"], 9, 6))
-    _no_failure(out, "integer rows match schoolbook rule powers to n=8",
-                matrix_route_failure(9, 8))
-    return out
+def multinomial_sum_failure(ns: int, ks: int) -> Optional[tuple]:
+    """First (n, k), n < ns and 1 <= k < ks, where the multinomials over the
+    weak compositions of n into k parts do not sum to k^n."""
+    return next(
+        ((n, k) for n in range(ns) for k in range(1, ks)
+         if sum(ct.multinomial(n, h) for h in en.enumerate_multisets(k, n)) != k**n),
+        None,
+    )
 
 
-def suite_counting() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "binomial golden", ct.binomial(3, 2) == 3 and ct.binomial(6, 3) == 20
-        and ct.binomial(7, 0) == 1)
-    _mk(out, "row sums are powers of two",
-        all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))
-    # 71 <= k <= 129 has j = min(k, 200 - k) with j^2 > 25 * 200, where
-    # binomial's second route is the Legendre product
-    _mk(out, "row 200 sums to 2^200", sum(ct.binomial(200, k) for k in range(201)) == 2**200)
-    ok = True
-    for n in range(7):
-        for k in range(1, 7):
-            # weak compositions of n into k parts
-            total = sum(ct.multinomial(n, h) for h in en.enumerate_multisets(k, n))
-            ok &= total == k**n
-    _mk(out, "multinomial sums are k^n", ok)
-    _mk(out, "partition statistics agree",
-        all(sum(ct.stirling2(n, k) for k in range(n + 1)) == ct.bell(n)
-            == sum(ct.faa_di_bruno(tv) for tv in ct.iter_type_vectors(n))
-            for n in range(11)))
-    _mk(out, "permutation statistics agree",
-        all(sum(ct.cycle_count(n, k) for k in range(n + 1)) == factorial(n)
-            == sum(ct.cauchy_count(tv) for tv in ct.iter_type_vectors(n))
-            for n in range(11)))
-    _mk(out, "fixed-point counts sum to n!",
-        all(sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
-            for n in range(10)))
-    ok = True
-    lo = sum(Fraction((-1) ** h, factorial(h)) for h in range(26))
-    hi = sum(Fraction((-1) ** h, factorial(h)) for h in range(27))
-    for n in range(1, 19):
-        # d_n/n! equals the alternating partial sum; 1/e lies between the
-        # order-25 and order-26 partial sums, far past every tested n, so
-        # comparing against both brackets the true distance exactly
+def derangement_ratio_failure(size: int) -> Optional[int]:
+    """First n in 1..size-1 where d_n/n!, the alternating partial sum of
+    1/e to order n, is not within 1/(n+1)! of 1/e.  1/e lies between the
+    partial sums to orders size+6 and size+7, far past every tested n, so
+    comparing against both brackets the true distance exactly."""
+    lo = sum(Fraction((-1) ** h, factorial(h)) for h in range(size + 7))
+    hi = lo + Fraction((-1) ** (size + 7), factorial(size + 7))
+    for n in range(1, size):
         s_n = Fraction(ct.derangement(n), factorial(n))
-        bound = Fraction(1, factorial(n + 1))
-        ok &= max(abs(s_n - lo), abs(s_n - hi)) < bound
-    _mk(out, "derangement ratio brackets 1/e", ok)
-    _mk(out, "alternating convolution cases",
-        ct.alternating_convolution(2, 2, 1) == 0
-        and ct.alternating_convolution(3, 1, 2) == 1
-        and ct.alternating_convolution(1, 3, 2) == 3)
-    return out
+        if max(abs(s_n - lo), abs(s_n - hi)) >= Fraction(1, factorial(n + 1)):
+            return n
+    return None
 
 
 def functions_failure(size: int) -> Optional[tuple]:
@@ -373,17 +308,6 @@ def graph_count_failure(size: int, edges: int) -> Optional[tuple]:
     return None
 
 
-def suite_oracles() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "function counts", functions_failure(5))
-    _no_failure(out, "subset counts", subsets_failure(9))
-    _no_failure(out, "multiset counts", multisets_failure(5, 6))
-    _no_failure(out, "partition counts", partitions_failure(8))
-    _no_failure(out, "permutation counts", permutations_failure(7))
-    _no_failure(out, "graph counts on every kind", graph_count_failure(4, 4))
-    return out
-
-
 def faa_failure(seed: int, trials: int, order: int, bound: int) -> Optional[tuple]:
     """First (trial, n) where f(g(t)) disagrees with the sum over partition
     types; f and g are random series of `order`, coefficients in [-bound, bound]."""
@@ -405,13 +329,6 @@ def faa_failure(seed: int, trials: int, order: int, bound: int) -> Optional[tupl
     return None
 
 
-def suite_faa() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "composite-derivative coefficients via partition types",
-                faa_failure(seed=99, trials=8, order=6, bound=3))
-    return out
-
-
 def falling_roundtrip_failure(size: int) -> Optional[int]:
     """First n < size: x^n to the falling basis and back is not x^n."""
     return next(
@@ -420,20 +337,6 @@ def falling_roundtrip_failure(size: int) -> Optional[int]:
          != poly.trim([0] * n + [1])),
         None,
     )
-
-
-def suite_stirling() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "transition matrices invert (12x12)", poly.stirling_inverse_check(12))
-    _no_failure(out, "power <-> falling roundtrip", falling_roundtrip_failure(11))
-    ok = all(
-        poly.rising_expansion_coeffs(n)[k] == ct.cycle_count(n, k)
-        and poly.falling_expansion_coeffs(n)[k] == ct.stirling1_signed(n, k)
-        for n in range(13)
-        for k in range(n + 1)
-    )
-    _mk(out, "factorial-basis expansions match cycle counts", ok)
-    return out
 
 
 def boolean_mobius_failure(size: int) -> Optional[tuple]:
@@ -537,22 +440,6 @@ def integer_inversion_failure(seed: int, trials: int, max_size: int) -> Optional
     return None
 
 
-def suite_mobius() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "boolean lattice closed form to n=6", boolean_mobius_failure(7))
-    _no_failure(out, "divisor poset matches classical mu to 200",
-                divisor_mobius_failure(200))
-    _no_failure(out, "zeta*mu = delta and inversion roundtrips",
-                inversion_failure(seed=5, trials=12, max_size=8))
-    _no_failure(out, "bit-plane Mobius matches the interval recursion",
-                mobius_route_failure(seed=6, trials=12, max_size=10))
-    _no_failure(out, "product-theorem Mobius matches the bit-plane recursion",
-                product_route_failure(seed=7, trials=8, max_size=3))
-    _no_failure(out, "integer inversion matches the Fraction sum",
-                integer_inversion_failure(seed=8, trials=12, max_size=8))
-    return out
-
-
 def derangement_sieve_failure(size: int) -> Optional[int]:
     """First n in 1..size-1 where the sieve over the permutations fixing each
     point misses the derangement or fixed-point counts."""
@@ -585,14 +472,6 @@ def random_sieve_failure(seed: int, trials: int, max_universe: int,
     return None
 
 
-def suite_sieve() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "derangement families via sieve", derangement_sieve_failure(7))
-    _no_failure(out, "random families: exactly-m counts by scan",
-                random_sieve_failure(seed=21, trials=10, max_universe=300, max_sets=6))
-    return out
-
-
 def _draws_failure(queries) -> Optional[ct.GergonneQuery]:
     return next(
         (q for q in queries
@@ -617,13 +496,6 @@ def circular_draws_failure(size: int) -> Optional[ct.GergonneQuery]:
     )
 
 
-def suite_gergonne() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "linear draws match enumeration", linear_draws_failure(11))
-    _no_failure(out, "circular draws match enumeration", circular_draws_failure(11))
-    return out
-
-
 def menage_seating_failure(size: int) -> Optional[int]:
     """First n in 2..size-1: U_n differs from exhaustive seating."""
     return next(
@@ -640,15 +512,6 @@ def menage_count_failure(size: int) -> Optional[int]:
          if ct.menage_count(n) != 2 * factorial(n) * ct.touchard(n)),
         None,
     )
-
-
-def suite_menage() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "U3=1 U4=2 U5=13",
-        ct.touchard(3) == 1 and ct.touchard(4) == 2 and ct.touchard(5) == 13)
-    _no_failure(out, "formula matches exhaustive seating", menage_seating_failure(6))
-    _no_failure(out, "full count is 2 n! U_n", menage_count_failure(8))
-    return out
 
 
 def totient_failure(top: int) -> Optional[int]:
@@ -675,37 +538,6 @@ def rsa_roundtrip_failure(keys: Iterable[tuple[int, int, int]]) -> Optional[tupl
     return None
 
 
-def suite_numbers() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "totient golden", nt.euler_phi(30) == 8 and nt.euler_phi(100) == 40
-        and nt.euler_phi(125) == 100 and nt.euler_phi(210) == 48)
-    _no_failure(out, "product formula vs divisor-classification count to 2000",
-                totient_failure(2000))
-    ok = all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600))
-    _mk(out, "product formula vs literal scan to 600", ok)
-    _no_failure(out, "trial division vs phi(p) = p - 1 to 2000", primality_failure(2000))
-    _mk(out, "classical mu golden", nt.mobius_classical(6) == 1
-        and nt.mobius_classical(4) == 0 and nt.mobius_classical(1) == 1)
-    _mk(out, "inverse and power golden", nt.mod_inverse(3, 20) == 7
-        and nt.mod_pow(19, 7, 25) == 14)
-    _mk(out, "raw demo n=25", nt.mod_pow(14, 3, 25) == 19
-        and nt.mod_pow(19, 7, 25) == 14)
-    _mk(out, "keypair (5,11,3) full roundtrip", nt.rsa_keygen(5, 11, 3).d == 27
-        and rsa_roundtrip_failure([(5, 11, 3)]) is None)
-    return out
-
-
-def suite_birthday() -> list[Check]:
-    out: list[Check] = []
-    _mk(out, "23 people beat a coin flip",
-        ct.birthday_probability(23) > Fraction(1, 2))
-    _mk(out, "22 people do not",
-        ct.birthday_probability(22) < Fraction(1, 2))
-    _mk(out, "edge cases", ct.birthday_probability(1) == 0
-        and ct.birthday_probability(400) == 1)
-    return out
-
-
 def surjection_filter_failure(ks: int, ns: int) -> Optional[tuple]:
     """First (k, n), k < ks, n < ns: surjection count != surjective words."""
     return next(
@@ -727,15 +559,6 @@ def surjection_inversion_failure(ns: int, ks: int) -> Optional[tuple]:
             if pm.invert(lat, g)[top] != ct.surjection_count(k, n):
                 return n, k
     return None
-
-
-def suite_surjections() -> list[Check]:
-    out: list[Check] = []
-    _no_failure(out, "alternating sum matches filtered enumeration",
-                surjection_filter_failure(6, 5))
-    _no_failure(out, "matches inversion on the subset lattice",
-                surjection_inversion_failure(5, 5))
-    return out
 
 
 # pinned regressions: values that hand-typed tables often get wrong,
@@ -767,62 +590,182 @@ def errata_oracle_failure(derangements: Iterable[int]) -> Optional[str]:
     return next((name for name, got in oracle.items() if got != pinned[name]), None)
 
 
-def suite_errata() -> list[Check]:
-    out: list[Check] = []
-    for name, fn, good, misprint in ERRATA:
+# ---------------------------------------------------------------------------
+# the table of checks
+# ---------------------------------------------------------------------------
+
+
+def _holds(cond) -> tuple[bool, str]:
+    return bool(cond), ""
+
+
+def _none(failure) -> tuple[bool, str]:
+    """Passes when a `*_failure` function found no failure."""
+    return failure is None, "" if failure is None else f"first failure {failure}"
+
+
+Thunk = Callable[[], tuple[bool, str]]
+
+
+def _errata(fn: Callable[[], int], good: int, misprint: int) -> Thunk:
+    """The check of one ERRATA row; its detail names both values, pass or fail."""
+    def check() -> tuple[bool, str]:
         got = fn()
-        _mk(
-            out,
-            f"{name} = {good}",
-            got == good and got != misprint,
-            f"computed {got}; guarded misprint {misprint}",
-        )
-    _no_failure(out, "oracle confirms pinned values", errata_oracle_failure([4]))
-    return out
+        return got == good and got != misprint, f"computed {got}; guarded misprint {misprint}"
+    return check
 
 
-SUITES: dict[str, Callable[[], list[Check]]] = {
-    "core": suite_core,
-    "series": suite_series,
-    "matrix": suite_matrix,
-    "counting": suite_counting,
-    "oracles": suite_oracles,
-    "faa": suite_faa,
-    "stirling": suite_stirling,
-    "mobius": suite_mobius,
-    "sieve": suite_sieve,
-    "gergonne": suite_gergonne,
-    "menage": suite_menage,
-    "numbers": suite_numbers,
-    "birthday": suite_birthday,
-    "surjections": suite_surjections,
-    "errata": suite_errata,
-}
+# (suite, name, thunk) in print order; a thunk returns (ok, detail)
+CHECKS: list[tuple[str, str, Thunk]] = [
+    ("core", "factorial golden", lambda: _holds(
+        factorial(0) == 1 and factorial(4) == 24 and factorial(12) == 479001600)),
+    ("core", "factorial recursion to 200", lambda: _holds(
+        all(factorial(n) == n * factorial(n - 1) for n in range(1, 201)))),
+    ("core", "gcd golden", lambda: _holds(
+        gcd(3, 20) == 1 and gcd(7, 0) == 7 and gcd(30, 210) == 30)),
+    ("core", "gcd commutative and divides", lambda: _none(gcd_failure(seed=11, trials=200))),
+    ("series", "unit element", lambda: _holds(
+        FormalSeries.one(4) * (a := FormalSeries([1, 2, 1, 0, 0])) == a
+        == a * FormalSeries.one(4))),
+    ("series", "(1+t)^3 row", lambda: _holds(
+        (FormalSeries([1, 1, 0, 0]) ** 3).to_json() == ["1", "3", "3", "1"])),
+    ("series", "(1-t) * geometric = 1", lambda: _holds(
+        FormalSeries([1, -1, 0, 0, 0, 0]) * geometric_series(5) == FormalSeries.one(5))),
+    ("series", "exp composed with 2t", lambda: _holds(
+        list(map(exp_series(4).compose(FormalSeries([0, 2, 0, 0, 0])).coeff_at, range(5)))
+        == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)])),
+    ("series", "commutative/associative/distributive",
+     lambda: _none(series_ring_failure(seed=7, trials=40))),
+    ("series", "integer kernel matches the Fraction schoolbook route",
+     lambda: _none(series_route_failure(seed=8, trials=20, order=7, max_power=12))),
+    ("matrix", "Pascal rows 0..3", lambda: _none(printed_rows_failure("binomial", 6, range(4)))),
+    ("matrix", "multiset rows 0..3",
+     lambda: _none(printed_rows_failure("multiset", 6, range(4)))),
+    ("matrix", "occupancy-bound p=2 row 3",
+     lambda: _none(printed_rows_failure("gentile p=2", 6, [3]))),
+    ("matrix", "rows match closed forms to n=40", lambda: _none(closed_form_failure(41, 42))),
+    ("matrix", "convolutions over all splits to n=8",
+     lambda: _none(convolution_failure(["binomial"], 9, 6))),
+    ("matrix", "integer rows match schoolbook rule powers to n=8",
+     lambda: _none(matrix_route_failure(9, 8))),
+    ("counting", "binomial golden", lambda: _holds(
+        ct.binomial(3, 2) == 3 and ct.binomial(6, 3) == 20 and ct.binomial(7, 0) == 1)),
+    ("counting", "row sums are powers of two", lambda: _holds(
+        all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))),
+    # 71 <= k <= 129 has j = min(k, 200 - k) with j^2 > 25 * 200, where
+    # binomial's second route is the Legendre product
+    ("counting", "row 200 sums to 2^200", lambda: _holds(
+        sum(ct.binomial(200, k) for k in range(201)) == 2**200)),
+    ("counting", "multinomial sums are k^n", lambda: _none(multinomial_sum_failure(7, 7))),
+    ("counting", "partition statistics agree", lambda: _holds(
+        all(sum(ct.stirling2(n, k) for k in range(n + 1)) == ct.bell(n)
+            == sum(ct.faa_di_bruno(tv) for tv in ct.iter_type_vectors(n))
+            for n in range(11)))),
+    ("counting", "permutation statistics agree", lambda: _holds(
+        all(sum(ct.cycle_count(n, k) for k in range(n + 1)) == factorial(n)
+            == sum(ct.cauchy_count(tv) for tv in ct.iter_type_vectors(n))
+            for n in range(11)))),
+    ("counting", "fixed-point counts sum to n!", lambda: _holds(
+        all(sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
+            for n in range(10)))),
+    ("counting", "derangement ratio brackets 1/e",
+     lambda: _none(derangement_ratio_failure(19))),
+    ("counting", "alternating convolution cases", lambda: _holds(
+        ct.alternating_convolution(2, 2, 1) == 0 and ct.alternating_convolution(3, 1, 2) == 1
+        and ct.alternating_convolution(1, 3, 2) == 3)),
+    ("oracles", "function counts", lambda: _none(functions_failure(5))),
+    ("oracles", "subset counts", lambda: _none(subsets_failure(9))),
+    ("oracles", "multiset counts", lambda: _none(multisets_failure(5, 6))),
+    ("oracles", "partition counts", lambda: _none(partitions_failure(8))),
+    ("oracles", "permutation counts", lambda: _none(permutations_failure(7))),
+    ("oracles", "graph counts on every kind", lambda: _none(graph_count_failure(4, 4))),
+    ("faa", "composite-derivative coefficients via partition types",
+     lambda: _none(faa_failure(seed=99, trials=8, order=6, bound=3))),
+    ("stirling", "transition matrices invert (12x12)",
+     lambda: _holds(poly.stirling_inverse_check(12))),
+    ("stirling", "power <-> falling roundtrip", lambda: _none(falling_roundtrip_failure(11))),
+    ("stirling", "factorial-basis expansions match cycle counts", lambda: _holds(all(
+        poly.rising_expansion_coeffs(n)[k] == ct.cycle_count(n, k)
+        and poly.falling_expansion_coeffs(n)[k] == ct.stirling1_signed(n, k)
+        for n in range(13) for k in range(n + 1)))),
+    ("mobius", "boolean lattice closed form to n=6", lambda: _none(boolean_mobius_failure(7))),
+    ("mobius", "divisor poset matches classical mu to 200",
+     lambda: _none(divisor_mobius_failure(200))),
+    ("mobius", "zeta*mu = delta and inversion roundtrips",
+     lambda: _none(inversion_failure(seed=5, trials=12, max_size=8))),
+    ("mobius", "bit-plane Mobius matches the interval recursion",
+     lambda: _none(mobius_route_failure(seed=6, trials=12, max_size=10))),
+    ("mobius", "product-theorem Mobius matches the bit-plane recursion",
+     lambda: _none(product_route_failure(seed=7, trials=8, max_size=3))),
+    ("mobius", "integer inversion matches the Fraction sum",
+     lambda: _none(integer_inversion_failure(seed=8, trials=12, max_size=8))),
+    ("sieve", "derangement families via sieve", lambda: _none(derangement_sieve_failure(7))),
+    ("sieve", "random families: exactly-m counts by scan", lambda: _none(
+        random_sieve_failure(seed=21, trials=10, max_universe=300, max_sets=6))),
+    ("gergonne", "linear draws match enumeration", lambda: _none(linear_draws_failure(11))),
+    ("gergonne", "circular draws match enumeration",
+     lambda: _none(circular_draws_failure(11))),
+    ("menage", "U3=1 U4=2 U5=13", lambda: _holds(
+        ct.touchard(3) == 1 and ct.touchard(4) == 2 and ct.touchard(5) == 13)),
+    ("menage", "formula matches exhaustive seating", lambda: _none(menage_seating_failure(6))),
+    ("menage", "full count is 2 n! U_n", lambda: _none(menage_count_failure(8))),
+    ("numbers", "totient golden", lambda: _holds(
+        nt.euler_phi(30) == 8 and nt.euler_phi(100) == 40
+        and nt.euler_phi(125) == 100 and nt.euler_phi(210) == 48)),
+    ("numbers", "product formula vs divisor-classification count to 2000",
+     lambda: _none(totient_failure(2000))),
+    ("numbers", "product formula vs literal scan to 600", lambda: _holds(
+        all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600)))),
+    ("numbers", "trial division vs phi(p) = p - 1 to 2000",
+     lambda: _none(primality_failure(2000))),
+    ("numbers", "classical mu golden", lambda: _holds(
+        nt.mobius_classical(6) == 1 and nt.mobius_classical(4) == 0
+        and nt.mobius_classical(1) == 1)),
+    ("numbers", "inverse and power golden", lambda: _holds(
+        nt.mod_inverse(3, 20) == 7 and nt.mod_pow(19, 7, 25) == 14)),
+    ("numbers", "raw demo n=25", lambda: _holds(
+        nt.mod_pow(14, 3, 25) == 19 and nt.mod_pow(19, 7, 25) == 14)),
+    ("numbers", "keypair (5,11,3) full roundtrip", lambda: _holds(
+        nt.rsa_keygen(5, 11, 3).d == 27 and rsa_roundtrip_failure([(5, 11, 3)]) is None)),
+    ("birthday", "23 people beat a coin flip",
+     lambda: _holds(ct.birthday_probability(23) > Fraction(1, 2))),
+    ("birthday", "22 people do not",
+     lambda: _holds(ct.birthday_probability(22) < Fraction(1, 2))),
+    ("birthday", "edge cases", lambda: _holds(
+        ct.birthday_probability(1) == 0 and ct.birthday_probability(400) == 1)),
+    ("surjections", "alternating sum matches filtered enumeration",
+     lambda: _none(surjection_filter_failure(6, 5))),
+    ("surjections", "matches inversion on the subset lattice",
+     lambda: _none(surjection_inversion_failure(5, 5))),
+    *(("errata", f"{name} = {good}", _errata(fn, good, misprint))
+      for name, fn, good, misprint in ERRATA),
+    ("errata", "oracle confirms pinned values", lambda: _none(errata_oracle_failure([4]))),
+]
+
+SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 
 
 def run_suites(names: list[str]) -> list[tuple[str, Check]]:
-    """Run the named suites ("all" expands to every suite), in order.  A suite
-    that raises ArithmeticError (two routes disagreed) yields one failing check."""
-    expanded: list[str] = []
+    """Run the checks of the named suites ("all" is every suite), in the
+    order named, repeats included.  Every name is checked before any check
+    runs: an unknown one raises KeyError.  A check that raises an Exception
+    fails alone, with the exception as its detail; every other check runs."""
     for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        elif name in SUITES:
-            expanded.append(name)
-        else:
+        if name != "all" and name not in SUITES:
             raise KeyError(name)
     results = []
-    for name in expanded:
-        try:
-            checks = SUITES[name]()
-        except ArithmeticError as exc:
-            checks = [Check("raised ArithmeticError", False, str(exc))]
-        results.extend((name, check) for check in checks)
+    for name in names:
+        for suite, check_name, thunk in CHECKS:
+            if name in ("all", suite):
+                try:
+                    ok, detail = thunk()
+                except Exception as exc:
+                    ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+                results.append((suite, Check(check_name, ok, detail)))
     return results
 
-
 # ---------------------------------------------------------------------------
-# shared helpers for suites and tests
+# shared helpers for checks and tests
 # ---------------------------------------------------------------------------
 
 

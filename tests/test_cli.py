@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import exactcomb.counting as ct
+import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
+import exactcomb.verify as vf
+from exactcomb import cli
 from exactcomb.cli import main, run
 from exactcomb.exact_core import parse_int, parse_rational
 
@@ -258,9 +261,13 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     result = run(["verify", "sieve", "errata"])
     lines = result.payload.splitlines()
     assert result.code == 1
-    assert lines[0].startswith("FAIL  sieve: raised ArithmeticError  [internal")
-    assert all(line.startswith("PASS  errata: ") for line in lines[1:-1])
-    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed, 1 FAILED"
+    # each sieve check fails on its own line; the errata checks still run
+    assert lines[0].startswith("FAIL  sieve: derangement families via sieve  "
+                               "[raised ArithmeticError: internal inconsistency in sieve")
+    assert lines[1].startswith("FAIL  sieve: random families: exactly-m counts by scan  "
+                               "[raised ArithmeticError: ")
+    assert all(line.startswith("PASS  errata: ") for line in lines[2:-1])
+    assert lines[-1] == f"{len(lines) - 3}/{len(lines) - 1} checks passed, 2 FAILED"
 
     # C(9, 4) has j = 4, so its second route is the falling factorial
     monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: 0)
@@ -357,3 +364,124 @@ def test_poset_mobius_rows_follow_a_linear_extension(tmp_path):
     assert out(["poset", "mobius", str(poset)]).splitlines() == expected
     data = json.loads(out(["poset", "mobius", str(poset), "--format", "json"]))
     assert [",".join(map(str, t)) for t in data["mobius"]] == expected
+
+
+def _raises(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module, name, exc, affected", [
+    (ct, "touchard", ValueError("boom"), "menage"),
+    # a KeyError from a check is that check's failure, not an unknown suite
+    (ct, "touchard", KeyError("d(9)"), "menage"),
+    (nt, "euler_phi", ZeroDivisionError("division by zero"), "numbers"),
+], ids=["ValueError", "KeyError", "ZeroDivisionError"])
+def test_a_raising_check_fails_alone(monkeypatch, capsys, module, name, exc, affected):
+    monkeypatch.setattr(module, name, _raises(exc))
+    assert main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    # every check of the run prints, in table order, and the summary counts them all
+    assert [line[6:].split("  [")[0] for line in lines[:-1]] == [
+        f"{suite}: {check}" for suite, check, _ in vf.CHECKS]
+    failed = [line for line in lines if line.startswith("FAIL  ")]
+    expected = {
+        "menage": ["U3=1 U4=2 U5=13", "formula matches exhaustive seating",
+                   "full count is 2 n! U_n"],
+        "numbers": ["totient golden",
+                    "product formula vs divisor-classification count to 2000",
+                    "product formula vs literal scan to 600"],
+    }[affected]
+    detail = f"[raised {type(exc).__name__}: {exc}]"
+    assert failed == [f"FAIL  {affected}: {check}  {detail}" for check in expected]
+    total = len(vf.CHECKS)
+    assert lines[-1] == f"{total - 3}/{total} checks passed, 3 FAILED"
+    assert "unknown suite" not in out
+
+
+@pytest.mark.parametrize("suites", [["not-a-suite", "core"], ["core", "not-a-suite"]])
+def test_unknown_suite_exits_2_before_any_check(monkeypatch, suites):
+    calls = []
+    monkeypatch.setattr(vf, "CHECKS", [
+        (suite, check, lambda: calls.append(1) or (True, ""))
+        for suite, check, _ in vf.CHECKS])
+    assert run(["verify", *suites]) == (
+        2, f"error: unknown suite 'not-a-suite'; available: all, {', '.join(vf.SUITES)}")
+    assert calls == []
+    assert run(["verify", "core"]).code == 0 and len(calls) == 4
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    parse = cli.COEFF["bell"][0]
+    monkeypatch.setitem(cli.COEFF, "bell", (parse, _raises(MemoryError())))
+    expected = ("error: out of memory: coeff needs more memory than this process "
+                "could allocate")
+    assert run(["coeff", "bell", "5"]) == (2, expected)
+    assert main(["coeff", "bell", "5"]) == 2
+    assert capsys.readouterr() == ("", expected + "\n")
+
+
+# one small request per coeff family; `graph` appears with and without an
+# edge count, because the two take different routes
+ROUTE_CASES = [
+    ["binomial", "9", "4"], ["multiset", "3", "4"], ["gentile", "2", "3", "3"],
+    ["multinomial", "4", "2", "1", "1"], ["stirling1", "7", "3"], ["stirling2", "9", "4"],
+    ["cycles", "6", "2"], ["bell", "12"], ["faa", "4", "0", "2"], ["cauchy", "5", "1", "2"],
+    ["derangement", "9"], ["dnk", "6", "2"], ["surjections", "7", "3"],
+    ["gergonne", "9", "3", "1"], ["touchard", "7"], ["menage", "6"], ["phi", "210"],
+    ["mobius", "30"], ["birthday", "23"], ["graph", "graph", "4", "3"],
+    ["graph", "graph", "4"],
+]
+
+# requests whose answer no second route checks at call time (ROADMAP item 2);
+# a request leaves this list when its family gains such a route
+ONE_ROUTE = {
+    ("gentile",): "read from its row table",
+    ("multinomial",): "n! divided by each part's factorial, with no check",
+    ("stirling1",): "the signed cycle-count row",
+    ("stirling2",): "read from its row table",
+    ("cycles",): "read from its row table",
+    ("derangement",): "read from its row table",
+    ("surjections",): "one alternating sum",
+    ("touchard",): "one alternating sum",
+    ("menage",): "2 n! times touchard",
+    ("mobius",): "read off the factorization",
+    ("birthday",): "one quotient of a falling factorial by a power",
+    ("graph", "graph", "4"): "2**slots, with the slots checked but not the power",
+}
+
+
+def test_every_coeff_answer_comes_from_a_checked_route(monkeypatch):
+    """The printed answer of each request is a value that `agree` or
+    `exact_quotient` returned while it ran, unless the request is listed in
+    ONE_ROUTE; a listed request must still be unchecked, so the list shrinks."""
+    assert {case[0] for case in ROUTE_CASES} == set(cli.COEFF)
+    returned = []
+
+    def recording(fn):
+        def wrapped(*args):
+            value = fn(*args)
+            returned.append(value)
+            return value
+        return wrapped
+
+    for module in (ct, nt):
+        for name in ("agree", "exact_quotient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for case in ROUTE_CASES:
+        for module in (ct, nt):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        returned.clear()
+        result = run(["coeff", *case])
+        assert result.code == 0, (case, result)
+        # gergonne prints (count, probability); the probability is the count
+        # over C(n, k)
+        answer = parse_rational(result.payload.split()[0])
+        listed = tuple(case) in ONE_ROUTE or (case[0],) in ONE_ROUTE
+        assert (answer in returned) != listed, (case, answer, returned)
