@@ -22,6 +22,13 @@ def test_suite(suite):
     assert not failed, failed
 
 
+def test_verify_identities_at_larger_ranges():
+    assert vf.gcd_failure(seed=12, trials=5000) is None
+    assert vf.series_ring_failure(seed=13, trials=200) is None
+    assert vf.multinomial_sum_failure(9, 8) is None
+    assert vf.derangement_ratio_failure(60) is None
+
+
 def test_criterion_01_table_fidelity():
     assert vf.printed_rows_failure("binomial", 4, range(4)) is None
     assert vf.printed_rows_failure("multiset", 4, range(4)) is None
