@@ -764,6 +764,7 @@ def run_suites(names: list[str]) -> list[tuple[str, Check]]:
                 results.append((suite, Check(check_name, ok, detail)))
     return results
 
+
 # ---------------------------------------------------------------------------
 # shared helpers for checks and tests
 # ---------------------------------------------------------------------------
