@@ -1,6 +1,7 @@
 """The exact bytes of a fixed set of CLI commands: exit code, stdout and
 stderr, as recorded in tests/cli_golden.json.  `python3 tools/golden.py
---write` writes that file; rewrite it only for an intended change of output."""
+--write` writes that file; rewrite it only for an intended change of output.
+Commands run from the repository root, which holds their `tests/data/` files."""
 
 import hashlib
 import json
@@ -10,8 +11,8 @@ import pytest
 
 from exactcomb import cli, verify
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "cli_golden.json").read_text(encoding="utf-8"))
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def _as_stored(stored: dict, text: str) -> dict:
@@ -25,6 +26,7 @@ def _as_stored(stored: dict, text: str) -> dict:
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
 def test_cli_bytes(entry, capsys, monkeypatch):
     monkeypatch.delenv("EXACTCOMB_VERBOSE", raising=False)
+    monkeypatch.chdir(ROOT)
     code = cli.main(entry["argv"])
     out, err = capsys.readouterr()
     assert code == entry["code"]
@@ -37,3 +39,13 @@ def test_golden_covers_verify_and_every_coeff_family():
     assert {argv[1] for argv in argvs if argv[0] == "coeff"} == set(cli.COEFF)
     assert all(["verify", suite] in argvs for suite in verify.SUITES)
     assert ["verify"] in argvs and ["verify", "--list"] in argvs
+
+
+def test_golden_covers_every_table_enumerate_poset_and_rsa_command():
+    argvs = [entry["argv"] for entry in GOLDEN]
+    tables = {(argv[1], argv[-1]) for argv in argvs if argv[0] == "table" and "--format" in argv}
+    assert tables == {(family, fmt) for family in cli.TABLE for fmt in ("csv", "json")}
+    assert {argv[1] for argv in argvs if argv[0] == "enumerate"} == set(cli.ENUMERATE)
+    assert any(argv[0] == "enumerate" and "--limit" in argv for argv in argvs)
+    assert {argv[1] for argv in argvs if argv[0] == "poset"} == {"mobius", "invert", "sieve"}
+    assert {argv[1] for argv in argvs if argv[0] == "rsa"} == {"keygen", "encrypt", "decrypt"}

@@ -1,6 +1,7 @@
 """Record the exact bytes of a fixed set of CLI commands in tests/cli_golden.json.
 
-Each command runs in this process through ``exactcomb.cli.main``, with
+Each command runs in this process through ``exactcomb.cli.main``, from the
+repository root (file arguments are paths under ``tests/data/``), with
 ``EXACTCOMB_VERBOSE`` unset.  For each one the file keeps the argv, the exit
 code, and stdout and stderr: in full when short, else as a sha256 of the
 UTF-8 text together with its length.  ``tests/test_cli_golden.py`` replays
@@ -38,12 +39,62 @@ COEFF = [
     ["dnk", "6", "2"], ["surjections", "7", "3"], ["gergonne", "5", "2", "1"],
     ["touchard", "12"], ["menage", "6"], ["phi", "210"], ["mobius", "30"],
     ["birthday", "23"], ["graph", "digraph", "4", "3"],
+    ["graph", "graph", "200"],  # past CPython's 4300-digit limit on int-to-str
+]
+
+TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]
+TABLE = [
+    *([family, "--rows", "6", "--cols", "7", *(["--p", "2"] if family == "gentile" else []),
+       "--format", fmt] for family in TABLE_FAMILIES for fmt in ("csv", "json")),
+    ["gentile", "--rows", "3", "--cols", "3"],  # no --p
+    ["binomial", "--rows", "0", "--cols", "3"],
+    ["binomial", "--rows", "2001", "--cols", "3"],  # past the 2000-row cap
+]
+
+ENUMERATE = [
+    ["functions", "3", "2"], ["functions", "3", "3", "--mode", "injective"],
+    ["functions", "4", "2", "--mode", "surjective"],
+    ["subsets", "4"], ["subsets", "5", "2"],
+    # --limit below, at and above the count of 16
+    ["subsets", "4", "--limit", "3"], ["subsets", "4", "--limit", "16"],
+    ["subsets", "4", "--limit", "17"],
+    ["multisets", "3", "3"], ["multisets", "12", "2", "--limit", "20"],
+    ["partitions", "4"], ["partitions", "5", "--blocks", "2"],
+    ["permutations", "4"], ["permutations", "5", "--cycles", "2"],
+    ["permutations", "4", "--derangements"], ["permutations", "8"],
+    ["gergonne", "7", "3", "1"], ["gergonne", "8", "3", "1", "--circular"],
+    ["menage", "5"],
+    ["permutations", "11"],  # refused by the size guard
+    # one empty object each
+    ["subsets", "0"], ["functions", "0", "5"], ["partitions", "0"], ["permutations", "0"],
+    # no object at all
+    ["subsets", "3", "5"], ["functions", "2", "0"],
+]
+
+POSETS = ["tests/data/boolean3.json", "tests/data/divisors12.json",
+          "tests/data/nontransitive.json"]
+VALUES = {"tests/data/boolean3.json": "tests/data/boolean3_values.json",
+          "tests/data/divisors12.json": "tests/data/divisors12_values.json",
+          "tests/data/nontransitive.json": "tests/data/divisors12_values.json"}
+POSET = [
+    *(["mobius", poset, *fmt] for poset in POSETS for fmt in ([], ["--format", "json"])),
+    *(["invert", poset, VALUES[poset], *dual] for poset in POSETS for dual in ([], ["--dual"])),
+    *(["sieve", family] for family in ["tests/data/family.json", "tests/data/derangement4.json",
+                                       "tests/data/nontransitive.json"]),
+]
+
+RSA = [
+    ["keygen", "--p", "61", "--q", "53", "--e", "17"],
+    ["encrypt", "--n", "3233", "--e", "17", "--m", "65"],
+    ["decrypt", "--n", "3233", "--d", "2753", "--c", "2790"],
+    ["keygen", "--p", "5", "--q", "5", "--e", "3"],  # refused: p = q
 ]
 
 
 def commands() -> list[list[str]]:
     """`verify`, its list, each suite, a repeated selection, an unknown
-    suite, and the `coeff` commands above."""
+    suite, and the `coeff`, `table`, `enumerate`, `poset` and `rsa`
+    commands above."""
     from exactcomb.verify import SUITES
 
     return [
@@ -53,6 +104,10 @@ def commands() -> list[list[str]]:
         ["verify", "sieve", "errata", "core", "core"],
         ["verify", "not-a-suite"],
         *(["coeff", *args] for args in COEFF),
+        *(["table", *args] for args in TABLE),
+        *(["enumerate", *args] for args in ENUMERATE),
+        *(["poset", *args] for args in POSET),
+        *(["rsa", *args] for args in RSA),
     ]
 
 
@@ -80,6 +135,7 @@ def main() -> None:
                         help=f"rewrite {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
     os.environ.pop("EXACTCOMB_VERBOSE", None)
     text = json.dumps([record(argv) for argv in commands()], indent=1) + "\n"
     if args.write:
