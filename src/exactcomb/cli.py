@@ -8,6 +8,11 @@ verification failure or internal inconsistency, 2 usage or input error
 or a request too large to finish (refused by a size guard, or a
 `MemoryError` while it ran).
 
+A command returns its exit code and its lines, lazy where output is large;
+`main` writes them to stdout as they are made, and an error to stderr after
+the lines made before it.  If the reader closes stdout (`| head`), writing
+stops and the command exits with its own code, without a message.
+
 Each command imports only the modules it runs: `coeff` and `rsa` need
 `counting`, `number_theory` and `exact_core`, loaded here; `table` loads
 `recursive_matrix` for its matrix families, `enumerate` loads
@@ -22,7 +27,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
 from . import number_theory as nt
@@ -31,8 +36,10 @@ from .exact_core import format_rational, guard, parse_int, parse_rational
 
 class CommandResult(NamedTuple):
     code: int  # 0 ok, 1 verification failure or inconsistency, 2 usage error or too large
-    payload: str  # on stderr when it starts with "error: ", else on stdout
+    payload: str  # the error message, else the lines joined by "\n" if run kept them
 
+
+Output = tuple[int, Iterable[str]]  # what a command returns: exit code, lines
 
 # Each family of `coeff` and `enumerate` is a pair (argument parser,
 # library function).  The parser turns the family name and the parsed
@@ -111,9 +118,9 @@ def _show(value) -> str:
     return format_rational(value)
 
 
-def _cmd_coeff(args: argparse.Namespace) -> CommandResult:
+def _cmd_coeff(args: argparse.Namespace) -> Output:
     parse, fn = COEFF[args.family]
-    return CommandResult(0, _show(fn(*parse(args.family, args))))
+    return 0, [_show(fn(*parse(args.family, args)))]
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +144,13 @@ def _matrix_rows(name: str, *options: str) -> Callable:
     return rows
 
 
-def _coeff_rows(family: str, args: argparse.Namespace) -> list[list[int]]:
+def _coeff_rows(family: str, args: argparse.Namespace) -> Iterable[list[int]]:
     """Rows entry by entry, from the family's function in the coeff table."""
     fn = COEFF[family][1]
-    return [[fn(n, k) for k in range(args.cols)] for n in range(args.rows)]
+    return ([fn(n, k) for k in range(args.cols)] for n in range(args.rows))
 
 
-TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
+TABLE: dict[str, Callable[[str, argparse.Namespace], Iterable[list[int]]]] = {
     "binomial": _matrix_rows("binomial_matrix"),
     "multiset": _matrix_rows("multiset_matrix"),
     "gentile": _matrix_rows("gentile_matrix", "p"),
@@ -153,7 +160,7 @@ TABLE: dict[str, Callable[[str, argparse.Namespace], list[list[int]]]] = {
 }
 
 
-def _cmd_table(args: argparse.Namespace) -> CommandResult:
+def _cmd_table(args: argparse.Namespace) -> Output:
     if args.rows < 1 or args.cols < 1:
         raise ValueError("--rows and --cols must be >= 1")
     guard(args.rows <= 2000 and args.cols <= 2000,
@@ -162,12 +169,9 @@ def _cmd_table(args: argparse.Namespace) -> CommandResult:
     if args.format == "json":
         import json
 
-        payload = json.dumps(
-            {"family": args.family, "rows": [[str(v) for v in row] for row in table]}
-        )
-    else:
-        payload = "\n".join(",".join(str(v) for v in row) for row in table)
-    return CommandResult(0, payload)
+        rows = [[str(v) for v in row] for row in table]
+        return 0, [json.dumps({"family": args.family, "rows": rows})]
+    return 0, (",".join(str(v) for v in row) for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +227,15 @@ ENUMERATE: dict[str, tuple[Parser, Callable]] = {
 }
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
+def _cmd_enumerate(args: argparse.Namespace) -> Output:
     if args.limit < 0:
         raise ValueError("--limit must be >= 0")
     parse, lines_of = ENUMERATE[args.family]
-    lines: list[str] = []
-    for i, line in enumerate(lines_of(*parse(args.family, args))):
-        if args.limit and i >= args.limit:
-            lines.append("...")
-            break
-        lines.append(line)
-    return CommandResult(0, "\n".join(lines))
+    lines = lines_of(*parse(args.family, args))
+    if args.limit:  # the first line past the limit is written as "..."
+        lines = (line if i < args.limit else "..."
+                 for i, line in zip(range(args.limit + 1), lines))
+    return 0, lines
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +243,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> CommandResult:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     from .verify import SUITES, run_suites
 
     if args.list:
-        return CommandResult(0, "\n".join(SUITES))
-    verbose = bool(os.environ.get("EXACTCOMB_VERBOSE"))
+        return 0, SUITES
     started = time.perf_counter()
-    try:
-        results = run_suites(args.suites or ["all"])
-    except KeyError as exc:  # only a name: a check that raises is a FAIL line
-        raise ValueError(
-            f"unknown suite {exc.args[0]!r}; available: all, {', '.join(SUITES)}"
-        ) from None
-    if verbose:
+    results = run_suites(args.suites or ["all"])
+    if os.environ.get("EXACTCOMB_VERBOSE"):
         print(f"ran {len(results)} checks in "
               f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
     lines = []
@@ -268,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandResult:
         f"{len(results) - failures}/{len(results)} checks passed"
         + (f", {failures} FAILED" if failures else "")
     )
-    return CommandResult(1 if failures else 0, "\n".join(lines))
+    return 1 if failures else 0, lines
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +280,19 @@ def _load_poset(path: str):
         return FinitePoset.from_json(fh.read())
 
 
-def _cmd_poset_mobius(args: argparse.Namespace) -> CommandResult:
+def _cmd_poset_mobius(args: argparse.Namespace) -> Output:
     import json
 
     from . import poset_mobius as pm
 
-    P = _load_poset(args.poset)
     # x in element order, the y of each x in linear-extension order
-    triples = [[x, y, str(v)] for (x, y), v in pm.mobius(P).items()]
+    mu = pm.mobius(_load_poset(args.poset)).items()
     if args.format == "json":
-        return CommandResult(0, json.dumps({"mobius": triples}))
-    return CommandResult(
-        0, "\n".join(f"{x},{y},{v}" for x, y, v in triples)
-    )
+        return 0, [json.dumps({"mobius": [[x, y, str(v)] for (x, y), v in mu]})]
+    return 0, (f"{x},{y},{v}" for (x, y), v in mu)
 
 
-def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
+def _cmd_poset_invert(args: argparse.Namespace) -> Output:
     import json
 
     from . import poset_mobius as pm
@@ -317,10 +310,10 @@ def _cmd_poset_invert(args: argparse.Namespace) -> CommandResult:
         g[e] = parse_rational(str(raw[key]))
     f = pm.invert_dual(P, g) if args.dual else pm.invert(P, g)
     out = {str(e): format_rational(f[e]) for e in P.elements}
-    return CommandResult(0, json.dumps(out))
+    return 0, [json.dumps(out)]
 
 
-def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
+def _cmd_poset_sieve(args: argparse.Namespace) -> Output:
     import json
 
     from . import poset_mobius as pm
@@ -328,14 +321,8 @@ def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
     with open(args.family, encoding="utf-8") as fh:
         fam = pm.SubsetFamily.from_json(fh.read())
     numbers, exactly = pm.sieve_counts(fam)
-    payload = json.dumps(
-        {
-            "sylvester": [str(v) for v in numbers],
-            "survivors": str(exactly[0]),
-            "exactly": [str(v) for v in exactly],
-        }
-    )
-    return CommandResult(0, payload)
+    return 0, [json.dumps({"sylvester": [str(v) for v in numbers],
+                           "survivors": str(exactly[0]), "exactly": [str(v) for v in exactly]})]
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +330,25 @@ def _cmd_poset_sieve(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rsa_keygen(args: argparse.Namespace) -> CommandResult:
+def _keygen_json(p: int, q: int, e: int) -> str:
     import json
 
-    key = nt.rsa_keygen(args.p, args.q, args.e)
-    payload = json.dumps(
-        {
-            "p": str(key.p),
-            "q": str(key.q),
-            "n": str(key.n),
-            "phi": str(key.phi),
-            "e": str(key.e),
-            "d": str(key.d),
-            "note": "toy parameters, no cryptographic security",
-        }
-    )
-    return CommandResult(0, payload)
+    key = nt.rsa_keygen(p, q, e)
+    return json.dumps({**{slot: str(getattr(key, slot)) for slot in key.__slots__},
+                       "note": "toy parameters, no cryptographic security"})
 
 
-def _cmd_rsa_encrypt(args: argparse.Namespace) -> CommandResult:
-    return CommandResult(0, str(nt.rsa_encrypt(args.n, args.e, args.m)))
+# each subcommand: its required integer options, and the function they go to
+RSA: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "keygen": (("p", "q", "e"), _keygen_json),
+    "encrypt": (("n", "e", "m"), nt.rsa_encrypt),
+    "decrypt": (("n", "d", "c"), nt.rsa_decrypt),
+}
 
 
-def _cmd_rsa_decrypt(args: argparse.Namespace) -> CommandResult:
-    return CommandResult(0, str(nt.rsa_decrypt(args.n, args.d, args.c)))
+def _cmd_rsa(args: argparse.Namespace) -> Output:
+    options, fn = RSA[args.subcmd]
+    return 0, [str(fn(*(getattr(args, o) for o in options)))]
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("args", nargs="*")
     p_coeff.add_argument("--circular", action="store_true",
                          help="circular variant (gergonne)")
-    p_coeff.add_argument("--days", type=int, default=365,
+    p_coeff.add_argument("--days", type=parse_int, default=365,
                          help="year length (birthday)")
     p_coeff.set_defaults(fn=_cmd_coeff)
 
     p_table = sub.add_parser("table", help="dump a coefficient table")
     p_table.add_argument("family", choices=list(TABLE))
-    p_table.add_argument("--rows", type=int, required=True)
-    p_table.add_argument("--cols", type=int, required=True)
-    p_table.add_argument("--p", type=int, default=None,
+    p_table.add_argument("--rows", type=parse_int, required=True)
+    p_table.add_argument("--cols", type=parse_int, required=True)
+    p_table.add_argument("--p", type=parse_int, default=None,
                          help="occupancy bound (gentile)")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.set_defaults(fn=_cmd_table)
@@ -405,12 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("args", nargs="*")
     p_enum.add_argument("--mode", choices=["all", "injective", "surjective"],
                         default="all", help="filter (functions)")
-    p_enum.add_argument("--blocks", type=int, default=None, help="block count (partitions)")
-    p_enum.add_argument("--cycles", type=int, default=None, help="cycle count (permutations)")
+    p_enum.add_argument("--blocks", type=parse_int, default=None, help="block count (partitions)")
+    p_enum.add_argument("--cycles", type=parse_int, default=None, help="cycle count (permutations)")
     p_enum.add_argument("--derangements", action="store_true",
                         help="fixed-point-free only (permutations)")
     p_enum.add_argument("--circular", action="store_true", help="round table (gergonne)")
-    p_enum.add_argument("--limit", type=int, default=0, help="cap output lines (0 = all)")
+    p_enum.add_argument("--limit", type=parse_int, default=0, help="cap output lines (0 = all)")
     p_enum.set_defaults(fn=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run self-check suites")
@@ -435,37 +417,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rsa = sub.add_parser("rsa", help="toy RSA (no security!)")
     rsa_sub = p_rsa.add_subparsers(dest="subcmd", required=True)
-    rk = rsa_sub.add_parser("keygen")
-    rk.add_argument("--p", type=int, required=True)
-    rk.add_argument("--q", type=int, required=True)
-    rk.add_argument("--e", type=int, required=True)
-    rk.set_defaults(fn=_cmd_rsa_keygen)
-    re_ = rsa_sub.add_parser("encrypt")
-    re_.add_argument("--n", type=int, required=True)
-    re_.add_argument("--e", type=int, required=True)
-    re_.add_argument("--m", type=int, required=True)
-    re_.set_defaults(fn=_cmd_rsa_encrypt)
-    rd = rsa_sub.add_parser("decrypt")
-    rd.add_argument("--n", type=int, required=True)
-    rd.add_argument("--d", type=int, required=True)
-    rd.add_argument("--c", type=int, required=True)
-    rd.set_defaults(fn=_cmd_rsa_decrypt)
+    for name, (options, _) in RSA.items():
+        pr = rsa_sub.add_parser(name)
+        for option in options:
+            pr.add_argument(f"--{option}", type=parse_int, required=True)
+        pr.set_defaults(fn=_cmd_rsa)
 
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
-    """Parse and execute; usage and input errors come back as code 2, as
+CHUNK = 1 << 16  # characters per write to stdout, set from CHANGES.md's measurement
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout as the lines are made, in chunks
+    of about CHUNK characters (a longer line alone, uncopied), and the lines
+    made before an error before it propagates; a closed stdout stops it."""
+    chunk, size = [], 0
+    try:
+        try:
+            for line in lines:
+                if chunk and size + len(line) > CHUNK:
+                    sys.stdout.writelines(("\n".join(chunk), "\n"))
+                    chunk, size = [], 0
+                chunk.append(line)
+                size += len(line) + 1
+        finally:
+            if chunk:
+                sys.stdout.writelines(("\n".join(chunk), "\n"))
+            sys.stdout.flush()
+    except BrokenPipeError:  # what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def run(argv: Optional[Sequence[str]] = None,
+        write: Optional[Callable[[Iterable[str]], None]] = None) -> CommandResult:
+    """Parse and execute, handing the lines to `write` (by default, joining
+    them into the payload).  Usage and input errors come back as code 2, as
     does a request that ran out of memory (too large, like one a size guard
-    refuses), and a disagreement between two routes (ArithmeticError) as
-    code 1."""
+    refuses), and a disagreement between two routes (ArithmeticError) as 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, "")
+    lines: list[str] = []
     try:
-        return args.fn(args)
+        code, out = args.fn(args)
+        (write or lines.extend)(out)
+        return CommandResult(code, "\n".join(lines))
     except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError included
         # a PosetError can only come from a command that loaded poset_mobius
         pm = sys.modules.get(f"{__package__}.poset_mobius")
@@ -481,18 +481,18 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run and print.  Exact answers may run past CPython's limit on int-to-str
-    conversion (4300 digits), so that limit is lifted while the command runs."""
+    """Run, writing the lines to stdout and an error (all that a run with a
+    writer returns as payload) to stderr.  Exact answers may pass CPython's
+    4300-digit limit on int-to-str conversion, so it is lifted meanwhile."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        result = run(argv)
+        code, error = run(argv, _write_lines)
     finally:
         sys.set_int_max_str_digits(limit)
-    if result.payload:
-        stream = sys.stderr if result.payload.startswith("error: ") else sys.stdout
-        print(result.payload, file=stream)
-    return result.code
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,10 +32,9 @@ from .counting import GergonneQuery, TypeVector
 from .exact_core import SizeGuardError, guard  # noqa: F401 (kept as en.SizeGuardError)
 
 # objects one walk visits, and letters in all the objects of one request:
-# at the caps, `exactcomb enumerate` took up to 5.7 s and 146 MB
-# (`partitions 11`; `gergonne 3162 3161 0`), CPython 3.11, a shared 2-vCPU
-# x86-64 machine; one word of 10**7 letters (`multisets 1 9999999`,
-# `functions 10000000 1`) peaks at 0.8-0.9 GB, one str per letter in `as_word`
+# at the caps, `exactcomb enumerate` took up to 6.7 s (`partitions 11`, 17 MB)
+# and 111 MB (`functions 10000000 1`, one word of 10**7 letters, 80 MB of it
+# the image tuple), CPython 3.11, a shared 2-vCPU x86-64 machine
 MAX_OBJECTS = 10**6
 MAX_LETTERS = 10**7
 
@@ -87,11 +86,15 @@ def _guard_walk(within: Callable[[int], bool], letters: int, what: str) -> None:
           f"{what}, at most {MAX_OBJECTS} objects and {MAX_LETTERS} letters")
 
 
+# byte v to the digit v, so that a word over 0..9 needs no str per letter
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def as_word(values: Sequence[int]) -> str:
     """Word form of a function/letter sequence; single-digit alphabets
     concatenate ("1312"), larger ones join with commas."""
     if all(0 <= v <= 9 for v in values):
-        return "".join(str(v) for v in values)
+        return bytes(values).translate(_DIGITS).decode()
     return ",".join(str(v) for v in values)
 
 
@@ -121,7 +124,8 @@ def enumerate_functions(
     # n^k words: over one letter (or none, k = 0) one word, for the letter cap alone
     _guard_walk(lambda cap: 1 <= cap if n < 2 else _product_within(repeat(n, k), cap),
                 k, f"n^k words with n={n}, k={k}")
-    everything = product(range(1, n + 1), repeat=k)
+    # over one letter the only word, without product's k-fold pools
+    everything = iter([(1,) * k]) if n < 2 else product(range(1, n + 1), repeat=k)
     if mode == "all":
         yield from everything
     else:
@@ -176,6 +180,8 @@ def enumerate_multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def multiset_word(rho: Sequence[int]) -> str:
     """Nondecreasing word for a multiplicity vector: (2,1,3) -> "112333"."""
+    if not any(rho[9:]):  # letters 1..9 only: one digit each, no list of letters
+        return "".join(str(i) * count for i, count in enumerate(rho, start=1))
     letters: list[int] = []
     for i, count in enumerate(rho, start=1):
         letters.extend([i] * count)

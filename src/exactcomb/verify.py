@@ -748,11 +748,11 @@ SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 def run_suites(names: list[str]) -> list[tuple[str, Check]]:
     """Run the checks of the named suites ("all" is every suite), in the
     order named, repeats included.  Every name is checked before any check
-    runs: an unknown one raises KeyError.  A check that raises an Exception
+    runs: an unknown one raises ValueError.  A check that raises an Exception
     fails alone, with the exception as its detail; every other check runs."""
     for name in names:
         if name != "all" and name not in SUITES:
-            raise KeyError(name)
+            raise ValueError(f"unknown suite {name!r}; available: all, {', '.join(SUITES)}")
     results = []
     for name in names:
         for suite, check_name, thunk in CHECKS:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -485,3 +486,96 @@ def test_every_coeff_answer_comes_from_a_checked_route(monkeypatch):
         answer = parse_rational(result.payload.split()[0])
         listed = tuple(case) in ONE_ROUTE or (case[0],) in ONE_ROUTE
         assert (answer in returned) != listed, (case, answer, returned)
+
+
+# ---------------------------------------------------------------------------
+# the output stream: lines written as they are made, errors on stderr
+# ---------------------------------------------------------------------------
+
+
+def test_an_error_after_output_keeps_the_lines_made_before_it(monkeypatch, capsys):
+    def three_lines_then_a_disagreement(n):
+        yield from ["a", "b", "c"]
+        raise ArithmeticError("internal inconsistency after three lines")
+
+    parse = cli.ENUMERATE["menage"][0]
+    monkeypatch.setitem(cli.ENUMERATE, "menage", (parse, three_lines_then_a_disagreement))
+    assert main(["enumerate", "menage", "4"]) == 1
+    assert capsys.readouterr() == (
+        "a\nb\nc\n", "error: internal inconsistency after three lines\n")
+    # run() reports the error alone, as before
+    assert run(["enumerate", "menage", "4"]) == (
+        1, "error: internal inconsistency after three lines")
+
+
+def test_output_that_reads_like_an_error_stays_on_stdout(tmp_path, capsys):
+    poset = tmp_path / "named.json"
+    poset.write_text(json.dumps({"elements": ["error: a", "b"], "leq": [["error: a", "b"]]}))
+    assert main(["poset", "mobius", str(poset)]) == 0
+    assert capsys.readouterr() == ("error: a,error: a,1\nerror: a,b,-1\nb,b,1\n", "")
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # 40320 lines, far more than a pipe buffers
+    proc = subprocess.Popen([sys.executable, "-m", "exactcomb", "enumerate", "permutations", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"12345678\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumeration_output_is_not_held_whole(monkeypatch):
+    import exactcomb.enumeration  # noqa: F401 (its import is not the command's cost)
+
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "permutations", "8"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 9 * 40320
+    # 0.8 MB measured, against 3.3 MB when the whole output was one string
+    assert peak < 1.5 * 2**20, peak
+
+
+# one integer per command line that int() accepts and parse_int refuses
+@pytest.mark.parametrize("argv, bad", [
+    (["table", "binomial", "--rows", "1_0", "--cols", "2"], "1_0"),
+    (["table", "binomial", "--rows", "3", "--cols", "2_0"], "2_0"),
+    (["table", "gentile", "--rows", "3", "--cols", "3", "--p", "2_0"], "2_0"),
+    (["coeff", "birthday", "3", "--days", "3_65"], "3_65"),
+    (["enumerate", "subsets", "4", "--limit", "1_0"], "1_0"),
+    (["enumerate", "partitions", "4", "--blocks", "0_2"], "0_2"),
+    (["enumerate", "permutations", "4", "--cycles", "0_1"], "0_1"),
+    (["rsa", "keygen", "--p", "61", "--q", "53", "--e", "1_7"], "1_7"),
+    (["rsa", "encrypt", "--n", "3_233", "--e", "17", "--m", "65"], "3_233"),
+    (["rsa", "decrypt", "--n", "3233", "--d", "2753", "--c", "2_790"], "2_790"),
+    (["coeff", "binomial", "1_0", "2"], "1_0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_every_cli_integer_is_a_plain_decimal(argv, bad, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and repr(bad) in err

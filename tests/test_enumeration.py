@@ -5,6 +5,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactcomb.cli as cli
 import exactcomb.counting as ct
@@ -22,6 +24,27 @@ def test_function_words():
     assert (1, 3, 1, 2) in funcs
     assert en.as_word((1, 3, 1, 2)) == "1312"
     assert en.as_word((10, 2)) == "10,2"  # two-digit letters cannot concatenate
+
+
+def _word_by_str(values):
+    """The word built one str per letter, as as_word once did."""
+    if all(0 <= v <= 9 for v in values):
+        return "".join(str(v) for v in values)
+    return ",".join(str(v) for v in values)
+
+
+@given(st.one_of(st.lists(st.integers(0, 9), max_size=40),
+                 st.lists(st.integers(0, 10**6), max_size=40)))
+@settings(max_examples=200)
+def test_as_word_matches_the_str_per_letter_route(values):
+    assert en.as_word(values) == en.as_word(tuple(values)) == _word_by_str(values)
+
+
+@given(st.lists(st.integers(0, 4), max_size=14))
+@settings(max_examples=200)
+def test_multiset_word_matches_its_letters(rho):
+    letters = [i for i, count in enumerate(rho, start=1) for _ in range(count)]
+    assert en.multiset_word(rho) == _word_by_str(letters)
 
 
 def test_function_modes():
