@@ -26,7 +26,8 @@ from functools import lru_cache, partial
 from itertools import accumulate, compress
 from typing import Iterator, Optional, Sequence
 
-from .exact_core import CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial
+from .exact_core import (CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial,
+                          falling_factorial)
 
 __all__ = [
     "TypeVector",
@@ -126,24 +127,11 @@ def iter_type_vectors(n: int) -> Iterator[TypeVector]:
 # ---------------------------------------------------------------------------
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """(n)_k = n (n-1) ... (n-k+1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def rising_factorial(n: int, k: int) -> int:
-    """<n>_k = n (n+1) ... (n+k-1); the empty product is 1."""
+    """<n>_k = n (n+1) ... (n+k-1) = (n+k-1)_k; the empty product is 1."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= n + i
-    return out
+    return falling_factorial(n + k - 1, k)
 
 
 # (limit, primes <= limit); a bigger sieve replaces it in one assignment, so
@@ -371,7 +359,7 @@ def derangement_fixed(n: int, k: int) -> int:
         return 0
     via_choose = binomial(n, k) * derangement(n - k)
     # n!/k! * sum_{h=k}^{n} (-1)^(h-k) / (h-k)!   (termwise integral)
-    term = factorial(n) // factorial(k)  # n!/k! / (h-k)!, carried from h to h+1
+    term = falling_factorial(n, n - k)  # n!/k! / (h-k)!, carried from h to h+1
     total = 0
     for h in range(k, n + 1):
         total += -term if (h - k) % 2 else term

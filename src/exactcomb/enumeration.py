@@ -15,8 +15,9 @@ n = 11, and permutations and menage seatings to n = 9; multisets, and
 words over one letter, are bounded by their letters alone.  As the
 oracle for `counting`, this module calls none of its formulas: each
 count is built up by bounded integer arithmetic only until it passes
-the cap.  An empty answer (k > n, or words of k >= 1 letters over none)
-returns before itertools allocates.
+the cap.  An empty answer (k > n, or words of k >= 1 letters over none,
+or surjections onto more letters than a word has) returns before
+anything is allocated.
 
 Conventions: ground sets are {1..n}; functions and permutations are
 tuples of 1-based images; set partitions are tuples of blocks, each
@@ -119,13 +120,15 @@ def enumerate_functions(
                     f"(n)_k words with n={n}, k={k}")
         yield from permutations(range(1, n + 1), k)
         return
-    if n == 0 < k:  # no word at all
+    if n == 0 < k or mode == "surjective" and n > k:  # no word at all
         return
     # n^k words: over one letter (or none, k = 0) one word, for the letter cap alone
     _guard_walk(lambda cap: 1 <= cap if n < 2 else _product_within(repeat(n, k), cap),
                 k, f"n^k words with n={n}, k={k}")
-    # over one letter the only word, without product's k-fold pools
-    everything = iter([(1,) * k]) if n < 2 else product(range(1, n + 1), repeat=k)
+    # over one letter the only word, and one-letter words one by one, without
+    # the pools that product copies its ranges into
+    everything = (iter([(1,) * k]) if n < 2 else zip(range(1, n + 1)) if k == 1
+                  else product(range(1, n + 1), repeat=k))
     if mode == "all":
         yield from everything
     else:

@@ -160,14 +160,20 @@ def integer_form(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def falling_factorial(n: int, k: int) -> int:
+    """(n)_k = n (n-1) ... (n-k+1), for any integer n; the empty product is 1.
+    The one product of consecutive integers: factorials and rising
+    factorials are computed here."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return math.prod(range(n - k + 1, n + 1))
+
+
 def factorial(n: int) -> int:
-    """n! as an exact integer, by plain iterated product (0! = 1)."""
+    """n! = (n)_n as an exact integer (0! = 1)."""
     if n < 0:
         raise ValueError(f"factorial is undefined for negative n (got {n})")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return falling_factorial(n, n)
 
 
 def gcd(a: int, b: int) -> int:

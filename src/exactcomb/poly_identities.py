@@ -55,24 +55,26 @@ def poly_text(coeffs: Sequence[int]) -> str:
     return " + ".join(parts)
 
 
+def _shifted_product(shifts: range) -> Coeffs:
+    """The product of (x + s) over the shifts, expanded; none gives 1."""
+    out: Coeffs = (1,)
+    for s in shifts:
+        out = poly_mul((s, 1), out)
+    return out
+
+
 def rising_poly(n: int) -> Coeffs:
     """<x>_n = x (x+1) ... (x+n-1), expanded; n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: Coeffs = (1,)
-    for i in range(n):
-        out = poly_mul((i, 1), out)  # multiply by (x + i)
-    return out
+    return _shifted_product(range(n))
 
 
 def falling_poly(n: int) -> Coeffs:
     """(x)_n = x (x-1) ... (x-n+1), expanded; n = 0 gives the constant 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: Coeffs = (1,)
-    for i in range(n):
-        out = poly_mul((-i, 1), out)  # multiply by (x - i)
-    return out
+    return _shifted_product(range(0, -n, -1))
 
 
 def rising_expansion_coeffs(n: int) -> list[int]:

@@ -235,7 +235,7 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
-        data = _json_object(text)
+        data = _json_object(text, "poset", "elements")
         elements, leq = data["elements"], data.get("leq", [])
         if not isinstance(elements, list) or not all(map(_is_scalar, elements)):
             raise ValueError("elements must be a list of strings or numbers")
@@ -247,12 +247,17 @@ class FinitePoset:
         return cls(elements, [tuple(pair) for pair in leq])
 
 
-def _json_object(text: str) -> dict:
+def _json_object(text: str, kind: str, *keys: str) -> dict:
+    """The JSON object of a `kind` file; ValueError naming the first of
+    `keys` that it lacks."""
     import json
 
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"a {kind} file needs the key {key!r}")
     return data
 
 
@@ -701,7 +706,7 @@ class SubsetFamily(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "SubsetFamily":
-        data = _json_object(text)
+        data = _json_object(text, "subset family", "universe", "sets")
         universe, sets = data["universe"], data["sets"]
         if not isinstance(universe, int):
             raise ValueError("universe must be an integer")

@@ -12,9 +12,10 @@ and the one the recursions and brute-force oracles agree on.
 
 A check that runs over a range is a `*_failure` function: it takes the
 range and returns the first failing case, or None (for seeded random
-cases, the index of the failing trial).  `CHECKS` calls them at ranges
-that keep `verify` fast; the acceptance tests call the same functions at
-larger ranges.
+cases, the index of the failing trial).  Its row in `CHECKS` is the one
+place that states its arguments: a `Range` holds the arguments `verify`
+runs, which keep it fast, and the larger ones that the acceptance tests
+run as well.
 """
 
 from __future__ import annotations
@@ -599,12 +600,22 @@ def _holds(cond) -> tuple[bool, str]:
     return bool(cond), ""
 
 
-def _none(failure) -> tuple[bool, str]:
-    """Passes when a `*_failure` function found no failure."""
-    return failure is None, "" if failure is None else f"first failure {failure}"
-
-
 Thunk = Callable[[], tuple[bool, str]]
+
+
+class Range(Record):
+    """The thunk of a range check: `verify` runs `fn(*quick)`, and tier-1
+    also runs `fn(*args)` for each argument tuple in `deep`.  The check
+    passes when `fn` finds no failure."""
+
+    __slots__ = ("fn", "quick", "deep")
+
+    def __init__(self, fn: Callable[..., object], quick: tuple, *deep: tuple):
+        super().__init__(fn, quick, deep)
+
+    def __call__(self) -> tuple[bool, str]:
+        failure = self.fn(*self.quick)
+        return failure is None, "" if failure is None else f"first failure {failure}"
 
 
 def _errata(fn: Callable[[], int], good: int, misprint: int) -> Thunk:
@@ -623,7 +634,7 @@ CHECKS: list[tuple[str, str, Thunk]] = [
         all(factorial(n) == n * factorial(n - 1) for n in range(1, 201)))),
     ("core", "gcd golden", lambda: _holds(
         gcd(3, 20) == 1 and gcd(7, 0) == 7 and gcd(30, 210) == 30)),
-    ("core", "gcd commutative and divides", lambda: _none(gcd_failure(seed=11, trials=200))),
+    ("core", "gcd commutative and divides", Range(gcd_failure, (11, 200), (12, 5000))),
     ("series", "unit element", lambda: _holds(
         FormalSeries.one(4) * (a := FormalSeries([1, 2, 1, 0, 0])) == a
         == a * FormalSeries.one(4))),
@@ -635,19 +646,22 @@ CHECKS: list[tuple[str, str, Thunk]] = [
         list(map(exp_series(4).compose(FormalSeries([0, 2, 0, 0, 0])).coeff_at, range(5)))
         == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)])),
     ("series", "commutative/associative/distributive",
-     lambda: _none(series_ring_failure(seed=7, trials=40))),
+     Range(series_ring_failure, (7, 40), (13, 200))),
     ("series", "integer kernel matches the Fraction schoolbook route",
-     lambda: _none(series_route_failure(seed=8, trials=20, order=7, max_power=12))),
-    ("matrix", "Pascal rows 0..3", lambda: _none(printed_rows_failure("binomial", 6, range(4)))),
+     Range(series_route_failure, (8, 20, 7, 12))),
+    ("matrix", "Pascal rows 0..3",
+     Range(printed_rows_failure, ("binomial", 6, range(4)), ("binomial", 4, range(4)))),
     ("matrix", "multiset rows 0..3",
-     lambda: _none(printed_rows_failure("multiset", 6, range(4)))),
+     Range(printed_rows_failure, ("multiset", 6, range(4)), ("multiset", 4, range(4)))),
     ("matrix", "occupancy-bound p=2 row 3",
-     lambda: _none(printed_rows_failure("gentile p=2", 6, [3]))),
-    ("matrix", "rows match closed forms to n=40", lambda: _none(closed_form_failure(41, 42))),
-    ("matrix", "convolutions over all splits to n=8",
-     lambda: _none(convolution_failure(["binomial"], 9, 6))),
+     Range(printed_rows_failure, ("gentile p=2", 6, (3,)), ("gentile p=2", 6, range(4)))),
+    ("matrix", "rows match closed forms to n=40",
+     Range(closed_form_failure, (41, 42), (81, 82), (13, 10))),
+    ("matrix", "convolutions over all splits to n=8", Range(
+        convolution_failure, (("binomial",), 9, 6), (tuple(MATRICES), 13, 12),
+        (tuple(MATRICES), 13, 8))),
     ("matrix", "integer rows match schoolbook rule powers to n=8",
-     lambda: _none(matrix_route_failure(9, 8))),
+     Range(matrix_route_failure, (9, 8))),
     ("counting", "binomial golden", lambda: _holds(
         ct.binomial(3, 2) == 3 and ct.binomial(6, 3) == 20 and ct.binomial(7, 0) == 1)),
     ("counting", "row sums are powers of two", lambda: _holds(
@@ -656,7 +670,7 @@ CHECKS: list[tuple[str, str, Thunk]] = [
     # binomial's second route is the Legendre product
     ("counting", "row 200 sums to 2^200", lambda: _holds(
         sum(ct.binomial(200, k) for k in range(201)) == 2**200)),
-    ("counting", "multinomial sums are k^n", lambda: _none(multinomial_sum_failure(7, 7))),
+    ("counting", "multinomial sums are k^n", Range(multinomial_sum_failure, (7, 7), (9, 8))),
     ("counting", "partition statistics agree", lambda: _holds(
         all(sum(ct.stirling2(n, k) for k in range(n + 1)) == ct.bell(n)
             == sum(ct.faa_di_bruno(tv) for tv in ct.iter_type_vectors(n))
@@ -669,64 +683,68 @@ CHECKS: list[tuple[str, str, Thunk]] = [
         all(sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
             for n in range(10)))),
     ("counting", "derangement ratio brackets 1/e",
-     lambda: _none(derangement_ratio_failure(19))),
+     Range(derangement_ratio_failure, (19,), (60,))),
     ("counting", "alternating convolution cases", lambda: _holds(
         ct.alternating_convolution(2, 2, 1) == 0 and ct.alternating_convolution(3, 1, 2) == 1
         and ct.alternating_convolution(1, 3, 2) == 3)),
-    ("oracles", "function counts", lambda: _none(functions_failure(5))),
-    ("oracles", "subset counts", lambda: _none(subsets_failure(9))),
-    ("oracles", "multiset counts", lambda: _none(multisets_failure(5, 6))),
-    ("oracles", "partition counts", lambda: _none(partitions_failure(8))),
-    ("oracles", "permutation counts", lambda: _none(permutations_failure(7))),
-    ("oracles", "graph counts on every kind", lambda: _none(graph_count_failure(4, 4))),
+    ("oracles", "function counts", Range(functions_failure, (5,), (6,))),
+    ("oracles", "subset counts", Range(subsets_failure, (9,), (17,))),
+    ("oracles", "multiset counts", Range(multisets_failure, (5, 6), (6, 8))),
+    ("oracles", "partition counts", Range(partitions_failure, (8,), (11,))),
+    ("oracles", "permutation counts", Range(permutations_failure, (7,), (9,))),
+    ("oracles", "graph counts on every kind", Range(graph_count_failure, (4, 4), (5, 6))),
     ("faa", "composite-derivative coefficients via partition types",
-     lambda: _none(faa_failure(seed=99, trials=8, order=6, bound=3))),
+     Range(faa_failure, (99, 8, 6, 3), (2024, 20, 8, 4))),
     ("stirling", "transition matrices invert (12x12)",
      lambda: _holds(poly.stirling_inverse_check(12))),
-    ("stirling", "power <-> falling roundtrip", lambda: _none(falling_roundtrip_failure(11))),
+    ("stirling", "power <-> falling roundtrip", Range(falling_roundtrip_failure, (11,), (16,))),
     ("stirling", "factorial-basis expansions match cycle counts", lambda: _holds(all(
         poly.rising_expansion_coeffs(n)[k] == ct.cycle_count(n, k)
         and poly.falling_expansion_coeffs(n)[k] == ct.stirling1_signed(n, k)
         for n in range(13) for k in range(n + 1)))),
-    ("mobius", "boolean lattice closed form to n=6", lambda: _none(boolean_mobius_failure(7))),
+    ("mobius", "boolean lattice closed form to n=6",
+     Range(boolean_mobius_failure, (7,), (11,))),
     ("mobius", "divisor poset matches classical mu to 200",
-     lambda: _none(divisor_mobius_failure(200))),
+     Range(divisor_mobius_failure, (200,), (500,))),
     ("mobius", "zeta*mu = delta and inversion roundtrips",
-     lambda: _none(inversion_failure(seed=5, trials=12, max_size=8))),
+     Range(inversion_failure, (5, 12, 8), (77, 50, 10))),
     ("mobius", "bit-plane Mobius matches the interval recursion",
-     lambda: _none(mobius_route_failure(seed=6, trials=12, max_size=10))),
+     Range(mobius_route_failure, (6, 12, 10), (78, 50, 14))),
     ("mobius", "product-theorem Mobius matches the bit-plane recursion",
-     lambda: _none(product_route_failure(seed=7, trials=8, max_size=3))),
+     Range(product_route_failure, (7, 8, 3), (71, 40, 4))),
     ("mobius", "integer inversion matches the Fraction sum",
-     lambda: _none(integer_inversion_failure(seed=8, trials=12, max_size=8))),
-    ("sieve", "derangement families via sieve", lambda: _none(derangement_sieve_failure(7))),
-    ("sieve", "random families: exactly-m counts by scan", lambda: _none(
-        random_sieve_failure(seed=21, trials=10, max_universe=300, max_sets=6))),
-    ("gergonne", "linear draws match enumeration", lambda: _none(linear_draws_failure(11))),
+     Range(integer_inversion_failure, (8, 12, 8), (72, 50, 10))),
+    ("sieve", "derangement families via sieve", Range(derangement_sieve_failure, (7,), (8,))),
+    ("sieve", "random families: exactly-m counts by scan", Range(
+        random_sieve_failure, (21, 10, 300, 6), (123, 20, 1000, 8), (31, 15, 400, 7))),
+    ("gergonne", "linear draws match enumeration", Range(linear_draws_failure, (11,), (13,))),
     ("gergonne", "circular draws match enumeration",
-     lambda: _none(circular_draws_failure(11))),
+     Range(circular_draws_failure, (11,), (13,))),
     ("menage", "U3=1 U4=2 U5=13", lambda: _holds(
         ct.touchard(3) == 1 and ct.touchard(4) == 2 and ct.touchard(5) == 13)),
-    ("menage", "formula matches exhaustive seating", lambda: _none(menage_seating_failure(6))),
-    ("menage", "full count is 2 n! U_n", lambda: _none(menage_count_failure(8))),
+    ("menage", "formula matches exhaustive seating",
+     Range(menage_seating_failure, (6,), (10,))),
+    ("menage", "full count is 2 n! U_n", Range(menage_count_failure, (8,), (9,))),
     ("numbers", "totient golden", lambda: _holds(
         nt.euler_phi(30) == 8 and nt.euler_phi(100) == 40
         and nt.euler_phi(125) == 100 and nt.euler_phi(210) == 48)),
     ("numbers", "product formula vs divisor-classification count to 2000",
-     lambda: _none(totient_failure(2000))),
+     Range(totient_failure, (2000,), (100_000,))),
     ("numbers", "product formula vs literal scan to 600", lambda: _holds(
         all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600)))),
-    ("numbers", "trial division vs phi(p) = p - 1 to 2000",
-     lambda: _none(primality_failure(2000))),
+    ("numbers", "trial division vs phi(p) = p - 1 to 2000", Range(primality_failure, (2000,))),
     ("numbers", "classical mu golden", lambda: _holds(
         nt.mobius_classical(6) == 1 and nt.mobius_classical(4) == 0
         and nt.mobius_classical(1) == 1)),
+    # d = 27 is the inverse of e = 3 mod phi(55) = 40, for the roundtrip row below
     ("numbers", "inverse and power golden", lambda: _holds(
-        nt.mod_inverse(3, 20) == 7 and nt.mod_pow(19, 7, 25) == 14)),
+        nt.mod_inverse(3, 20) == 7 and nt.mod_pow(19, 7, 25) == 14
+        and nt.rsa_keygen(5, 11, 3).d == 27)),
     ("numbers", "raw demo n=25", lambda: _holds(
         nt.mod_pow(14, 3, 25) == 19 and nt.mod_pow(19, 7, 25) == 14)),
-    ("numbers", "keypair (5,11,3) full roundtrip", lambda: _holds(
-        nt.rsa_keygen(5, 11, 3).d == 27 and rsa_roundtrip_failure([(5, 11, 3)]) is None)),
+    ("numbers", "keypair (5,11,3) full roundtrip", Range(
+        rsa_roundtrip_failure, (((5, 11, 3),),),
+        (((5, 11, 3), (7, 11, 7), (13, 17, 5), (41, 71, 11), (47, 59, 3)),))),
     ("birthday", "23 people beat a coin flip",
      lambda: _holds(ct.birthday_probability(23) > Fraction(1, 2))),
     ("birthday", "22 people do not",
@@ -734,12 +752,13 @@ CHECKS: list[tuple[str, str, Thunk]] = [
     ("birthday", "edge cases", lambda: _holds(
         ct.birthday_probability(1) == 0 and ct.birthday_probability(400) == 1)),
     ("surjections", "alternating sum matches filtered enumeration",
-     lambda: _none(surjection_filter_failure(6, 5))),
+     Range(surjection_filter_failure, (6, 5), (7, 6))),
     ("surjections", "matches inversion on the subset lattice",
-     lambda: _none(surjection_inversion_failure(5, 5))),
+     Range(surjection_inversion_failure, (5, 5), (5, 7))),
     *(("errata", f"{name} = {good}", _errata(fn, good, misprint))
       for name, fn, good, misprint in ERRATA),
-    ("errata", "oracle confirms pinned values", lambda: _none(errata_oracle_failure([4]))),
+    ("errata", "oracle confirms pinned values",
+     Range(errata_oracle_failure, ((4,),), ((4, 5, 6),))),
 ]
 
 SUITES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))

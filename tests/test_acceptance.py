@@ -1,5 +1,6 @@
-"""Acceptance suite: every `verify` suite, the same checks at larger
-ranges, and the oracles that no suite runs.
+"""Acceptance suite: every `verify` suite, each range check of
+`verify.CHECKS` at the larger ranges its row holds, and the oracles that
+no suite runs.
 
 Everything here is exact integer/rational equality.
 """
@@ -22,17 +23,18 @@ def test_suite(suite):
     assert not failed, failed
 
 
-def test_verify_identities_at_larger_ranges():
-    assert vf.gcd_failure(seed=12, trials=5000) is None
-    assert vf.series_ring_failure(seed=13, trials=200) is None
-    assert vf.multinomial_sum_failure(9, 8) is None
-    assert vf.derangement_ratio_failure(60) is None
+# (function, arguments) of every larger range in the range rows of CHECKS
+DEEP = [(rng.fn, args) for _, _, rng in vf.CHECKS if isinstance(rng, vf.Range)
+        for args in rng.deep]
+
+
+@pytest.mark.parametrize("fn, args", DEEP,
+                         ids=[f"{fn.__name__}({', '.join(map(repr, args))})" for fn, args in DEEP])
+def test_range_check_at_larger_ranges(fn, args):
+    assert fn(*args) is None
 
 
 def test_criterion_01_table_fidelity():
-    assert vf.printed_rows_failure("binomial", 4, range(4)) is None
-    assert vf.printed_rows_failure("multiset", 4, range(4)) is None
-    assert vf.printed_rows_failure("gentile p=2", 6, range(4)) is None
     assert [[ct.stirling2(n, k) for k in range(5)] for n in range(5)] == [
         [1, 0, 0, 0, 0],
         [0, 1, 0, 0, 0],
@@ -43,14 +45,6 @@ def test_criterion_01_table_fidelity():
 
 
 def test_criterion_02_oracle_equivalence():
-    assert vf.functions_failure(6) is None
-    assert vf.subsets_failure(17) is None
-    assert vf.multisets_failure(6, 8) is None
-    assert vf.partitions_failure(11) is None
-    assert vf.permutations_failure(9) is None
-    assert vf.graph_count_failure(5, 6) is None
-    assert vf.linear_draws_failure(13) is None
-    assert vf.circular_draws_failure(13) is None
     # families that no suite counts by enumeration
     for p in (1, 2, 3):
         for n in range(1, 5):
@@ -80,44 +74,6 @@ def test_criterion_02_oracle_equivalence():
         assert ct.graph_count("graph", n) == edge_sets
 
 
-def test_criterion_03_errata_regressions():
-    assert vf.errata_oracle_failure([4, 5, 6]) is None
-
-
-def test_criterion_04_generating_function_identities():
-    assert vf.closed_form_failure(81, 82) is None
-    assert vf.convolution_failure(vf.MATRICES, 13, 12) is None
-
-
-def test_criterion_05_composition_coefficients():
-    assert vf.faa_failure(seed=2024, trials=20, order=8, bound=4) is None
-
-
-def test_criterion_06_mobius_suite():
-    assert vf.boolean_mobius_failure(11) is None
-    assert vf.divisor_mobius_failure(500) is None
-    assert vf.inversion_failure(seed=77, trials=50, max_size=10) is None
-    assert vf.mobius_route_failure(seed=78, trials=50, max_size=14) is None
-    assert vf.product_route_failure(seed=71, trials=40, max_size=4) is None
-    assert vf.integer_inversion_failure(seed=72, trials=50, max_size=10) is None
-
-
-def test_criterion_07_sieve():
-    assert vf.derangement_sieve_failure(8) is None
-    assert vf.random_sieve_failure(
-        seed=123, trials=20, max_universe=1000, max_sets=8
-    ) is None
-
-
-def test_criterion_08_menage():
-    assert vf.menage_seating_failure(10) is None
-    assert vf.menage_count_failure(9) is None
-
-
-def test_criterion_09_stirling_inversion():
-    assert vf.falling_roundtrip_failure(16) is None
-
-
 def _coprime_count(n):
     """Totatives of n by numpy's gcd, an oracle independent of the library."""
     return int(np.count_nonzero(
@@ -126,7 +82,6 @@ def _coprime_count(n):
 
 
 def test_criterion_10_number_theory():
-    assert vf.totient_failure(100_000) is None
     # the literal gcd scan: dense to 3000, sampled above
     rng = random.Random(42)
     for n in [*range(1, 3001), *(rng.randint(3001, 100_000) for _ in range(300))]:
@@ -134,14 +89,6 @@ def test_criterion_10_number_theory():
     # the classic demo values, modulus 25 = 5^2
     assert nt.rsa_encrypt(25, 3, 14) == 19
     assert nt.rsa_decrypt(25, 7, 19) == 14
-    keys = [(5, 11, 3), (7, 11, 7), (13, 17, 5), (41, 71, 11), (47, 59, 3)]
-    assert all(p * q <= 3000 for p, q, _ in keys)
-    assert vf.rsa_roundtrip_failure(keys) is None
-
-
-def test_criterion_12_surjections():
-    assert vf.surjection_filter_failure(7, 6) is None
-    assert vf.surjection_inversion_failure(5, 7) is None
 
 
 def test_verify_runs_the_legendre_binomial_route(monkeypatch):

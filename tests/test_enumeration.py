@@ -15,7 +15,6 @@ import exactcomb.number_theory as nt
 import exactcomb.poly_identities as pi
 import exactcomb.poset_mobius as pm
 from exactcomb.exact_core import SizeGuardError, factorial
-from exactcomb.verify import functions_failure
 
 
 def test_function_words():
@@ -53,10 +52,6 @@ def test_function_modes():
     assert list(en.enumerate_functions(0, 3)) == [()]
     with pytest.raises(ValueError):
         list(en.enumerate_functions(2, 2, "bijective"))
-
-
-def test_function_counts_match_formulas():
-    assert functions_failure(5) is None
 
 
 def test_subsets():
@@ -252,6 +247,19 @@ def test_cost_model_boundary(family):
     try:
         with pytest.raises(SizeGuardError, match="^size guard exceeded: "):
             next(walk(*refused))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("mode, count", [("all", 10**5), ("surjective", 0)])
+def test_one_letter_words_build_no_pool(mode, count):
+    # one word at a time, and no surjection onto more letters than a word
+    # has, without the tuple of all letters that itertools.product builds
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in en.enumerate_functions(1, 10**5, mode)) == count
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

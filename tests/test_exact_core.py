@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactcomb import counting
 from exactcomb.exact_core import (
@@ -17,6 +19,7 @@ from exactcomb.exact_core import (
     exact_quotient,
     SizeGuardError,
     factorial,
+    falling_factorial,
     format_rational,
     gcd,
     guard,
@@ -39,6 +42,20 @@ def test_factorial_golden():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+@given(st.integers(-50, 300), st.integers(0, 60))
+@settings(deadline=None)
+def test_one_product_of_consecutive_integers(n, k):
+    product = 1
+    for i in range(k):  # the definition: n (n-1) ... (n-k+1), for negative n too
+        product *= n - i
+    assert falling_factorial(n, k) == product
+    if n >= 0:
+        assert product == math.perm(n, k)  # 0 when k > n
+        assert factorial(n) == math.factorial(n)
+    if n >= 1:
+        assert counting.rising_factorial(n, k) == math.perm(n + k - 1, k)
 
 
 def _gcd_by_factorization(a, b):

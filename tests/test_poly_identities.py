@@ -4,7 +4,6 @@ import pytest
 
 import exactcomb.counting as ct
 import exactcomb.poly_identities as poly
-from exactcomb.verify import falling_roundtrip_failure
 
 
 def test_rising_falling_golden():
@@ -48,10 +47,6 @@ def test_power_to_falling_golden():
     assert poly.power_to_falling(2) == [0, 1, 1]
     assert poly.power_to_falling(0) == [1]
     assert poly.power_to_falling(4) == [0, 1, 7, 6, 1]
-
-
-def test_power_falling_roundtrip():
-    assert falling_roundtrip_failure(16) is None
 
 
 def test_evaluate():
