@@ -125,10 +125,14 @@ def enumerate_functions(
     # n^k words: over one letter (or none, k = 0) one word, for the letter cap alone
     _guard_walk(lambda cap: 1 <= cap if n < 2 else _product_within(repeat(n, k), cap),
                 k, f"n^k words with n={n}, k={k}")
-    # over one letter the only word, and one-letter words one by one, without
-    # the pools that product copies its ranges into
-    everything = (iter([(1,) * k]) if n < 2 else zip(range(1, n + 1)) if k == 1
-                  else product(range(1, n + 1), repeat=k))
+    # neither the word over one letter nor the one-letter words go through
+    # product, which copies the letters into a pool first
+    if n < 2:
+        everything = iter([(1,) * k])
+    elif k == 1:
+        everything = zip(range(1, n + 1))
+    else:
+        everything = product(range(1, n + 1), repeat=k)
     if mode == "all":
         yield from everything
     else:

@@ -11,6 +11,7 @@ assumed) here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
@@ -57,10 +58,7 @@ def poly_text(coeffs: Sequence[int]) -> str:
 
 def _shifted_product(shifts: range) -> Coeffs:
     """The product of (x + s) over the shifts, expanded; none gives 1."""
-    out: Coeffs = (1,)
-    for s in shifts:
-        out = poly_mul((s, 1), out)
-    return out
+    return reduce(lambda out, s: poly_mul((s, 1), out), shifts, (1,))
 
 
 def rising_poly(n: int) -> Coeffs:
