@@ -257,7 +257,7 @@ def _json_object(text: str, kind: str, *keys: str) -> dict:
         raise ValueError("expected a JSON object")
     for key in keys:
         if key not in data:
-            raise ValueError(f"a {kind} file needs the key {key!r}")
+            raise ValueError(f"missing key {key!r} in a {kind} file")
     return data
 
 

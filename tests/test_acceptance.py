@@ -28,8 +28,13 @@ DEEP = [(rng.fn, args) for _, _, rng in vf.CHECKS if isinstance(rng, vf.Range)
         for args in rng.deep]
 
 
-@pytest.mark.parametrize("fn, args", DEEP,
-                         ids=[f"{fn.__name__}({', '.join(map(repr, args))})" for fn, args in DEEP])
+def _call_id(fn, args) -> str:
+    """fn(args) as text, a long argument shown by its type and length."""
+    text = [repr(a) if len(repr(a)) <= 20 else f"{type(a).__name__}[{len(a)}]" for a in args]
+    return f"{fn.__name__}({', '.join(text)})"
+
+
+@pytest.mark.parametrize("fn, args", DEEP, ids=[_call_id(fn, args) for fn, args in DEEP])
 def test_range_check_at_larger_ranges(fn, args):
     assert fn(*args) is None
 

@@ -58,11 +58,11 @@ REJECTED = [
     (lambda: pm.SubsetFamily.from_json('{"universe": 3, "sets": [[0, "a"]]}'), ValueError,
      "sets must be a list of lists of integers"),
     (lambda: pm.FinitePoset.from_json('{"leq": []}'), ValueError,
-     "a poset file needs the key 'elements'"),
+     "missing key 'elements' in a poset file"),
     (lambda: pm.SubsetFamily.from_json('{"sets": []}'), ValueError,
-     "a subset family file needs the key 'universe'"),
+     "missing key 'universe' in a subset family file"),
     (lambda: pm.SubsetFamily.from_json('{"universe": 3}'), ValueError,
-     "a subset family file needs the key 'sets'"),
+     "missing key 'sets' in a subset family file"),
     (lambda: rm.RecursiveMatrix(FormalSeries([1, 1]), -1), ValueError,
      "order must be >= 0"),
     (lambda: rm.binomial_matrix(3).entry(-1, 0), ValueError, "row index must be >= 0"),
