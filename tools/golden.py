@@ -64,6 +64,10 @@ ENUMERATE = [
     ["permutations", "4", "--derangements"], ["permutations", "8"],
     ["gergonne", "7", "3", "1"], ["gergonne", "8", "3", "1", "--circular"],
     ["menage", "5"],
+    # the sizes that the benchmark enumerates, where most of a filtered walk is pruned
+    ["permutations", "8", "--derangements"], ["permutations", "8", "--cycles", "3"],
+    ["partitions", "9", "--blocks", "4"], ["menage", "7"],
+    ["gergonne", "24", "6", "2"], ["gergonne", "24", "8", "1", "--circular"],
     ["permutations", "11"],  # refused by the size guard
     # one empty object each
     ["subsets", "0"], ["functions", "0", "5"], ["partitions", "0"], ["permutations", "0"],
