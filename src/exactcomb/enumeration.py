@@ -7,9 +7,13 @@ argument cannot melt a test run.
 
 One cost model bounds every walk, checked by one `exact_core.guard` call
 before the first object is built: a walk may visit at most `MAX_OBJECTS`
-objects and build at most `MAX_LETTERS` letters.  The objects a walk
-visits include those its filter drops (derangements, surjections, menage
-seatings, Gergonne draws, partitions with k blocks).  That admits
+objects and build at most `MAX_LETTERS` letters.  Derangements, menage
+seatings, Gergonne draws and partitions with k blocks are built directly,
+so a walk builds only the objects it admits, but the cost model still
+counts the unpruned walk (all n! permutations, all C(n, k) subsets, all
+B(n) partitions): an upper bound on what the walk visits, so pruning
+moves no boundary.  Surjections, cycle counts and cycle types are still
+filters over every word or permutation.  That admits
 functions and subsets up to 10**6 words (`subsets 19`), set partitions to
 n = 11, and permutations and menage seatings to n = 9; multisets, and
 words over one letter, are bounded by their letters alone.  As the
@@ -27,6 +31,7 @@ block an ascending tuple, blocks ordered by their minimum.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .counting import GergonneQuery, TypeVector
@@ -218,28 +223,29 @@ def enumerate_set_partitions(
     if type_vector is not None and type_vector.n != n:
         raise ValueError("type vector weight differs from n")
 
-    def rec(i: int, blocks: list[list[int]]):
-        if i > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
+    if k is not None and k > n:
+        return
+    # end with at least `fewest` and at most `most` blocks
+    fewest, most = (0, n) if k is None else (k, k)
 
-    if n == 0:
-        candidates: Iterator[Partition] = iter([()])
+    def rec(i: int, blocks: list[list[int]]) -> Iterator[Partition]:
+        if i > n:
+            yield tuple(map(tuple, blocks))
+            return
+        if n - i >= fewest - len(blocks):  # i + 1..n can still open the blocks missing
+            for b in blocks:
+                b.append(i)
+                yield from rec(i + 1, blocks)
+                b.pop()
+        if len(blocks) < most:
+            blocks.append([i])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+
+    if type_vector is None:
+        yield from rec(1, [])
     else:
-        candidates = rec(1, [])
-    for part in candidates:
-        if k is not None and len(part) != k:
-            continue
-        if type_vector is not None and partition_type(part) != type_vector:
-            continue
-        yield part
+        yield from (part for part in rec(1, []) if partition_type(part) == type_vector)
 
 
 def partition_type(partition: Partition) -> TypeVector:
@@ -280,20 +286,75 @@ def enumerate_permutations(
         raise ValueError("n must be >= 0")
     if cycles is not None and cycles < 0:
         raise ValueError("cycles must be >= 0")
-    _guard_walk(lambda cap: _product_within(range(2, n + 1), cap), n,
-                f"n! permutations with n={n}")
+    _guard_permutations(n)
     if type_vector is not None and type_vector.n != n:
         raise ValueError("type vector weight differs from n")
-    for perm in permutations(range(1, n + 1)):
-        if derangement_only and any(perm[i - 1] == i for i in range(1, n + 1)):
+    if derangement_only:
+        perms = _avoiding(n, [(i,) for i in range(1, n + 1)])
+    else:
+        perms = permutations(range(1, n + 1))
+    if cycles is None and type_vector is None:
+        yield from perms
+        return
+    for perm in perms:
+        sizes = _cycle_sizes(perm)
+        if cycles is not None and len(sizes) != cycles:
             continue
-        if cycles is not None or type_vector is not None:
-            decomp = cycle_decompose(perm)
-            if cycles is not None and len(decomp) != cycles:
-                continue
-            if type_vector is not None and permutation_type(perm) != type_vector:
-                continue
+        if type_vector is not None and TypeVector.of_sizes(sizes) != type_vector:
+            continue
         yield perm
+
+
+def _guard_permutations(n: int) -> None:
+    """Refuse a walk over the n! permutations past the cost model."""
+    _guard_walk(lambda cap: _product_within(range(2, n + 1), cap), n,
+                f"n! permutations with n={n}")
+
+
+def _avoiding(n: int, banned: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The permutations of 1..n, in lexicographic order, whose value at
+    each position i avoids banned[i - 1].  Positions are filled left to
+    right from the values still free, in ascending order, and a branch
+    ends at its first banned value; the last two values are placed
+    directly."""
+    if n < 2:  # () or (1,)
+        if not (n and 1 in banned[0]):
+            yield tuple(range(1, n + 1))
+        return
+    last, end = banned[n - 2], banned[n - 1]
+
+    def rec(prefix: tuple[int, ...], free: list[int]) -> Iterator[tuple[int, ...]]:
+        i = len(prefix)
+        if i == n - 2:
+            a, b = free
+            if a not in last and b not in end:
+                yield prefix + (a, b)
+            if b not in last and a not in end:
+                yield prefix + (b, a)
+            return
+        for j, v in enumerate(free):
+            if v not in banned[i]:
+                yield from rec(prefix + (v,), free[:j] + free[j + 1:])
+
+    yield from rec((), list(range(1, n + 1)))
+
+
+def _cycle_sizes(perm: Sequence[int]) -> list[int]:
+    """The cycle lengths of a permutation of 1..n, cycles in the order of
+    their least elements; unlike cycle_decompose it does not check that
+    perm is one."""
+    seen = bytearray(len(perm) + 1)
+    sizes = []
+    for start in range(1, len(perm) + 1):
+        if seen[start]:
+            continue
+        size, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            size += 1
+            x = perm[x - 1]
+        sizes.append(size)
+    return sizes
 
 
 def fixed_points(perm: Sequence[int]) -> tuple[int, ...]:
@@ -355,19 +416,29 @@ def permutation_type(perm: Sequence[int]) -> TypeVector:
 
 def enumerate_gergonne(q: GergonneQuery) -> Iterator[tuple[int, ...]]:
     """All winning k-subsets for a Gergonne query: consecutive chosen
-    positions at least m+1 apart (also around the wrap for circular)."""
-    for subset in enumerate_subsets(q.n, q.k):
-        ok = all(b - a >= q.m + 1 for a, b in zip(subset, subset[1:]))
-        if ok and q.circular and q.k >= 2:
-            ok = subset[0] + q.n - subset[-1] >= q.m + 1
-        if ok:
-            yield subset
+    positions at least m+1 apart (also around the wrap for circular).
+
+    Adding m*j to the j-th entry (j from 0) of each k-subset of
+    {1..n - m(k-1)} is a bijection onto the k-subsets of {1..n} with those
+    gaps, and keeps lexicographic order; only the wrap is a filter."""
+    n, k, m = q.n, q.k, q.m
+    if k > n:
+        return
+    _guard_walk(lambda cap: _choose_within(n, k, cap), k,
+                f"C(n,k) subsets with n={n}, k={k}")
+    draws = combinations(range(1, n - m * (k - 1) + 1), k)
+    if m:
+        draws = (tuple(map(add, c, range(0, m * k, m))) for c in draws)
+    if q.circular and k >= 2:
+        draws = (s for s in draws if s[0] + n - s[-1] >= m + 1)
+    yield from draws
 
 
 def enumerate_menage(n: int) -> Iterator[tuple[int, ...]]:
     """Solutions of the reduced menage problem: women fixed in the odd
     seats, men placed by a bijection f with f(i) never i (own partner on
     her right) nor i+1 cyclically (next partner on her left)."""
-    for f in enumerate_permutations(n):
-        if not any(f[i - 1] == i or f[i - 1] == i % n + 1 for i in range(1, n + 1)):
-            yield f
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _guard_permutations(n)
+    yield from _avoiding(n, [(i, i % n + 1) for i in range(1, n + 1)])

@@ -2,7 +2,7 @@
 
 import argparse
 import tracemalloc
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +174,95 @@ def test_menage_enumeration():
     assert list(en.enumerate_menage(3)) == [(3, 1, 2)]
     assert len(list(en.enumerate_menage(4))) == 2
     assert list(en.enumerate_menage(2)) == []
+
+
+# The walks below build only what they admit.  Each test writes out the
+# definition the walk replaced, a filter over every object, and requires
+# the same list, so the order is checked too: every n <= 7, and the sizes
+# the benchmark enumerates.
+
+
+def _filtered_permutations(n, bad):
+    return [f for f in permutations(range(1, n + 1))
+            if not any(bad(i, f[i - 1]) for i in range(1, n + 1))]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_derangements_match_the_filtered_permutations(n):
+    assert list(en.enumerate_permutations(n, derangement_only=True)) == \
+        _filtered_permutations(n, lambda i, v: v == i)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_menage_seatings_match_the_filtered_permutations(n):
+    assert list(en.enumerate_menage(n)) == \
+        _filtered_permutations(n, lambda i, v: v == i or v == i % n + 1)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_cycle_filters_match_cycle_decompose(n):
+    perms = list(permutations(range(1, n + 1)))
+    cycles = {f: len(en.cycle_decompose(f)) for f in perms}
+    types = {f: en.permutation_type(f) for f in perms}
+    for k in range(n + 2):
+        assert list(en.enumerate_permutations(n, cycles=k)) == \
+            [f for f in perms if cycles[f] == k]
+    for tv in set(types.values()):
+        assert list(en.enumerate_permutations(n, type_vector=tv)) == \
+            [f for f in perms if types[f] == tv]
+        assert list(en.enumerate_permutations(n, type_vector=tv, derangement_only=True)) == \
+            [f for f in perms if types[f] == tv and not en.fixed_points(f)]
+
+
+def _all_partitions(n):
+    """Every set partition of {1..n}: i joins each block in turn, then opens one."""
+    def rec(i, blocks):
+        if i > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    return list(rec(1, []))
+
+
+@pytest.mark.parametrize("n", [*range(8), 9])
+def test_k_block_partitions_match_the_filtered_partitions(n):
+    every = _all_partitions(n)
+    assert list(en.enumerate_set_partitions(n)) == every
+    for k in range(n + 2):
+        assert list(en.enumerate_set_partitions(n, k=k)) == \
+            [part for part in every if len(part) == k]
+    if n <= 7:
+        for tv in {en.partition_type(part) for part in every}:
+            for k in (None, sum(tv.nu)):
+                assert list(en.enumerate_set_partitions(n, k=k, type_vector=tv)) == \
+                    [part for part in every if en.partition_type(part) == tv]
+
+
+def _gergonne_queries(n):
+    for k in range(n + 2):
+        for m in range(4):
+            yield ct.GergonneQuery(n, k, m)
+        if n % 2 == 0 and n >= 2:
+            yield ct.GergonneQuery(n, k, 1, circular=True)
+
+
+@pytest.mark.parametrize("q", [q for n in range(8) for q in _gergonne_queries(n)], ids=repr)
+def test_gergonne_draws_match_the_filtered_subsets(q):
+    def wins(s):
+        gaps = [b - a for a, b in zip(s, s[1:])]
+        if q.circular and q.k >= 2:
+            gaps.append(s[0] + q.n - s[-1])
+        return all(gap >= q.m + 1 for gap in gaps)
+
+    assert list(en.enumerate_gergonne(q)) == \
+        [s for s in combinations(range(1, q.n + 1), q.k) if wins(s)]
 
 
 # one over-cap request per size guard in the library, each raising on the
