@@ -1,10 +1,26 @@
 """Closed forms and recursions for every counting family, all exact.
 
 Where two independent computation routes exist (closed form vs recursion,
-or two printed formulas), both are evaluated on every call and compared by
-`exact_core.agree`, under the cross-check contract stated there.  Results
-are memoized per process; each row-by-row recursion is one `RowTable` with
-its own lock, so building one large table never stalls another family.
+or two printed formulas), both are evaluated on an argument's first call
+and compared by `exact_core.agree`, under the cross-check contract stated
+there.  Answers are memoized per process, so a repeated argument runs
+neither route again:
+
+- `binomial`, `multiset_coeff`, `bell`, `derangement_fixed`,
+  `surjection_count`, `gergonne`, `touchard`, `graph_count` and
+  `alternating_convolution` keep their answers in an `lru_cache` bounded
+  at `CACHE_SIZE` entries each;
+- `stirling2`, `cycle_count`, `derangement`, `gentile_coeff` (one table
+  per p) and the recursions under `bell` and `touchard` keep their rows in
+  a `RowTable`, each with its own lock, so building one large table never
+  stalls another family.
+
+A disagreement raises and is never cached: an `lru_cache` keeps only
+returned values and a `RowTable` only rows whose step returned, so the
+next call with that argument runs its routes again.  The other families
+(`multinomial`, `faa_di_bruno`, `cauchy_count`, `menage_count`,
+`birthday_probability` and the factorials) are one product or quotient
+over the cached values and factorials, computed on every call.
 
 `binomial` runs two cheap routes: `math.comb` and, for small
 j = min(k, n - k), the falling factorial (n)_j over j!, else the
@@ -24,6 +40,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, compress
+from operator import sub
 from typing import Iterator, Optional, Sequence
 
 from .exact_core import (CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial,
@@ -220,7 +237,8 @@ def multiset_coeff(n: int, k: int) -> int:
 # row, padded with p zeros, as a difference of its prefix sums
 def _gentile_row(p: int, rows: list[list[int]], m: int) -> list[int]:
     sums = [0, *accumulate(rows[-1] + [0] * p)]
-    return [sums[k + 1] - sums[max(k - p, 0)] for k in range(m * p + 1)]
+    top = m * p + 1
+    return list(map(sub, sums[1 : top + 1], [0] * p + sums[: top - p]))
 
 
 _GENTILE: dict[int, RowTable] = {}
@@ -351,6 +369,7 @@ def derangement(n: int) -> int:
     return _DERANGEMENTS[n]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def derangement_fixed(n: int, k: int) -> int:
     """d_{n,k}, permutations with exactly k fixed points (two routes)."""
     if n < 0 or k < 0:
@@ -367,6 +386,7 @@ def derangement_fixed(n: int, k: int) -> int:
     return agree(f"derangement_fixed({n},{k})", via_choose, total)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def surjection_count(k: int, n: int) -> int:
     """Surjections from a k-set onto an n-set, by the alternating sum
     over image sizes (0^0 counts as 1)."""
@@ -418,6 +438,7 @@ class GergonneQuery(Record):
         super().__init__(n, k, m, circular)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
     """Winning k-subset count and its probability among all k-subsets."""
     n, k, m = q.n, q.k, q.m
@@ -439,19 +460,40 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
     return count, prob
 
 
+# (m-2) U_m = m(m-2) U_{m-1} + m U_{m-2} - 4(-1)^m  (OEIS A000179), from
+# U_0, U_1, U_2 = 1, -1, 0; the division by m - 2 must come out whole
+def _touchard_step(rows: list[int], m: int) -> int:
+    if m < 3:
+        return (-1, 0)[m - 1]
+    num = m * (m - 2) * rows[-1] + m * rows[-2] + (4 if m % 2 else -4)
+    return exact_quotient(("touchard recurrence", m), num, m - 2)
+
+
+_TOUCHARD = RowTable(1, _touchard_step)
+
+
+def _touchard_sum(n: int) -> int:
+    """U_n = sum_k (-1)^k circ(k) (n-k)!, where circ(k) = C(2n-k, k) +
+    C(2n-k-1, k-1) = 2n C(2n-k, k) / (2n-k) counts k-subsets of a 2n-cycle
+    with no two adjacent; terms beyond k = n vanish."""
+    total = 0
+    choose = 1  # C(2n-k, k), carried from k to k+1
+    fact = factorial(n)  # (n-k)!, carried from k to k+1
+    for k in range(n + 1):
+        term = 2 * n * choose // (2 * n - k) * fact
+        total += -term if k % 2 else term
+        choose = choose * (2 * n - 2 * k) * (2 * n - 2 * k - 1) // ((2 * n - k) * (k + 1))
+        fact //= n - k or 1
+    return total
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def touchard(n: int) -> int:
-    """U_n, the reduced menage count, by the alternating circular-selection
-    sum; terms beyond k = n vanish, so the sum stops there."""
+    """U_n, the reduced menage count: the recurrence's row table agrees with
+    the alternating circular-selection sum."""
     if n < 2:
         raise ValueError("menage seatings need n >= 2 couples")
-    total = 0
-    fact = 1  # (n-k)!, carried from k to k-1
-    for k in range(n, -1, -1):
-        circ = binomial(2 * n - k, k) + binomial(2 * n - k - 1, k - 1)
-        term = circ * fact
-        total += -term if k % 2 else term
-        fact *= n - k + 1
-    return total
+    return agree(f"touchard({n})", _TOUCHARD[n], _touchard_sum(n))
 
 
 def menage_count(n: int) -> int:
@@ -489,6 +531,7 @@ _SLOT_COUNTS = {
 }
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def graph_count(kind: str, n: int, k: Optional[int] = None) -> int:
     """Count (di/multi)graphs on n labelled vertices, optionally with
     exactly k edges/arrows.  Multigraph kinds require k: without it the
@@ -512,6 +555,7 @@ def graph_count(kind: str, n: int, k: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def alternating_convolution(n: int, m: int, k: int) -> int:
     """Coefficient of t^k in (1-t)^n / (1-t)^m, as the convolution
     sum_h (-1)^h C(n,h) <m, k-h>, checked against the collapsed form."""

@@ -447,7 +447,6 @@ ONE_ROUTE = {
     ("cycles",): "read from its row table",
     ("derangement",): "read from its row table",
     ("surjections",): "one alternating sum",
-    ("touchard",): "one alternating sum",
     ("menage",): "2 n! times touchard",
     ("mobius",): "read off the factorization",
     ("birthday",): "one quotient of a falling factorial by a power",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
-from exactcomb.exact_core import factorial
+from exactcomb.exact_core import CACHE_SIZE, RowTable, factorial
 from exactcomb.recursive_matrix import binomial_matrix
 from exactcomb.series import FormalSeries, geometric_series
 
@@ -440,6 +440,36 @@ def test_menage_full_table_oracle():
         assert ct.menage_count(n) == _full_table_seatings(n)
 
 
+def test_touchard_routes_agree():
+    # the recurrence's rows against the sum with ratio-carried binomials
+    assert [ct._TOUCHARD[n] for n in range(2, 401)] == [
+        ct._touchard_sum(n) for n in range(2, 401)]
+    # the sum against its printed form, C(2n-k, k) + C(2n-k-1, k-1) by math.comb
+    for n in range(2, 61):
+        printed = sum(
+            (-1) ** k * (math.comb(2 * n - k, k) + (math.comb(2 * n - k - 1, k - 1) if k else 0))
+            * factorial(n - k)
+            for k in range(n + 1))
+        assert ct._touchard_sum(n) == printed
+    for n in range(2, 8):
+        assert ct._TOUCHARD[n] == sum(1 for _ in en.enumerate_menage(n))
+
+
+def test_a_broken_touchard_step_raises(monkeypatch):
+    # U_5 read one too large: U_6's division by 4 still comes out whole, as
+    # 86, but U_7's by 5 does not
+    table = RowTable(1, lambda rows, m: ct._touchard_step(rows, m) + (m == 5))
+    assert table[6] == 86 == ct.touchard(6) + 6
+    with pytest.raises(ArithmeticError) as raised:
+        table[7]
+    assert str(raised.value) == (
+        "internal inconsistency: touchard recurrence(7) is non-integer 3112/5")
+    monkeypatch.setattr(ct, "_TOUCHARD", table)
+    ct.touchard.cache_clear()
+    with pytest.raises(ArithmeticError, match="touchard recurrence"):
+        ct.touchard(9)
+
+
 # ---------------------------------------------------------------------------
 # birthday
 # ---------------------------------------------------------------------------
@@ -515,6 +545,7 @@ def test_alternating_convolution_series_oracle():
 
 def test_check_labels_name_the_record_on_failure(monkeypatch):
     q, tv = ct.GergonneQuery(6, 2, 1), ct.TypeVector(3, (1, 1))
+    ct.gergonne.cache_clear()
     monkeypatch.setattr(ct, "lower_bound_solutions", lambda n, k, bounds: 0)
     with pytest.raises(ArithmeticError) as raised:
         ct.gergonne(q)
@@ -539,3 +570,86 @@ def test_passing_checks_format_no_label(monkeypatch):
     assert ct.gergonne(ct.GergonneQuery(8, 3, 1, circular=True))[0] == 16
     assert ct.faa_di_bruno(ct.TypeVector(4, (0, 2))) == 3
     assert ct.cauchy_count(ct.TypeVector(4, (0, 2))) == 3
+
+
+# ---------------------------------------------------------------------------
+# memoised families
+# ---------------------------------------------------------------------------
+
+# the families memoised beside binomial, multiset_coeff and bell
+MEMOISED = (ct.derangement_fixed, ct.surjection_count, ct.gergonne, ct.touchard,
+            ct.graph_count, ct.alternating_convolution)
+
+
+def test_memoised_families_are_bounded():
+    for fn in MEMOISED:
+        assert fn.cache_parameters()["maxsize"] == CACHE_SIZE, fn.__name__
+
+
+@pytest.mark.parametrize("family, args, route", [
+    ("touchard", (9,), "_touchard_sum"),
+    ("derangement_fixed", (9, 2), "derangement"),
+    ("gergonne", (ct.GergonneQuery(9, 3, 1),), "lower_bound_solutions"),
+    # sum_{h <= 3} (-1)^h C(5, h) = -4, so one more per term moves the sum
+    ("alternating_convolution", (5, 2, 3), "multiset_coeff"),
+])
+def test_a_disagreement_raises_on_every_call_and_is_never_cached(
+        monkeypatch, family, args, route):
+    fn, original = getattr(ct, family), getattr(ct, route)
+    fn.cache_clear()
+    monkeypatch.setattr(ct, route, lambda *a: original(*a) + 1)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=rf"^internal inconsistency in {family}\("):
+            fn(*args)
+        assert fn.cache_info().currsize == 0
+    monkeypatch.undo()
+    answer = fn(*args)
+    assert fn.cache_info().currsize == 1
+    assert fn.__wrapped__(*args) == answer
+
+
+def test_memoised_families_under_threads(monkeypatch):
+    # 8 threads, switching often, ask the MEMOISED families for the same
+    # arguments in different orders, over a fresh Touchard row table: each
+    # gets the single-thread answer, and each row of the table is built once
+    calls = (
+        [(ct.touchard, (n,)) for n in range(2, 120, 5)]
+        + [(ct.surjection_count, (k, n)) for k in range(0, 12, 3) for n in range(6)]
+        + [(ct.gergonne, (ct.GergonneQuery(n, k, m),))
+           for n in range(4, 16, 3) for k in range(1, 4) for m in range(3)]
+        + [(ct.gergonne, (ct.GergonneQuery(n, 3, 1, circular=True),)) for n in (8, 10)]
+        + [(ct.alternating_convolution, (n, m, k))
+           for n in range(4) for m in range(4) for k in range(0, 9, 2)]
+        + [(ct.derangement_fixed, (n, k)) for n in range(0, 30, 4) for k in range(0, n + 1, 3)]
+        + [(ct.graph_count, (kind, n, k)) for kind in ct.GRAPH_KINDS for n in (3, 5)
+           for k in (None, 2) if k is not None or "multi" not in kind]
+    )
+    expected = [fn.__wrapped__(*args) for fn, args in calls]
+    built = []
+
+    def step(rows, m):
+        built.append(m)
+        return ct._touchard_step(rows, m)
+
+    monkeypatch.setattr(ct, "_TOUCHARD", RowTable(1, step))
+    assert {fn for fn, _ in calls} == set(MEMOISED)
+    for fn in MEMOISED:
+        fn.cache_clear()
+
+    def ask(i):
+        # thread i starts at its own eighth of the calls; odd threads go backwards
+        order = list(range(len(calls)))
+        order = order[i * len(order) // 8:] + order[:i * len(order) // 8]
+        return [(j, calls[j][0](*calls[j][1])) for j in (order[::-1] if i % 2 else order)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            answers = [answer for part in pool.map(ask, range(8), timeout=120) for answer in part]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answers) == 8 * len(calls)
+    for j, answer in answers:
+        assert answer == expected[j], calls[j]
+    assert sorted(built) == list(range(1, 118))

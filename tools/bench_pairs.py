@@ -17,12 +17,19 @@ side.  Standard library only.
 Each invocation adds (or replaces) one entry per workload, keyed
 ``<workload>`` or ``<workload>+trace``, so untraced and traced pairs can
 share a file; the SHAs and Python version must match the file's.
+
+Cached bytecode changes what a run measures (start-up and import time read
+lower with a warm ``__pycache__``), so the tool exits 2 before running
+anything when either side's ``src/`` holds a ``__pycache__`` directory or a
+``.pyc`` file, naming it; it deletes nothing.  Its runs set
+``PYTHONDONTWRITEBYTECODE=1``, so no cache appears while it records.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -30,6 +37,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+RUN_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def git_sha(checkout: Path) -> str:
@@ -44,13 +52,19 @@ def directions(checkout: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def cached_bytecode(checkout: Path) -> list[Path]:
+    """Every __pycache__ directory and .pyc file under the checkout's src/."""
+    return sorted(path for path in (checkout / "src").rglob("*")
+                  if path.name == "__pycache__" or path.suffix == ".pyc")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The JSON result line of one perfbench run in `checkout`, plus the
     `reference_ms` it printed, if any, under that key."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=RUN_TIMEOUT_S, env=RUN_ENV)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
@@ -104,6 +118,12 @@ def main() -> int:
     args = ap.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        cached = cached_bytecode(checkout)
+        if cached:
+            print(f"error: cached bytecode in {cached[0]}; remove every __pycache__ "
+                  f"under {checkout / 'src'} before recording", file=sys.stderr)
+            return 2
     head = {"parent_sha": git_sha(sides["parent"]), "change_sha": git_sha(sides["change"]),
             "python": platform.python_version()}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {**head, "workloads": {}}
