@@ -22,6 +22,7 @@ import math
 import re
 import threading
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 ExactInt = int
@@ -71,8 +72,15 @@ class Record:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields by one C-level getter: a record that keys a memo cache
+        # is hashed on every call and compared on every hit
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
