@@ -215,7 +215,7 @@ def binomial(n: int, k: int) -> int:
         second = _binomial_falling(n, j)
     else:
         second = _binomial_legendre(n, k)
-    return agree(f"binomial({n},{k})", math.comb(n, k), second)
+    return agree(("binomial", n, k), math.comb(n, k), second)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -230,7 +230,7 @@ def multiset_coeff(n: int, k: int) -> int:
     if n == 0:
         return 1 if k == 0 else 0
     via_rising = rising_factorial(n, k) // factorial(k)
-    return agree(f"multiset_coeff({n},{k})", via_rising, binomial(n + k - 1, k))
+    return agree(("multiset_coeff", n, k), via_rising, binomial(n + k - 1, k))
 
 
 # c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i): a window of the previous
@@ -292,24 +292,32 @@ def stirling2(n: int, k: int) -> int:
     return row[k] if k < len(row) else 0
 
 
-# B_m = sum_k C(m-1, k) B_k, with C(m-1, k+1) = C(m-1, k) (m-1-k) / (k+1)
-def _bell_row(rows: list[int], m: int) -> int:
-    total, choose = 0, 1
-    for k, b in enumerate(rows):
-        total += choose * b
-        choose = choose * (m - 1 - k) // (k + 1)
-    return total
+def _aitken_step():
+    """Step of the Bell numbers' RowTable by Aitken's triangle, additions only:
+    row m of the triangle opens with the last entry of row m-1, each next
+    entry is its left neighbour plus the entry above that neighbour, and
+    B_m opens row m.  The step keeps
+    only the last row, replaced once the new one is complete."""
+    last = [1]  # row 0
+
+    def step(rows: list[int], m: int) -> int:
+        nonlocal last
+        last = list(accumulate(last, initial=last[-1]))
+        return last[0]
+
+    return step
 
 
-_BELL = RowTable(1, _bell_row)
+_BELL = RowTable(1, _aitken_step())
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def bell(n: int) -> int:
-    """B_n, all set partitions of an n-set, by the binomial-sum recursion."""
+    """B_n, all set partitions of an n-set, by Aitken's triangle against the
+    Stirling row sum."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return agree(f"bell({n})", _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
+    return agree(("bell", n), _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
 
 
 def faa_di_bruno(tv: TypeVector) -> int:
@@ -383,7 +391,7 @@ def derangement_fixed(n: int, k: int) -> int:
     for h in range(k, n + 1):
         total += -term if (h - k) % 2 else term
         term //= h - k + 1
-    return agree(f"derangement_fixed({n},{k})", via_choose, total)
+    return agree(("derangement_fixed", n, k), via_choose, total)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -493,7 +501,7 @@ def touchard(n: int) -> int:
     the alternating circular-selection sum."""
     if n < 2:
         raise ValueError("menage seatings need n >= 2 couples")
-    return agree(f"touchard({n})", _TOUCHARD[n], _touchard_sum(n))
+    return agree(("touchard", n), _TOUCHARD[n], _touchard_sum(n))
 
 
 def menage_count(n: int) -> int:
@@ -571,4 +579,4 @@ def alternating_convolution(n: int, m: int, k: int) -> int:
         expected = 1 if k == 0 else 0
     else:
         expected = multiset_coeff(m - n, k)
-    return agree(f"alternating_convolution({n},{m},{k})", total, expected)
+    return agree(("alternating_convolution", n, m, k), total, expected)

@@ -83,7 +83,7 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         result = result // p * (p - 1)
     if n <= _PHI_SELF_CHECK_BOUND:
-        return agree(f"euler_phi({n})", result, phi_scan(n))
+        return agree(("euler_phi", n), result, phi_scan(n))
     return result
 
 

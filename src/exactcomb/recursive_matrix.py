@@ -7,23 +7,23 @@ materialized lazily in a `RowTable` with its own lock and cached forever,
 cheap at the sizes targeted here.
 
 A row is held as integers: (numerators, d), the row's series being
-numerators[k] / d.  With the rule written as integer numerators over its
-common denominator (`exact_core.integer_form`), row n is the previous row
+numerators[k] / d.  The rule's own integer form (`FormalSeries.nums` over
+`FormalSeries.den`) is taken as it is: row n is the previous row
 convolved with the rule's nonzero terms (`series.convolve`), over the
 previous denominator times the rule's, so a rational rule runs the same
-route.  `entry` divides by `exact_core.exact_quotient`, which raises on
-a non-integral entry; `row_series` builds the `FormalSeries` only on
-request.  The reference route is `rule**n` by repeated `Fraction`
-schoolbook products (`series._mul_schoolbook`), which the tests and
-`exactcomb verify` compare the rows against.  `table` gives the first
+route.  `entry` returns a numerator as it is when d is 1, as for every
+integer rule, and otherwise divides by `exact_core.exact_quotient`, which
+raises on a non-integral entry; `row_series` wraps a row's form in a
+`FormalSeries` (`FormalSeries.from_form`) only on request.  The reference
+route is `rule**n` by repeated `Fraction` schoolbook products
+(`series._mul_schoolbook`), which the tests and `exactcomb verify`
+compare the rows against.  `table` gives the first
 rows and columns as ints; `exactcomb table` writes them as CSV or JSON.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact_core import RowTable, exact_quotient, integer_form
+from .exact_core import RowTable, exact_quotient
 from .series import FormalSeries, convolve, geometric_series
 
 
@@ -35,7 +35,7 @@ class RecursiveMatrix:
             raise ValueError("order must be >= 0")
         self.rule = rule.truncate(order)
         self.order = order
-        nums, den = integer_form(self.rule.coeffs)
+        nums, den = self.rule.nums, self.rule.den
         # row(m) = rule * row(m-1); the locals keep self out of a ref cycle
         self._table = RowTable(
             ([1] + [0] * order, 1),
@@ -51,14 +51,15 @@ class RecursiveMatrix:
 
     def row_series(self, n: int) -> FormalSeries:
         """Generating series of row n: rule**n."""
-        nums, den = self._row(n)
-        return FormalSeries([Fraction(c, den) for c in nums])
+        return FormalSeries.from_form(*self._row(n))
 
     def entry(self, n: int, k: int) -> int:
         """M(n, k): coefficient of t^k in row n, guaranteed integral."""
         if not 0 <= k <= self.order:
             raise IndexError(f"column {k} out of range (order {self.order})")
         nums, den = self._row(n)
+        if den == 1:
+            return nums[k]
         return exact_quotient(f"entry ({n},{k})", nums[k], den)
 
     def vandermonde_convolve(self, i: int, j: int, k: int) -> int:

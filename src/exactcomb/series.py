@@ -1,25 +1,34 @@
 """Truncated formal power series with exact rational coefficients.
 
-A `FormalSeries` keeps coefficients 0..order as `Fraction`s.  Binary
-operations truncate the result to the smaller operand order, so every
-coefficient that is kept is exact.  These series carry the rows of
-recursive matrices (integer coefficients) and the composition checks
-(rational coefficients), so there is a single series type.
+A `FormalSeries` keeps coefficients 0..order in one integer form: a tuple
+`nums` of integer numerators over one positive denominator `den`, in
+lowest terms (gcd(den, *nums) == 1, so den is 1 for an integer series and
+equal series have equal forms).  Binary operations truncate the result to
+the smaller operand order, so every coefficient that is kept is exact.
+These series carry the rows of recursive matrices (integer coefficients)
+and the composition checks (rational coefficients), so there is a single
+series type.
 
-The product runs on integers: each operand is written as integer
-numerators over one common denominator (`exact_core.integer_form`), the
-numerator lists are convolved (`convolve`, which skips zero terms), and
-one `Fraction` is built per output coefficient.  `**` squares repeatedly and
-`compose` is Horner's rule, both on that product.  The `Fraction`
-schoolbook product is kept as `_mul_schoolbook`, the reference route that
-the tests and `exactcomb verify` compare the product, powers (as n-fold
-schoolbook products) and composition against.
+Every operation works on the form and builds no `Fraction`: a sum brings
+both numerator tuples to a common denominator, a product convolves them
+(`convolve`, which skips zero terms) over the product of the
+denominators, and each result is reduced by one `math.gcd`.  `**` squares
+repeatedly, and `compose` is Horner's rule on the outer series' integer
+numerators, whose constants are added to the numerators without a new
+reduction, with one division by the outer denominator at the end.
+`coeffs`, the coefficients as reduced `Fraction`s, is built from the form
+on first access and then kept; a series built from `Fraction`s keeps them
+as its `coeffs`.  The `Fraction` schoolbook product is kept
+as `_mul_schoolbook`, the reference route that the tests and
+`exactcomb verify` compare the product, powers (as n-fold schoolbook
+products) and composition against; it reads `coeffs`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .exact_core import integer_form
@@ -42,34 +51,74 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-class FormalSeries:
-    """A power series truncated at a fixed order (inclusive degree)."""
+def _exact(c: Scalar) -> Scalar:
+    """An int or Fraction as is, anything else through Fraction."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
-    __slots__ = ("coeffs",)
+
+def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """nums over den (den > 0) in lowest terms: divided by their common
+    factor, as a new list, when it is not 1."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            return [x // g for x in nums], den // g
+    return nums, den
+
+
+class FormalSeries:
+    """A power series truncated at a fixed order (inclusive degree), held as
+    numerators `nums` over the denominator `den`, in lowest terms."""
+
+    # `coeffs` stays unset until it is first read, when __getattr__ fills it
+    __slots__ = ("nums", "den", "coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        # a Fraction is immutable and already reduced, so it is kept as is
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if not cs:
+        values = tuple(_exact(c) for c in coeffs)
+        if not values:
             raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs: tuple[Fraction, ...] = cs
+        # over the lcm of reduced denominators the form is in lowest terms: a
+        # prime's full power in the lcm divides some denominator q, and then
+        # divides neither that term's numerator nor lcm / q
+        nums, self.den = integer_form(values)
+        self.nums = tuple(nums)
+        if all(type(v) is Fraction for v in values):
+            # already the reduced Fractions that `coeffs` would build, as
+            # the schoolbook routes make them and read them back
+            self.coeffs = values
+
+    def __getattr__(self, name: str):
+        if name != "coeffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den = self.den
+        if den == 1:
+            coeffs = tuple(map(Fraction, self.nums))
+        else:
+            coeffs = tuple(Fraction(x, den) for x in self.nums)
+        self.coeffs = coeffs
+        return coeffs
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def from_form(nums: Sequence[int], den: int) -> "FormalSeries":
+        """The series with coefficients nums[k] / den (den > 0)."""
+        return _of(*_reduced(nums, den))
+
+    @staticmethod
     def zero(order: int) -> "FormalSeries":
-        return FormalSeries([0] * (order + 1))
+        return _of((0,) * (order + 1), 1)
 
     @staticmethod
     def one(order: int) -> "FormalSeries":
-        return FormalSeries([1] + [0] * order)
+        return _of((1,) + (0,) * order, 1)
 
     @staticmethod
     def identity(order: int) -> "FormalSeries":
         """The series t, truncated at `order` (order >= 1)."""
         if order < 1:
             raise ValueError("identity series needs order >= 1")
-        return FormalSeries([0, 1] + [0] * (order - 1))
+        return _of((0, 1) + (0,) * (order - 1), 1)
 
     @classmethod
     def from_json(cls, items: Sequence[str]) -> "FormalSeries":
@@ -81,7 +130,7 @@ class FormalSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff_at(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -96,33 +145,41 @@ class FormalSeries:
         if order < 0:
             raise ValueError("order must be >= 0")
         if order <= self.order:
-            return FormalSeries(self.coeffs[: order + 1])
-        return FormalSeries(self.coeffs + (Fraction(0),) * (order - self.order))
+            # the dropped terms may have held the denominator's factors
+            return FormalSeries.from_form(self.nums[: order + 1], self.den)
+        return _of(self.nums + (0,) * (order - self.order), self.den)
 
     # -- algebra -----------------------------------------------------
 
+    def _combine(self, other: "FormalSeries", op) -> "FormalSeries":
+        """op (add or sub) termwise over a common denominator, zip truncating
+        to the smaller order."""
+        da, db = self.den, other.den
+        if da == db:
+            return FormalSeries.from_form(list(map(op, self.nums, other.nums)), da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return FormalSeries.from_form(
+            [op(x * ma, y * mb) for x, y in zip(self.nums, other.nums)], da * ma)
+
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(self.order, other.order)
-        return FormalSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(self.order, other.order)
-        return FormalSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
+        return self._combine(other, sub)
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        n = min(self.order, other.order)
-        a, da = integer_form(self.coeffs[: n + 1])
-        b, db = integer_form(other.coeffs[: n + 1])
-        den = da * db
-        return FormalSeries([Fraction(c, den) for c in convolve(a, b)])
+        n = min(len(self.nums), len(other.nums))
+        a, b = self.nums[:n], other.nums[:n]
+        # convolve multiplies by each term of its first argument but 0 and 1
+        if b.count(0) + b.count(1) > a.count(0) + a.count(1):
+            a, b = b, a
+        return FormalSeries.from_form(convolve(a, b), self.den * other.den)
 
     def scale(self, c: Scalar) -> "FormalSeries":
-        c = Fraction(c)
-        return FormalSeries([c * a for a in self.coeffs])
+        c = _exact(c)
+        p = c.numerator
+        return FormalSeries.from_form([p * x for x in self.nums], c.denominator * self.den)
 
     def __pow__(self, n: int) -> "FormalSeries":
         if n < 0:
@@ -138,25 +195,27 @@ class FormalSeries:
 
     def compose(self, inner: "FormalSeries") -> "FormalSeries":
         """self(inner(t)); requires inner(0) = 0 so truncation is exact."""
-        if inner.constant_term() != 0:
+        if inner.nums[0]:
             raise ValueError("composition needs a zero constant term in the inner series")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        acc = FormalSeries.zero(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            acc = acc * g
-            acc = FormalSeries((acc.coeffs[0] + c,) + acc.coeffs[1:])
-        return acc
+        g = inner.nums[: n + 1]
+        # Horner's rule on the numerators of self, then one division by its
+        # denominator; adding an integer to a reduced form keeps it reduced
+        acc, den = [0] * (n + 1), 1
+        for c in reversed(self.nums[: n + 1]):
+            acc, den = _reduced(convolve(g, acc), den * inner.den)
+            acc[0] += c * den
+        return FormalSeries.from_form(acc, den * self.den)
 
     # -- equality / display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"FormalSeries({list(self.coeffs)!r})"
@@ -178,6 +237,14 @@ class FormalSeries:
         return [format_rational(c) for c in self.coeffs]
 
 
+def _of(nums: Sequence[int], den: int) -> FormalSeries:
+    """The series nums[k] / den from a form already in lowest terms."""
+    s = object.__new__(FormalSeries)
+    s.nums = tuple(nums)
+    s.den = den
+    return s
+
+
 def _mul_schoolbook(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Reference route for `a * b`: the product term by term in `Fraction`s."""
     n = min(a.order, b.order)
@@ -196,11 +263,15 @@ def geometric_series(order: int) -> FormalSeries:
     """1 + t + t^2 + ... + t^order, the truncated inverse of 1 - t."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return FormalSeries([1] * (order + 1))
+    return _of((1,) * (order + 1), 1)
 
 
 def exp_series(order: int) -> FormalSeries:
-    """Coefficients 1/k! up to order (handy for composition checks)."""
-    from .exact_core import factorial
-
-    return FormalSeries([Fraction(1, factorial(k)) for k in range(order + 1)])
+    """Coefficients 1/k! up to order (handy for composition checks): order!/k!
+    over order!, the products order (order-1) ... (k+1)."""
+    if order < 0:
+        raise ValueError("a series needs at least its constant coefficient")
+    nums = [1] * (order + 1)
+    for k in range(order, 0, -1):
+        nums[k - 1] = nums[k] * k
+    return _of(nums, nums[0])

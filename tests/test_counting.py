@@ -239,6 +239,14 @@ def test_bell_golden():
     assert ct.bell(7) == 877 == len(list(en.enumerate_set_partitions(7)))
 
 
+def test_aitken_rows_match_the_binomial_sum():
+    # B_m = sum_k C(m-1, k) B_k, the recursion the triangle replaced
+    bells = [1]
+    for m in range(1, 301):
+        bells.append(sum(math.comb(m - 1, k) * b for k, b in enumerate(bells)))
+    assert [ct._BELL[n] for n in range(301)] == bells
+
+
 def test_warm_bell_skips_its_check(monkeypatch):
     # the Stirling row sum that checks B_n runs once per n, not per call
     calls = []

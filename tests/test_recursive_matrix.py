@@ -114,6 +114,13 @@ def test_rational_rule_rows():
     assert half.entry(4, 0) == 1 and half.entry(4, 1) == 2
 
 
+def test_integral_rows_build_no_fraction(fraction_news):
+    m = gentile_matrix(2, 10)
+    row, value = m.row_series(6), m.entry(7, 3)
+    assert fraction_news == []
+    assert row == schoolbook_power(m.rule, 6) and value == gentile_coeff(2, 7, 3)
+
+
 def test_column_guard():
     b = binomial_matrix(3)
     with pytest.raises(IndexError):

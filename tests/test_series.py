@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,10 @@ small_series = st.lists(
 ).map(FormalSeries)
 
 # rational coefficients with unequal denominators, so the product's common
-# denominator is exercised; orders differ, so truncation is too
+# denominator is exercised; orders 0-12 differ, so truncation is too
 rational_series = st.lists(
     st.one_of(st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=12)),
-    min_size=1, max_size=8,
+    min_size=1, max_size=13,
 ).map(FormalSeries)
 
 
@@ -140,3 +141,42 @@ def test_power_matches_repeated_schoolbook_products(a, n):
 def test_compose_matches_schoolbook_horner(f, g):
     g = FormalSeries((0,) + g.coeffs[1:])
     assert f.compose(g) == schoolbook_compose(f, g)
+
+
+@given(rational_series, rational_series,
+       st.fractions(min_value=-5, max_value=5, max_denominator=12),
+       st.integers(min_value=0, max_value=14))
+@settings(max_examples=100)
+def test_integer_form_matches_fraction_routes(a, b, c, order):
+    assert type(a.coeffs) is tuple
+    assert all(type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
+               for x in a.coeffs)
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+    assert a == FormalSeries(a.coeffs) and hash(a) == hash(FormalSeries(a.coeffs))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    assert a.scale(c).coeffs == tuple(c * x for x in a.coeffs)
+    padded = a.coeffs + (Fraction(0),) * order
+    assert a.truncate(order).coeffs == padded[: order + 1]
+
+
+def test_equal_series_have_equal_forms():
+    a = FormalSeries([Fraction(2, 4), 1])
+    b = FormalSeries([Fraction(1, 2), Fraction(3, 3)])
+    assert a == b and hash(a) == hash(b) and (a.nums, a.den) == (b.nums, b.den) == ((1, 2), 2)
+    # (1 + t)/2 times 2 + 4t is (2 + 6t)/2, which reduces to 1 + 3t
+    product = FormalSeries([Fraction(1, 2), Fraction(1, 2)]) * FormalSeries([2, 4])
+    assert (product.nums, product.den) == ((1, 3), 1)
+    assert product == FormalSeries([1, 3]) and hash(product) == hash(FormalSeries([1, 3]))
+    assert FormalSeries.from_form([3, 6, 9], 6) == FormalSeries([Fraction(1, 2), 1, Fraction(3, 2)])
+
+
+def test_operations_build_no_fraction(fraction_news):
+    a = FormalSeries.from_form([3, -1, 0, 2, 5], 7)
+    b = FormalSeries.from_form([1, 4, -2, 0, 1], 3)
+    g = FormalSeries.from_form([0, 2, 1, -1, 3], 5)
+    results = [a * b, a**5, a.compose(g), a + b, a - b, a.scale(-2),
+               a.truncate(2), exp_series(40), exp_series(40).compose(g)]
+    assert fraction_news == []
+    assert results[:3] == [_mul_schoolbook(a, b), schoolbook_power(a, 5),
+                           schoolbook_compose(a, g)]
