@@ -296,8 +296,8 @@ def _aitken_step():
     """Step of the Bell numbers' RowTable by Aitken's triangle, additions only:
     row m of the triangle opens with the last entry of row m-1, each next
     entry is its left neighbour plus the entry above that neighbour, and
-    B_m opens row m.  The step keeps
-    only the last row, replaced once the new one is complete."""
+    B_m opens row m.  The step keeps only the last row, replaced once the
+    new one is complete."""
     last = [1]  # row 0
 
     def step(rows: list[int], m: int) -> int:

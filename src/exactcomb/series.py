@@ -107,6 +107,8 @@ class FormalSeries:
 
     @staticmethod
     def zero(order: int) -> "FormalSeries":
+        if order < 0:
+            raise ValueError("a series needs at least its constant coefficient")
         return _of((0,) * (order + 1), 1)
 
     @staticmethod

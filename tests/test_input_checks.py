@@ -14,7 +14,7 @@ import exactcomb.poset_mobius as pm
 import exactcomb.recursive_matrix as rm
 from exactcomb.cli import run
 from exactcomb.exact_core import SizeGuardError
-from exactcomb.series import FormalSeries, geometric_series
+from exactcomb.series import FormalSeries, exp_series, geometric_series
 
 # (call, exception type, the whole message)
 REJECTED = [
@@ -74,6 +74,9 @@ REJECTED = [
     (lambda: FormalSeries([1, 2]) ** -1, ValueError, "series power needs n >= 0"),
     (lambda: FormalSeries.identity(0), ValueError, "identity series needs order >= 1"),
     (lambda: geometric_series(-1), ValueError, "order must be >= 0"),
+    (lambda: exp_series(-1), ValueError, "a series needs at least its constant coefficient"),
+    (lambda: FormalSeries.zero(-1), ValueError,
+     "a series needs at least its constant coefficient"),
     (lambda: next(en.enumerate_functions(-1, 2)), ValueError, "k and n must be >= 0"),
     (lambda: next(en.enumerate_multisets(-1, 2)), ValueError, "n and k must be >= 0"),
     (lambda: next(en.enumerate_set_partitions(3, type_vector=ct.TypeVector(2, (2,)))),

@@ -148,10 +148,12 @@ def test_compose_matches_schoolbook_horner(f, g):
        st.integers(min_value=0, max_value=14))
 @settings(max_examples=100)
 def test_integer_form_matches_fraction_routes(a, b, c, order):
-    assert type(a.coeffs) is tuple
-    assert all(type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
-               for x in a.coeffs)
-    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+    # a keeps the Fractions it was built from; a product builds its own
+    for s in (a, a * b):
+        assert type(s.coeffs) is tuple
+        assert all(type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
+                   for x in s.coeffs)
+        assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
     assert a == FormalSeries(a.coeffs) and hash(a) == hash(FormalSeries(a.coeffs))
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
