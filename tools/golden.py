@@ -68,6 +68,9 @@ ENUMERATE = [
     ["permutations", "8", "--derangements"], ["permutations", "8", "--cycles", "3"],
     ["partitions", "9", "--blocks", "4"], ["menage", "7"],
     ["gergonne", "24", "6", "2"], ["gergonne", "24", "8", "1", "--circular"],
+    # cli-oneshot's partitions command, and the walks larger than the benchmark's
+    ["partitions", "9"], ["permutations", "9", "--derangements"], ["menage", "8"],
+    ["functions", "7", "6", "--mode", "surjective"],
     ["permutations", "11"],  # refused by the size guard
     # one empty object each
     ["subsets", "0"], ["functions", "0", "5"], ["partitions", "0"], ["permutations", "0"],
