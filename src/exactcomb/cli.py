@@ -199,13 +199,19 @@ def _multiset_lines(n: int, k: int):
     return (f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k))
 
 
+class _BlockText(dict):
+    """Each block's text, "{1,3}", formatted the first time it is asked for."""
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = "{" + ",".join(map(str, block)) + "}"
+        return text
+
+
 def _partition_lines(n: int, k: Optional[int]):
     from . import enumeration as en
 
-    return (
-        "|".join("{" + ",".join(map(str, b)) + "}" for b in part)
-        for part in en.enumerate_set_partitions(n, k)
-    )
+    text = _BlockText()  # at most 2^n - 1 blocks, held only by this command
+    return ("|".join(map(text.__getitem__, part)) for part in en.enumerate_set_partitions(n, k))
 
 
 def _permutation_lines(n: int, cycles: Optional[int], derangements: bool):

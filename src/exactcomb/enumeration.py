@@ -8,12 +8,17 @@ argument cannot melt a test run.
 One cost model bounds every walk, checked by one `exact_core.guard` call
 before the first object is built: a walk may visit at most `MAX_OBJECTS`
 objects and build at most `MAX_LETTERS` letters.  Derangements, menage
-seatings, Gergonne draws and partitions with k blocks are built directly,
-so a walk builds only the objects it admits, but the cost model still
-counts the unpruned walk (all n! permutations, all C(n, k) subsets, all
-B(n) partitions): an upper bound on what the walk visits, so pruning
-moves no boundary.  Surjections, cycle counts and cycle types are still
-filters over every word or permutation.  That admits
+seatings, surjections, Gergonne draws and partitions with k blocks are
+built directly, so a walk builds only the objects it admits, but the cost
+model still counts the unpruned walk (all n! permutations, all n^k words,
+all C(n, k) subsets, all B(n) partitions): an upper bound on what the
+walk visits, so pruning moves no boundary.  Only cycle counts and cycle
+types are still filters, over every permutation.  Set partitions and the
+pruned permutations and words are built level by level: each level is
+one generator that extends every prefix of the level before it by one
+position, so a finished object passes through one generator frame (none
+where its last positions come from a table of tails), not through one
+frame per position.  That admits
 functions and subsets up to 10**6 words (`subsets 19`), set partitions to
 n = 11, and permutations and menage seatings to n = 9; multisets, and
 words over one letter, are bounded by their letters alone.  As the
@@ -30,8 +35,8 @@ block an ascending tuple, blocks ordered by their minimum.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product, repeat
-from operator import add
+from itertools import chain, combinations, compress, permutations, product, repeat
+from operator import add, contains
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .counting import GergonneQuery, TypeVector
@@ -99,7 +104,7 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 def as_word(values: Sequence[int]) -> str:
     """Word form of a function/letter sequence; single-digit alphabets
     concatenate ("1312"), larger ones join with commas."""
-    if all(0 <= v <= 9 for v in values):
+    if not values or 0 <= min(values) and max(values) <= 9:
         return bytes(values).translate(_DIGITS).decode()
     return ",".join(str(v) for v in values)
 
@@ -109,11 +114,62 @@ def as_word(values: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _with_tails(
+    walk: Iterable[tuple[tuple[int, ...], object]],
+    tails_of: Callable[[object], list[tuple[int, ...]]],
+) -> Iterator[tuple[int, ...]]:
+    """Each prefix of a walk over (prefix, key) pairs followed by each tail
+    in tails_of(key), in order.  tails_of runs once per key, into a table
+    local to this call, so walks consumed side by side share nothing, and
+    a finished object passes through no generator frame."""
+    table: dict = {}
+
+    def tails(key):
+        got = table.get(key)
+        if got is None:
+            got = table[key] = tails_of(key)
+        return got
+
+    return chain.from_iterable(map(prefix.__add__, tails(key)) for prefix, key in walk)
+
+
+def _surjections(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The words of k letters over 1..n, 2 <= n <= k, that use every
+    letter, in lexicographic order.  Level by level, each prefix carries
+    the mask of the letters it uses, and takes a letter it already used
+    only while the positions left after it can still cover the letters
+    it misses.  The last t positions, with n^t <= 256, come from a table
+    that maps each mask to the words of t letters covering what it
+    misses: without the table the walk was slower than the filter it
+    replaced over two letters, where nearly every word is kept."""
+    t = 0
+    while t < k and n ** (t + 1) <= 256:
+        t += 1
+    full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
+    masks = [0]  # the letters of each word of t letters, in product order
+    for _ in range(t):
+        masks = [m | b for m in masks for b in bits]
+    words = list(product(range(1, n + 1), repeat=t))
+
+    def level(parents, left):
+        for prefix, used in parents:
+            reuse = n - used.bit_count() <= left
+            for v, bit in enumerate(bits, start=1):
+                if reuse or not used & bit:
+                    yield prefix + (v,), used | bit
+
+    walk: Iterable = iter([((), 0)])
+    for left in range(k - 1, t - 1, -1):  # positions after the one this level fills
+        walk = level(walk, left)
+    return _with_tails(walk, lambda used: list(compress(words, [m | used == full for m in masks])))
+
+
 def enumerate_functions(
     k: int, n: int, mode: str = "all"
 ) -> Iterator[tuple[int, ...]]:
-    """All functions {1..k} -> {1..n} as image tuples, optionally filtered
-    to injective or surjective ones."""
+    """All functions {1..k} -> {1..n} as image tuples, or only the
+    injective or the surjective ones."""
     if mode not in ("all", "injective", "surjective"):
         raise ValueError(f"unknown mode {mode!r}")
     if k < 0 or n < 0:
@@ -132,17 +188,14 @@ def enumerate_functions(
                 k, f"n^k words with n={n}, k={k}")
     # neither the word over one letter nor the one-letter words go through
     # product, which copies the letters into a pool first
-    if n < 2:
-        everything = iter([(1,) * k])
+    if n < 2:  # the one word, which uses every letter there is
+        yield (1,) * k
+    elif mode == "surjective":
+        yield from _surjections(k, n)
     elif k == 1:
-        everything = zip(range(1, n + 1))
+        yield from zip(range(1, n + 1))
     else:
-        everything = product(range(1, n + 1), repeat=k)
-    if mode == "all":
-        yield from everything
-    else:
-        full = set(range(1, n + 1))
-        yield from (f for f in everything if set(f) == full)
+        yield from product(range(1, n + 1), repeat=k)
 
 
 def enumerate_subsets(n: int, k: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -214,7 +267,15 @@ def enumerate_set_partitions(
     type_vector: Optional[TypeVector] = None,
 ) -> Iterator[Partition]:
     """Set partitions of {1..n}, optionally restricted to k blocks or to a
-    given type.  Blocks come out ascending and ordered by minimum."""
+    given type.  Blocks come out ascending and ordered by minimum.
+
+    The partitions of {1..i} are built from those of {1..i-1}, one
+    generator per level: i joins each block in turn, then opens its own,
+    so the order is lexicographic in the restricted growth string.  A
+    child shares the parent's block tuples, but for the one i joins.
+    With k blocks, no block opens past k, and i joins no block once the
+    elements after it could not open the blocks still missing.  The type
+    is a filter over that walk."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k is not None and k < 0:
@@ -228,24 +289,25 @@ def enumerate_set_partitions(
     # end with at least `fewest` and at most `most` blocks
     fewest, most = (0, n) if k is None else (k, k)
 
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[Partition]:
-        if i > n:
-            yield tuple(map(tuple, blocks))
-            return
-        if n - i >= fewest - len(blocks):  # i + 1..n can still open the blocks missing
-            for b in blocks:
-                b.append(i)
-                yield from rec(i + 1, blocks)
-                b.pop()
-        if len(blocks) < most:
-            blocks.append([i])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
+    def level(parents: Iterable[Partition], i: int) -> Iterator[Partition]:
+        alone = ((i,),)
+        for part in parents:
+            size = len(part)
+            if n - i >= fewest - size:  # i + 1..n can still open the blocks missing
+                blocks = list(part)
+                for j, block in enumerate(part):
+                    blocks[j] = block + (i,)
+                    yield tuple(blocks)
+                    blocks[j] = block
+            if size < most:
+                yield part + alone
 
-    if type_vector is None:
-        yield from rec(1, [])
-    else:
-        yield from (part for part in rec(1, []) if partition_type(part) == type_vector)
+    walk: Iterable[Partition] = iter([()])
+    for i in range(1, n + 1):
+        walk = level(walk, i)
+    if type_vector is not None:
+        walk = (part for part in walk if partition_type(part) == type_vector)
+    yield from walk
 
 
 def partition_type(partition: Partition) -> TypeVector:
@@ -313,30 +375,27 @@ def _guard_permutations(n: int) -> None:
 
 def _avoiding(n: int, banned: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """The permutations of 1..n, in lexicographic order, whose value at
-    each position i avoids banned[i - 1].  Positions are filled left to
-    right from the values still free, in ascending order, and a branch
-    ends at its first banned value; the last two values are placed
-    directly."""
-    if n < 2:  # () or (1,)
-        if not (n and 1 in banned[0]):
-            yield tuple(range(1, n + 1))
-        return
-    last, end = banned[n - 2], banned[n - 1]
+    each position i avoids banned[i - 1].  Level by level, each prefix
+    carries the tuple of values still free and is extended by each free
+    value its next position admits, in ascending order, so a branch ends
+    at its first banned value.  The last three positions (all of them
+    for n <= 3) come from a table that maps each tuple of three free
+    values to its admissible orders, each entry built on first use by
+    filtering itertools.permutations."""
+    tail = min(3, n)
+    ends = banned[n - tail:]
 
-    def rec(prefix: tuple[int, ...], free: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == n - 2:
-            a, b = free
-            if a not in last and b not in end:
-                yield prefix + (a, b)
-            if b not in last and a not in end:
-                yield prefix + (b, a)
-            return
-        for j, v in enumerate(free):
-            if v not in banned[i]:
-                yield from rec(prefix + (v,), free[:j] + free[j + 1:])
+    def level(parents, bad):
+        for prefix, free in parents:
+            for j, v in enumerate(free):
+                if v not in bad:
+                    yield prefix + (v,), free[:j] + free[j + 1:]
 
-    yield from rec((), list(range(1, n + 1)))
+    walk: Iterable = iter([((), tuple(range(1, n + 1)))])
+    for bad in banned[:n - tail]:
+        walk = level(walk, bad)
+    return _with_tails(walk, lambda free: [
+        order for order in permutations(free) if not any(map(contains, ends, order))])
 
 
 def _cycle_sizes(perm: Sequence[int]) -> list[int]:

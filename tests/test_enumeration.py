@@ -179,7 +179,7 @@ def test_menage_enumeration():
 # The walks below build only what they admit.  Each test writes out the
 # definition the walk replaced, a filter over every object, and requires
 # the same list, so the order is checked too: every n <= 7, and the sizes
-# the benchmark enumerates.
+# the benchmark enumerates and the CLI corpus pins.
 
 
 def _filtered_permutations(n, bad):
@@ -187,13 +187,13 @@ def _filtered_permutations(n, bad):
             if not any(bad(i, f[i - 1]) for i in range(1, n + 1))]
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(10))
 def test_derangements_match_the_filtered_permutations(n):
     assert list(en.enumerate_permutations(n, derangement_only=True)) == \
         _filtered_permutations(n, lambda i, v: v == i)
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_menage_seatings_match_the_filtered_permutations(n):
     assert list(en.enumerate_menage(n)) == \
         _filtered_permutations(n, lambda i, v: v == i or v == i % n + 1)
@@ -243,6 +243,53 @@ def test_k_block_partitions_match_the_filtered_partitions(n):
             for k in (None, sum(tv.nu)):
                 assert list(en.enumerate_set_partitions(n, k=k, type_vector=tv)) == \
                     [part for part in every if en.partition_type(part) == tv]
+
+
+def _filtered_surjections(k, n):
+    return [f for f in product(range(1, n + 1), repeat=k) if set(f) == set(range(1, n + 1))]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_surjections_match_the_filtered_words(k):
+    for n in range(7):
+        assert list(en.enumerate_functions(k, n, "surjective")) == _filtered_surjections(k, n)
+
+
+def _side_by_side(*walks):
+    """The objects of each walk, taken one from each in turn until all end."""
+    got = [[] for _ in walks]
+    live = [(out, iter(walk)) for out, walk in zip(got, walks)]
+    while live:
+        for pair in list(live):
+            out, walk = pair
+            try:
+                out.append(next(walk))
+            except StopIteration:
+                live.remove(pair)
+    return got
+
+
+# walks of different sizes consumed alternately give the lists each gives
+# alone, and those of the filters they replaced, which no table shared
+# between calls could keep up
+SIDE_BY_SIDE = {
+    "derangements": (lambda n: en.enumerate_permutations(n, derangement_only=True),
+                     lambda n: _filtered_permutations(n, lambda i, v: v == i), (5, 6, 7, 4)),
+    "menage": (en.enumerate_menage,
+               lambda n: _filtered_permutations(n, lambda i, v: v == i or v == i % n + 1),
+               (5, 6, 7, 4)),
+    "partitions": (lambda k: en.enumerate_set_partitions(7, k),
+                   lambda k: [part for part in _all_partitions(7) if len(part) == k],
+                   (3, 4, 2, 5)),
+    "surjections": (lambda n: en.enumerate_functions(7, n, "surjective"),
+                    lambda n: _filtered_surjections(7, n), (3, 4, 5, 2)),
+}
+
+
+@pytest.mark.parametrize("walk, filtered, sizes", SIDE_BY_SIDE.values(), ids=list(SIDE_BY_SIDE))
+def test_walks_consumed_alternately_share_nothing(walk, filtered, sizes):
+    assert _side_by_side(*map(walk, sizes)) == [list(walk(size)) for size in sizes] == \
+        [filtered(size) for size in sizes]
 
 
 def _gergonne_queries(n):
