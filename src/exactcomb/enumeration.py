@@ -43,9 +43,10 @@ from .counting import GergonneQuery, TypeVector
 from .exact_core import SizeGuardError, guard  # noqa: F401 (kept as en.SizeGuardError)
 
 # objects one walk visits, and letters in all the objects of one request:
-# at the caps, `exactcomb enumerate` took up to 6.7 s (`partitions 11`, 17 MB)
-# and 111 MB (`functions 10000000 1`, one word of 10**7 letters, 80 MB of it
-# the image tuple), CPython 3.11, a shared 2-vCPU x86-64 machine
+# at the caps, `exactcomb enumerate` took up to 2.8 s (`functions 6 10`, 10**6
+# words; `partitions 11` 1.3 s, 16 MB) and 111 MB (`functions 10000000 1`, one
+# word of 10**7 letters, 80 MB of it the image tuple), CPython 3.11, a shared
+# 2-vCPU x86-64 machine
 MAX_OBJECTS = 10**6
 MAX_LETTERS = 10**7
 
