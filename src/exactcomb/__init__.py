@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # home module -> the names it exports here, in the order of __all__
 _EXPORTS = {
-    "exact_core": ("ExactInt", "ExactRat", "factorial", "gcd"),
+    "exact_core": ("factorial", "gcd"),
     "series": ("FormalSeries", "geometric_series", "exp_series"),
     "recursive_matrix": (
         "RecursiveMatrix",

@@ -46,35 +46,6 @@ from typing import Iterator, Optional, Sequence
 from .exact_core import (CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial,
                           falling_factorial)
 
-__all__ = [
-    "TypeVector",
-    "GergonneQuery",
-    "binomial",
-    "falling_factorial",
-    "rising_factorial",
-    "multiset_coeff",
-    "gentile_coeff",
-    "multinomial",
-    "stirling2",
-    "bell",
-    "faa_di_bruno",
-    "cycle_count",
-    "stirling1_signed",
-    "cauchy_count",
-    "derangement",
-    "derangement_fixed",
-    "surjection_count",
-    "lower_bound_solutions",
-    "gergonne",
-    "touchard",
-    "menage_count",
-    "birthday_probability",
-    "graph_count",
-    "alternating_convolution",
-    "iter_type_vectors",
-    "GRAPH_KINDS",
-]
-
 
 class TypeVector(Record):
     """Multiplicity vector of a partition or permutation type on an n-set.
@@ -109,11 +80,6 @@ class TypeVector(Record):
                 raise ValueError("sizes must be positive")
             nu[s - 1] += 1
         return cls(n, nu)
-
-    def multiplicity(self, size: int) -> int:
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        return self.nu[size - 1] if size <= len(self.nu) else 0
 
     @property
     def block_count(self) -> int:

@@ -316,19 +316,6 @@ def partition_type(partition: Partition) -> TypeVector:
     return TypeVector.of_sizes([len(b) for b in partition]) if partition else TypeVector(0, ())
 
 
-def kernel_partition(func: Sequence[int]) -> Partition:
-    """Partition of the domain {1..k} grouping positions with equal values.
-
-    The induced map block -> common value is injective by construction;
-    this is asserted."""
-    groups: dict[int, list[int]] = {}
-    for pos, value in enumerate(func, start=1):
-        groups.setdefault(value, []).append(pos)
-    blocks = tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
-    assert len({func[b[0] - 1] for b in blocks}) == len(blocks)
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # permutations and cycles
 # ---------------------------------------------------------------------------
@@ -443,30 +430,11 @@ def cycle_decompose(perm: Sequence[int]) -> CycleDecomposition:
     return tuple(out)
 
 
-def cycles_to_permutation(cycles: Sequence[Cycle], n: int) -> tuple[int, ...]:
-    """Inverse of cycle_decompose: rebuild the image tuple."""
-    image = [0] * (n + 1)
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            image[a] = b
-    if 0 in image[1:]:
-        raise ValueError("cycles do not cover 1..n")
-    return tuple(image[1:])
-
-
 def cycle_words(cycle: Cycle) -> tuple[str, ...]:
     """The k distinct word presentations of a k-cycle (all rotations of
     its orbit word)."""
     k = len(cycle)
     return tuple(as_word(cycle[i:] + cycle[:i]) for i in range(k))
-
-
-def permutation_type(perm: Sequence[int]) -> TypeVector:
-    return (
-        TypeVector.of_sizes([len(c) for c in cycle_decompose(perm)])
-        if perm
-        else TypeVector(0, ())
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Integers are plain Python ints (arbitrary precision, so nothing here can
 overflow); rationals are `fractions.Fraction`, which is normalized at
-construction: always reduced, denominator strictly positive.  The two
-aliases below exist so that signatures elsewhere can say what they mean.
+construction: always reduced, denominator strictly positive.
 
 The cross-check contract lives here: where independent routes compute one
 value, `agree` compares them, and where an exact division must come out
@@ -24,9 +23,6 @@ import threading
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable
-
-ExactInt = int
-ExactRat = Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 

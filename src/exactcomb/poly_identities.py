@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
-from .exact_core import agree, format_rational, guard
+from .exact_core import agree, guard
 from .series import convolve
 
 Coeffs = tuple[int, ...]
@@ -42,18 +42,6 @@ def evaluate(coeffs: Sequence[int], alpha: Scalar) -> Fraction:
     for c in reversed(tuple(coeffs)):
         acc = acc * alpha + c
     return acc
-
-
-def poly_text(coeffs: Sequence[int]) -> str:
-    """Text form "c0 + c1*x + c2*x^2 ..."."""
-    coeffs = tuple(coeffs)
-    if not coeffs:
-        return "0"
-    parts = [format_rational(Fraction(coeffs[0]))]
-    for k, c in enumerate(coeffs[1:], start=1):
-        x = "x" if k == 1 else f"x^{k}"
-        parts.append(f"{c}*{x}")
-    return " + ".join(parts)
 
 
 def _shifted_product(shifts: range) -> Coeffs:

@@ -244,7 +244,14 @@ class FinitePoset:
             for pair in leq
         ):
             raise ValueError("leq must be a list of [x, y] pairs of elements")
-        return cls(elements, [tuple(pair) for pair in leq])
+        P = cls(elements, [tuple(pair) for pair in leq])
+        # every output, and the keys of a values file, name an element by its text
+        texts = set()
+        for text in map(str, P.elements):
+            if text in texts:
+                raise ValueError(f"two elements have the text {text!r}")
+            texts.add(text)
+        return P
 
 
 def _json_object(text: str, kind: str, *keys: str) -> dict:
@@ -262,8 +269,9 @@ def _json_object(text: str, kind: str, *keys: str) -> dict:
 
 
 def _is_scalar(value) -> bool:
-    """A JSON string or number, so hashable and usable as an element."""
-    return isinstance(value, (str, int, float))
+    """A JSON string or number, so hashable and usable as an element; not
+    a JSON true or false, which Python reads as a bool, a kind of int."""
+    return type(value) in (str, int, float)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +533,6 @@ def zeta(P: FinitePoset) -> IncidenceFunction:
         P, [(cols, [1] * len(cols)) for cols in map(_bits, P._up)])
 
 
-def delta(P: FinitePoset) -> IncidenceFunction:
-    return IncidenceFunction._from_rows(P, [([i], [1]) for i in range(len(P))])
-
-
 def delta_check(P: FinitePoset) -> bool:
     """Verify sum_{x: z <= x <= y} mu(x, y) = delta(z, y) on all
     comparable pairs (the zeta * mu = delta identity), with the column
@@ -670,10 +674,10 @@ MAX_FAMILY_UNIVERSE = 10**5
 
 def _bitset(members: Iterable[int], size: int) -> int:
     """The int with bit x set for each member x, which must be an int in
-    range(size)."""
+    range(size), and not a bool."""
     digits = bytearray(b"0") * size  # digit x, read as binary once reversed
     for x in members:
-        if not (isinstance(x, int) and 0 <= x < size):
+        if not (type(x) is int and 0 <= x < size):
             raise ValueError("set member outside the universe")
         digits[x] = 49  # ord("1")
     digits.reverse()
@@ -708,10 +712,10 @@ class SubsetFamily(Record):
     def from_json(cls, text: str) -> "SubsetFamily":
         data = _json_object(text, "subset family", "universe", "sets")
         universe, sets = data["universe"], data["sets"]
-        if not isinstance(universe, int):
+        if type(universe) is not int:
             raise ValueError("universe must be an integer")
         if not isinstance(sets, list) or not all(
-            isinstance(s, list) and all(isinstance(x, int) for x in s) for s in sets
+            isinstance(s, list) and all(type(x) is int for x in s) for s in sets
         ):
             raise ValueError("sets must be a list of lists of integers")
         return cls(universe, sets)

@@ -139,9 +139,6 @@ class FormalSeries:
             raise IndexError(f"coefficient {k} out of range (order {self.order})")
         return self.coeffs[k]
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
-
     def truncate(self, order: int) -> "FormalSeries":
         """Copy truncated (or zero-padded) to the given order."""
         if order < 0:

@@ -71,7 +71,8 @@ def test_criterion_02_oracle_equivalence():
         assert all(count == ct.faa_di_bruno(tv) for tv, count in types.items())
     for n in range(9):
         perms = list(en.enumerate_permutations(n))
-        types = Counter(map(en.permutation_type, perms))
+        types = Counter(ct.TypeVector.of_sizes([len(c) for c in en.cycle_decompose(f)])
+                        for f in perms)
         assert all(count == ct.cauchy_count(tv) for tv, count in types.items())
         assert n == 0 or sum(not en.fixed_points(p) for p in perms) == ct.derangement(n)
     for n in range(5):

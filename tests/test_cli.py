@@ -195,6 +195,8 @@ def test_poset_malformed_reports_witness(tmp_path):
         ("sieve", {"universe": "10", "sets": []}),
         ("mobius", {"elements": [[1], [2]], "leq": []}),
         ("mobius", {"elements": 5}),
+        ("sieve", {"universe": True, "sets": []}),
+        ("mobius", {"elements": [1, "1", 2], "leq": [[1, 2], ["1", 2]]}),
     ):
         bad.write_text(json.dumps(data))
         result = run(["poset", subcmd, str(bad)])

@@ -130,8 +130,12 @@ def test_cycle_words_are_distinct():
 def test_cycle_recompose_roundtrip():
     for n in range(1, 9):
         for perm in en.enumerate_permutations(n):
-            cycles = en.cycle_decompose(perm)
-            assert en.cycles_to_permutation(cycles, n) == perm
+            # each cycle (a b ... z) sends a to b, ..., z back to a
+            image = [0] * n
+            for cyc in en.cycle_decompose(perm):
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    image[a - 1] = b
+            assert tuple(image) == perm
 
 
 def test_cycle_decompose_rejects_non_permutation():
@@ -139,20 +143,15 @@ def test_cycle_decompose_rejects_non_permutation():
         en.cycle_decompose((1, 1, 3))
 
 
-def test_kernel_partition():
-    assert en.kernel_partition((1, 3, 1, 2)) == ((1, 3), (2,), (4,))
-    assert en.kernel_partition((7, 7, 7)) == ((1, 2, 3),)
-    assert en.kernel_partition((4, 2, 9)) == ((1,), (2,), (3,))
-
-
 def test_kernel_partition_validates_power_identity():
     # classify all functions n -> m by kernel: each k-block kernel admits
-    # (m)_k injective factor maps, giving m^n = sum_k S(n,k) (m)_k
+    # (m)_k injective factor maps, giving m^n = sum_k S(n,k) (m)_k; the
+    # kernel has one block per value taken, so k is the image size
     for n in range(1, 6):
         for m in range(1, 6):
             by_blocks: dict[int, int] = {}
             for f in en.enumerate_functions(n, m):
-                k = len(en.kernel_partition(f))
+                k = len(set(f))
                 by_blocks[k] = by_blocks.get(k, 0) + 1
             for k, count in by_blocks.items():
                 assert count == ct.stirling2(n, k) * ct.falling_factorial(m, k)
@@ -203,7 +202,8 @@ def test_menage_seatings_match_the_filtered_permutations(n):
 def test_cycle_filters_match_cycle_decompose(n):
     perms = list(permutations(range(1, n + 1)))
     cycles = {f: len(en.cycle_decompose(f)) for f in perms}
-    types = {f: en.permutation_type(f) for f in perms}
+    types = {f: ct.TypeVector.of_sizes([len(c) for c in en.cycle_decompose(f)])
+             for f in perms}
     for k in range(n + 2):
         assert list(en.enumerate_permutations(n, cycles=k)) == \
             [f for f in perms if cycles[f] == k]

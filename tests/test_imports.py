@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the package surface before its imports became lazy: each home module and
 # the names it exports, in the order of __all__
 EXPORTS = {
-    "exact_core": ["ExactInt", "ExactRat", "factorial", "gcd"],
+    "exact_core": ["factorial", "gcd"],
     "series": ["FormalSeries", "geometric_series", "exp_series"],
     "recursive_matrix": ["RecursiveMatrix", "binomial_matrix", "multiset_matrix",
                          "gentile_matrix"],

@@ -87,8 +87,3 @@ def test_stirling_inverse():
     assert poly.stirling_inverse_check(12)
     with pytest.raises(ValueError):
         poly.stirling_inverse_check(31)
-
-
-def test_poly_text():
-    assert poly.poly_text((1, 0, 2)) == "1 + 0*x + 2*x^2"
-    assert poly.poly_text(()) == "0"
