@@ -456,7 +456,7 @@ def _write_lines(lines: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def run(argv: Optional[Sequence[str]] = None,
+def run(argv: Optional[Sequence[str]],
         write: Optional[Callable[[Iterable[str]], None]] = None) -> CommandResult:
     """Parse and execute, handing the lines to `write` (by default, joining
     them into the payload).  Usage and input errors come back as code 2, as

@@ -401,7 +401,7 @@ class GergonneQuery(Record):
 
     __slots__ = ("n", "k", "m", "circular")
 
-    def __init__(self, n: int, k: int, m: int = 1, circular: bool = False):
+    def __init__(self, n: int, k: int, m: int, circular: bool = False):
         if n < 0 or k < 0 or m < 0:
             raise ValueError("n, k, m must be nonnegative")
         if circular:

@@ -12,10 +12,10 @@ seatings, surjections, Gergonne draws and partitions with k blocks are
 built directly, so a walk builds only the objects it admits, but the cost
 model still counts the unpruned walk (all n! permutations, all n^k words,
 all C(n, k) subsets, all B(n) partitions): an upper bound on what the
-walk visits, so pruning moves no boundary.  Only cycle counts and cycle
-types are still filters, over every permutation.  Set partitions and the
-pruned permutations and words are built level by level: each level is
-one generator that extends every prefix of the level before it by one
+walk visits, so pruning moves no boundary.  Only cycle counts are still
+a filter, over every permutation.  Set partitions and the pruned
+permutations and words are built level by level: each level is one
+generator that extends every prefix of the level before it by one
 position, so a finished object passes through one generator frame (none
 where its last positions come from a table of tails), not through one
 frame per position.  That admits
@@ -262,28 +262,21 @@ Block = tuple[int, ...]
 Partition = tuple[Block, ...]
 
 
-def enumerate_set_partitions(
-    n: int,
-    k: Optional[int] = None,
-    type_vector: Optional[TypeVector] = None,
-) -> Iterator[Partition]:
-    """Set partitions of {1..n}, optionally restricted to k blocks or to a
-    given type.  Blocks come out ascending and ordered by minimum.
+def enumerate_set_partitions(n: int, k: Optional[int] = None) -> Iterator[Partition]:
+    """Set partitions of {1..n}, optionally restricted to k blocks.  Blocks
+    come out ascending and ordered by minimum.
 
     The partitions of {1..i} are built from those of {1..i-1}, one
     generator per level: i joins each block in turn, then opens its own,
     so the order is lexicographic in the restricted growth string.  A
     child shares the parent's block tuples, but for the one i joins.
     With k blocks, no block opens past k, and i joins no block once the
-    elements after it could not open the blocks still missing.  The type
-    is a filter over that walk."""
+    elements after it could not open the blocks still missing."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
     _guard_walk(lambda cap: _bell_within(n, cap), n, f"B(n) partitions with n={n}")
-    if type_vector is not None and type_vector.n != n:
-        raise ValueError("type vector weight differs from n")
 
     if k is not None and k > n:
         return
@@ -306,8 +299,6 @@ def enumerate_set_partitions(
     walk: Iterable[Partition] = iter([()])
     for i in range(1, n + 1):
         walk = level(walk, i)
-    if type_vector is not None:
-        walk = (part for part in walk if partition_type(part) == type_vector)
     yield from walk
 
 
@@ -327,32 +318,22 @@ CycleDecomposition = tuple[Cycle, ...]
 def enumerate_permutations(
     n: int,
     cycles: Optional[int] = None,
-    type_vector: Optional[TypeVector] = None,
     derangement_only: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Permutations of {1..n} as image tuples, optionally filtered by
-    cycle count, cycle type, or to derangements."""
+    cycle count, or to derangements."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if cycles is not None and cycles < 0:
         raise ValueError("cycles must be >= 0")
     _guard_permutations(n)
-    if type_vector is not None and type_vector.n != n:
-        raise ValueError("type vector weight differs from n")
     if derangement_only:
         perms = _avoiding(n, [(i,) for i in range(1, n + 1)])
     else:
         perms = permutations(range(1, n + 1))
-    if cycles is None and type_vector is None:
-        yield from perms
-        return
-    for perm in perms:
-        sizes = _cycle_sizes(perm)
-        if cycles is not None and len(sizes) != cycles:
-            continue
-        if type_vector is not None and TypeVector.of_sizes(sizes) != type_vector:
-            continue
-        yield perm
+    if cycles is not None:
+        perms = (perm for perm in perms if _cycle_count(perm) == cycles)
+    yield from perms
 
 
 def _guard_permutations(n: int) -> None:
@@ -386,22 +367,20 @@ def _avoiding(n: int, banned: Sequence[Sequence[int]]) -> Iterator[tuple[int, ..
         order for order in permutations(free) if not any(map(contains, ends, order))])
 
 
-def _cycle_sizes(perm: Sequence[int]) -> list[int]:
-    """The cycle lengths of a permutation of 1..n, cycles in the order of
-    their least elements; unlike cycle_decompose it does not check that
-    perm is one."""
+def _cycle_count(perm: Sequence[int]) -> int:
+    """The number of cycles of a permutation of 1..n; unlike cycle_decompose
+    it does not check that perm is one."""
     seen = bytearray(len(perm) + 1)
-    sizes = []
+    count = 0
     for start in range(1, len(perm) + 1):
         if seen[start]:
             continue
-        size, x = 0, start
+        count += 1
+        x = start
         while not seen[x]:
             seen[x] = 1
-            size += 1
             x = perm[x - 1]
-        sizes.append(size)
-    return sizes
+    return count
 
 
 def fixed_points(perm: Sequence[int]) -> tuple[int, ...]:

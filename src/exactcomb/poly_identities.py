@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
 from .exact_core import agree, guard
@@ -63,22 +63,26 @@ def falling_poly(n: int) -> Coeffs:
     return _shifted_product(range(0, -n, -1))
 
 
+def _agreed_expansion(label: str, n: int, expanded: Coeffs,
+                      entry: Callable[[int, int], int]) -> list[int]:
+    """The expansion padded with zeros to n + 1 coefficients, agreed
+    against entry(n, k) for k = 0..n."""
+    padded = list(expanded) + [0] * (n + 1 - len(expanded))
+    return agree(label, padded, [entry(n, k) for k in range(n + 1)])
+
+
 def rising_expansion_coeffs(n: int) -> list[int]:
     """Coefficients of <x>_n in the power basis; these are the cycle
     counts C(n, k), and the expansion is cross-checked against them."""
-    expanded = rising_poly(n)
-    padded = list(expanded) + [0] * (n + 1 - len(expanded))
-    table = [cycle_count(n, k) for k in range(n + 1)]
-    return agree(f"<x>_{n} expansion against cycle counts", padded, table)
+    return _agreed_expansion(f"<x>_{n} expansion against cycle counts", n,
+                             rising_poly(n), cycle_count)
 
 
 def falling_expansion_coeffs(n: int) -> list[int]:
     """Coefficients of (x)_n in the power basis: the signed Stirling
     numbers s(n, k), cross-checked against the sign rule."""
-    expanded = falling_poly(n)
-    padded = list(expanded) + [0] * (n + 1 - len(expanded))
-    table = [stirling1_signed(n, k) for k in range(n + 1)]
-    return agree(f"(x)_{n} expansion against s(n,k)", padded, table)
+    return _agreed_expansion(f"(x)_{n} expansion against s(n,k)", n,
+                             falling_poly(n), stirling1_signed)
 
 
 def power_to_falling(n: int) -> list[int]:

@@ -19,7 +19,7 @@ masks come from the factors' cover relations, with no pair list: the
 up-mask of (a, b) is its own bit OR'd with the up-masks of the pairs one
 cover step above it.  A product remembers its factors and the index of
 each pair of factor indices among its elements.  JSON is imported only
-by the functions that read or write it.
+by the functions that read it.
 
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
@@ -192,11 +192,6 @@ class FinitePoset:
 
     # -- queries -------------------------------------------------------
 
-    def leq(self, x: Element, y: Element) -> bool:
-        up = self._up[self._index[x]]
-        j = self._index.get(y)
-        return j is not None and bool(up >> j & 1)
-
     def up(self, x: Element) -> frozenset[Element]:
         return frozenset(self._members(self._up[self._index[x]]))
 
@@ -222,16 +217,6 @@ class FinitePoset:
         return len(self.elements)
 
     # -- JSON ------------------------------------------------------------
-
-    def to_json(self) -> str:
-        import json
-
-        pairs = sorted(
-            ((x, y) for i, x in enumerate(self.elements)
-             for y in self._members(self._up[i] & ~(1 << i))),
-            key=lambda p: (str(p[0]), str(p[1])),
-        )
-        return json.dumps({"elements": list(self.elements), "leq": pairs})
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
@@ -686,8 +671,7 @@ def _bitset(members: Iterable[int], size: int) -> int:
 
 class SubsetFamily(Record):
     """Subsets A_1..A_n of the universe {0 .. universe-1}, kept as int
-    bitsets: bit x of masks[i] says x is in A_(i+1).  `sets` gives them
-    as frozensets."""
+    bitsets: bit x of masks[i] says x is in A_(i+1)."""
 
     __slots__ = ("universe", "masks")
 
@@ -696,17 +680,6 @@ class SubsetFamily(Record):
         sets = tuple(sets)
         guard(len(sets) <= MAX_FAMILY_SETS, f"at most {MAX_FAMILY_SETS} sets supported")
         super().__init__(universe, tuple(_bitset(s, universe) for s in sets))
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_bits(mask)) for mask in self.masks)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"universe": self.universe, "sets": [sorted(s) for s in self.sets]}
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "SubsetFamily":

@@ -28,9 +28,7 @@ from .series import FormalSeries, convolve, geometric_series
 
 
 class RecursiveMatrix:
-    def __init__(self, rule: FormalSeries, order: int | None = None):
-        if order is None:
-            order = rule.order
+    def __init__(self, rule: FormalSeries, order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.rule = rule.truncate(order)

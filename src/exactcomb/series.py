@@ -115,19 +115,6 @@ class FormalSeries:
     def one(order: int) -> "FormalSeries":
         return _of((1,) + (0,) * order, 1)
 
-    @staticmethod
-    def identity(order: int) -> "FormalSeries":
-        """The series t, truncated at `order` (order >= 1)."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        return _of((0, 1) + (0,) * (order - 1), 1)
-
-    @classmethod
-    def from_json(cls, items: Sequence[str]) -> "FormalSeries":
-        from .exact_core import parse_rational
-
-        return cls([parse_rational(s) for s in items])
-
     # -- basic queries -----------------------------------------------
 
     @property

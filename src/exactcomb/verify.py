@@ -42,7 +42,7 @@ from .series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
 class Check(Record):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
+    def __init__(self, name: str, ok: bool, detail: str):
         super().__init__(name, ok, detail)
 
 

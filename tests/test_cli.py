@@ -240,7 +240,9 @@ def test_poset_sieve_fixed_point_family(tmp_path):
     from exactcomb.verify import derangement_family
 
     family = tmp_path / "derangement4.json"
-    family.write_text(derangement_family(4).to_json())
+    fam = derangement_family(4)
+    sets = [[x for x in range(fam.universe) if mask >> x & 1] for mask in fam.masks]
+    family.write_text(json.dumps({"universe": fam.universe, "sets": sets}))
     data = json.loads(out(["poset", "sieve", str(family)]))
     assert data["survivors"] == "9"
     assert data["exactly"] == ["9", "8", "6", "0", "1"]

@@ -260,13 +260,15 @@ def test_warm_bell_skips_its_check(monkeypatch):
     assert calls == []
 
 
+def _partitions_of_type(tv):
+    return [p for p in en.enumerate_set_partitions(tv.n) if en.partition_type(p) == tv]
+
+
 def test_faa_di_bruno_golden():
-    pairings = list(en.enumerate_set_partitions(4, type_vector=ct.TypeVector(4, (0, 2))))
+    pairings = _partitions_of_type(ct.TypeVector(4, (0, 2)))
     assert ct.faa_di_bruno(ct.TypeVector(4, (0, 2))) == 3 == len(pairings)
     assert ct.faa_di_bruno(ct.TypeVector(5, (5,))) == 1
-    typed = list(
-        en.enumerate_set_partitions(6, type_vector=ct.TypeVector(6, (1, 1, 1)))
-    )
+    typed = _partitions_of_type(ct.TypeVector(6, (1, 1, 1)))
     assert ct.faa_di_bruno(ct.TypeVector(6, (1, 1, 1))) == 60 == len(typed)
 
 
@@ -292,15 +294,16 @@ def test_stirling1_signed_golden():
     assert ct.stirling1_signed(4, 1) == -6 == -ct.cycle_count(4, 1)
 
 
+def _permutations_of_type(tv):
+    return [f for f in en.enumerate_permutations(tv.n)
+            if ct.TypeVector.of_sizes([len(c) for c in en.cycle_decompose(f)]) == tv]
+
+
 def test_cauchy_golden():
-    oracle = sum(
-        1 for _ in en.enumerate_permutations(4, type_vector=ct.TypeVector(4, (0, 2)))
-    )
+    oracle = len(_permutations_of_type(ct.TypeVector(4, (0, 2))))
     assert ct.cauchy_count(ct.TypeVector(4, (0, 2))) == 3 == oracle
     assert ct.cauchy_count(ct.TypeVector(6, (6,))) == 1
-    three_cycles = list(
-        en.enumerate_permutations(3, type_vector=ct.TypeVector(3, (0, 0, 1)))
-    )
+    three_cycles = _permutations_of_type(ct.TypeVector(3, (0, 0, 1)))
     assert ct.cauchy_count(ct.TypeVector(3, (0, 0, 1))) == 2 == len(three_cycles)
 
 

@@ -84,10 +84,6 @@ def test_multisets():
 def test_set_partitions():
     assert len(list(en.enumerate_set_partitions(4))) == 15
     assert len(list(en.enumerate_set_partitions(4, k=2))) == 7
-    by_type = list(
-        en.enumerate_set_partitions(4, type_vector=ct.TypeVector(4, (0, 2)))
-    )
-    assert len(by_type) == 3 == ct.faa_di_bruno(ct.TypeVector(4, (0, 2)))
     # canonical form: blocks ascend, ordered by minimum, and cover 1..n
     for part in en.enumerate_set_partitions(5):
         flat = sorted(x for b in part for x in b)
@@ -99,10 +95,6 @@ def test_set_partitions():
 def test_permutation_filters():
     assert len(list(en.enumerate_permutations(3, cycles=1))) == 2
     assert len(list(en.enumerate_permutations(3, derangement_only=True))) == 2
-    typed = list(
-        en.enumerate_permutations(4, type_vector=ct.TypeVector(4, (0, 2)))
-    )
-    assert len(typed) == 3 == ct.cauchy_count(ct.TypeVector(4, (0, 2)))
     for n in range(7):
         perms = list(en.enumerate_permutations(n))
         assert len(perms) == factorial(n)
@@ -202,16 +194,11 @@ def test_menage_seatings_match_the_filtered_permutations(n):
 def test_cycle_filters_match_cycle_decompose(n):
     perms = list(permutations(range(1, n + 1)))
     cycles = {f: len(en.cycle_decompose(f)) for f in perms}
-    types = {f: ct.TypeVector.of_sizes([len(c) for c in en.cycle_decompose(f)])
-             for f in perms}
     for k in range(n + 2):
         assert list(en.enumerate_permutations(n, cycles=k)) == \
             [f for f in perms if cycles[f] == k]
-    for tv in set(types.values()):
-        assert list(en.enumerate_permutations(n, type_vector=tv)) == \
-            [f for f in perms if types[f] == tv]
-        assert list(en.enumerate_permutations(n, type_vector=tv, derangement_only=True)) == \
-            [f for f in perms if types[f] == tv and not en.fixed_points(f)]
+        assert list(en.enumerate_permutations(n, cycles=k, derangement_only=True)) == \
+            [f for f in perms if cycles[f] == k and not en.fixed_points(f)]
 
 
 def _all_partitions(n):
@@ -238,11 +225,6 @@ def test_k_block_partitions_match_the_filtered_partitions(n):
     for k in range(n + 2):
         assert list(en.enumerate_set_partitions(n, k=k)) == \
             [part for part in every if len(part) == k]
-    if n <= 7:
-        for tv in {en.partition_type(part) for part in every}:
-            for k in (None, sum(tv.nu)):
-                assert list(en.enumerate_set_partitions(n, k=k, type_vector=tv)) == \
-                    [part for part in every if en.partition_type(part) == tv]
 
 
 def _filtered_surjections(k, n):

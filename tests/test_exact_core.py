@@ -265,9 +265,9 @@ def test_size_guards_are_one_mechanism():
 RECORDS = {
     "TypeVector": (lambda: counting.TypeVector(4, [0, 2, 0]),
                    "TypeVector(n=4, nu=(0, 2))", (4, (0, 2))),
-    "GergonneQuery": (lambda: counting.GergonneQuery(5, 2),
+    "GergonneQuery": (lambda: counting.GergonneQuery(5, 2, 1),
                       "GergonneQuery(n=5, k=2, m=1, circular=False)", (5, 2, 1, False)),
-    "GergonneQuery circular": (lambda: counting.GergonneQuery(8, 3, circular=True),
+    "GergonneQuery circular": (lambda: counting.GergonneQuery(8, 3, 1, circular=True),
                                "GergonneQuery(n=8, k=3, m=1, circular=True)", (8, 3, 1, True)),
     "RsaKeyPair": (lambda: rsa_keygen(5, 11, 3),
                    "RsaKeyPair(p=5, q=11, n=55, phi=40, e=3, d=27)", (5, 11, 55, 40, 3, 27)),

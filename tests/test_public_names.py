@@ -3,10 +3,18 @@
 A public top-level function, class or assignment of a module under
 src/exactcomb is in `__init__._EXPORTS`, the package surface, or is
 referenced outside tests/: in its own module, in another one, or in
-demos/, perfbench/ or tools/.  A name that only tests use is dead code,
-unless it sits in KEPT below with the reason it stays.  Files are read
-with `ast`, never imported, and a reference is a name or attribute with
-that text, so a definition alone does not count.
+demos/, perfbench/ or tools/.  A public method or property of a class
+under src/exactcomb is used when an attribute of its name is read
+outside tests/ and no other package class defines that name; a name
+that two or more classes define needs a qualified reference,
+`Class.name` (as `FinitePoset.from_json` in cli.py).  A name that only
+tests use is dead code, unless it sits in KEPT below with the reason it
+stays.  Files are read with `ast`, never imported, and a reference is a
+name or attribute with that text, so a definition alone does not count.
+
+Known blind spot: a method whose name is also that of a builtin type's
+method, such as `items` (every `dict.items()` call reads it), always
+counts as referenced.
 """
 
 import ast
@@ -15,12 +23,17 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "exactcomb"
 CALLERS = (PACKAGE, ROOT / "demos", ROOT / "perfbench", ROOT / "tools")
-# "module.name" -> why a name that only tests use stays
+# "module.name" or "Class.name" -> why a name with no resolvable caller
+# outside the tests stays
 KEPT = {
     "number_theory.divisors": "the tests' reference for divisor_poset's elements, "
                               "also at n = 963761198400, where a scan is out of reach",
     "poly_identities.evaluate": "the tests' point-evaluation reference for every "
                                 "basis expansion",
+    "IncidenceFunction.table": "read as mu.table by IncidenceFunction.items, by "
+                               "verify's Mobius checks and by perfbench's struct-ops",
+    "RecursiveMatrix.table": "called as matrix.table by the `exactcomb table` "
+                             "command, by verify and by perfbench's struct-ops",
 }
 
 
@@ -45,23 +58,51 @@ def _defined(tree: ast.Module):
         yield from (name for name in names if not name.startswith("_"))
 
 
-def _referenced() -> set[str]:
-    """Every name read, and every attribute, outside tests/."""
-    names = set()
+def _methods(tree: ast.Module):
+    """(class, name) for each public method and property of a module's
+    top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name
+
+
+def _referenced() -> tuple[set[str], set[str], set[str]]:
+    """Outside tests/: every name read, every attribute, and every
+    attribute read off a name or attribute, as "owner.attribute"."""
+    names, attributes, qualified = set(), set(), set()
     for path in (p for top in CALLERS for p in sorted(top.rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+                owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+                if owner:
+                    qualified.add(f"{owner}.{node.attr}")
+    return names, attributes, qualified
 
 
 def _uncalled() -> set[str]:
-    """Each public name neither exported nor referenced, as "module.name"."""
-    used = _exports() | _referenced()
-    return {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
-            for name in _defined(ast.parse(path.read_text())) if name not in used}
+    """Each public name neither exported nor referenced, as "module.name",
+    and each public method or property with no resolvable caller, as
+    "Class.name"."""
+    names, attributes, qualified = _referenced()
+    used = _exports() | names | attributes
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    out = {f"{stem}.{name}" for stem, tree in trees.items()
+           for name in _defined(tree) if name not in used}
+    methods = [method for tree in trees.values() for method in _methods(tree)]
+    owners: dict[str, int] = {}
+    for _, name in methods:
+        owners[name] = owners.get(name, 0) + 1
+    for cls, name in methods:
+        resolved = name in attributes if owners[name] == 1 else f"{cls}.{name}" in qualified
+        if not resolved:
+            out.add(f"{cls}.{name}")
+    return out
 
 
 def test_every_public_name_is_exported_or_referenced():
@@ -69,5 +110,5 @@ def test_every_public_name_is_exported_or_referenced():
 
 
 def test_each_kept_name_still_has_no_other_caller():
-    # a kept name that gained a caller, or went, leaves the list
+    # a kept name that gained a resolvable caller, or went, leaves the list
     assert sorted(set(KEPT) - _uncalled()) == []

@@ -95,7 +95,7 @@ def test_gentile_recursion_and_vanishing():
 
 
 def test_non_integer_entry_is_reported():
-    half = RecursiveMatrix(FormalSeries([1, Fraction(1, 2)]))
+    half = RecursiveMatrix(FormalSeries([1, Fraction(1, 2)]), 1)
     with pytest.raises(ArithmeticError):
         half.entry(1, 1)
 
