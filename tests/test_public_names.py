@@ -18,6 +18,7 @@ counts as referenced.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -95,9 +96,7 @@ def _uncalled() -> set[str]:
     out = {f"{stem}.{name}" for stem, tree in trees.items()
            for name in _defined(tree) if name not in used}
     methods = [method for tree in trees.values() for method in _methods(tree)]
-    owners: dict[str, int] = {}
-    for _, name in methods:
-        owners[name] = owners.get(name, 0) + 1
+    owners = Counter(name for _, name in methods)
     for cls, name in methods:
         resolved = name in attributes if owners[name] == 1 else f"{cls}.{name}" in qualified
         if not resolved:
