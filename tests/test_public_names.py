@@ -14,12 +14,15 @@ name or attribute with that text, so a definition alone does not count.
 
 Known blind spot: a method whose name is also that of a builtin type's
 method, such as `items` (every `dict.items()` call reads it), always
-counts as referenced.
+counts as referenced.  The last tests run the scan on a small package
+written to a temporary directory, where a caller under tests/ is not read.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "exactcomb"
@@ -38,9 +41,9 @@ KEPT = {
 }
 
 
-def _exports() -> set[str]:
+def _exports(package: Path) -> set[str]:
     """The names of `_EXPORTS` in the package's __init__.py."""
-    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+    for node in ast.parse((package / "__init__.py").read_text()).body:
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS":
             return {name for names in ast.literal_eval(node.value).values() for name in names}
     raise AssertionError("__init__.py assigns no _EXPORTS")
@@ -70,11 +73,11 @@ def _methods(tree: ast.Module):
                     yield node.name, item.name
 
 
-def _referenced() -> tuple[set[str], set[str], set[str]]:
-    """Outside tests/: every name read, every attribute, and every
+def _referenced(callers) -> tuple[set[str], set[str], set[str]]:
+    """In the callers' files: every name read, every attribute, and every
     attribute read off a name or attribute, as "owner.attribute"."""
     names, attributes, qualified = set(), set(), set()
-    for path in (p for top in CALLERS for p in sorted(top.rglob("*.py"))):
+    for path in (p for top in callers for p in sorted(top.rglob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -86,13 +89,13 @@ def _referenced() -> tuple[set[str], set[str], set[str]]:
     return names, attributes, qualified
 
 
-def _uncalled() -> set[str]:
-    """Each public name neither exported nor referenced, as "module.name",
-    and each public method or property with no resolvable caller, as
-    "Class.name"."""
-    names, attributes, qualified = _referenced()
-    used = _exports() | names | attributes
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+def _uncalled(package: Path = PACKAGE, callers=CALLERS) -> set[str]:
+    """Each public name of the package neither exported nor referenced by
+    the callers, as "module.name", and each public method or property
+    with no resolvable caller, as "Class.name"."""
+    names, attributes, qualified = _referenced(callers)
+    used = _exports(package) | names | attributes
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     out = {f"{stem}.{name}" for stem, tree in trees.items()
            for name in _defined(tree) if name not in used}
     methods = [method for tree in trees.values() for method in _methods(tree)]
@@ -111,3 +114,39 @@ def test_every_public_name_is_exported_or_referenced():
 def test_each_kept_name_still_has_no_other_caller():
     # a kept name that gained a resolvable caller, or went, leaves the list
     assert sorted(set(KEPT) - _uncalled()) == []
+
+
+def _scan(root: Path, module: str, callers: str, exports: str = "{}") -> set[str]:
+    """`_uncalled` of a package with one module and one caller file."""
+    package = root / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(f"_EXPORTS = {exports}\n")
+    (package / "mod.py").write_text(module)
+    (root / "demos").mkdir()
+    (root / "demos" / "use.py").write_text(callers)
+    (root / "tests").mkdir()
+    (root / "tests" / "test_mod.py").write_text("unused()\nSeries().dummy()\n")
+    return _uncalled(package, (package, root / "demos"))
+
+
+def test_scan_flags_a_name_or_method_only_tests_use(tmp_path):
+    module = ("class Series:\n"
+              "    def to_json(self): pass\n"
+              "    def dummy(self): pass\n"
+              "class Exported: pass\n"
+              "def unused(): pass\n")
+    found = _scan(tmp_path, module, "Series().to_json()\n", '{"mod": ["Exported"]}')
+    assert found == {"Series.dummy", "mod.unused"}
+
+
+@pytest.mark.parametrize("callers, found", [
+    ("obj.from_json()\n", {"A.from_json", "B.from_json"}),
+    ("A.from_json()\n", {"B.from_json"}),
+    ("A.from_json()\nmod.B.from_json()\n", set()),
+], ids=["unqualified", "one-qualified", "both-qualified"])
+def test_scan_needs_a_qualified_caller_for_a_shared_method_name(tmp_path, callers, found):
+    module = ("class A:\n"
+              "    def from_json(self): pass\n"
+              "class B:\n"
+              "    def from_json(self): pass\n")
+    assert _scan(tmp_path, module, callers, '{"mod": ["A", "B"]}') == found
