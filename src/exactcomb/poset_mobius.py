@@ -9,17 +9,21 @@ order-reversed poset swaps the two lists.  `up`, `down` and `interval`
 build frozensets from the masks when asked.
 
 One builder, `_labelled_product`, makes every product: each pair of
-factor elements gets a label, and the sorted labels are the elements.
-`product_poset(P, Q)` labels (a, b) by itself, in pair order;
-`boolean_lattice(n)` is the product of the lattices on the first
-ceil(n/2) atoms and on the rest, so of n 2-chains, labelled by unions;
-`divisor_poset(n)` is the product of the divisor lattices of two coprime
-parts of n, so of chains of prime powers, labelled by products.  The
-masks come from the factors' cover relations, with no pair list: the
-up-mask of (a, b) is its own bit OR'd with the up-masks of the pairs one
-cover step above it.  A product remembers its factors and the index of
-each pair of factor indices among its elements.  JSON is imported only
-by the functions that read it.
+factor elements gets a label, and the labels, sorted unless they already
+come in order, are the elements.  `product_poset(P, Q)` labels (a, b) by
+itself, already in pair order, so it sorts nothing; `boolean_lattice(n)`
+is the product of the lattices on the first ceil(n/2) atoms and on the
+rest, so of n 2-chains, labelled by unions; `divisor_poset(n)` is the
+product of the divisor lattices of two coprime parts of n, so of chains
+of prime powers, labelled by products and sorted as ints.  A union is
+sorted by (size, sorted atoms), a key built from its two parts' keys,
+computed once per factor element: each atom of the first factor precedes
+each of the second, so the sorted atoms of a | b are those of a followed
+by those of b.  The masks come from the factors' cover relations, with
+no pair list: the up-mask of (a, b) is its own bit OR'd with the
+up-masks of the pairs one cover step above it.  A product remembers its
+factors and the index of each pair of factor indices among its elements.
+JSON is imported only by the functions that read it.
 
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
@@ -29,7 +33,12 @@ asked for.  There are three routes:
 
 * a product: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
-  (Rota 1964; Stanley, EC1, Prop. 3.8.2);
+  (Rota 1964; Stanley, EC1, Prop. 3.8.2).  It is joined from blocks
+  built once per product, not entry by entry: for each element c of P
+  and row b of Q, the indices of the pairs (c, d) for d in that row, and
+  for each distinct value v in P's table, v times each of Q's rows.  The
+  row of (a, b) is one block and one scaled row per entry of P's row a,
+  in the order of the entry-by-entry product;
 * an order-reversed poset: its rows are the columns of the original and
   its columns the rows, as mu_{P^op}(x, y) = mu_P(y, x);
 * any other poset: the interval recursion along a linear extension.  For
@@ -63,8 +72,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import product
 from operator import mul
-from typing import Callable, Hashable, Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
 from .exact_core import Record, agree, guard, integer_form
@@ -75,14 +85,14 @@ Rational = Union[int, Fraction]
 # one row (or column) of an incidence function: element indices and values
 Row = tuple[list[int], list[int]]
 
-# Poset plus Mobius table, peak RSS of a fresh process (about 17 MB at
-# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.12 s and
-# 32 MB, (13) 0.32 s and 64 MB, (14) 0.66 s and 163 MB, the masks and the
+# Poset plus Mobius table, peak RSS of a fresh process (about 16 MB at
+# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.06 s and
+# 31 MB, (13) 0.2 s and 64 MB, (14) 0.5 s and 166 MB, the masks and the
 # table each about 3x per atom; 13 is the last within 100 MB.
 MAX_BOOLEAN_GROUND = 13
 # divisor_poset(963761198400), whose 6720 divisors are the most of any n
-# that factorize accepts (n <= 10**12), takes 0.04 s to build and 0.29 s
-# with its Mobius table, at a 57 MB peak; the cap admits exactly that range.
+# that factorize accepts (n <= 10**12), takes 0.04 s to build and 0.17 s
+# with its Mobius table, at a 58 MB peak; the cap admits exactly that range.
 MAX_DIVISOR_COUNT = 6720
 
 
@@ -293,13 +303,12 @@ def _lower_covers(upper: list[list[int]]) -> list[list[int]]:
     return lower
 
 
-def _labelled_product(P: FinitePoset, Q: FinitePoset, label: Callable,
-                      key: Optional[Callable] = None) -> FinitePoset:
-    """P x Q ordered componentwise, the pair of P's element a and Q's
-    element b standing for label(a, b): the labels, which must be distinct,
-    sorted by `key` are the elements."""
-    labels = [label(a, b) for a in P.elements for b in Q.elements]
-    elements = tuple(sorted(labels, key=key))
+def _labelled_product(P: FinitePoset, Q: FinitePoset, labels: list,
+                      elements: Iterable[Element]) -> FinitePoset:
+    """P x Q ordered componentwise, labels[a * len(Q) + b] standing for the
+    pair of P's a-th and Q's b-th elements; `elements` lists the labels,
+    which must be distinct, in the product's order."""
+    elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
     at = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
     nb = len(Q)
@@ -315,8 +324,8 @@ def _labelled_product(P: FinitePoset, Q: FinitePoset, label: Callable,
 def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """The pairs (a, b) of P x Q, ordered componentwise
     ((a, b) <= (a', b') when a <= a' and b <= b') and listed P-major."""
-    return _labelled_product(P, Q, lambda a, b: (a, b),
-                             key=lambda pair: (P._index[pair[0]], Q._index[pair[1]]))
+    pairs = list(product(P.elements, Q.elements))
+    return _labelled_product(P, Q, pairs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +460,30 @@ def _transpose(rows: list[Row]) -> list[Row]:
 
 
 def _outer(P: FinitePoset, columns: bool) -> list[Row]:
-    """The rows (or columns) of a product's Mobius table: the outer
-    products of its factors' rows (columns)."""
+    """The rows (or columns) of a product's Mobius table, the outer products
+    of its factors' rows (columns), joined from blocks built once: block[b][c]
+    holds the indices of the pairs (c, d) for d in B's row b, and
+    scaled[v][b] the values v * w for w in B's row b.  The row of (a, b) is
+    block[b][c] and scaled[v][b] for each entry (c, v) of A's row a in turn,
+    so its entries come in the order of the pair-by-pair product."""
     (A, B), at = P._factors, P._pair_index
-    nb, rows_b = len(B), _table(B, columns)
+    nb, rows_a, rows_b = len(B), _table(A, columns), _table(B, columns)
+    pairs = [at[a * nb:(a + 1) * nb].__getitem__ for a in range(len(A))]
+    block = [[list(map(pair, cols_b)) for pair in pairs] for cols_b, _ in rows_b]
+    values_a = {v for _, vals_a in rows_a for v in vals_a}
+    scaled = {v: [[v * w for w in vals_b] for _, vals_b in rows_b] for v in values_a}
     out: list[Row] = [([], [])] * len(at)
-    for a, (cols_a, vals_a) in enumerate(_table(A, columns)):
-        steps = [c * nb for c in cols_a]
+    for a, (cols_a, vals_a) in enumerate(rows_a):
+        lists = [scaled[v] for v in vals_a]
         row = a * nb
-        for b, (cols_b, vals_b) in enumerate(rows_b):
-            out[at[row + b]] = ([at[s + c] for s in steps for c in cols_b],
-                                [v * w for v in vals_a for w in vals_b])
+        for b, blocks in enumerate(block):
+            cols: list[int] = []
+            vals: list[int] = []
+            for c in cols_a:
+                cols += blocks[c]
+            for values in lists:
+                vals += values[b]
+            out[at[row + b]] = (cols, vals)
     return out
 
 
@@ -621,8 +643,15 @@ def _subset_lattice(atoms: tuple[int, ...]) -> FinitePoset:
     if len(atoms) < 2:
         return _chain((frozenset(),) + tuple(frozenset([a]) for a in atoms))
     k = (len(atoms) + 1) // 2
-    return _labelled_product(_subset_lattice(atoms[:k]), _subset_lattice(atoms[k:]),
-                             frozenset.union, key=lambda s: (len(s), sorted(s)))
+    P, Q = _subset_lattice(atoms[:k]), _subset_lattice(atoms[k:])
+    # each of P's atoms precedes each of Q's, so the sorted atoms of a | b
+    # are those of a followed by those of b
+    keys_p = [(len(a), tuple(sorted(a))) for a in P.elements]
+    keys_q = [(len(b), tuple(sorted(b))) for b in Q.elements]
+    keys = [(m + n, s + t) for m, s in keys_p for n, t in keys_q]
+    labels = [a | b for a in P.elements for b in Q.elements]
+    order = sorted(range(len(labels)), key=keys.__getitem__)
+    return _labelled_product(P, Q, labels, map(labels.__getitem__, order))
 
 
 def divisor_poset(n: int) -> FinitePoset:
@@ -645,8 +674,10 @@ def _divisor_lattice(factors: tuple[tuple[int, int], ...], count: int) -> Finite
     while cut < len(factors) - 1 and size * size < count:
         size *= factors[cut][1] + 1
         cut += 1
-    return _labelled_product(_divisor_lattice(factors[:cut], size),
-                             _divisor_lattice(factors[cut:], count // size), mul)
+    P = _divisor_lattice(factors[:cut], size)
+    Q = _divisor_lattice(factors[cut:], count // size)
+    labels = [a * b for a in P.elements for b in Q.elements]
+    return _labelled_product(P, Q, labels, sorted(labels))
 
 
 # ---------------------------------------------------------------------------

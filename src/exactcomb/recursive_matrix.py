@@ -78,7 +78,7 @@ class RecursiveMatrix:
 
 def binomial_matrix(order: int) -> RecursiveMatrix:
     """Rule 1 + t: the Pascal triangle of binomial coefficients."""
-    return RecursiveMatrix(FormalSeries([1, 1]).truncate(order), order)
+    return RecursiveMatrix(FormalSeries([1, 1]), order)
 
 
 def multiset_matrix(order: int) -> RecursiveMatrix:

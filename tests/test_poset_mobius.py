@@ -164,6 +164,39 @@ def test_product_poset_matches_brute_force(seed, m, n, third, layered):
     assert pm.accumulate_dual(P, f) == {y: sum(f[x] for x in P.up(y)) for y in P.elements}
 
 
+def _three_atoms():
+    """A bottom, three atoms and a top: mu(bottom, top) = 2."""
+    return pm.FinitePoset("0abc1", [("0", x) for x in "abc1"] + [(x, "1") for x in "abc"])
+
+
+def _maps(table):
+    """Each element's row (or column) as {index: value}."""
+    return [dict(zip(cols, vals)) for cols, vals in table]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pm.product_poset(_three_atoms(), _three_atoms()),
+    lambda: pm.product_poset(pm.product_poset(_three_atoms(), chain(3)), _three_atoms()),
+    lambda: pm.product_poset(_three_atoms(),
+                             pm.product_poset(pm.boolean_lattice(2), _three_atoms())),
+    lambda: pm.divisor_poset(720720),
+], ids=["square", "nested-left", "nested-right", "divisors-720720"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["product", "reversed"])
+def test_product_columns_match_transposed_rows(make, reverse):
+    # the product route builds rows and columns separately from the
+    # factors' blocks; each must hold the bit-plane recursion's values
+    P = make().reversed() if reverse else make()
+    columns, rows = pm._table(P, columns=True), pm._table(P)
+    plane_rows = pm._plane_rows(P)
+    assert _maps(rows) == _maps(plane_rows)
+    assert _maps(columns) == _maps(pm._transpose(rows)) == _maps(pm._transpose(plane_rows))
+    values = {v for _, vals in rows for v in vals}
+    if isinstance(P.elements[0], tuple):  # mu(bottom, top) = 2 in each diamond factor
+        assert {2, 4} <= values
+    else:  # 2^4 and 3^2 divide 720720
+        assert values == {-1, 0, 1}
+
+
 def test_mobius_is_computed_once_per_poset(monkeypatch):
     calls = []
     plane_rows = pm._plane_rows
@@ -460,6 +493,16 @@ def test_lattices_match_pair_list_construction(kind, n):
     assert P.linear_extension() == Q.linear_extension()
     assert (P._up, P._down) == (Q._up, Q._down)
     assert pm.mobius(P).table == pm.mobius(Q).table
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_boolean_lattice_lists_subsets_by_size_then_atoms(n):
+    # the product's sort keys are built from its factors' keys, which holds
+    # for either way an odd number of atoms splits
+    atoms = range(1, n + 1)
+    subsets = [frozenset(c) for size in range(n + 1) for c in combinations(atoms, size)]
+    want = sorted(subsets, key=lambda s: (len(s), sorted(s)))
+    assert pm.boolean_lattice(n).elements == tuple(want)
 
 
 def test_largest_divisor_lattice_is_a_product():
