@@ -40,6 +40,9 @@ COEFF = [
     ["touchard", "12"], ["menage", "6"], ["phi", "210"], ["mobius", "30"],
     ["birthday", "23"], ["graph", "digraph", "4", "3"],
     ["graph", "graph", "200"],  # past CPython's 4300-digit limit on int-to-str
+    # the single-number recursions at sizes that reach deep into each one
+    ["derangement", "3000"], ["dnk", "2000", "7"], ["touchard", "1500"],
+    ["menage", "1500"], ["bell", "400"],
 ]
 
 TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]
