@@ -36,7 +36,7 @@ from .exact_core import format_rational, guard, parse_int, parse_rational
 
 class CommandResult(NamedTuple):
     code: int  # 0 ok, 1 verification failure or inconsistency, 2 usage error or too large
-    payload: str  # the error message, else the lines joined by "\n" if run kept them
+    error: str  # the error message for stderr, or ""
 
 
 Output = tuple[int, Iterable[str]]  # what a command returns: exit code, lines
@@ -456,22 +456,20 @@ def _write_lines(lines: Iterable[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def run(argv: Optional[Sequence[str]],
-        write: Optional[Callable[[Iterable[str]], None]] = None) -> CommandResult:
-    """Parse and execute, handing the lines to `write` (by default, joining
-    them into the payload).  Usage and input errors come back as code 2, as
-    does a request that ran out of memory (too large, like one a size guard
-    refuses), and a disagreement between two routes (ArithmeticError) as 1."""
+def run(argv: Optional[Sequence[str]], write: Callable[[Iterable[str]], None]) -> CommandResult:
+    """Parse and execute, handing the lines to `write`.  Usage and input errors
+    come back as code 2, as does a request that ran out of memory (too large,
+    like one a size guard refuses), and a disagreement between two routes
+    (ArithmeticError) as 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, "")
-    lines: list[str] = []
     try:
         code, out = args.fn(args)
-        (write or lines.extend)(out)
-        return CommandResult(code, "\n".join(lines))
+        write(out)
+        return CommandResult(code, "")
     except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError included
         # a PosetError can only come from a command that loaded poset_mobius
         pm = sys.modules.get(f"{__package__}.poset_mobius")
@@ -487,9 +485,9 @@ def run(argv: Optional[Sequence[str]],
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run, writing the lines to stdout and an error (all that a run with a
-    writer returns as payload) to stderr.  Exact answers may pass CPython's
-    4300-digit limit on int-to-str conversion, so it is lifted meanwhile."""
+    """Run, writing the lines to stdout and an error to stderr.  Exact answers
+    may pass CPython's 4300-digit limit on int-to-str conversion, so it is
+    lifted meanwhile."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

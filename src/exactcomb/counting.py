@@ -4,16 +4,18 @@ Where two independent computation routes exist (closed form vs recursion,
 or two printed formulas), both are evaluated on an argument's first call
 and compared by `exact_core.agree`, under the cross-check contract stated
 there.  Answers are memoized per process, so a repeated argument runs
-neither route again:
+neither route again.  A `RowTable` holds a recursion only when one row
+answers many requests; an answer that is one number has only its
+`lru_cache`:
 
-- `binomial`, `multiset_coeff`, `bell`, `derangement_fixed`,
+- `stirling2`, `cycle_count` and `gentile_coeff` (one table per p) read
+  triangle rows from a `RowTable`, each with its own lock, so building one
+  large table never stalls another family;
+- `binomial`, `multiset_coeff`, `bell`, `derangement`, `derangement_fixed`,
   `surjection_count`, `gergonne`, `touchard`, `graph_count` and
   `alternating_convolution` keep their answers in an `lru_cache` bounded
-  at `CACHE_SIZE` entries each;
-- `stirling2`, `cycle_count`, `derangement`, `gentile_coeff` (one table
-  per p) and the recursions under `bell` and `touchard` keep their rows in
-  a `RowTable`, each with its own lock, so building one large table never
-  stalls another family.
+  at `CACHE_SIZE` entries each, and the recursions under `bell`,
+  `derangement` and `touchard` keep one triangle row or two values.
 
 A disagreement raises and is never cached: an `lru_cache` keeps only
 returned values and a `RowTable` only rows whose step returned, so the
@@ -39,7 +41,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import sub
 from typing import Iterator, Optional, Sequence
 
@@ -201,8 +203,8 @@ def multiset_coeff(n: int, k: int) -> int:
 
 # c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i): a window of the previous
 # row, padded with p zeros, as a difference of its prefix sums
-def _gentile_row(p: int, rows: list[list[int]], m: int) -> list[int]:
-    sums = [0, *accumulate(rows[-1] + [0] * p)]
+def _gentile_row(p: int, prev: list[int], m: int) -> list[int]:
+    sums = [0, *accumulate(prev + [0] * p)]
     top = m * p + 1
     return list(map(sub, sums[1 : top + 1], [0] * p + sums[: top - p]))
 
@@ -242,8 +244,8 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 # S(m, j) = S(m-1, j-1) + j S(m-1, j)
-def _stirling2_row(rows: list[list[int]], m: int) -> list[int]:
-    prev = rows[-1] + [0]
+def _stirling2_row(prev: list[int], m: int) -> list[int]:
+    prev = prev + [0]
     return [0] + [prev[j - 1] + j * prev[j] for j in range(1, m + 1)]
 
 
@@ -258,23 +260,15 @@ def stirling2(n: int, k: int) -> int:
     return row[k] if k < len(row) else 0
 
 
-def _aitken_step():
-    """Step of the Bell numbers' RowTable by Aitken's triangle, additions only:
-    row m of the triangle opens with the last entry of row m-1, each next
-    entry is its left neighbour plus the entry above that neighbour, and
-    B_m opens row m.  The step keeps only the last row, replaced once the
-    new one is complete."""
-    last = [1]  # row 0
-
-    def step(rows: list[int], m: int) -> int:
-        nonlocal last
-        last = list(accumulate(last, initial=last[-1]))
-        return last[0]
-
-    return step
-
-
-_BELL = RowTable(1, _aitken_step())
+def _aitken_bells() -> Iterator[int]:
+    """B_0, B_1, ... by Aitken's triangle, additions only: row m of the
+    triangle opens with the last entry of row m-1, each next entry is its
+    left neighbour plus the entry above that neighbour, and B_m opens row m.
+    Only the last row is kept."""
+    row = [1]
+    while True:
+        yield row[0]
+        row = list(accumulate(row, initial=row[-1]))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -283,7 +277,8 @@ def bell(n: int) -> int:
     Stirling row sum."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return agree(("bell", n), _BELL[n], sum(stirling2(n, k) for k in range(n + 1)))
+    return agree(("bell", n), next(islice(_aitken_bells(), n, None)),
+                 sum(stirling2(n, k) for k in range(n + 1)))
 
 
 def faa_di_bruno(tv: TypeVector) -> int:
@@ -300,8 +295,8 @@ def faa_di_bruno(tv: TypeVector) -> int:
 # ---------------------------------------------------------------------------
 
 # c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
-def _cycle_row(rows: list[list[int]], m: int) -> list[int]:
-    prev = rows[-1] + [0]
+def _cycle_row(prev: list[int], m: int) -> list[int]:
+    prev = prev + [0]
     return [0] + [prev[j - 1] + (m - 1) * prev[j] for j in range(1, m + 1)]
 
 
@@ -332,15 +327,16 @@ def cauchy_count(tv: TypeVector) -> int:
     return exact_quotient(("cauchy_count", tv), factorial(tv.n), den)
 
 
-# d_m = (m-1)(d_{m-2} + d_{m-1}); d_0 := 1 so that d_{n,n} = C(n,n) * d_0
-_DERANGEMENTS = RowTable(1, lambda rows, m: (m - 1) * sum(rows[-2:]))
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def derangement(n: int) -> int:
-    """d_n, fixed-point-free permutations, via d_n = (n-1)(d_{n-2} + d_{n-1})."""
+    """d_n, fixed-point-free permutations, via d_m = (m-1)(d_{m-2} + d_{m-1})
+    keeping the last two; d_0 := 1 so that d_{n,n} = C(n,n) * d_0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _DERANGEMENTS[n]
+    before, last = 0, 1  # d_{-1}, which d_1 = 0 * (d_{-1} + d_0) ignores, and d_0
+    for m in range(1, n + 1):
+        before, last = last, (m - 1) * (before + last)
+    return last
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -435,15 +431,18 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
 
 
 # (m-2) U_m = m(m-2) U_{m-1} + m U_{m-2} - 4(-1)^m  (OEIS A000179), from
-# U_0, U_1, U_2 = 1, -1, 0; the division by m - 2 must come out whole
-def _touchard_step(rows: list[int], m: int) -> int:
-    if m < 3:
-        return (-1, 0)[m - 1]
-    num = m * (m - 2) * rows[-1] + m * rows[-2] + (4 if m % 2 else -4)
+# U_1, U_2 = -1, 0; the division by m - 2 must come out whole
+def _touchard_step(m: int, before: int, last: int) -> int:
+    num = m * (m - 2) * last + m * before + (4 if m % 2 else -4)
     return exact_quotient(("touchard recurrence", m), num, m - 2)
 
 
-_TOUCHARD = RowTable(1, _touchard_step)
+def _touchard_recurrence(n: int) -> int:
+    """U_n for n >= 2 by the recurrence, keeping the last two values."""
+    before, last = -1, 0
+    for m in range(3, n + 1):
+        before, last = last, _touchard_step(m, before, last)
+    return last
 
 
 def _touchard_sum(n: int) -> int:
@@ -463,11 +462,11 @@ def _touchard_sum(n: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def touchard(n: int) -> int:
-    """U_n, the reduced menage count: the recurrence's row table agrees with
-    the alternating circular-selection sum."""
+    """U_n, the reduced menage count: the recurrence agrees with the
+    alternating circular-selection sum."""
     if n < 2:
         raise ValueError("menage seatings need n >= 2 couples")
-    return agree(("touchard", n), _TOUCHARD[n], _touchard_sum(n))
+    return agree(("touchard", n), _touchard_recurrence(n), _touchard_sum(n))
 
 
 def menage_count(n: int) -> int:

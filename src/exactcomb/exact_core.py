@@ -32,13 +32,14 @@ CACHE_SIZE = 1 << 15
 
 
 class RowTable:
-    """Rows 0, 1, 2, ... of a recursion, each built once under the table's lock.
+    """Rows 0, 1, 2, ... of a recursion whose every row answers many requests
+    (a triangle's row, a matrix row), each built once under the table's lock.
 
-    ``step(rows, m)`` returns row m from the finished rows 0..m-1; the lock does
-    not re-enter, so a step must not index its own table.  Finished rows are
-    read without the lock: the list only grows and ``append`` is atomic."""
+    ``step(prev, m)`` returns row m from row m-1; the lock does not re-enter,
+    so a step must not index its own table.  Finished rows are read without
+    the lock: the list only grows and ``append`` is atomic."""
 
-    def __init__(self, first, step: Callable[[list, int], object]):
+    def __init__(self, first, step: Callable[[object, int], object]):
         self._rows = [first]
         self._step = step
         self._lock = threading.Lock()
@@ -48,7 +49,7 @@ class RowTable:
         if n >= len(rows):
             with self._lock:
                 while len(rows) <= n:
-                    rows.append(self._step(rows, len(rows)))
+                    rows.append(self._step(rows[-1], len(rows)))
         return rows[n]
 
 

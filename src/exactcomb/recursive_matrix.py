@@ -37,7 +37,7 @@ class RecursiveMatrix:
         # row(m) = rule * row(m-1); the locals keep self out of a ref cycle
         self._table = RowTable(
             ([1] + [0] * order, 1),
-            lambda rows, m: (convolve(nums, rows[-1][0]), rows[-1][1] * den),
+            lambda prev, m: (convolve(nums, prev[0]), prev[1] * den),
         )
 
     def _row(self, n: int) -> tuple[list[int], int]:

@@ -18,9 +18,9 @@ from exactcomb.exact_core import parse_int, parse_rational
 
 
 def out(argv):
-    result = run(argv)
-    assert result.code == 0, result.payload
-    return result.payload
+    lines = []
+    assert run(argv, lines.extend) == (0, "")
+    return "\n".join(lines)
 
 
 def test_coeff_golden():
@@ -55,10 +55,10 @@ def test_coeff_gergonne_and_birthday():
 
 
 def test_coeff_usage_errors():
-    assert run(["coeff", "binomial", "3"]).code == 2
-    assert run(["coeff", "binomial", "x", "y"]).code == 2
-    assert run(["coeff", "unknown-family", "1"]).code == 2
-    assert run(["coeff", "graph", "multigraph", "3"]).code == 2  # k required
+    assert run(["coeff", "binomial", "3"], list).code == 2
+    assert run(["coeff", "binomial", "x", "y"], list).code == 2
+    assert run(["coeff", "unknown-family", "1"], list).code == 2
+    assert run(["coeff", "graph", "multigraph", "3"], list).code == 2  # k required
 
 
 def test_numeric_roundtrip():
@@ -113,9 +113,9 @@ def test_matrix_tables_match_counting_routes(family, rows, cols, cell, fmt):
 
 
 def test_table_usage_errors():
-    assert run(["table", "gentile", "--rows", "3", "--cols", "3"]).code == 2  # no --p
-    assert run(["table", "binomial", "--rows", "0", "--cols", "3"]).code == 2
-    assert run(["table", "binomial", "--rows", "9999", "--cols", "3"]).code == 2
+    assert run(["table", "gentile", "--rows", "3", "--cols", "3"], list).code == 2  # no --p
+    assert run(["table", "binomial", "--rows", "0", "--cols", "3"], list).code == 2
+    assert run(["table", "binomial", "--rows", "9999", "--cols", "3"], list).code == 2
 
 
 def test_enumerate():
@@ -128,10 +128,10 @@ def test_enumerate():
     assert len(limited) == 4 and limited[-1] == "..."
     derang = out(["enumerate", "permutations", "3", "--derangements"]).splitlines()
     assert derang == ["231", "312"]
-    assert run(["enumerate", "permutations", "11"]).code == 2  # size guard
+    assert run(["enumerate", "permutations", "11"], list).code == 2  # size guard
     # one vector per line, built without a stack frame per slot
     assert len(out(["enumerate", "multisets", "2000", "1"]).splitlines()) == 2000
-    assert run(["enumerate", "subsets", "3", "--limit", "-1"]).code == 2
+    assert run(["enumerate", "subsets", "3", "--limit", "-1"], list).code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,17 +151,15 @@ def test_oversized_enumeration_is_refused_at_once(argv):
 
 
 def test_verify_suites():
-    result = run(["verify", "errata"])
-    assert result.code == 0
-    assert "pass" in result.payload.lower()
+    errata = out(["verify", "errata"])
+    assert "pass" in errata.lower()
     # both the computed value and the guarded misprint are reported
-    assert "computed 9" in result.payload and "misprint 6" in result.payload
-    assert run(["verify", "stirling"]).code == 0
-    menage = run(["verify", "menage"])
-    assert menage.code == 0 and "U3=1 U4=2 U5=13" in menage.payload
+    assert "computed 9" in errata and "misprint 6" in errata
+    assert run(["verify", "stirling"], list).code == 0
+    assert "U3=1 U4=2 U5=13" in out(["verify", "menage"])
     listing = out(["verify", "--list"]).splitlines()
     assert "mobius" in listing and "menage" in listing
-    assert run(["verify", "not-a-suite"]).code == 2
+    assert run(["verify", "not-a-suite"], list).code == 2
 
 
 def test_poset_mobius_command(tmp_path):
@@ -188,9 +186,9 @@ def test_poset_malformed_reports_witness(tmp_path):
     bad.write_text(
         json.dumps({"elements": [1, 2, 3], "leq": [[1, 2], [2, 3]]})
     )
-    result = run(["poset", "mobius", str(bad)])
+    result = run(["poset", "mobius", str(bad)], list)
     assert result.code == 2
-    assert "transitivity" in result.payload and "witness" in result.payload
+    assert "transitivity" in result.error and "witness" in result.error
     for subcmd, data in (
         ("sieve", {"universe": "10", "sets": []}),
         ("mobius", {"elements": [[1], [2]], "leq": []}),
@@ -199,8 +197,8 @@ def test_poset_malformed_reports_witness(tmp_path):
         ("mobius", {"elements": [1, "1", 2], "leq": [[1, 2], ["1", 2]]}),
     ):
         bad.write_text(json.dumps(data))
-        result = run(["poset", subcmd, str(bad)])
-        assert result.code == 2 and result.payload.startswith("error: "), data
+        result = run(["poset", subcmd, str(bad)], list)
+        assert result.code == 2 and result.error.startswith("error: "), data
 
 
 def test_poset_invert_command(tmp_path):
@@ -218,9 +216,9 @@ def test_poset_invert_command(tmp_path):
     )
     assert dual == {"0": "-2", "1": "-3", "2": "6"}
     values.write_text("5")
-    assert run(["poset", "invert", str(poset), str(values)]).code == 2
+    assert run(["poset", "invert", str(poset), str(values)], list).code == 2
     values.write_text(json.dumps({"0": "1/0", "1": "3", "2": "6"}))
-    assert run(["poset", "invert", str(poset), str(values)]) == (
+    assert run(["poset", "invert", str(poset), str(values)], list) == (
         2, "error: zero denominator in '1/0'"
     )
 
@@ -253,8 +251,8 @@ def test_rsa_commands():
     assert key["d"] == "27" and key["n"] == "55"
     assert out(["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "14"]) == "19"
     assert out(["rsa", "decrypt", "--n", "25", "--d", "7", "--c", "19"]) == "14"
-    assert run(["rsa", "keygen", "--p", "5", "--q", "5", "--e", "3"]).code == 2
-    assert run(["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "1"]).code == 2
+    assert run(["rsa", "keygen", "--p", "5", "--q", "5", "--e", "3"], list).code == 2
+    assert run(["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "1"], list).code == 2
 
 
 def test_route_disagreement_exits_1(monkeypatch, capsys):
@@ -263,9 +261,8 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(pm, "sylvester_numbers", lambda fam: [
         v + (k == 3) for k, v in enumerate(sylvester_numbers(fam))
     ])
-    result = run(["verify", "sieve", "errata"])
-    lines = result.payload.splitlines()
-    assert result.code == 1
+    lines = []
+    assert run(["verify", "sieve", "errata"], lines.extend) == (1, "")
     # each sieve check fails on its own line; the errata checks still run
     assert lines[0].startswith("FAIL  sieve: derangement families via sieve  "
                                "[raised ArithmeticError: internal inconsistency in sieve")
@@ -309,7 +306,7 @@ def test_wide_disagreement_exits_1(monkeypatch, capsys):
         "error: internal inconsistency in binomial(1000000,1500): "
         f"routes gave (<{math.comb(10**6, 1500).bit_length()}-bit int>, 0)"
     )
-    assert run(["coeff", "binomial", "1000000", "1500"]) == (1, expected)
+    assert run(["coeff", "binomial", "1000000", "1500"], list) == (1, expected)
     assert main(["coeff", "binomial", "1000000", "1500"]) == 1
     assert capsys.readouterr() == ("", expected + "\n")
     ct.binomial.cache_clear()
@@ -318,7 +315,7 @@ def test_wide_disagreement_exits_1(monkeypatch, capsys):
 def test_main_lifts_the_digit_limit_only_while_it_runs(capsys, digit_limit):
     # run() keeps the caller's limit; main() prints answers of any length
     digit_limit(4300)
-    assert run(["coeff", "graph", "graph", "200"]).code == 2
+    assert run(["coeff", "graph", "graph", "200"], list).code == 2
     assert main(["coeff", "graph", "graph", "200"]) == 0
     assert sys.get_int_max_str_digits() == 4300
     printed = capsys.readouterr().out
@@ -413,10 +410,10 @@ def test_unknown_suite_exits_2_before_any_check(monkeypatch, suites):
     monkeypatch.setattr(vf, "CHECKS", [
         (suite, check, lambda: calls.append(1) or (True, ""))
         for suite, check, _ in vf.CHECKS])
-    assert run(["verify", *suites]) == (
+    assert run(["verify", *suites], list) == (
         2, f"error: unknown suite 'not-a-suite'; available: all, {', '.join(vf.SUITES)}")
     assert calls == []
-    assert run(["verify", "core"]).code == 0 and len(calls) == 4
+    assert run(["verify", "core"], list).code == 0 and len(calls) == 4
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
@@ -424,7 +421,7 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(cli.COEFF, "bell", (parse, _raises(MemoryError())))
     expected = ("error: out of memory: coeff needs more memory than this process "
                 "could allocate")
-    assert run(["coeff", "bell", "5"]) == (2, expected)
+    assert run(["coeff", "bell", "5"], list) == (2, expected)
     assert main(["coeff", "bell", "5"]) == 2
     assert capsys.readouterr() == ("", expected + "\n")
 
@@ -449,7 +446,7 @@ ONE_ROUTE = {
     ("stirling1",): "the signed cycle-count row",
     ("stirling2",): "read from its row table",
     ("cycles",): "read from its row table",
-    ("derangement",): "read from its row table",
+    ("derangement",): "one recurrence",
     ("surjections",): "one alternating sum",
     ("menage",): "2 n! times touchard",
     ("mobius",): "read off the factorization",
@@ -482,11 +479,9 @@ def test_every_coeff_answer_comes_from_a_checked_route(monkeypatch):
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
         returned.clear()
-        result = run(["coeff", *case])
-        assert result.code == 0, (case, result)
         # gergonne prints (count, probability); the probability is the count
         # over C(n, k)
-        answer = parse_rational(result.payload.split()[0])
+        answer = parse_rational(out(["coeff", *case]).split()[0])
         listed = tuple(case) in ONE_ROUTE or (case[0],) in ONE_ROUTE
         assert (answer in returned) != listed, (case, answer, returned)
 
@@ -506,9 +501,11 @@ def test_an_error_after_output_keeps_the_lines_made_before_it(monkeypatch, capsy
     assert main(["enumerate", "menage", "4"]) == 1
     assert capsys.readouterr() == (
         "a\nb\nc\n", "error: internal inconsistency after three lines\n")
-    # run() reports the error alone, as before
-    assert run(["enumerate", "menage", "4"]) == (
+    # run() hands the writer the lines and returns the error alone
+    lines = []
+    assert run(["enumerate", "menage", "4"], lines.extend) == (
         1, "error: internal inconsistency after three lines")
+    assert lines == ["a", "b", "c"]
 
 
 def test_output_that_reads_like_an_error_stays_on_stdout(tmp_path, capsys):

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
-from exactcomb.exact_core import CACHE_SIZE, RowTable, factorial
+from exactcomb.exact_core import CACHE_SIZE, factorial
 from exactcomb.recursive_matrix import binomial_matrix
 from exactcomb.series import FormalSeries, geometric_series
 
@@ -244,7 +244,7 @@ def test_aitken_rows_match_the_binomial_sum():
     bells = [1]
     for m in range(1, 301):
         bells.append(sum(math.comb(m - 1, k) * b for k, b in enumerate(bells)))
-    assert [ct._BELL[n] for n in range(301)] == bells
+    assert list(islice(ct._aitken_bells(), 301)) == bells
 
 
 def test_warm_bell_skips_its_check(monkeypatch):
@@ -313,6 +313,20 @@ def test_derangement_golden():
     assert ct.derangement(0) == 1  # convention: the empty permutation
     oracle = sum(1 for _ in en.enumerate_permutations(4, derangement_only=True))
     assert ct.derangement(4) == 9 == oracle
+
+
+def test_single_number_recursions_keep_only_their_answers():
+    # a table of every d_m or U_m held 16.3 MB after d_5000 and 2.3 MB after
+    # U_2000; the loops keep two values, so only the cached answer stays
+    for fn, n in ((ct.derangement, 5000), (ct.touchard, 2000)):
+        fn.cache_clear()
+        tracemalloc.start()
+        try:
+            answer = fn(n)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert live < 2 * sys.getsizeof(answer), fn.__name__
 
 
 def test_derangement_fixed_golden():
@@ -452,8 +466,8 @@ def test_menage_full_table_oracle():
 
 
 def test_touchard_routes_agree():
-    # the recurrence's rows against the sum with ratio-carried binomials
-    assert [ct._TOUCHARD[n] for n in range(2, 401)] == [
+    # the recurrence against the sum with ratio-carried binomials
+    assert [ct._touchard_recurrence(n) for n in range(2, 401)] == [
         ct._touchard_sum(n) for n in range(2, 401)]
     # the sum against its printed form, C(2n-k, k) + C(2n-k-1, k-1) by math.comb
     for n in range(2, 61):
@@ -463,19 +477,20 @@ def test_touchard_routes_agree():
             for k in range(n + 1))
         assert ct._touchard_sum(n) == printed
     for n in range(2, 8):
-        assert ct._TOUCHARD[n] == sum(1 for _ in en.enumerate_menage(n))
+        assert ct._touchard_recurrence(n) == sum(1 for _ in en.enumerate_menage(n))
 
 
 def test_a_broken_touchard_step_raises(monkeypatch):
     # U_5 read one too large: U_6's division by 4 still comes out whole, as
     # 86, but U_7's by 5 does not
-    table = RowTable(1, lambda rows, m: ct._touchard_step(rows, m) + (m == 5))
-    assert table[6] == 86 == ct.touchard(6) + 6
+    u6 = ct.touchard(6)
+    step = ct._touchard_step
+    monkeypatch.setattr(ct, "_touchard_step", lambda m, *last: step(m, *last) + (m == 5))
+    assert ct._touchard_recurrence(6) == 86 == u6 + 6
     with pytest.raises(ArithmeticError) as raised:
-        table[7]
+        ct._touchard_recurrence(7)
     assert str(raised.value) == (
         "internal inconsistency: touchard recurrence(7) is non-integer 3112/5")
-    monkeypatch.setattr(ct, "_TOUCHARD", table)
     ct.touchard.cache_clear()
     with pytest.raises(ArithmeticError, match="touchard recurrence"):
         ct.touchard(9)
@@ -588,8 +603,8 @@ def test_passing_checks_format_no_label(monkeypatch):
 # ---------------------------------------------------------------------------
 
 # the families memoised beside binomial, multiset_coeff and bell
-MEMOISED = (ct.derangement_fixed, ct.surjection_count, ct.gergonne, ct.touchard,
-            ct.graph_count, ct.alternating_convolution)
+MEMOISED = (ct.derangement, ct.derangement_fixed, ct.surjection_count, ct.gergonne,
+            ct.touchard, ct.graph_count, ct.alternating_convolution)
 
 
 def test_memoised_families_are_bounded():
@@ -619,12 +634,12 @@ def test_a_disagreement_raises_on_every_call_and_is_never_cached(
     assert fn.__wrapped__(*args) == answer
 
 
-def test_memoised_families_under_threads(monkeypatch):
+def test_memoised_families_under_threads():
     # 8 threads, switching often, ask the MEMOISED families for the same
-    # arguments in different orders, over a fresh Touchard row table: each
-    # gets the single-thread answer, and each row of the table is built once
+    # arguments in different orders: each gets the single-thread answer
     calls = (
         [(ct.touchard, (n,)) for n in range(2, 120, 5)]
+        + [(ct.derangement, (n,)) for n in range(0, 120, 7)]
         + [(ct.surjection_count, (k, n)) for k in range(0, 12, 3) for n in range(6)]
         + [(ct.gergonne, (ct.GergonneQuery(n, k, m),))
            for n in range(4, 16, 3) for k in range(1, 4) for m in range(3)]
@@ -636,13 +651,6 @@ def test_memoised_families_under_threads(monkeypatch):
            for k in (None, 2) if k is not None or "multi" not in kind]
     )
     expected = [fn.__wrapped__(*args) for fn, args in calls]
-    built = []
-
-    def step(rows, m):
-        built.append(m)
-        return ct._touchard_step(rows, m)
-
-    monkeypatch.setattr(ct, "_TOUCHARD", RowTable(1, step))
     assert {fn for fn, _ in calls} == set(MEMOISED)
     for fn in MEMOISED:
         fn.cache_clear()
@@ -663,4 +671,3 @@ def test_memoised_families_under_threads(monkeypatch):
     assert len(answers) == 8 * len(calls)
     for j, answer in answers:
         assert answer == expected[j], calls[j]
-    assert sorted(built) == list(range(1, 118))

@@ -141,9 +141,9 @@ def test_row_table_builds_each_row_once_under_threads():
     built = []
 
     def counted(step):
-        def step_once(rows, m):
+        def step_once(prev, m):
             built.append((step, m))
-            return step(rows, m)
+            return step(prev, m)
         return step_once
 
     table = RowTable([1], counted(counting._stirling2_row))

@@ -110,13 +110,12 @@ def test_edge_branches():
     (["coeff", "graph", "graph"], "graph expects: kind n [k]"),
 ])
 def test_cli_usage_errors(argv, message):
-    assert run(argv) == (2, f"error: {message}")
+    assert run(argv, list) == (2, f"error: {message}")
 
 
 def test_verbose_verify_prints_its_time(monkeypatch, capsys):
     monkeypatch.setenv("EXACTCOMB_VERBOSE", "1")
-    result = run(["verify", "core"])
-    assert result.code == 0
+    assert run(["verify", "core"], list).code == 0
     assert re.fullmatch(r"ran \d+ checks in \d+\.\d\ds\n", capsys.readouterr().err)
 
 
@@ -124,5 +123,5 @@ def test_poset_invert_missing_value(tmp_path):
     poset, values = tmp_path / "chain.json", tmp_path / "g.json"
     poset.write_text('{"elements": [0, 1], "leq": [[0, 1]]}')
     values.write_text('{"0": "1"}')
-    assert run(["poset", "invert", str(poset), str(values)]) == (
+    assert run(["poset", "invert", str(poset), str(values)], list) == (
         2, "error: missing value for element '1'")

@@ -10,7 +10,9 @@ that two or more classes define needs a qualified reference,
 `Class.name` (as `FinitePoset.from_json` in cli.py).  A name that only
 tests use is dead code, unless it sits in KEPT below with the reason it
 stays.  Files are read with `ast`, never imported, and a reference is a
-name or attribute with that text, so a definition alone does not count.
+name or attribute with that text, so a definition alone does not count;
+nor does a name read inside a function that binds that name itself, as a
+parameter or an assignment target, since the read is of the local.
 
 Known blind spot: a method whose name is also that of a builtin type's
 method, such as `items` (every `dict.items()` call reads it), always
@@ -73,13 +75,36 @@ def _methods(tree: ast.Module):
                     yield node.name, item.name
 
 
+def _local_reads(function):
+    """The names read in a function's body (nested functions included) that
+    the function binds itself: its parameters, and its assignment targets
+    not declared global or nonlocal."""
+    args = function.args
+    body = function.body if isinstance(function.body, list) else [function.body]
+    nodes = [node for statement in body for node in ast.walk(statement)]
+    bound = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg}
+    bound |= {node.id for node in nodes
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound -= {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+              for name in node.names}
+    return [node for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound]
+
+
 def _referenced(callers) -> tuple[set[str], set[str], set[str]]:
-    """In the callers' files: every name read, every attribute, and every
-    attribute read off a name or attribute, as "owner.attribute"."""
+    """In the callers' files: every name read, less the reads of a function's
+    own locals, every attribute, and every attribute read off a name or
+    attribute, as "owner.attribute"."""
     names, attributes, qualified = set(), set(), set()
     for path in (p for top in callers for p in sorted(top.rglob("*.py"))):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        tree = ast.parse(path.read_text())
+        local = {id(read) for function in ast.walk(tree)
+                 if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                 for read in _local_reads(function)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in local):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -150,3 +175,13 @@ def test_scan_needs_a_qualified_caller_for_a_shared_method_name(tmp_path, caller
               "class B:\n"
               "    def from_json(self): pass\n")
     assert _scan(tmp_path, module, callers, '{"mod": ["A", "B"]}') == found
+
+
+@pytest.mark.parametrize("callers, found", [
+    ("def show(divisors):\n    return divisors\nshow(1)\n", {"mod.divisors"}),
+    ("def total():\n    divisors = [1]\n    return sum(divisors)\ntotal()\n",
+     {"mod.divisors"}),
+    ("def show(n):\n    return divisors(n)\nshow(1)\n", set()),
+], ids=["parameter", "assignment", "call"])
+def test_scan_counts_no_read_of_a_local_that_shares_a_name(tmp_path, callers, found):
+    assert _scan(tmp_path, "def divisors(): pass\n", callers) == found
