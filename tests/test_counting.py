@@ -316,8 +316,9 @@ def test_derangement_golden():
 
 
 def test_single_number_recursions_keep_only_their_answers():
-    # a table of every d_m or U_m held 16.3 MB after d_5000 and 2.3 MB after
-    # U_2000; the loops keep two values, so only the cached answer stays
+    # the loops keep two values, so only the cached answer stays live; a
+    # table of every d_m up to d_5000 would hold about 16 MB, of U_m up to
+    # U_2000 about 2.3 MB
     for fn, n in ((ct.derangement, 5000), (ct.touchard, 2000)):
         fn.cache_clear()
         tracemalloc.start()
