@@ -16,14 +16,22 @@ is the product of the lattices on the first ceil(n/2) atoms and on the
 rest, so of n 2-chains, labelled by unions; `divisor_poset(n)` is the
 product of the divisor lattices of two coprime parts of n, so of chains
 of prime powers, labelled by products and sorted as ints.  A union is
-sorted by (size, sorted atoms), a key built from its two parts' keys,
-computed once per factor element: each atom of the first factor precedes
-each of the second, so the sorted atoms of a | b are those of a followed
-by those of b.  The masks come from the factors' cover relations, with
-no pair list: the up-mask of (a, b) is its own bit OR'd with the
-up-masks of the pairs one cover step above it.  A product remembers its
-factors and the index of each pair of factor indices among its elements.
-JSON is imported only by the functions that read it.
+sorted by one int key, (size << top) minus the sum of 1 << (top - x) over
+its atoms x (top the largest atom), which orders by size and then
+lexicographically; a | b has the sum of the keys of its disjoint parts,
+each computed once per factor element.  A product remembers its factors
+and the index of each pair of factor indices among its elements.
+
+A product builds no mask until a query reads one.  Its linear extension
+sorts by down-set sizes, the products of its factors' sizes, and its
+covers are its factors' covers, so building it, `mobius`, `invert` and
+`invert_dual` (on its reversal, which also starts without masks) read
+none.  `up`, `down`, `interval`, `zeta`, `delta_check`, `accumulate` and
+the reference routes build both lists on first use from the factors'
+cover relations, with no pair list: the up-mask of (a, b) is its own bit
+OR'd with the up-masks of the pairs one cover step above it.  A reversed
+poset takes the original's lists, swapped.  JSON is imported only by the
+functions that read it.
 
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
@@ -86,13 +94,16 @@ Rational = Union[int, Fraction]
 Row = tuple[list[int], list[int]]
 
 # Poset plus Mobius table, peak RSS of a fresh process (about 16 MB at
-# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.06 s and
-# 31 MB, (13) 0.2 s and 64 MB, (14) 0.5 s and 166 MB, the masks and the
-# table each about 3x per atom; 13 is the last within 100 MB.
+# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.04 s and
+# 27 MB, (13) 0.09-0.13 s and 50 MB, (14) 0.3-0.45 s and 113 MB, the table
+# about 3x per atom.  `delta_check`, which also builds the masks, takes
+# that to (12) 0.6-1.0 s and 41 MB, (13) 3.4-4.2 s and 92 MB, (14) 16-17 s
+# and 248 MB.  13 is the last within 100 MB either way.
 MAX_BOOLEAN_GROUND = 13
 # divisor_poset(963761198400), whose 6720 divisors are the most of any n
-# that factorize accepts (n <= 10**12), takes 0.04 s to build and 0.17 s
-# with its Mobius table, at a 58 MB peak; the cap admits exactly that range.
+# that factorize accepts (n <= 10**12), takes 0.005 s to build and 0.1 s
+# with its Mobius table, at a 48 MB peak (2.4-4.0 s and 89 MB with
+# `delta_check`); the cap admits exactly that range.
 MAX_DIVISOR_COUNT = 6720
 
 
@@ -124,7 +135,14 @@ class FinitePoset:
     _pair_index: Optional[list[int]] = None
     # the poset this one is the order-reversal of
     _dual_of: Optional[FinitePoset] = None
-    # filled on first use: upper covers, Mobius rows and columns
+    # (up-masks, down-masks): set by the constructor and `_chain`, filled on
+    # first use for a product (from its factors' covers) and a reversed
+    # poset (the original's, swapped)
+    _masks: Optional[tuple[list[int], list[int]]] = None
+    # filled on first use: down-set and up-set sizes, upper covers, Mobius
+    # rows and columns
+    _down_sizes: Optional[list[int]] = None
+    _up_sizes: Optional[list[int]] = None
     _covers: Optional[list[list[int]]] = None
     _mobius_rows: Optional[list[Row]] = None
     _mobius_columns: Optional[list[Row]] = None
@@ -135,24 +153,25 @@ class FinitePoset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        # bit j of _up[i] (and bit i of _down[j]) says elements[i] <= elements[j]
-        self._up = [1 << i for i in range(len(self.elements))]
-        self._down = self._up.copy()
+        up = [1 << i for i in range(len(self.elements))]
+        down = up.copy()
         for x, y in relation:
             if x not in self._index or y not in self._index:
                 raise ValueError(f"relation pair ({x!r}, {y!r}) outside element set")
             i, j = self._index[x], self._index[y]
-            self._up[i] |= 1 << j
-            self._down[j] |= 1 << i
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        self._masks = (up, down)
         self._validate()
         self._sort_extension()
 
     @classmethod
-    def _from_masks(cls, elements: tuple, index: dict, up: list[int],
-                    down: list[int]) -> "FinitePoset":
-        """A poset over already-closed masks, with no validation."""
+    def _derived(cls, elements: tuple, index: dict, **fields) -> "FinitePoset":
+        """A poset with no validation; `fields` say where its order comes
+        from: `_masks`, `_factors` and `_pair_index`, or `_dual_of`."""
         P = cls.__new__(cls)
-        P.elements, P._index, P._up, P._down = elements, index, up, down
+        P.elements, P._index = elements, index
+        vars(P).update(fields)
         P._sort_extension()
         return P
 
@@ -160,13 +179,58 @@ class FinitePoset:
         # any order sorted by down-set size is a linear extension,
         # since x < y forces down(x) to be strictly inside down(y);
         # the sort is stable, so ties stay in index order
-        sizes = [mask.bit_count() for mask in self._down]
+        sizes = self._set_sizes()
         order = sorted(range(len(self.elements)), key=sizes.__getitem__)
         self._order = order
         self._extension = tuple(self.elements[i] for i in order)
         self._rank = [0] * len(order)
         for position, i in enumerate(order):
             self._rank[i] = position
+
+    def _set_sizes(self, up: bool = False) -> list[int]:
+        """The size of each element's down-set (or up-set), computed on first
+        use and kept.  A product multiplies its factors' sizes and a reversed
+        poset reads the original's other side, so neither reads a mask."""
+        sizes = self._up_sizes if up else self._down_sizes
+        if sizes is None:
+            if self._factors:
+                A, B = self._factors
+                sizes = [0] * len(self.elements)
+                pairs = [x * y for x in A._set_sizes(up) for y in B._set_sizes(up)]
+                for i, size in zip(self._pair_index, pairs):
+                    sizes[i] = size
+            elif self._masks is None:
+                sizes = self._dual_of._set_sizes(not up)
+            else:
+                sizes = [mask.bit_count() for mask in self._masks[0 if up else 1]]
+            if up:
+                self._up_sizes = sizes
+            else:
+                self._down_sizes = sizes
+        return sizes
+
+    def _order_masks(self) -> tuple[list[int], list[int]]:
+        """(up-masks, down-masks), built on first use and kept whole, so a
+        racing thread can at worst build them twice."""
+        masks = self._masks
+        if masks is None:
+            if self._factors:
+                masks = _product_masks(self)
+            else:
+                up, down = self._dual_of._order_masks()
+                masks = (down, up)
+            self._masks = masks
+        return masks
+
+    @property
+    def _up(self) -> list[int]:
+        """Bit j of _up[i] says elements[i] <= elements[j]."""
+        return self._order_masks()[0]
+
+    @property
+    def _down(self) -> list[int]:
+        """Bit i of _down[j] says elements[i] <= elements[j]."""
+        return self._order_masks()[1]
 
     def _validate(self):
         up, name = self._up, self.elements
@@ -191,12 +255,17 @@ class FinitePoset:
         return [self.elements[i] for i in _bits(mask)]
 
     def _upper_covers(self) -> list[list[int]]:
-        """For each element, the indices of the elements covering it."""
+        """For each element, the indices of the elements covering it: from
+        the factors' covers on a product, from the masks otherwise."""
         if self._covers is None:
-            covers = []
-            for i, mask in enumerate(self._up):
-                above = mask ^ 1 << i
-                covers.append([j for j in _bits(above) if self._down[j] & above == 1 << j])
+            if self._factors:
+                covers = _product_covers(self)
+            else:
+                up, down = self._order_masks()
+                covers = []
+                for i, mask in enumerate(up):
+                    above = mask ^ 1 << i
+                    covers.append([j for j in _bits(above) if down[j] & above == 1 << j])
             self._covers = covers
         return self._covers
 
@@ -219,9 +288,7 @@ class FinitePoset:
         """The order-reversed poset; reversing that gives back this one."""
         if self._dual_of is not None:
             return self._dual_of
-        R = FinitePoset._from_masks(self.elements, self._index, self._down, self._up)
-        R._dual_of = self
-        return R
+        return FinitePoset._derived(self.elements, self._index, _dual_of=self)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -303,22 +370,41 @@ def _lower_covers(upper: list[list[int]]) -> list[list[int]]:
     return lower
 
 
+def _product_covers(P: FinitePoset) -> list[list[int]]:
+    """The upper covers of a product: (a, b) is covered by (c, b) for each
+    c covering a and by (a, d) for each d covering b."""
+    (A, B), at = P._factors, P._pair_index
+    nb = len(B)
+    above_b = B._upper_covers()
+    covers: list[list[int]] = [[]] * len(at)
+    for a, above_a in enumerate(A._upper_covers()):
+        row = a * nb
+        for b, over in enumerate(above_b):
+            covers[at[row + b]] = ([at[c * nb + b] for c in above_a]
+                                   + [at[row + d] for d in over])
+    return covers
+
+
+def _product_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
+    """A product's up- and down-masks, closed over its factors' covers."""
+    (A, B), at = P._factors, P._pair_index
+    nb = len(B)
+    above_a, above_b = A._upper_covers(), B._upper_covers()
+    up = _cover_closure(at, nb, above_a, above_b, A._order[::-1], B._order[::-1])
+    down = _cover_closure(at, nb, _lower_covers(above_a), _lower_covers(above_b),
+                          A._order, B._order)
+    return up, down
+
+
 def _labelled_product(P: FinitePoset, Q: FinitePoset, labels: list,
                       elements: Iterable[Element]) -> FinitePoset:
     """P x Q ordered componentwise, labels[a * len(Q) + b] standing for the
     pair of P's a-th and Q's b-th elements; `elements` lists the labels,
-    which must be distinct, in the product's order."""
+    which must be distinct, in the product's order.  No mask is built."""
     elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
     at = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
-    nb = len(Q)
-    above_p, above_q = P._upper_covers(), Q._upper_covers()
-    up = _cover_closure(at, nb, above_p, above_q, P._order[::-1], Q._order[::-1])
-    down = _cover_closure(at, nb, _lower_covers(above_p), _lower_covers(above_q),
-                          P._order, Q._order)
-    R = FinitePoset._from_masks(elements, index, up, down)
-    R._factors, R._pair_index = (P, Q), at
-    return R
+    return FinitePoset._derived(elements, index, _factors=(P, Q), _pair_index=at)
 
 
 def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
@@ -427,7 +513,7 @@ def _plane_sum(mask: int, planes: list[list[int]]) -> int:
 def _plane_rows(P: FinitePoset) -> list[Row]:
     """The Mobius rows by the interval recursion along a linear extension,
     with the row of values for x kept as bit planes."""
-    up, down, rank = P._up, P._down, P._rank
+    (up, down), rank = P._order_masks(), P._rank
     rows = []
     for i, mask in enumerate(up):
         cols, vals = [i], [1]
@@ -544,7 +630,7 @@ def delta_check(P: FinitePoset) -> bool:
     """Verify sum_{x: z <= x <= y} mu(x, y) = delta(z, y) on all
     comparable pairs (the zeta * mu = delta identity), with the column
     of values below y kept as bit planes."""
-    up, down = P._up, P._down
+    up, down = P._order_masks()
     for j, (xs, vals) in enumerate(_table(P, columns=True)):
         planes = [[0, 0]]
         for i, value in zip(xs, vals):
@@ -627,7 +713,7 @@ def _chain(elements: tuple) -> FinitePoset:
     up = [full >> i << i for i in range(n)]
     down = [(2 << i) - 1 for i in range(n)]
     index = {e: i for i, e in enumerate(elements)}
-    return FinitePoset._from_masks(elements, index, up, down)
+    return FinitePoset._derived(elements, index, _masks=(up, down))
 
 
 def boolean_lattice(n: int) -> FinitePoset:
@@ -638,17 +724,23 @@ def boolean_lattice(n: int) -> FinitePoset:
 
 
 def _subset_lattice(atoms: tuple[int, ...]) -> FinitePoset:
-    """The subsets of the ascending `atoms` by inclusion, listed by size and
-    then lexicographically, halved as in `boolean_lattice`."""
+    """The subsets of the ascending positive `atoms` by inclusion, listed by
+    size and then lexicographically, halved as in `boolean_lattice`."""
     if len(atoms) < 2:
         return _chain((frozenset(),) + tuple(frozenset([a]) for a in atoms))
     k = (len(atoms) + 1) // 2
     P, Q = _subset_lattice(atoms[:k]), _subset_lattice(atoms[k:])
-    # each of P's atoms precedes each of Q's, so the sorted atoms of a | b
-    # are those of a followed by those of b
-    keys_p = [(len(a), tuple(sorted(a))) for a in P.elements]
-    keys_q = [(len(b), tuple(sorted(b))) for b in Q.elements]
-    keys = [(m + n, s + t) for m, s in keys_p for n, t in keys_q]
+    # (size << top) minus the bits 1 << (top - x) of the atoms x sorts by
+    # size, then lexicographically: each bit is below 1 << top, and the
+    # smallest atom in which two sets differ sets the highest differing bit.
+    # A union of disjoint parts sums their keys.
+    top = atoms[-1]
+
+    def key(s: frozenset) -> int:
+        return (len(s) << top) - sum(1 << top - x for x in s)
+
+    keys_q = list(map(key, Q.elements))
+    keys = [p + q for p in map(key, P.elements) for q in keys_q]
     labels = [a | b for a in P.elements for b in Q.elements]
     order = sorted(range(len(labels)), key=keys.__getitem__)
     return _labelled_product(P, Q, labels, map(labels.__getitem__, order))

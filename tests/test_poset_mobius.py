@@ -489,20 +489,52 @@ def test_lattices_match_pair_list_construction(kind, n):
     else:
         P, Q = pm.divisor_poset(n), _divisors_by_pairs(n)
     assert P.elements == Q.elements
-    assert [P.up(x) for x in P.elements] == [Q.up(x) for x in Q.elements]
+    # the extension and the Mobius table come from the factors, before any
+    # mask of the product is built
     assert P.linear_extension() == Q.linear_extension()
-    assert (P._up, P._down) == (Q._up, Q._down)
     assert pm.mobius(P).table == pm.mobius(Q).table
+    assert (P._up, P._down) == (Q._up, Q._down)
+    assert [P.up(x) for x in P.elements] == [Q.up(x) for x in Q.elements]
 
 
-@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("make", [lambda: pm.boolean_lattice(10), lambda: pm.divisor_poset(720720)],
+                         ids=["boolean-10", "divisors-720720"])
+@pytest.mark.parametrize("query", [
+    lambda P, x, g: P.up(x),
+    lambda P, x, g: P.interval(x, x),
+    lambda P, x, g: pm.delta_check(P),
+    lambda P, x, g: pm.zeta(P),
+    lambda P, x, g: pm.accumulate(P, g),
+], ids=["up", "interval", "delta_check", "zeta", "accumulate"])
+def test_product_masks_are_built_by_the_first_query_that_reads_them(make, query):
+    P = make()
+    g = {e: i % 7 - 3 for i, e in enumerate(P.elements)}
+    mu = pm.mobius(P)
+    assert pm.invert(P, g) == pm._invert_reference(make(), g)
+    assert pm.invert_dual(P, g) == pm._invert_reference(make().reversed(), g)
+    assert P._masks is None and P._factors[0]._masks is None
+    query(P, P.elements[0], g)
+    assert P._masks is not None
+    assert mu.table == pm._mobius_bitplane(P).table
+
+
+def _by_size_then_atoms(atoms):
+    subsets = [frozenset(c) for size in range(len(atoms) + 1) for c in combinations(atoms, size)]
+    return tuple(sorted(subsets, key=lambda s: (len(s), sorted(s))))
+
+
+@pytest.mark.parametrize("n", range(14))
 def test_boolean_lattice_lists_subsets_by_size_then_atoms(n):
-    # the product's sort keys are built from its factors' keys, which holds
-    # for either way an odd number of atoms splits
-    atoms = range(1, n + 1)
-    subsets = [frozenset(c) for size in range(n + 1) for c in combinations(atoms, size)]
-    want = sorted(subsets, key=lambda s: (len(s), sorted(s)))
-    assert pm.boolean_lattice(n).elements == tuple(want)
+    # a union's int sort key is the sum of its parts' keys, which holds for
+    # either way an odd number of atoms splits
+    assert pm.boolean_lattice(n).elements == _by_size_then_atoms(range(1, n + 1))
+
+
+@pytest.mark.parametrize("atoms", [tuple(range(6, 11)), (2, 3, 5, 7, 11, 13)],
+                         ids=["6-to-10", "primes-to-13"])
+def test_subset_factor_keys_hold_for_atoms_past_one(atoms):
+    # a factor's keys shift each atom by its distance from the largest one
+    assert pm._subset_lattice(atoms).elements == _by_size_then_atoms(atoms)
 
 
 def test_largest_divisor_lattice_is_a_product():
@@ -520,9 +552,12 @@ def test_largest_divisor_lattice_is_a_product():
 def test_shared_poset_tables_under_threads():
     # 8 threads, switching often, fill one poset's Mobius rows and columns
     # while inverting on it; each must see whole tables and the same answers
-    for make in (lambda: pm.boolean_lattice(7), lambda: pm.divisor_poset(720720),
-                 lambda: random_poset(random.Random(11), 40)):
+    # on the two products the threads' delta_check builds the masks first
+    for make, by_pairs in ((lambda: pm.boolean_lattice(7), lambda: _boolean_by_pairs(7)),
+                           (lambda: pm.divisor_poset(720720), lambda: _divisors_by_pairs(720720)),
+                           (lambda: random_poset(random.Random(11), 40), None)):
         P = make()
+        assert (P._masks is None) == (by_pairs is not None)
         rng = random.Random(len(P))
         g = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
         fresh = make()
@@ -541,6 +576,9 @@ def test_shared_poset_tables_under_threads():
         finally:
             sys.setswitchinterval(interval)
         assert all(answer == want for answer in got)
+        if by_pairs:
+            Q = by_pairs()
+            assert P._masks == (Q._up, Q._down)
 
 
 def test_divisor_poset_shape():
