@@ -4,9 +4,8 @@ A `FinitePoset` is an explicit element list plus an order relation that
 is validated eagerly (reflexive closure is applied for convenience, but
 antisymmetry and transitivity violations are reported with a witness).
 The order is stored as int bitsets over element indices: one up-mask and
-one down-mask per element, so an interval [x, y] is one AND and the
-order-reversed poset swaps the two lists.  `up`, `down` and `interval`
-build frozensets from the masks when asked.
+one down-mask per element, so an interval [x, y] is one AND.  `up`,
+`down` and `interval` build frozensets from the masks when asked.
 
 One builder, `_labelled_product`, makes every product: each pair of
 factor elements gets a label, and the labels, sorted unless they already
@@ -25,19 +24,18 @@ and the index of each pair of factor indices among its elements.
 A product builds no mask until a query reads one.  Its linear extension
 sorts by down-set sizes, the products of its factors' sizes, and its
 covers are its factors' covers, so building it, `mobius`, `invert` and
-`invert_dual` (on its reversal, which also starts without masks) read
-none.  `up`, `down`, `interval`, `zeta`, `delta_check`, `accumulate` and
-the reference routes build both lists on first use from the factors'
-cover relations, with no pair list: the up-mask of (a, b) is its own bit
-OR'd with the up-masks of the pairs one cover step above it.  A reversed
-poset takes the original's lists, swapped.  JSON is imported only by the
+`invert_dual` read none.  `up`, `down`, `interval`, `zeta`,
+`delta_check`, `accumulate`, `accumulate_dual` and the reference routes
+build both lists on first use from the factors' cover relations, with no
+pair list: the up-mask of (a, b) is its own bit OR'd with the up-masks
+of the pairs one cover step above it.  JSON is imported only by the
 functions that read it.
 
 The Mobius function is computed once per poset and kept on it (posets
 are immutable; a race between threads can only compute it twice).  It
 is stored by rows: for each x, the indices of the y >= x and the values
 mu(x, y).  Columns (the x <= y and mu(x, y)) are kept the same way once
-asked for.  There are three routes:
+asked for.  There are two routes:
 
 * a product: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
@@ -47,8 +45,6 @@ asked for.  There are three routes:
   for each distinct value v in P's table, v times each of Q's rows.  The
   row of (a, b) is one block and one scaled row per entry of P's row a,
   in the order of the entry-by-entry product;
-* an order-reversed poset: its rows are the columns of the original and
-  its columns the rows, as mu_{P^op}(x, y) = mu_P(y, x);
 * any other poset: the interval recursion along a linear extension.  For
   a fixed x, the values mu(x, y) found so far are kept as bit planes: for
   each binary digit k of |mu|, one mask of the y with that digit set and
@@ -67,8 +63,9 @@ Inversion and accumulation write the values as integer numerators over
 their least common denominator, sum integers along the stored columns
 (or the down-masks), and build one `Fraction` per output; integer values
 give integer results.  `_invert_reference` keeps the `Fraction` sum.
-Dual inversion is inversion on the reversed order, so there is a single
-proof obligation.
+The dual Mobius function is the transpose, mu_{P^op}(x, y) = mu_P(y, x),
+so dual inversion f(y) = sum_{x >= y} mu(y, x) g(x) runs the same kernel
+along the stored rows, and dual accumulation along the up-masks.
 
 Sieve counting (Sylvester's alternating sum and Jordan's exactly-m
 formula) lives here too, over explicit subset families.  A family keeps
@@ -133,16 +130,12 @@ class FinitePoset:
     # a product's factors, and a * len(Q) + b -> the index of (a, b)
     _factors: Optional[tuple[FinitePoset, FinitePoset]] = None
     _pair_index: Optional[list[int]] = None
-    # the poset this one is the order-reversal of
-    _dual_of: Optional[FinitePoset] = None
     # (up-masks, down-masks): set by the constructor and `_chain`, filled on
-    # first use for a product (from its factors' covers) and a reversed
-    # poset (the original's, swapped)
+    # first use for a product (from its factors' covers)
     _masks: Optional[tuple[list[int], list[int]]] = None
-    # filled on first use: down-set and up-set sizes, upper covers, Mobius
-    # rows and columns
+    # filled on first use: down-set sizes, upper covers, Mobius rows and
+    # columns
     _down_sizes: Optional[list[int]] = None
-    _up_sizes: Optional[list[int]] = None
     _covers: Optional[list[list[int]]] = None
     _mobius_rows: Optional[list[Row]] = None
     _mobius_columns: Optional[list[Row]] = None
@@ -168,7 +161,7 @@ class FinitePoset:
     @classmethod
     def _derived(cls, elements: tuple, index: dict, **fields) -> "FinitePoset":
         """A poset with no validation; `fields` say where its order comes
-        from: `_masks`, `_factors` and `_pair_index`, or `_dual_of`."""
+        from: `_masks`, or `_factors` and `_pair_index`."""
         P = cls.__new__(cls)
         P.elements, P._index = elements, index
         vars(P).update(fields)
@@ -187,39 +180,28 @@ class FinitePoset:
         for position, i in enumerate(order):
             self._rank[i] = position
 
-    def _set_sizes(self, up: bool = False) -> list[int]:
-        """The size of each element's down-set (or up-set), computed on first
-        use and kept.  A product multiplies its factors' sizes and a reversed
-        poset reads the original's other side, so neither reads a mask."""
-        sizes = self._up_sizes if up else self._down_sizes
+    def _set_sizes(self) -> list[int]:
+        """The size of each element's down-set, computed on first use and
+        kept.  A product multiplies its factors' sizes, so reads no mask."""
+        sizes = self._down_sizes
         if sizes is None:
             if self._factors:
                 A, B = self._factors
                 sizes = [0] * len(self.elements)
-                pairs = [x * y for x in A._set_sizes(up) for y in B._set_sizes(up)]
+                pairs = [x * y for x in A._set_sizes() for y in B._set_sizes()]
                 for i, size in zip(self._pair_index, pairs):
                     sizes[i] = size
-            elif self._masks is None:
-                sizes = self._dual_of._set_sizes(not up)
             else:
-                sizes = [mask.bit_count() for mask in self._masks[0 if up else 1]]
-            if up:
-                self._up_sizes = sizes
-            else:
-                self._down_sizes = sizes
+                sizes = [mask.bit_count() for mask in self._masks[1]]
+            self._down_sizes = sizes
         return sizes
 
     def _order_masks(self) -> tuple[list[int], list[int]]:
-        """(up-masks, down-masks), built on first use and kept whole, so a
-        racing thread can at worst build them twice."""
+        """(up-masks, down-masks), built on first use for a product and kept
+        whole, so a racing thread can at worst build them twice."""
         masks = self._masks
         if masks is None:
-            if self._factors:
-                masks = _product_masks(self)
-            else:
-                up, down = self._dual_of._order_masks()
-                masks = (down, up)
-            self._masks = masks
+            masks = self._masks = _product_masks(self)
         return masks
 
     @property
@@ -283,12 +265,6 @@ class FinitePoset:
 
     def linear_extension(self) -> tuple[Element, ...]:
         return self._extension
-
-    def reversed(self) -> "FinitePoset":
-        """The order-reversed poset; reversing that gives back this one."""
-        if self._dual_of is not None:
-            return self._dual_of
-        return FinitePoset._derived(self.elements, self._index, _dual_of=self)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -580,8 +556,6 @@ def _table(P: FinitePoset, columns: bool = False) -> list[Row]:
     if table is None:
         if P._factors:
             table = _outer(P, columns)
-        elif P._dual_of is not None:
-            table = _table(P._dual_of, not columns)
         elif columns:
             table = _transpose(_table(P))
         else:
@@ -663,21 +637,30 @@ def _quotients(P: FinitePoset, sums: list[int], den: int, ints: bool) -> dict:
     return {e: Fraction(s, den) for e, s in zip(P.elements, sums)}
 
 
+def _sum_over(P: FinitePoset, f: Mapping[Element, Rational], masks: list[int]) -> dict:
+    """The sum of f's integer numerators over each mask."""
+    nums, den, ints = _numerators(P, f)
+    sums = [sum(map(nums.__getitem__, _bits(mask))) for mask in masks]
+    return _quotients(P, sums, den, ints)
+
+
+def _dot(P: FinitePoset, g: Mapping[Element, Rational], table: list[Row]) -> dict:
+    """Each row of `table` dotted with g's integer numerators."""
+    nums, den, ints = _numerators(P, g)
+    sums = [sum(map(mul, vals, map(nums.__getitem__, js))) for js, vals in table]
+    return _quotients(P, sums, den, ints)
+
+
 def accumulate(P: FinitePoset, f: Mapping[Element, Rational]) -> dict:
     """g(y) = sum_{x <= y} f(x), summed on integer numerators."""
-    nums, den, ints = _numerators(P, f)
-    sums = [sum(map(nums.__getitem__, _bits(mask))) for mask in P._down]
-    return _quotients(P, sums, den, ints)
+    return _sum_over(P, f, P._down)
 
 
 def invert(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
     """The unique f with sum_{x <= y} f(x) = g(y), via
     f(y) = sum_{x <= y} mu(x, y) g(x): each Mobius column dotted with the
     integer numerators of g."""
-    nums, den, ints = _numerators(P, g)
-    sums = [sum(map(mul, vals, map(nums.__getitem__, xs)))
-            for xs, vals in _table(P, columns=True)]
-    return _quotients(P, sums, den, ints)
+    return _dot(P, g, _table(P, columns=True))
 
 
 def _invert_reference(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
@@ -691,14 +674,15 @@ def _invert_reference(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
 
 
 def accumulate_dual(P: FinitePoset, f: Mapping[Element, Rational]) -> dict:
-    """g(y) = sum_{x >= y} f(x)."""
-    return accumulate(P.reversed(), f)
+    """g(y) = sum_{x >= y} f(x), summed over the up-masks."""
+    return _sum_over(P, f, P._up)
 
 
 def invert_dual(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
-    """The unique f with sum_{x >= y} f(x) = g(y); this is plain
-    inversion on the order-reversed poset."""
-    return invert(P.reversed(), g)
+    """The unique f with sum_{x >= y} f(x) = g(y), via
+    f(y) = sum_{x >= y} mu(y, x) g(x): each Mobius row dotted with the
+    integer numerators of g."""
+    return _dot(P, g, _table(P))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 from exactcomb.exact_core import factorial
-from exactcomb.verify import derangement_family, layered_poset, menage_family, random_poset
+from exactcomb.verify import (derangement_family, layered_poset, menage_family, opposite_poset,
+                              random_poset)
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -110,11 +111,10 @@ def test_bitset_mobius_matches_reference(seed, size, layered):
     f = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
     assert pm.invert(P, pm.accumulate(P, f)) == f
     assert pm.invert_dual(P, pm.accumulate_dual(P, f)) == f
-    R = P.reversed()
+    R = opposite_poset(P)
     assert pm.accumulate(P, f) == {y: sum(f[x] for x in P.down(y)) for y in P.elements}
     assert pm.accumulate_dual(P, f) == {y: sum(f[x] for x in P.up(y)) for y in P.elements}
-    Q = pm.FinitePoset(P.elements, [(y, x) for x in P.elements for y in P.up(x)])
-    assert all(R.up(e) == Q.up(e) and R.down(e) == Q.down(e) for e in P.elements)
+    assert all(R.up(e) == P.down(e) and R.down(e) == P.up(e) for e in P.elements)
     ext = R.linear_extension()
     assert len(ext) == len(P) and set(ext) == set(P.elements)
     pos = {e: i for i, e in enumerate(ext)}
@@ -148,10 +148,8 @@ def test_product_poset_matches_brute_force(seed, m, n, third, layered):
 
     mu = pm.mobius(P)
     assert mu.table == pm._mobius_reference(P).table == pm._mobius_bitplane(P).table
-    R = P.reversed()
-    assert R.reversed() is P
-    assert pm.mobius(R).table == {(y, x): v for (x, y), v in mu.items()}
-    assert pm.mobius(R).table == pm._mobius_bitplane(R).table
+    R = opposite_poset(P)
+    assert pm.mobius(R).table == pm._mobius_reference(R).table
     assert pm.delta_check(P) and pm.delta_check(R)
     f = {e: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
          for e in P.elements}
@@ -162,6 +160,34 @@ def test_product_poset_matches_brute_force(seed, m, n, third, layered):
     assert pm.invert(P, f) == pm._invert_reference(P, f)
     assert pm.accumulate(P, f) == {y: sum(f[x] for x in P.down(y)) for y in P.elements}
     assert pm.accumulate_dual(P, f) == {y: sum(f[x] for x in P.up(y)) for y in P.elements}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "layered", "nested", "divisor"]),
+       st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_dual_functions_match_the_opposite_poset(seed, kind, ints):
+    # invert_dual reads P's Mobius rows and accumulate_dual its up-masks;
+    # the opposite poset is rebuilt from pairs, with its own table and masks
+    rng = random.Random(seed)
+    if kind == "random":
+        P = random_poset(rng, rng.randint(1, 12))
+    elif kind == "layered":
+        P = layered_poset(rng, rng.randint(1, 6))
+    elif kind == "nested":
+        A, B = _factor(rng, rng.randint(1, 4), False), _factor(rng, rng.randint(1, 4), True)
+        P = pm.product_poset(pm.product_poset(A, B), _factor(rng, rng.randint(1, 3), False))
+    else:
+        P = pm.divisor_poset(rng.randint(1, 5000))
+    g = {e: rng.randint(-9, 9) if ints or rng.random() < 0.5
+         else Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
+    got = pm.invert_dual(P, g), pm.accumulate_dual(P, g)
+    R = opposite_poset(P)
+    assert got == (pm.invert(R, g), pm.accumulate(R, g))
+    assert all(list(f) == list(P.elements) for f in got)
+    if ints:
+        assert all(type(v) is int for f in got for v in f.values())
+    mu, mu_opposite = pm.mobius(P), pm.mobius(R)
+    assert all(mu_opposite(y, x) == mu(x, y) for x in P.elements for y in P.elements)
 
 
 def _three_atoms():
@@ -181,11 +207,10 @@ def _maps(table):
                              pm.product_poset(pm.boolean_lattice(2), _three_atoms())),
     lambda: pm.divisor_poset(720720),
 ], ids=["square", "nested-left", "nested-right", "divisors-720720"])
-@pytest.mark.parametrize("reverse", [False, True], ids=["product", "reversed"])
-def test_product_columns_match_transposed_rows(make, reverse):
+def test_product_columns_match_transposed_rows(make):
     # the product route builds rows and columns separately from the
     # factors' blocks; each must hold the bit-plane recursion's values
-    P = make().reversed() if reverse else make()
+    P = make()
     columns, rows = pm._table(P, columns=True), pm._table(P)
     plane_rows = pm._plane_rows(P)
     assert _maps(rows) == _maps(plane_rows)
@@ -242,7 +267,7 @@ def test_incidence_table_is_a_read_only_mapping():
     # iteration goes x by x in element order and, for each x, along the
     # linear extension, as the recursion visits the pairs
     for Q in (P, pm.boolean_lattice(4), random_poset(random.Random(5), 8),
-              pm.divisor_poset(360).reversed()):
+              opposite_poset(pm.divisor_poset(360))):
         rank = {e: i for i, e in enumerate(Q.linear_extension())}
         order = [(x, y) for x in Q.elements for y in sorted(Q.up(x), key=rank.get)]
         assert list(pm.mobius(Q).table) == order == list(pm._mobius_reference(Q).table)
@@ -511,7 +536,7 @@ def test_product_masks_are_built_by_the_first_query_that_reads_them(make, query)
     g = {e: i % 7 - 3 for i, e in enumerate(P.elements)}
     mu = pm.mobius(P)
     assert pm.invert(P, g) == pm._invert_reference(make(), g)
-    assert pm.invert_dual(P, g) == pm._invert_reference(make().reversed(), g)
+    assert pm.invert_dual(P, g) == pm._invert_reference(opposite_poset(make()), g)
     assert P._masks is None and P._factors[0]._masks is None
     query(P, P.elements[0], g)
     assert P._masks is not None
@@ -561,7 +586,8 @@ def test_shared_poset_tables_under_threads():
         rng = random.Random(len(P))
         g = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
         fresh = make()
-        want = (pm._invert_reference(fresh, g), pm._invert_reference(fresh.reversed(), g), True)
+        want = (pm._invert_reference(fresh, g), pm._invert_reference(opposite_poset(fresh), g),
+                True)
         start = threading.Barrier(8, timeout=60)
 
         def work(_):
