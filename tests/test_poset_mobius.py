@@ -207,10 +207,12 @@ def _maps(table):
                              pm.product_poset(pm.boolean_lattice(2), _three_atoms())),
     lambda: pm.divisor_poset(720720),
 ], ids=["square", "nested-left", "nested-right", "divisors-720720"])
-def test_product_columns_match_transposed_rows(make):
+@pytest.mark.parametrize("reverse", [False, True], ids=["product", "reversed"])
+def test_product_columns_match_transposed_rows(make, reverse):
     # the product route builds rows and columns separately from the
-    # factors' blocks; each must hold the bit-plane recursion's values
-    P = make()
+    # factors' blocks; each must hold the bit-plane recursion's values, as
+    # must the explicit opposite poset's, which gets both by recursion
+    P = opposite_poset(make()) if reverse else make()
     columns, rows = pm._table(P, columns=True), pm._table(P)
     plane_rows = pm._plane_rows(P)
     assert _maps(rows) == _maps(plane_rows)
