@@ -4,6 +4,7 @@ stderr, as recorded in tests/cli_golden.json.  `python3 tools/golden.py
 Commands run from the repository root, which holds their `tests/data/` files."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -21,6 +22,14 @@ def _as_stored(stored: dict, text: str) -> dict:
         return {"text": text}
     data = text.encode("utf-8")
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def test_golden_file_holds_the_tool_commands():
+    # a command added to tools/golden.py without `--write` fails here
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    assert [entry["argv"] for entry in GOLDEN] == golden.commands()
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))

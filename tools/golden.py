@@ -91,6 +91,9 @@ POSET = [
     *(["invert", poset, VALUES[poset], *dual] for poset in POSETS for dual in ([], ["--dual"])),
     *(["sieve", family] for family in ["tests/data/family.json", "tests/data/derangement4.json",
                                        "tests/data/nontransitive.json"]),
+    # 18 sets of density 1/2 over 2000 elements, drawn by random.Random(31): most
+    # of the 2^18 intersections are non-empty
+    ["sieve", "tests/data/dense18.json"],
 ]
 
 RSA = [
