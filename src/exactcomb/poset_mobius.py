@@ -67,10 +67,10 @@ The dual Mobius function is the transpose, mu_{P^op}(x, y) = mu_P(y, x),
 so dual inversion f(y) = sum_{x >= y} mu(y, x) g(x) runs the same kernel
 along the stored rows, and dual accumulation along the up-masks.
 
-Sieve counting (Sylvester's alternating sum and Jordan's exactly-m
-formula) lives here too, over explicit subset families.  A family keeps
-each set as an int bitset over the universe, so an intersection is one
-AND and its size a popcount; no set is built while counting.
+Sieve counting lives here too, over explicit subset families, each set
+an int bitset over the universe.  `sieve_counts` adds the bitsets into
+bit planes with a ripple carry, so plane k holds bit k of every
+element's count of sets; no intersection is walked and no set is built.
 """
 
 from __future__ import annotations
@@ -133,9 +133,7 @@ class FinitePoset:
     # (up-masks, down-masks): set by the constructor and `_chain`, filled on
     # first use for a product (from its factors' covers)
     _masks: Optional[tuple[list[int], list[int]]] = None
-    # filled on first use: down-set sizes, upper covers, Mobius rows and
-    # columns
-    _down_sizes: Optional[list[int]] = None
+    # filled on first use: upper covers, Mobius rows and columns
     _covers: Optional[list[list[int]]] = None
     _mobius_rows: Optional[list[Row]] = None
     _mobius_columns: Optional[list[Row]] = None
@@ -171,30 +169,23 @@ class FinitePoset:
     def _sort_extension(self):
         # any order sorted by down-set size is a linear extension,
         # since x < y forces down(x) to be strictly inside down(y);
-        # the sort is stable, so ties stay in index order
-        sizes = self._set_sizes()
+        # the sort is stable, so ties stay in index order.  A product
+        # multiplies its factors' sizes, so reads no mask.
+        if self._factors:
+            A, B = self._factors
+            sizes = [0] * len(self.elements)
+            pairs = [x * y for x in A._down_sizes for y in B._down_sizes]
+            for i, size in zip(self._pair_index, pairs):
+                sizes[i] = size
+        else:
+            sizes = [mask.bit_count() for mask in self._masks[1]]
+        self._down_sizes = sizes
         order = sorted(range(len(self.elements)), key=sizes.__getitem__)
         self._order = order
         self._extension = tuple(self.elements[i] for i in order)
         self._rank = [0] * len(order)
         for position, i in enumerate(order):
             self._rank[i] = position
-
-    def _set_sizes(self) -> list[int]:
-        """The size of each element's down-set, computed on first use and
-        kept.  A product multiplies its factors' sizes, so reads no mask."""
-        sizes = self._down_sizes
-        if sizes is None:
-            if self._factors:
-                A, B = self._factors
-                sizes = [0] * len(self.elements)
-                pairs = [x * y for x in A._set_sizes() for y in B._set_sizes()]
-                for i, size in zip(self._pair_index, pairs):
-                    sizes[i] = size
-            else:
-                sizes = [mask.bit_count() for mask in self._masks[1]]
-            self._down_sizes = sizes
-        return sizes
 
     def _order_masks(self) -> tuple[list[int], list[int]]:
         """(up-masks, down-masks), built on first use for a product and kept
@@ -802,51 +793,49 @@ class SubsetFamily(Record):
 
 
 def sylvester_numbers(fam: SubsetFamily) -> list[int]:
-    """S_k = sum over k-element index sets of the intersection sizes;
-    S_0 is the universe size.  An intersection is an AND of bitsets."""
-    masks = fam.masks
-    n = len(masks)
-    out = [0] * (n + 1)
-    out[0] = fam.universe
-
-    def rec(start: int, current: int, depth: int):
-        for i in range(start, n):
-            nxt = current & masks[i]
-            out[depth + 1] += nxt.bit_count()
-            if nxt:  # empty intersections only breed empty ones
-                rec(i + 1, nxt, depth + 1)
-
-    rec(0, (1 << fam.universe) - 1, 0)
-    return out
+    """S_k = sum over k-element index sets of the intersection sizes (S_0
+    is the universe size), from `sieve_counts` and checked there."""
+    return sieve_counts(fam)[0]
 
 
 def sylvester_count(fam: SubsetFamily) -> int:
-    """|universe minus the union| by the alternating Sylvester sum: e_0 of
-    `sieve_counts`, checked there against a direct membership scan."""
+    """|universe minus the union|: e_0 of `sieve_counts`, checked there
+    against a direct membership scan."""
     return sieve_counts(fam)[1][0]
 
 
 def sieve_counts(fam: SubsetFamily) -> tuple[list[int], list[int]]:
     """The Sylvester numbers S_k and the Jordan counts e_m (universe
-    elements lying in exactly m of the sets), from one computation of the
-    S_k.  The e_m must sum to the universe size, and e_0, which is term
-    for term the alternating Sylvester sum, must agree with a direct
+    elements in exactly m of the sets).  e_m is the popcount of the
+    elements whose bit planes spell m; an element in m sets lies in C(m, k)
+    k-fold intersections, so S_k = sum_m C(m, k) e_m (Comtet, Advanced
+    Combinatorics, Ch. IV).  The e_m must sum to the universe size, S_1
+    must equal the sum of the set sizes, and e_0 must agree with a direct
     membership scan."""
     n = len(fam.masks)
-    s = sylvester_numbers(fam)
-    out = []
+    planes = [0] * n.bit_length()  # a count of at most n sets fits
+    for mask in fam.masks:
+        carry = mask
+        for k, plane in enumerate(planes):
+            planes[k], carry = plane ^ carry, plane & carry
+    everything = (1 << fam.universe) - 1
+    exactly = []
     for m in range(n + 1):
-        e = 0
-        for k in range(m, n + 1):
-            term = binomial(k, m) * s[k]
-            e += -term if (k - m) % 2 else term
-        out.append(e)
-    agree("Jordan counts summed against the universe", sum(out), fam.universe)
+        chosen = everything
+        for k, plane in enumerate(planes):
+            chosen &= plane if m >> k & 1 else ~plane
+        exactly.append(chosen.bit_count())
+    s = [sum(binomial(m, k) * e for m, e in enumerate(exactly[k:], k))
+         for k in range(n + 1)]
+    agree("Jordan counts summed against the universe", sum(exactly), fam.universe)
+    agree("sieve S_1 against the set sizes", s[1] if n else 0,
+          sum(mask.bit_count() for mask in fam.masks))
     union = 0
     for mask in fam.masks:
         union |= mask
-    agree("sieve e_0 against a membership scan", out[0], fam.universe - union.bit_count())
-    return s, out
+    agree("sieve e_0 against a membership scan", exactly[0],
+          fam.universe - union.bit_count())
+    return s, exactly
 
 
 def jordan_counts(fam: SubsetFamily) -> list[int]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from . import counting as ct
@@ -456,7 +457,9 @@ def derangement_sieve_failure(size: int) -> Optional[int]:
 def random_sieve_failure(seed: int, trials: int, max_universe: int,
                          max_sets: int) -> Optional[int]:
     """First of `trials` random families (at most `max_sets` sets, universe at
-    most `max_universe`) whose sieve counts differ from a membership scan."""
+    most `max_universe`) whose exactly-m counts differ from a membership
+    scan, or whose Sylvester numbers differ from the intersection sizes
+    summed over the k-element index sets."""
     rng = random.Random(seed)
     for trial in range(trials):
         universe = rng.randint(1, max_universe)
@@ -468,7 +471,11 @@ def random_sieve_failure(seed: int, trials: int, max_universe: int,
         exact = [sum(1 for x in range(universe)
                      if sum(x in s for s in sets) == m)
                  for m in range(len(sets) + 1)]
-        if pm.sylvester_count(fam) != exact[0] or pm.jordan_counts(fam) != exact:
+        everything = frozenset(range(universe))
+        sylvester = [sum(len(everything.intersection(*chosen)) for chosen in combinations(sets, k))
+                     for k in range(len(sets) + 1)]
+        if (pm.sylvester_count(fam) != exact[0] or pm.jordan_counts(fam) != exact
+                or pm.sylvester_numbers(fam) != sylvester):
             return trial
     return None
 

@@ -256,11 +256,9 @@ def test_rsa_commands():
 
 
 def test_route_disagreement_exits_1(monkeypatch, capsys):
-    sylvester_numbers = pm.sylvester_numbers
-    # S_3 overcounted: the Jordan counts no longer match the membership scan
-    monkeypatch.setattr(pm, "sylvester_numbers", lambda fam: [
-        v + (k == 3) for k, v in enumerate(sylvester_numbers(fam))
-    ])
+    binomial = pm.binomial
+    # S_1 overcounted: it no longer matches the sum of the set sizes
+    monkeypatch.setattr(pm, "binomial", lambda n, k: binomial(n, k) + (k == 1))
     lines = []
     assert run(["verify", "sieve", "errata"], lines.extend) == (1, "")
     # each sieve check fails on its own line; the errata checks still run

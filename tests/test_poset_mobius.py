@@ -1,6 +1,7 @@
 """Posets: construction, Mobius/zeta/delta, inversion, lattices, sieve."""
 
 import json
+import operator
 import random
 import sys
 import threading
@@ -690,3 +691,31 @@ def test_menage_family():
     assert pm.sylvester_count(fam) == 1 == ct.touchard(3)
     fam4 = menage_family(4)
     assert pm.sylvester_count(fam4) == 2 == ct.touchard(4)
+
+
+@st.composite
+def families(draw):
+    """Up to 20 sets over a small universe, sparse, about half full, about
+    three quarters full or full, so counts reach 16 (the fifth bit plane)."""
+    universe, n = draw(st.integers(0, 40)), draw(st.integers(0, 20))
+    full = (1 << universe) - 1
+    half = st.integers(0, full)
+    masks = draw(st.lists(st.one_of(half, st.builds(operator.and_, half, half),
+                                    st.builds(operator.or_, half, half), st.just(full)),
+                          min_size=n, max_size=n))
+    return universe, [frozenset(x for x in range(universe) if mask >> x & 1) for mask in masks]
+
+
+@given(families())
+@settings(deadline=None, max_examples=150)
+def test_sieve_counts_match_membership_and_index_subsets(drawn):
+    universe, sets = drawn
+    fam = pm.SubsetFamily(universe, sets)
+    counts = [sum(x in s for s in sets) for x in range(universe)]
+    assert pm.jordan_counts(fam) == [counts.count(m) for m in range(len(sets) + 1)]
+    if len(sets) <= 8:
+        everything = frozenset(range(universe))
+        assert pm.sylvester_numbers(fam) == [
+            sum(len(everything.intersection(*chosen)) for chosen in combinations(sets, k))
+            for k in range(len(sets) + 1)
+        ]
