@@ -43,6 +43,9 @@ COEFF = [
     # the single-number recursions at sizes that reach deep into each one
     ["derangement", "3000"], ["dnk", "2000", "7"], ["touchard", "1500"],
     ["menage", "1500"], ["bell", "400"],
+    # the circular gergonne check, an empty selection, and both ends of birthday
+    ["gergonne", "12", "4", "1", "--circular"], ["gergonne", "10", "0", "2"],
+    ["birthday", "400", "--days", "365"], ["birthday", "30", "--days", "1000"],
 ]
 
 TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]
