@@ -13,12 +13,15 @@ A command returns its exit code and its lines, lazy where output is large;
 the lines made before it.  If the reader closes stdout (`| head`), writing
 stops and the command exits with its own code, without a message.
 
-Each command imports only the modules it runs: `coeff` and `rsa` need
-`counting`, `number_theory` and `exact_core`, loaded here; `table` loads
-`recursive_matrix` for its matrix families, `enumerate` loads
-`enumeration`, `poset` loads `poset_mobius` and `verify` loads `verify`,
-each when the command runs, and only the commands that read or print
-JSON load `json`.
+Each command imports only the modules it runs: `counting` and
+`exact_core` are loaded here; `phi`, `mobius` and the `rsa` subcommands
+load `number_theory`, `table` loads `recursive_matrix` for its matrix
+families, `enumerate` loads `enumeration`, `poset` loads `poset_mobius`
+and `verify` loads `verify`, each when the command runs, and only the
+commands that read or print JSON load `json`.  `fractions` is loaded only
+by the commands that read or make a fraction: `coeff gergonne` and `coeff
+birthday`, the `table` matrix families (through `series`), `poset` and
+`verify`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
-from . import number_theory as nt
 from .exact_core import format_rational, guard, parse_int, parse_rational
 
 
@@ -78,6 +80,15 @@ def _graph_args(family: str, args: argparse.Namespace) -> list:
 _TYPE_VECTOR = _n_and_list("expected: n nu1 [nu2 ...]")
 
 
+def _number_theory(name: str) -> Callable:
+    """The number_theory function `name`, imported when it is called."""
+    def call(*a):
+        from . import number_theory as nt
+
+        return getattr(nt, name)(*a)
+    return call
+
+
 def _gergonne_query(family: str, args: argparse.Namespace) -> list:
     return [ct.GergonneQuery(*_ints(3, "circular")(family, args))]
 
@@ -103,8 +114,8 @@ COEFF: dict[str, tuple[Parser, Callable]] = {
     "gergonne": (_gergonne_query, ct.gergonne),
     "touchard": (_ints(1), ct.touchard),
     "menage": (_ints(1), ct.menage_count),
-    "phi": (_ints(1), nt.euler_phi),
-    "mobius": (_ints(1), nt.mobius_classical),
+    "phi": (_ints(1), _number_theory("euler_phi")),
+    "mobius": (_ints(1), _number_theory("mobius_classical")),
     "birthday": (_ints(1, "days"), ct.birthday_probability),
     "graph": (_graph_args, ct.graph_count),
 }
@@ -339,6 +350,8 @@ def _cmd_poset_sieve(args: argparse.Namespace) -> Output:
 def _keygen_json(p: int, q: int, e: int) -> str:
     import json
 
+    from . import number_theory as nt
+
     key = nt.rsa_keygen(p, q, e)
     return json.dumps({**{slot: str(getattr(key, slot)) for slot in key.__slots__},
                        "note": "toy parameters, no cryptographic security"})
@@ -347,8 +360,8 @@ def _keygen_json(p: int, q: int, e: int) -> str:
 # each subcommand: its required integer options, and the function they go to
 RSA: dict[str, tuple[tuple[str, ...], Callable]] = {
     "keygen": (("p", "q", "e"), _keygen_json),
-    "encrypt": (("n", "e", "m"), nt.rsa_encrypt),
-    "decrypt": (("n", "d", "c"), nt.rsa_decrypt),
+    "encrypt": (("n", "e", "m"), _number_theory("rsa_encrypt")),
+    "decrypt": (("n", "d", "c"), _number_theory("rsa_decrypt")),
 }
 
 

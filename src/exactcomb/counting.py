@@ -39,14 +39,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, compress, islice
 from operator import sub
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .exact_core import (CACHE_SIZE, Record, RowTable, agree, exact_quotient, factorial,
-                          falling_factorial)
+                          falling_factorial, fraction)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class TypeVector(Record):
@@ -416,8 +418,8 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
         count = binomial(n - k, k) if n - k >= 0 else 0
         if k >= 1 and n - k - 1 >= 0:
             count += binomial(n - k - 1, k - 1)
-        if n - k > 0:
-            agree(("gergonne", q), count, Fraction(n, n - k) * binomial(n - k, k))
+        if n - k > 0:  # count == n C(n-k, k) / (n-k), compared in integers
+            agree(("gergonne", q), count * (n - k), n * binomial(n - k, k))
     else:
         top = n - m * k + m
         count = binomial(top, k) if top >= 0 else 0
@@ -426,7 +428,7 @@ def gergonne(q: GergonneQuery) -> tuple[int, Fraction]:
             bounds = [0] + [m] * (k - 1) + [0]
             agree(("gergonne", q), count, lower_bound_solutions(k + 1, n - k, bounds))
     total = binomial(n, k)
-    prob = Fraction(count, total) if total else Fraction(0)
+    prob = fraction(count, total) if total else fraction(0)
     return count, prob
 
 
@@ -480,7 +482,7 @@ def birthday_probability(k: int, days: int = 365) -> Fraction:
         raise ValueError("days must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return 1 - Fraction(falling_factorial(days, k), days**k)
+    return 1 - fraction(falling_factorial(days, k), days**k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Integers are plain Python ints (arbitrary precision, so nothing here can
 overflow); rationals are `fractions.Fraction`, which is normalized at
-construction: always reduced, denominator strictly positive.
+construction: always reduced, denominator strictly positive.  `counting`
+and `parse_rational` make theirs through `fraction`, which binds the class
+on its first call, so a command that makes none never loads `fractions`
+(nor the `decimal` and `numbers` modules it imports); `series`,
+`poly_identities` and `poset_mobius` import it with themselves.
 
 The cross-check contract lives here: where independent routes compute one
 value, `agree` compares them, and where an exact division must come out
@@ -20,9 +24,11 @@ from __future__ import annotations
 import math
 import re
 import threading
-from fractions import Fraction
 from operator import attrgetter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
@@ -114,6 +120,8 @@ def _show(value) -> str:
         if len(text) > 300:
             text = text[:297] + "..."
         return f"[{text}]" if isinstance(value, list) else f"({text})"
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return f"{_show(value.numerator)}/{_show(value.denominator)}"
     if isinstance(value, int) and value.bit_length() > 200:
@@ -144,7 +152,7 @@ def exact_quotient(label: str | tuple, num: int, den: int) -> int:
     value, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(f"internal inconsistency: {_label(label)} is non-integer "
-                              f"{_show(Fraction(num, den))}")
+                              f"{_show(fraction(num, den))}")
     return value
 
 
@@ -188,6 +196,17 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+_Fraction = None  # fractions.Fraction, once `fraction` has been called
+
+
+def fraction(num: int, den: int = 1) -> Fraction:
+    """Fraction(num, den), the class imported on the first call and then kept."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(num, den)
+
+
 def parse_int(text: str) -> int:
     """Parse a decimal integer string (optional sign, digits only)."""
     text = text.strip()
@@ -204,13 +223,12 @@ def parse_rational(text: str) -> Fraction:
         q = parse_int(den)
         if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(parse_int(num), q)
-    return Fraction(parse_int(text))
+        return fraction(parse_int(num), q)
+    return fraction(parse_int(text))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as "p/q", or just "p" when the value is an integer."""
-    q = Fraction(q)
+def format_rational(q: int | Fraction) -> str:
+    """Render an int or Fraction as "p/q", or just "p" when it is an integer."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -83,7 +83,6 @@ from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
 from .exact_core import Record, agree, guard, integer_form
-from .number_theory import factorize
 
 Element = Hashable
 Rational = Union[int, Fraction]
@@ -723,6 +722,8 @@ def _subset_lattice(atoms: tuple[int, ...]) -> FinitePoset:
 
 def divisor_poset(n: int) -> FinitePoset:
     """The divisors of n ordered by divisibility (the interval [1, n])."""
+    from .number_theory import factorize  # loaded only where a poset is factored
+
     factors = factorize(n)
     count = 1
     for _, e in factors:

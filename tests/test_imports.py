@@ -16,6 +16,7 @@ import pytest
 import exactcomb
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = SRC.parent / "tests" / "data"
 
 # the package surface before its imports became lazy: each home module and
 # the names it exports, in the order of __all__
@@ -123,6 +124,73 @@ def test_only_json_commands_load_json(argv, loads_json):
     code, modules, proc = command(*argv)
     assert code == 0, proc.stderr
     assert ("json" in modules) is loads_json and "csv" not in modules, modules
+
+
+# `fractions` imports `decimal`: a command loads both (it reads or makes a
+# fraction) or neither
+FRACTIONS = {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv, fractions, number_theory", [
+    (["coeff", "binomial", "6", "3"], False, False),
+    (["coeff", "stirling2", "9", "4"], False, False),
+    (["enumerate", "subsets", "3"], False, False),
+    (["table", "stirling2", "--rows", "3", "--cols", "3"], False, False),
+    # the commands that factor
+    (["coeff", "phi", "360"], False, True),
+    (["coeff", "mobius", "30"], False, True),
+    (["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "14"], False, True),
+    (["rsa", "keygen", "--p", "61", "--q", "53", "--e", "17"], False, True),
+    # the commands that make or read a fraction
+    (["coeff", "gergonne", "12", "4", "1", "--circular"], True, False),
+    (["coeff", "birthday", "23"], True, False),
+    (["poset", "invert", str(DATA / "boolean3.json"), str(DATA / "boolean3_values.json")],
+     True, False),
+    (["poset", "mobius", str(DATA / "boolean3.json")], True, False),
+])
+def test_fractions_and_number_theory_load_only_where_used(argv, fractions, number_theory):
+    code, modules, proc = command(*argv)
+    assert code == 0, proc.stderr
+    assert FRACTIONS & set(modules) == (FRACTIONS if fractions else set()), modules
+    assert ("exactcomb.number_theory" in modules) is number_theory, modules
+
+
+# each run in a fresh interpreter, on whose first error path `fractions` is
+# loaded; prints what it saw as one JSON line
+QUOTIENT_FIRST = """
+import json, sys
+from exactcomb import exact_core as ec
+seen = ["fractions" in sys.modules, ec.format_rational(0), ec.format_rational(-12)]
+seen.append("fractions" in sys.modules)
+try:
+    ec.exact_quotient(("step", 4), 7, 3)
+except ArithmeticError as exc:
+    seen.append(str(exc))
+print(json.dumps(seen))
+"""
+AGREE_FIRST = """
+import json, sys
+from exactcomb import exact_core as ec
+seen = ["fractions" in sys.modules]
+from fractions import Fraction
+try:
+    ec.agree("routes", Fraction(1, 2), Fraction(-7, 3), 5)
+except ArithmeticError as exc:
+    seen.append(str(exc))
+seen += [ec.format_rational(Fraction(4, 1)), ec.format_rational(Fraction(-7, 3))]
+seen += [[type(q).__name__, str(q)] for q in map(ec.parse_rational, ["3", "6/4"])]
+print(json.dumps(seen))
+"""
+
+
+def test_error_paths_format_fractions_in_a_fresh_interpreter():
+    proc = fresh(QUOTIENT_FIRST)
+    assert json.loads(proc.stdout) == [
+        False, "0", "-12", False, "internal inconsistency: step(4) is non-integer 7/3"]
+    proc = fresh(AGREE_FIRST)
+    assert json.loads(proc.stdout) == [
+        False, "internal inconsistency in routes: routes gave (1/2, -7/3, 5)",
+        "4", "-7/3", ["Fraction", "3"], ["Fraction", "3/2"]]
 
 
 def test_poset_error_in_fresh_process(tmp_path):
