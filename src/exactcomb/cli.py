@@ -13,15 +13,25 @@ A command returns its exit code and its lines, lazy where output is large;
 the lines made before it.  If the reader closes stdout (`| head`), writing
 stops and the command exits with its own code, without a message.
 
+This module holds `coeff`, the parser, `run` and `main`.  The handlers of
+`table`, `enumerate`, `verify`, `poset` and `rsa`, with their argument
+builders and their `TABLE`, `ENUMERATE` and `RSA` tables, live in
+`commands`, which is imported only when one of those commands runs.  The
+parser has a subparser and help for all six commands, so `exactcomb -h`
+and the choice errors list them all, but only the command named on the
+command line gets its arguments (and `poset` and `rsa` their nested
+subparsers).  A `coeff` call thus builds the root parser, six named
+subparsers and its own arguments, and compiles `cli`, `exact_core` and
+`counting` only.
+
 Each command imports only the modules it runs: `counting` and
 `exact_core` are loaded here; `phi`, `mobius` and the `rsa` subcommands
 load `number_theory`, `table` loads `recursive_matrix` for its matrix
 families, `enumerate` loads `enumeration`, `poset` loads `poset_mobius`
 and `verify` loads `verify`, each when the command runs, and only the
 commands that read or print JSON load `json`.  `fractions` is loaded only
-by the commands that read or make a fraction: `coeff gergonne` and `coeff
-birthday`, the `table` matrix families (through `series`), `poset` and
-`verify`.
+by the commands that read or make a fraction: `coeff gergonne`, `coeff
+birthday`, `poset invert` and `verify`.
 """
 
 from __future__ import annotations
@@ -29,11 +39,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from . import counting as ct
-from .exact_core import format_rational, guard, parse_int, parse_rational
+from .exact_core import format_rational, parse_int
 
 
 class CommandResult(NamedTuple):
@@ -135,255 +144,21 @@ def _cmd_coeff(args: argparse.Namespace) -> Output:
 
 
 # ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
-
-def _matrix_rows(name: str, *options: str) -> Callable:
-    """Rows by the RecursiveMatrix route: the matrix is the recursive_matrix
-    function `name` called with the values of the named options, then the
-    order."""
-    def rows(family: str, args: argparse.Namespace) -> list[list[int]]:
-        from . import recursive_matrix
-
-        for option in options:
-            if getattr(args, option) is None:
-                raise ValueError(f"{family} tables need --{option}")
-        build = getattr(recursive_matrix, name)
-        matrix = build(*(getattr(args, o) for o in options), max(args.cols - 1, 0))
-        return matrix.table(args.rows, args.cols)
-    return rows
-
-
-def _coeff_rows(family: str, args: argparse.Namespace) -> Iterable[list[int]]:
-    """Rows entry by entry, from the family's function in the coeff table."""
-    fn = COEFF[family][1]
-    return ([fn(n, k) for k in range(args.cols)] for n in range(args.rows))
-
-
-TABLE: dict[str, Callable[[str, argparse.Namespace], Iterable[list[int]]]] = {
-    "binomial": _matrix_rows("binomial_matrix"),
-    "multiset": _matrix_rows("multiset_matrix"),
-    "gentile": _matrix_rows("gentile_matrix", "p"),
-    "stirling1": _coeff_rows,
-    "stirling2": _coeff_rows,
-    "cycles": _coeff_rows,
-}
-
-
-def _cmd_table(args: argparse.Namespace) -> Output:
-    if args.rows < 1 or args.cols < 1:
-        raise ValueError("--rows and --cols must be >= 1")
-    guard(args.rows <= 2000 and args.cols <= 2000,
-          "table dumps are capped at 2000 rows/columns")
-    table = TABLE[args.family](args.family, args)
-    if args.format == "json":
-        import json
-
-        rows = [[str(v) for v in row] for row in table]
-        return 0, [json.dumps({"family": args.family, "rows": rows})]
-    return 0, (",".join(str(v) for v in row) for row in table)
-
-
-# ---------------------------------------------------------------------------
-# enumerate
-# ---------------------------------------------------------------------------
-
-
-def _words(name: str) -> Callable:
-    """The enumeration function `name` with each object it yields written
-    as a word."""
-    def lines(*a):
-        from . import enumeration as en
-
-        return map(en.as_word, getattr(en, name)(*a))
-    return lines
-
-
-def _subset_args(family: str, args: argparse.Namespace) -> list:
-    return _ints(1 if len(args.args) == 1 else 2)(family, args)
-
-
-def _multiset_lines(n: int, k: int):
-    from . import enumeration as en
-
-    return (f"{en.multiset_word(r)} {r}" for r in en.enumerate_multisets(n, k))
-
-
-class _BlockText(dict):
-    """Each block's text, "{1,3}", formatted the first time it is asked for."""
-
-    def __missing__(self, block: tuple[int, ...]) -> str:
-        text = self[block] = "{" + ",".join(map(str, block)) + "}"
-        return text
-
-
-def _partition_lines(n: int, k: Optional[int]):
-    from . import enumeration as en
-
-    text = _BlockText()  # at most 2^n - 1 blocks, held only by this command
-    return ("|".join(map(text.__getitem__, part)) for part in en.enumerate_set_partitions(n, k))
-
-
-def _permutation_lines(n: int, cycles: Optional[int], derangements: bool):
-    from . import enumeration as en
-
-    return map(en.as_word, en.enumerate_permutations(
-        n, cycles=cycles, derangement_only=derangements))
-
-
-# the functions here yield the output lines
-ENUMERATE: dict[str, tuple[Parser, Callable]] = {
-    "functions": (_ints(2, "mode"), _words("enumerate_functions")),
-    "subsets": (_subset_args, _words("enumerate_subsets")),
-    "multisets": (_ints(2), _multiset_lines),
-    "partitions": (_ints(1, "blocks"), _partition_lines),
-    "permutations": (_ints(1, "cycles", "derangements"), _permutation_lines),
-    "gergonne": (_gergonne_query, _words("enumerate_gergonne")),
-    "menage": (_ints(1), _words("enumerate_menage")),
-}
-
-
-def _cmd_enumerate(args: argparse.Namespace) -> Output:
-    if args.limit < 0:
-        raise ValueError("--limit must be >= 0")
-    parse, lines_of = ENUMERATE[args.family]
-    lines = lines_of(*parse(args.family, args))
-    if args.limit:  # the first line past the limit is written as "..."
-        lines = (line if i < args.limit else "..."
-                 for i, line in zip(range(args.limit + 1), lines))
-    return 0, lines
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def _cmd_verify(args: argparse.Namespace) -> Output:
-    from .verify import SUITES, run_suites
-
-    if args.list:
-        return 0, SUITES
-    started = time.perf_counter()
-    results = run_suites(args.suites or ["all"])
-    if os.environ.get("EXACTCOMB_VERBOSE"):
-        print(f"ran {len(results)} checks in "
-              f"{time.perf_counter() - started:.2f}s", file=sys.stderr)
-    lines = []
-    failures = 0
-    for suite, check in results:
-        tag = "PASS" if check.ok else "FAIL"
-        failures += not check.ok
-        detail = f"  [{check.detail}]" if check.detail else ""
-        lines.append(f"{tag}  {suite}: {check.name}{detail}")
-    lines.append(
-        f"{len(results) - failures}/{len(results)} checks passed"
-        + (f", {failures} FAILED" if failures else "")
-    )
-    return 1 if failures else 0, lines
-
-
-# ---------------------------------------------------------------------------
-# poset
-# ---------------------------------------------------------------------------
-
-
-def _load_poset(path: str):
-    """The poset in a JSON file."""
-    from .poset_mobius import FinitePoset
-
-    with open(path, encoding="utf-8") as fh:
-        return FinitePoset.from_json(fh.read())
-
-
-def _cmd_poset_mobius(args: argparse.Namespace) -> Output:
-    import json
-
-    from . import poset_mobius as pm
-
-    # x in element order, the y of each x in linear-extension order
-    mu = pm.mobius(_load_poset(args.poset)).items()
-    if args.format == "json":
-        return 0, [json.dumps({"mobius": [[x, y, str(v)] for (x, y), v in mu]})]
-    return 0, (f"{x},{y},{v}" for (x, y), v in mu)
-
-
-def _cmd_poset_invert(args: argparse.Namespace) -> Output:
-    import json
-
-    from . import poset_mobius as pm
-
-    P = _load_poset(args.poset)
-    with open(args.values, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("expected a JSON object of values")
-    g = {}
-    for e in P.elements:
-        key = str(e)
-        if key not in raw:
-            raise ValueError(f"missing value for element {key!r}")
-        g[e] = parse_rational(str(raw[key]))
-    f = pm.invert_dual(P, g) if args.dual else pm.invert(P, g)
-    out = {str(e): format_rational(f[e]) for e in P.elements}
-    return 0, [json.dumps(out)]
-
-
-def _cmd_poset_sieve(args: argparse.Namespace) -> Output:
-    import json
-
-    from . import poset_mobius as pm
-
-    with open(args.family, encoding="utf-8") as fh:
-        fam = pm.SubsetFamily.from_json(fh.read())
-    numbers, exactly = pm.sieve_counts(fam)
-    return 0, [json.dumps({"sylvester": [str(v) for v in numbers],
-                           "survivors": str(exactly[0]), "exactly": [str(v) for v in exactly]})]
-
-
-# ---------------------------------------------------------------------------
-# rsa
-# ---------------------------------------------------------------------------
-
-
-def _keygen_json(p: int, q: int, e: int) -> str:
-    import json
-
-    from . import number_theory as nt
-
-    key = nt.rsa_keygen(p, q, e)
-    return json.dumps({**{slot: str(getattr(key, slot)) for slot in key.__slots__},
-                       "note": "toy parameters, no cryptographic security"})
-
-
-# each subcommand: its required integer options, and the function they go to
-RSA: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "keygen": (("p", "q", "e"), _keygen_json),
-    "encrypt": (("n", "e", "m"), _number_theory("rsa_encrypt")),
-    "decrypt": (("n", "d", "c"), _number_theory("rsa_decrypt")),
-}
-
-
-def _cmd_rsa(args: argparse.Namespace) -> Output:
-    options, fn = RSA[args.subcmd]
-    return 0, [str(fn(*(getattr(args, o) for o in options)))]
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+# each command and its help, in the order `exactcomb -h` lists them
+COMMANDS = {
+    "coeff": "print one exact coefficient",
+    "table": "dump a coefficient table",
+    "enumerate": "dump a family, one object per line",
+    "verify": "run self-check suites",
+    "poset": "Mobius tables, inversion, sieve",
+    "rsa": "toy RSA (no security!)",
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="exactcomb",
-        description="Exact combinatorial coefficients, tables, enumerations, "
-        "poset inversion, sieves, and self-checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_coeff = sub.add_parser("coeff", help="print one exact coefficient")
+def _coeff_arguments(p_coeff: argparse.ArgumentParser) -> None:
     p_coeff.add_argument("family", choices=list(COEFF))
     p_coeff.add_argument("args", nargs="*")
     p_coeff.add_argument("--circular", action="store_true",
@@ -392,56 +167,27 @@ def build_parser() -> argparse.ArgumentParser:
                          help="year length (birthday)")
     p_coeff.set_defaults(fn=_cmd_coeff)
 
-    p_table = sub.add_parser("table", help="dump a coefficient table")
-    p_table.add_argument("family", choices=list(TABLE))
-    p_table.add_argument("--rows", type=parse_int, required=True)
-    p_table.add_argument("--cols", type=parse_int, required=True)
-    p_table.add_argument("--p", type=parse_int, default=None,
-                         help="occupancy bound (gentile)")
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.set_defaults(fn=_cmd_table)
 
-    p_enum = sub.add_parser("enumerate", help="dump a family, one object per line")
-    p_enum.add_argument("family", choices=list(ENUMERATE))
-    p_enum.add_argument("args", nargs="*")
-    p_enum.add_argument("--mode", choices=["all", "injective", "surjective"],
-                        default="all", help="filter (functions)")
-    p_enum.add_argument("--blocks", type=parse_int, default=None, help="block count (partitions)")
-    p_enum.add_argument("--cycles", type=parse_int, default=None, help="cycle count (permutations)")
-    p_enum.add_argument("--derangements", action="store_true",
-                        help="fixed-point-free only (permutations)")
-    p_enum.add_argument("--circular", action="store_true", help="round table (gergonne)")
-    p_enum.add_argument("--limit", type=parse_int, default=0, help="cap output lines (0 = all)")
-    p_enum.set_defaults(fn=_cmd_enumerate)
+def build_parser(built: Container[str]) -> argparse.ArgumentParser:
+    """The root parser with a subparser and help for every command, and the
+    arguments (nested subcommands included) of the commands in `built`
+    only; `commands` is imported when one of its commands is built."""
+    parser = argparse.ArgumentParser(
+        prog="exactcomb",
+        description="Exact combinatorial coefficients, tables, enumerations, "
+        "poset inversion, sieves, and self-checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        if name not in built:
+            continue
+        if name == "coeff":
+            _coeff_arguments(command)
+        else:
+            from .commands import ARGUMENTS
 
-    p_verify = sub.add_parser("verify", help="run self-check suites")
-    p_verify.add_argument("suites", nargs="*", help="suite names (default: all)")
-    p_verify.add_argument("--list", action="store_true", help="list suite names")
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_poset = sub.add_parser("poset", help="Mobius tables, inversion, sieve")
-    poset_sub = p_poset.add_subparsers(dest="subcmd", required=True)
-    pp = poset_sub.add_parser("mobius", help="Mobius function of a poset JSON file")
-    pp.add_argument("poset")
-    pp.add_argument("--format", choices=["csv", "json"], default="csv")
-    pp.set_defaults(fn=_cmd_poset_mobius)
-    pi = poset_sub.add_parser("invert", help="Mobius inversion of a value table")
-    pi.add_argument("poset")
-    pi.add_argument("values", help='JSON file {"element": "p/q", ...}')
-    pi.add_argument("--dual", action="store_true", help="invert on the reversed order")
-    pi.set_defaults(fn=_cmd_poset_invert)
-    ps = poset_sub.add_parser("sieve", help="Sylvester/Jordan counts of a family")
-    ps.add_argument("family", help='JSON file {"universe": N, "sets": [[...], ...]}')
-    ps.set_defaults(fn=_cmd_poset_sieve)
-
-    p_rsa = sub.add_parser("rsa", help="toy RSA (no security!)")
-    rsa_sub = p_rsa.add_subparsers(dest="subcmd", required=True)
-    for name, (options, _) in RSA.items():
-        pr = rsa_sub.add_parser(name)
-        for option in options:
-            pr.add_argument(f"--{option}", type=parse_int, required=True)
-        pr.set_defaults(fn=_cmd_rsa)
-
+            ARGUMENTS[name](command)
     return parser
 
 
@@ -473,8 +219,14 @@ def run(argv: Optional[Sequence[str]], write: Callable[[Iterable[str]], None]) -
     """Parse and execute, handing the lines to `write`.  Usage and input errors
     come back as code 2, as does a request that ran out of memory (too large,
     like one a size guard refuses), and a disagreement between two routes
-    (ArithmeticError) as 1."""
-    parser = build_parser()
+    (ArithmeticError) as 1.
+
+    Only the command named by the first token that is not an option gets
+    its arguments: the root parser has no option that takes a value, so that
+    token is the command, and one that names no command is an error that
+    the root parser reports itself."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser({next((a for a in argv if not a.startswith("-")), None)})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

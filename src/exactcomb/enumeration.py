@@ -98,16 +98,21 @@ def _guard_walk(within: Callable[[int], bool], letters: int, what: str) -> None:
           f"{what}, at most {MAX_OBJECTS} objects and {MAX_LETTERS} letters")
 
 
-# byte v to the digit v, so that a word over 0..9 needs no str per letter
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# byte v to the digit v, and every other byte to "-", so that a word over
+# 0..9 needs no str per letter and a larger letter shows as a "-"
+_DIGITS = b"0123456789" + b"-" * 246
 
 
 def as_word(values: Sequence[int]) -> str:
     """Word form of a function/letter sequence; single-digit alphabets
     concatenate ("1312"), larger ones join with commas."""
-    if not values or 0 <= min(values) and max(values) <= 9:
-        return bytes(values).translate(_DIGITS).decode()
-    return ",".join(str(v) for v in values)
+    try:
+        word = bytes(values).translate(_DIGITS)
+    except ValueError:  # a letter outside 0..255
+        word = b"-"
+    if b"-" in word:
+        return ",".join(map(str, values))
+    return word.decode()
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,9 @@ rows.
 Inversion and accumulation write the values as integer numerators over
 their least common denominator, sum integers along the stored columns
 (or the down-masks), and build one `Fraction` per output; integer values
-give integer results.  `_invert_reference` keeps the `Fraction` sum.
+give integer results, and only values that are not all ints load
+`fractions`, so `poset mobius` and `poset sieve` never do.
+`_invert_reference` keeps the `Fraction` sum.
 The dual Mobius function is the transpose, mu_{P^op}(x, y) = mu_P(y, x),
 so dual inversion f(y) = sum_{x >= y} mu(y, x) g(x) runs the same kernel
 along the stored rows, and dual accumulation along the up-masks.
@@ -76,16 +78,18 @@ element's count of sets; no intersection is walked and no set is built.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Hashable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence, Union
 
 from .counting import binomial
 from .exact_core import Record, agree, guard, integer_form
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Element = Hashable
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]
 # one row (or column) of an incidence function: element indices and values
 Row = tuple[list[int], list[int]]
 
@@ -614,16 +618,22 @@ def _numerators(P: FinitePoset, g: Mapping[Element, Rational]) -> tuple[list[int
     """g's values in element order as integer numerators over the lcm of
     their denominators, and whether every value was an int."""
     values = [g[x] for x in P.elements]
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        raise TypeError("values must be ints or Fractions")
+    ints = all(isinstance(v, int) for v in values)
+    if not ints:
+        from fractions import Fraction
+
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            raise TypeError("values must be ints or Fractions")
     nums, den = integer_form(values)
-    return nums, den, all(isinstance(v, int) for v in values)
+    return nums, den, ints
 
 
 def _quotients(P: FinitePoset, sums: list[int], den: int, ints: bool) -> dict:
     """{element: sum / den}, as ints when the values were (den is then 1)."""
     if ints:
         return dict(zip(P.elements, sums))
+    from fractions import Fraction  # once, not a call of exact_core.fraction per element
+
     return {e: Fraction(s, den) for e, s in zip(P.elements, sums)}
 
 

@@ -22,18 +22,26 @@ as its `coeffs`.  The `Fraction` schoolbook product is kept
 as `_mul_schoolbook`, the reference route that the tests and
 `exactcomb verify` compare the product, powers (as n-fold schoolbook
 products) and composition against; it reads `coeffs`.
+
+`fractions` is imported only where a Fraction is read or made, so a
+series built from ints and every operation on the form load none of it
+(`table binomial` prints its rows without it).  A single Fraction is made
+by `exact_core.fraction`; a loop over coefficients imports the class once
+instead, since a call of `fraction` per coefficient measured slower.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .exact_core import integer_form
+from .exact_core import fraction, integer_form
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -49,11 +57,6 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 tail = [x * y for y in tail]
             out[i:] = map(add, out[i:], tail)
     return out
-
-
-def _exact(c: Scalar) -> Scalar:
-    """An int or Fraction as is, anything else through Fraction."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
 def _reduced(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
@@ -74,7 +77,16 @@ class FormalSeries:
     __slots__ = ("nums", "den", "coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        values = tuple(_exact(c) for c in coeffs)
+        """Ints and Fractions as they are, anything else through Fraction."""
+        values = tuple(coeffs)
+        if not all(isinstance(c, int) for c in values):
+            from fractions import Fraction
+
+            values = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in values)
+            if all(type(c) is Fraction for c in values):
+                # already the reduced Fractions that `coeffs` would build, as
+                # the schoolbook routes make them and read them back
+                self.coeffs = values
         if not values:
             raise ValueError("a series needs at least its constant coefficient")
         # over the lcm of reduced denominators the form is in lowest terms: a
@@ -82,14 +94,12 @@ class FormalSeries:
         # divides neither that term's numerator nor lcm / q
         nums, self.den = integer_form(values)
         self.nums = tuple(nums)
-        if all(type(v) is Fraction for v in values):
-            # already the reduced Fractions that `coeffs` would build, as
-            # the schoolbook routes make them and read them back
-            self.coeffs = values
 
     def __getattr__(self, name: str):
         if name != "coeffs":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from fractions import Fraction
+
         den = self.den
         if den == 1:
             coeffs = tuple(map(Fraction, self.nums))
@@ -163,9 +173,9 @@ class FormalSeries:
         return FormalSeries.from_form(convolve(a, b), self.den * other.den)
 
     def scale(self, c: Scalar) -> "FormalSeries":
-        c = _exact(c)
-        p = c.numerator
-        return FormalSeries.from_form([p * x for x in self.nums], c.denominator * self.den)
+        c = FormalSeries([c])  # c's numerator over its denominator
+        p = c.nums[0]
+        return FormalSeries.from_form([p * x for x in self.nums], c.den * self.den)
 
     def __pow__(self, n: int) -> "FormalSeries":
         if n < 0:
@@ -234,7 +244,7 @@ def _of(nums: Sequence[int], den: int) -> FormalSeries:
 def _mul_schoolbook(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Reference route for `a * b`: the product term by term in `Fraction`s."""
     n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
+    out = [fraction(0)] * (n + 1)
     for i, x in enumerate(a.coeffs[: n + 1]):
         if not x:
             continue

@@ -7,7 +7,7 @@ import ast
 import importlib
 from pathlib import Path
 
-from exactcomb import cli, verify
+from exactcomb import cli, commands, verify
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -34,13 +34,13 @@ def test_benchmark_names_exist():
         "COEFF_FAMILIES", "_CLI_EXTRAS", "VERIFY_SUITES", "VERIFY_ROTATION"
     )
     assert set(coeff) <= set(cli.COEFF)
-    commands = {"table": cli.TABLE, "enumerate": cli.ENUMERATE}
+    tables = {"table": commands.TABLE, "enumerate": commands.ENUMERATE}
     for slot in extras:
         command, _, family = slot.partition(":")
         if family and family != "small":
-            assert family in commands[command], slot
+            assert family in tables[command], slot
     # the families that the `small` table slot rotates over (in _table_command)
-    assert {"stirling2", "stirling1", "cycles", "multiset"} <= set(cli.TABLE)
+    assert {"stirling2", "stirling1", "cycles", "multiset"} <= set(commands.TABLE)
     assert set(suites) | set(rotation) <= {"all", *verify.SUITES}
 
 

@@ -12,7 +12,7 @@ import exactcomb.counting as ct
 import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 import exactcomb.verify as vf
-from exactcomb import cli
+from exactcomb import cli, commands
 from exactcomb.cli import main, run
 from exactcomb.exact_core import parse_int, parse_rational
 
@@ -494,8 +494,8 @@ def test_an_error_after_output_keeps_the_lines_made_before_it(monkeypatch, capsy
         yield from ["a", "b", "c"]
         raise ArithmeticError("internal inconsistency after three lines")
 
-    parse = cli.ENUMERATE["menage"][0]
-    monkeypatch.setitem(cli.ENUMERATE, "menage", (parse, three_lines_then_a_disagreement))
+    parse = commands.ENUMERATE["menage"][0]
+    monkeypatch.setitem(commands.ENUMERATE, "menage", (parse, three_lines_then_a_disagreement))
     assert main(["enumerate", "menage", "4"]) == 1
     assert capsys.readouterr() == (
         "a\nb\nc\n", "error: internal inconsistency after three lines\n")

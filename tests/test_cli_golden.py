@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from exactcomb import cli, verify
+from exactcomb import cli, commands, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
@@ -53,8 +53,8 @@ def test_golden_covers_verify_and_every_coeff_family():
 def test_golden_covers_every_table_enumerate_poset_and_rsa_command():
     argvs = [entry["argv"] for entry in GOLDEN]
     tables = {(argv[1], argv[-1]) for argv in argvs if argv[0] == "table" and "--format" in argv}
-    assert tables == {(family, fmt) for family in cli.TABLE for fmt in ("csv", "json")}
-    assert {argv[1] for argv in argvs if argv[0] == "enumerate"} == set(cli.ENUMERATE)
+    assert tables == {(family, fmt) for family in commands.TABLE for fmt in ("csv", "json")}
+    assert {argv[1] for argv in argvs if argv[0] == "enumerate"} == set(commands.ENUMERATE)
     assert any(argv[0] == "enumerate" and "--limit" in argv for argv in argvs)
     assert {argv[1] for argv in argvs if argv[0] == "poset"} == {"mobius", "invert", "sieve"}
     assert {argv[1] for argv in argvs if argv[0] == "rsa"} == {"keygen", "encrypt", "decrypt"}

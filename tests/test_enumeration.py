@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactcomb.cli as cli
+import exactcomb.commands as commands
 import exactcomb.counting as ct
 import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
@@ -37,6 +38,29 @@ def _word_by_str(values):
 @settings(max_examples=200)
 def test_as_word_matches_the_str_per_letter_route(values):
     assert en.as_word(values) == en.as_word(tuple(values)) == _word_by_str(values)
+
+
+_OLD_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _word_by_min_and_max(values):
+    """as_word's earlier rule: digits when min and max lie in 0..9."""
+    if not values or 0 <= min(values) and max(values) <= 9:
+        return bytes(values).translate(_OLD_DIGITS).decode()
+    return ",".join(str(v) for v in values)
+
+
+_LETTERS = st.one_of(st.integers(0, 9), st.integers(-300, -1), st.integers(10, 255),
+                     st.integers(256, 10**30), st.integers(-10**30, 10**30))
+
+
+@given(st.one_of(st.lists(_LETTERS, max_size=12), st.lists(st.integers(0, 9), max_size=12),
+                 st.lists(st.integers(0, 255), max_size=12)),
+       st.booleans())
+@settings(max_examples=500)
+def test_as_word_matches_the_min_and_max_rule(values, as_tuple):
+    values = tuple(values) if as_tuple else values
+    assert en.as_word(values) == _word_by_min_and_max(values)
 
 
 @given(st.lists(st.integers(0, 4), max_size=14))
@@ -308,7 +332,7 @@ OVER_CAP = {
     "gergonne letters": lambda: next(
         en.enumerate_gergonne(ct.GergonneQuery(10**6, 10**6 - 1, 0))),
     "menage": lambda: next(en.enumerate_menage(10)),
-    "table": lambda: cli._cmd_table(argparse.Namespace(
+    "table": lambda: commands._cmd_table(argparse.Namespace(
         family="binomial", rows=2001, cols=3, p=None, format="csv")),
     "is_prime": lambda: nt.is_prime(nt.TRIAL_DIVISION_BOUND + 1),
     "factorize": lambda: nt.factorize(nt.TRIAL_DIVISION_BOUND + 1),

@@ -226,7 +226,7 @@ def test_guard_passes_or_raises_size_guard_error():
 
 # the guard calls of each module: one per cap, and one for both caps of
 # the enumeration cost model
-GUARD_CALLS = {"cli.py": 1, "enumeration.py": 1, "number_theory.py": 1,
+GUARD_CALLS = {"commands.py": 1, "enumeration.py": 1, "number_theory.py": 1,
                "poly_identities.py": 1, "poset_mobius.py": 4}
 
 

@@ -146,13 +146,35 @@ FRACTIONS = {"fractions", "decimal"}
     (["coeff", "birthday", "23"], True, False),
     (["poset", "invert", str(DATA / "boolean3.json"), str(DATA / "boolean3_values.json")],
      True, False),
-    (["poset", "mobius", str(DATA / "boolean3.json")], True, False),
+    # the commands that print only integers, though their modules hold fractions
+    (["poset", "mobius", str(DATA / "boolean3.json")], False, False),
+    (["poset", "sieve", str(DATA / "family.json")], False, False),
+    (["table", "binomial", "--rows", "3", "--cols", "3"], False, False),
+    (["table", "gentile", "--rows", "3", "--cols", "3", "--p", "2"], False, False),
 ])
 def test_fractions_and_number_theory_load_only_where_used(argv, fractions, number_theory):
     code, modules, proc = command(*argv)
     assert code == 0, proc.stderr
     assert FRACTIONS & set(modules) == (FRACTIONS if fractions else set()), modules
     assert ("exactcomb.number_theory" in modules) is number_theory, modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    ["coeff", "-h"],
+    ["coeff", "stirling2", "9", "4"],
+    ["coeff", "gergonne", "12", "4", "1", "--circular"],
+    ["table", "stirling2", "--rows", "3", "--cols", "3"],
+    ["enumerate", "menage", "4"],
+    ["verify", "--list"],
+    ["poset", "mobius", str(DATA / "boolean3.json")],
+    ["rsa", "keygen", "--p", "61", "--q", "53", "--e", "17"],
+])
+def test_only_the_other_commands_load_their_handler_module(argv):
+    code, modules, proc = command(*argv)
+    assert code == 0, proc.stderr
+    other = argv[0] in {"table", "enumerate", "verify", "poset", "rsa"}
+    assert ("exactcomb.commands" in modules) is other, modules
 
 
 # each run in a fresh interpreter, on whose first error path `fractions` is
