@@ -98,8 +98,8 @@ def _guard_walk(within: Callable[[int], bool], letters: int, what: str) -> None:
           f"{what}, at most {MAX_OBJECTS} objects and {MAX_LETTERS} letters")
 
 
-# byte v to the digit v, and every other byte to "-", so that a word over
-# 0..9 needs no str per letter and a larger letter shows as a "-"
+# byte v to the digit v and every other byte to "-", which marks a letter
+# above 9; a word over 0..9 thus needs no str per letter
 _DIGITS = b"0123456789" + b"-" * 246
 
 
