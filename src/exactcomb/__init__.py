@@ -11,8 +11,6 @@ here, so `exactcomb.binomial is exactcomb.counting.binomial`.  A command
 line run therefore compiles only the modules its command uses.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 # home module -> the names it exports here, in the order of __all__
@@ -81,11 +79,12 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
+    # a relative __import__, which `-X importtime` times (import_module is not)
     if name in _MODULES:
-        return _import_module(f".{name}", __name__)
+        return __import__(name, globals(), None, (), 1)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(__import__(_HOME[name], globals(), None, (), 1), name)
     globals()[name] = value
     return value
 

@@ -236,11 +236,6 @@ def run(argv: Optional[Sequence[str]], write: Callable[[Iterable[str]], None]) -
         write(out)
         return CommandResult(code, "")
     except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError included
-        # a PosetError can only come from a command that loaded poset_mobius
-        pm = sys.modules.get(f"{__package__}.poset_mobius")
-        if pm is not None and isinstance(exc, pm.PosetError):
-            return CommandResult(
-                2, f"error: not a partial order: {exc} (witness {exc.witness})")
         return CommandResult(2, f"error: {exc}")
     except ArithmeticError as exc:
         return CommandResult(1, f"error: {exc}")
@@ -265,4 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # `python -m exactcomb.cli`: `commands` imports from this module, so it
+    # is registered under its package name too, not compiled a second time
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

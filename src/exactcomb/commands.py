@@ -64,8 +64,9 @@ def _cmd_table(args: argparse.Namespace) -> Output:
     if args.format == "json":
         import json
 
-        rows = [[str(v) for v in row] for row in table]
-        return 0, [json.dumps({"family": args.family, "rows": rows})]
+        # the bytes of json.dumps of the whole table, one row at a time
+        rows = ", ".join(json.dumps([str(v) for v in row]) for row in table)
+        return 0, [f'{{"family": {json.dumps(args.family)}, "rows": [{rows}]}}']
     return 0, (",".join(str(v) for v in row) for row in table)
 
 
@@ -204,11 +205,15 @@ def _verify_arguments(p_verify: argparse.ArgumentParser) -> None:
 
 
 def _load_poset(path: str):
-    """The poset in a JSON file."""
-    from .poset_mobius import FinitePoset
+    """The poset in a JSON file; a relation that is no partial order is an
+    input error naming its witness."""
+    from .poset_mobius import FinitePoset, PosetError
 
     with open(path, encoding="utf-8") as fh:
-        return FinitePoset.from_json(fh.read())
+        try:
+            return FinitePoset.from_json(fh.read())
+        except PosetError as exc:
+            raise ValueError(f"not a partial order: {exc} (witness {exc.witness})") from None
 
 
 def _cmd_poset_mobius(args: argparse.Namespace) -> Output:

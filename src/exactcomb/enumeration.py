@@ -24,7 +24,9 @@ n = 11, and permutations and menage seatings to n = 9; multisets, and
 words over one letter, are bounded by their letters alone.  As the
 oracle for `counting`, this module calls none of its formulas: each
 count is built up by bounded integer arithmetic only until it passes
-the cap.  An empty answer (k > n, or words of k >= 1 letters over none,
+`MAX_OBJECTS` (the `_*_upto` helpers), and `_guard_walk` checks that
+count, and the count times the letters of one object, against the two
+caps.  An empty answer (k > n, or words of k >= 1 letters over none,
 or surjections onto more letters than a word has) returns before
 anything is allocated.
 
@@ -51,50 +53,52 @@ MAX_OBJECTS = 10**6
 MAX_LETTERS = 10**7
 
 
-def _product_within(factors: Iterable[int], cap: int) -> bool:
-    """Whether the product of the factors, each >= 1, is at most cap.  It
-    stops at the first partial product past cap, so factors >= 2 take at
-    most about log2(cap) steps."""
+def _product_upto(factors: Iterable[int]) -> int:
+    """The product of the factors, each >= 1, or a partial product past
+    MAX_OBJECTS, where it stops: factors >= 2 take at most about
+    log2(MAX_OBJECTS) steps."""
     out = 1
     for f in factors:
-        if out > cap:
+        if out > MAX_OBJECTS:
             break
         out *= f
-    return out <= cap
+    return out
 
 
-def _choose_within(n: int, k: int, cap: int) -> bool:
-    """Whether C(n, k) is at most cap, for 0 <= k <= n.  C(n, i) is built up
-    for i = 0, 1, ..., min(k, n - k) and stops past cap; C(n, i) >= 2**i
-    there, so that takes at most about log2(cap) steps."""
+def _choose_upto(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n, or some C(n, i) past MAX_OBJECTS.  C(n, i)
+    is built up for i = 0, 1, ..., min(k, n - k) and stops past the cap;
+    C(n, i) >= 2**i there, so that takes at most about log2(MAX_OBJECTS)
+    steps."""
     c, i = 1, 0
-    while c <= cap and i < min(k, n - k):
+    while c <= MAX_OBJECTS and i < min(k, n - k):
         c = c * (n - i) // (i + 1)
         i += 1
-    return c <= cap
+    return c
 
 
-def _bell_within(n: int, cap: int) -> bool:
-    """Whether the Bell number B(n) is at most cap, by Aitken's triangle:
-    row i starts with the last entry of row i - 1, which is B(i), and each
-    further entry adds the one before it and the one above that.  It stops
-    at the first row past cap, after about log2(cap) rows."""
+def _bell_upto(n: int) -> int:
+    """The Bell number B(n), or some B(i) past MAX_OBJECTS, by Aitken's
+    triangle: row i starts with the last entry of row i - 1, which is B(i),
+    and each further entry adds the one before it and the one above that.
+    It stops at the first row past the cap, after about log2(MAX_OBJECTS)
+    rows."""
     row = [1]
     for _ in range(n):
-        if row[0] > cap:
+        if row[0] > MAX_OBJECTS:
             break
         nxt = [row[-1]]
         for above in row:
             nxt.append(nxt[-1] + above)
         row = nxt
-    return row[0] <= cap
+    return row[0]
 
 
-def _guard_walk(within: Callable[[int], bool], letters: int, what: str) -> None:
-    """Refuse a walk over more than MAX_OBJECTS objects, or over more than
-    MAX_LETTERS letters when each object has at most `letters`;
-    `within(cap)` says whether the number of objects is at most cap."""
-    guard(within(MAX_OBJECTS) and within(MAX_LETTERS // max(letters, 1)),
+def _guard_walk(count: int, letters: int, what: str) -> None:
+    """Refuse a walk over `count` objects of at most `letters` letters each
+    when that is more than MAX_OBJECTS objects or MAX_LETTERS letters; a
+    count from the `_*_upto` helpers is exact up to MAX_OBJECTS."""
+    guard(count <= MAX_OBJECTS and count * max(letters, 1) <= MAX_LETTERS,
           f"{what}, at most {MAX_OBJECTS} objects and {MAX_LETTERS} letters")
 
 
@@ -183,15 +187,13 @@ def enumerate_functions(
     if mode == "injective":
         if k > n:
             return
-        _guard_walk(lambda cap: _product_within(range(n, n - k, -1), cap), k,
-                    f"(n)_k words with n={n}, k={k}")
+        _guard_walk(_product_upto(range(n, n - k, -1)), k, f"(n)_k words with n={n}, k={k}")
         yield from permutations(range(1, n + 1), k)
         return
     if n == 0 < k or mode == "surjective" and n > k:  # no word at all
         return
     # n^k words: over one letter (or none, k = 0) one word, for the letter cap alone
-    _guard_walk(lambda cap: 1 <= cap if n < 2 else _product_within(repeat(n, k), cap),
-                k, f"n^k words with n={n}, k={k}")
+    _guard_walk(1 if n < 2 else _product_upto(repeat(n, k)), k, f"n^k words with n={n}, k={k}")
     # neither the word over one letter nor the one-letter words go through
     # product, which copies the letters into a pool first
     if n < 2:  # the one word, which uses every letter there is
@@ -212,13 +214,11 @@ def enumerate_subsets(n: int, k: Optional[int] = None) -> Iterator[tuple[int, ..
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
     if k is None:
-        _guard_walk(lambda cap: _product_within(repeat(2, n), cap), n,
-                    f"2^n subsets with n={n}")
+        _guard_walk(_product_upto(repeat(2, n)), n, f"2^n subsets with n={n}")
         for size in range(n + 1):
             yield from combinations(range(1, n + 1), size)
     elif k <= n:
-        _guard_walk(lambda cap: _choose_within(n, k, cap), k,
-                    f"C(n,k) subsets with n={n}, k={k}")
+        _guard_walk(_choose_upto(n, k), k, f"C(n,k) subsets with n={n}, k={k}")
         yield from combinations(range(1, n + 1), k)
 
 
@@ -231,8 +231,7 @@ def enumerate_multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield ()
         return
     # <n,k> = C(n+k-1, k) vectors of n entries, each written as k letters
-    _guard_walk(lambda cap: _choose_within(n + k - 1, k, cap), n + k,
-                f"<n,k> multisets with n={n}, k={k}")
+    _guard_walk(_choose_upto(n + k - 1, k), n + k, f"<n,k> multisets with n={n}, k={k}")
     # ascending lexicographic order, from (0, ..., 0, k) to (k, 0, ..., 0):
     # the slot before the last nonempty one gains a unit, and the last slot
     # takes what that one held, less one
@@ -281,7 +280,7 @@ def enumerate_set_partitions(n: int, k: Optional[int] = None) -> Iterator[Partit
         raise ValueError("n must be >= 0")
     if k is not None and k < 0:
         raise ValueError("k must be >= 0")
-    _guard_walk(lambda cap: _bell_within(n, cap), n, f"B(n) partitions with n={n}")
+    _guard_walk(_bell_upto(n), n, f"B(n) partitions with n={n}")
 
     if k is not None and k > n:
         return
@@ -343,8 +342,7 @@ def enumerate_permutations(
 
 def _guard_permutations(n: int) -> None:
     """Refuse a walk over the n! permutations past the cost model."""
-    _guard_walk(lambda cap: _product_within(range(2, n + 1), cap), n,
-                f"n! permutations with n={n}")
+    _guard_walk(_product_upto(range(2, n + 1)), n, f"n! permutations with n={n}")
 
 
 def _avoiding(n: int, banned: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
@@ -436,8 +434,7 @@ def enumerate_gergonne(q: GergonneQuery) -> Iterator[tuple[int, ...]]:
     n, k, m = q.n, q.k, q.m
     if k > n:
         return
-    _guard_walk(lambda cap: _choose_within(n, k, cap), k,
-                f"C(n,k) subsets with n={n}, k={k}")
+    _guard_walk(_choose_upto(n, k), k, f"C(n,k) subsets with n={n}, k={k}")
     draws = combinations(range(1, n - m * (k - 1) + 1), k)
     if m:
         draws = (tuple(map(add, c, range(0, m * k, m))) for c in draws)

@@ -31,11 +31,19 @@ pair list: the up-mask of (a, b) is its own bit OR'd with the up-masks
 of the pairs one cover step above it.  JSON is imported only by the
 functions that read it.
 
-The Mobius function is computed once per poset and kept on it (posets
-are immutable; a race between threads can only compute it twice).  It
-is stored by rows: for each x, the indices of the y >= x and the values
-mu(x, y).  Columns (the x <= y and mu(x, y)) are kept the same way once
-asked for.  There are two routes:
+Posets are immutable; each derived field is a `functools.cached_property`,
+computed on first read and kept: `_masks` (set at construction unless P
+is a product), `_covers`, `_down_sizes`, `_order` (a linear extension),
+`_rank` (each index's place in it), and the Mobius table's `_mobius_rows`
+(for each x, the indices of the y >= x and the values mu(x, y)) and
+`_mobius_columns` (the x <= y and mu(x, y)).  On CPython 3.10 and 3.11
+each field name has one lock, shared by all posets: a field is computed
+once, and a first read of it on another poset waits.  Fields read each
+other in one direction (columns, rows, rank, order, down-set sizes; a
+product's masks read its factors' covers and order) and an explicit
+poset's masks exist from the start, so no two locks wait on each other;
+from 3.12 there is no lock, and racing threads may both compute a field,
+each storing it whole.  The Mobius table has two routes:
 
 * a product: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
@@ -78,6 +86,7 @@ element's count of sets; no intersection is walked and no set is built.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence, Union
@@ -133,13 +142,6 @@ class FinitePoset:
     # a product's factors, and a * len(Q) + b -> the index of (a, b)
     _factors: Optional[tuple[FinitePoset, FinitePoset]] = None
     _pair_index: Optional[list[int]] = None
-    # (up-masks, down-masks): set by the constructor and `_chain`, filled on
-    # first use for a product (from its factors' covers)
-    _masks: Optional[tuple[list[int], list[int]]] = None
-    # filled on first use: upper covers, Mobius rows and columns
-    _covers: Optional[list[list[int]]] = None
-    _mobius_rows: Optional[list[Row]] = None
-    _mobius_columns: Optional[list[Row]] = None
 
     def __init__(self, elements: Sequence[Element],
                  relation: Iterable[tuple[Element, Element]]):
@@ -157,7 +159,6 @@ class FinitePoset:
             down[j] |= 1 << i
         self._masks = (up, down)
         self._validate()
-        self._sort_extension()
 
     @classmethod
     def _derived(cls, elements: tuple, index: dict, **fields) -> "FinitePoset":
@@ -166,47 +167,51 @@ class FinitePoset:
         P = cls.__new__(cls)
         P.elements, P._index = elements, index
         vars(P).update(fields)
-        P._sort_extension()
         return P
 
-    def _sort_extension(self):
-        # any order sorted by down-set size is a linear extension,
-        # since x < y forces down(x) to be strictly inside down(y);
-        # the sort is stable, so ties stay in index order.  A product
-        # multiplies its factors' sizes, so reads no mask.
-        if self._factors:
-            A, B = self._factors
-            sizes = [0] * len(self.elements)
-            pairs = [x * y for x in A._down_sizes for y in B._down_sizes]
-            for i, size in zip(self._pair_index, pairs):
-                sizes[i] = size
-        else:
-            sizes = [mask.bit_count() for mask in self._masks[1]]
-        self._down_sizes = sizes
-        order = sorted(range(len(self.elements)), key=sizes.__getitem__)
-        self._order = order
-        self._extension = tuple(self.elements[i] for i in order)
-        self._rank = [0] * len(order)
-        for position, i in enumerate(order):
-            self._rank[i] = position
-
-    def _order_masks(self) -> tuple[list[int], list[int]]:
-        """(up-masks, down-masks), built on first use for a product and kept
-        whole, so a racing thread can at worst build them twice."""
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = _product_masks(self)
-        return masks
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """(up-masks, down-masks): set by the constructor and `_chain`, and
+        closed over the factors' covers on a product."""
+        return _product_masks(self)
 
     @property
     def _up(self) -> list[int]:
         """Bit j of _up[i] says elements[i] <= elements[j]."""
-        return self._order_masks()[0]
+        return self._masks[0]
 
     @property
     def _down(self) -> list[int]:
         """Bit i of _down[j] says elements[i] <= elements[j]."""
-        return self._order_masks()[1]
+        return self._masks[1]
+
+    @cached_property
+    def _down_sizes(self) -> list[int]:
+        """The size of each down-set: on a product the products of its
+        factors' sizes, so no mask is read."""
+        if not self._factors:
+            return [mask.bit_count() for mask in self._down]
+        A, B = self._factors
+        sizes = [0] * len(self.elements)
+        pairs = [x * y for x in A._down_sizes for y in B._down_sizes]
+        for i, size in zip(self._pair_index, pairs):
+            sizes[i] = size
+        return sizes
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """The indices in a linear extension: any order sorted by down-set
+        size is one, since x < y forces down(x) to be strictly inside
+        down(y); the sort is stable, so ties stay in index order."""
+        return sorted(range(len(self.elements)), key=self._down_sizes.__getitem__)
+
+    @cached_property
+    def _rank(self) -> list[int]:
+        """Each index's position in `_order`."""
+        rank = [0] * len(self.elements)
+        for position, i in enumerate(self._order):
+            rank[i] = position
+        return rank
 
     def _validate(self):
         up, name = self._up, self.elements
@@ -230,20 +235,31 @@ class FinitePoset:
     def _members(self, mask: int) -> list[Element]:
         return [self.elements[i] for i in _bits(mask)]
 
-    def _upper_covers(self) -> list[list[int]]:
+    @cached_property
+    def _covers(self) -> list[list[int]]:
         """For each element, the indices of the elements covering it: from
         the factors' covers on a product, from the masks otherwise."""
-        if self._covers is None:
-            if self._factors:
-                covers = _product_covers(self)
-            else:
-                up, down = self._order_masks()
-                covers = []
-                for i, mask in enumerate(up):
-                    above = mask ^ 1 << i
-                    covers.append([j for j in _bits(above) if down[j] & above == 1 << j])
-            self._covers = covers
-        return self._covers
+        if self._factors:
+            return _product_covers(self)
+        up, down = self._masks
+        covers = []
+        for i, mask in enumerate(up):
+            above = mask ^ 1 << i
+            covers.append([j for j in _bits(above) if down[j] & above == 1 << j])
+        return covers
+
+    @cached_property
+    def _mobius_rows(self) -> list[Row]:
+        """For each x, the indices of the y >= x and mu(x, y): by the
+        product theorem on a product, by the bit-plane recursion otherwise."""
+        return _outer(self, "_mobius_rows") if self._factors else _plane_rows(self)
+
+    @cached_property
+    def _mobius_columns(self) -> list[Row]:
+        """For each y, the indices of the x <= y and mu(x, y)."""
+        if self._factors:
+            return _outer(self, "_mobius_columns")
+        return _transpose(self._mobius_rows)
 
     # -- queries -------------------------------------------------------
 
@@ -258,7 +274,7 @@ class FinitePoset:
         return frozenset(self._members(mask))
 
     def linear_extension(self) -> tuple[Element, ...]:
-        return self._extension
+        return tuple(map(self.elements.__getitem__, self._order))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -345,9 +361,9 @@ def _product_covers(P: FinitePoset) -> list[list[int]]:
     c covering a and by (a, d) for each d covering b."""
     (A, B), at = P._factors, P._pair_index
     nb = len(B)
-    above_b = B._upper_covers()
+    above_b = B._covers
     covers: list[list[int]] = [[]] * len(at)
-    for a, above_a in enumerate(A._upper_covers()):
+    for a, above_a in enumerate(A._covers):
         row = a * nb
         for b, over in enumerate(above_b):
             covers[at[row + b]] = ([at[c * nb + b] for c in above_a]
@@ -359,7 +375,7 @@ def _product_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
     """A product's up- and down-masks, closed over its factors' covers."""
     (A, B), at = P._factors, P._pair_index
     nb = len(B)
-    above_a, above_b = A._upper_covers(), B._upper_covers()
+    above_a, above_b = A._covers, B._covers
     up = _cover_closure(at, nb, above_a, above_b, A._order[::-1], B._order[::-1])
     down = _cover_closure(at, nb, _lower_covers(above_a), _lower_covers(above_b),
                           A._order, B._order)
@@ -483,7 +499,7 @@ def _plane_sum(mask: int, planes: list[list[int]]) -> int:
 def _plane_rows(P: FinitePoset) -> list[Row]:
     """The Mobius rows by the interval recursion along a linear extension,
     with the row of values for x kept as bit planes."""
-    (up, down), rank = P._order_masks(), P._rank
+    (up, down), rank = P._masks, P._rank
     rows = []
     for i, mask in enumerate(up):
         cols, vals = [i], [1]
@@ -515,15 +531,16 @@ def _transpose(rows: list[Row]) -> list[Row]:
     return columns
 
 
-def _outer(P: FinitePoset, columns: bool) -> list[Row]:
-    """The rows (or columns) of a product's Mobius table, the outer products
-    of its factors' rows (columns), joined from blocks built once: block[b][c]
-    holds the indices of the pairs (c, d) for d in B's row b, and
-    scaled[v][b] the values v * w for w in B's row b.  The row of (a, b) is
+def _outer(P: FinitePoset, field: str) -> list[Row]:
+    """The rows (`field` "_mobius_rows") or columns ("_mobius_columns") of
+    a product's Mobius table, the outer products of that field of its
+    factors, joined from blocks built once: block[b][c] holds the indices
+    of the pairs (c, d) for d in B's row b, and scaled[v][b] the values
+    v * w for w in B's row b.  The row of (a, b) is
     block[b][c] and scaled[v][b] for each entry (c, v) of A's row a in turn,
     so its entries come in the order of the pair-by-pair product."""
     (A, B), at = P._factors, P._pair_index
-    nb, rows_a, rows_b = len(B), _table(A, columns), _table(B, columns)
+    nb, rows_a, rows_b = len(B), getattr(A, field), getattr(B, field)
     pairs = [at[a * nb:(a + 1) * nb].__getitem__ for a in range(len(A))]
     block = [[list(map(pair, cols_b)) for pair in pairs] for cols_b, _ in rows_b]
     values_a = {v for _, vals_a in rows_a for v in vals_a}
@@ -543,29 +560,11 @@ def _outer(P: FinitePoset, columns: bool) -> list[Row]:
     return out
 
 
-def _table(P: FinitePoset, columns: bool = False) -> list[Row]:
-    """P's Mobius rows (or columns), computed on first use by the route that
-    fits P and kept on it whole, so a racing thread sees none or all."""
-    table = P._mobius_columns if columns else P._mobius_rows
-    if table is None:
-        if P._factors:
-            table = _outer(P, columns)
-        elif columns:
-            table = _transpose(_table(P))
-        else:
-            table = _plane_rows(P)
-        if columns:
-            P._mobius_columns = table
-        else:
-            P._mobius_rows = table
-    return table
-
-
 def mobius(P: FinitePoset) -> IncidenceFunction:
     """The Mobius function: mu(x,x) = 1 and, below y, the values on
     [x, y) sum to -mu(x,y); computed once per poset, by the product
     theorem on a product and by the bit-plane recursion otherwise."""
-    return IncidenceFunction._from_rows(P, _table(P))
+    return IncidenceFunction._from_rows(P, P._mobius_rows)
 
 
 def _mobius_bitplane(P: FinitePoset) -> IncidenceFunction:
@@ -598,8 +597,8 @@ def delta_check(P: FinitePoset) -> bool:
     """Verify sum_{x: z <= x <= y} mu(x, y) = delta(z, y) on all
     comparable pairs (the zeta * mu = delta identity), with the column
     of values below y kept as bit planes."""
-    up, down = P._order_masks()
-    for j, (xs, vals) in enumerate(_table(P, columns=True)):
+    up, down = P._masks
+    for j, (xs, vals) in enumerate(P._mobius_columns):
         planes = [[0, 0]]
         for i, value in zip(xs, vals):
             if value == 1:  # the common case in lattices, done inline
@@ -660,7 +659,7 @@ def invert(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
     """The unique f with sum_{x <= y} f(x) = g(y), via
     f(y) = sum_{x <= y} mu(x, y) g(x): each Mobius column dotted with the
     integer numerators of g."""
-    return _dot(P, g, _table(P, columns=True))
+    return _dot(P, g, P._mobius_columns)
 
 
 def _invert_reference(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
@@ -682,7 +681,7 @@ def invert_dual(P: FinitePoset, g: Mapping[Element, Rational]) -> dict:
     """The unique f with sum_{x >= y} f(x) = g(y), via
     f(y) = sum_{x >= y} mu(y, x) g(x): each Mobius row dotted with the
     integer numerators of g."""
-    return _dot(P, g, _table(P))
+    return _dot(P, g, P._mobius_rows)
 
 
 # ---------------------------------------------------------------------------

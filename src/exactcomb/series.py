@@ -16,9 +16,10 @@ denominators, and each result is reduced by one `math.gcd`.  `**` squares
 repeatedly, and `compose` is Horner's rule on the outer series' integer
 numerators, whose constants are added to the numerators without a new
 reduction, with one division by the outer denominator at the end.
-`coeffs`, the coefficients as reduced `Fraction`s, is built from the form
-on first access and then kept; a series built from `Fraction`s keeps them
-as its `coeffs`.  The `Fraction` schoolbook product is kept
+`coeffs`, the coefficients as reduced `Fraction`s, is a
+`functools.cached_property`: built from the form on first read and then
+kept (so the class has no `__slots__`); a series built from `Fraction`s
+keeps them as its `coeffs`.  The `Fraction` schoolbook product is kept
 as `_mul_schoolbook`, the reference route that the tests and
 `exactcomb verify` compare the product, powers (as n-fold schoolbook
 products) and composition against; it reads `coeffs`.
@@ -33,6 +34,7 @@ instead, since a call of `fraction` per coefficient measured slower.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -73,9 +75,6 @@ class FormalSeries:
     """A power series truncated at a fixed order (inclusive degree), held as
     numerators `nums` over the denominator `den`, in lowest terms."""
 
-    # `coeffs` stays unset until it is first read, when __getattr__ fills it
-    __slots__ = ("nums", "den", "coeffs")
-
     def __init__(self, coeffs: Iterable[Scalar]):
         """Ints and Fractions as they are, anything else through Fraction."""
         values = tuple(coeffs)
@@ -95,18 +94,15 @@ class FormalSeries:
         nums, self.den = integer_form(values)
         self.nums = tuple(nums)
 
-    def __getattr__(self, name: str):
-        if name != "coeffs":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced `Fraction`s, built from the form."""
         from fractions import Fraction
 
         den = self.den
         if den == 1:
-            coeffs = tuple(map(Fraction, self.nums))
-        else:
-            coeffs = tuple(Fraction(x, den) for x in self.nums)
-        self.coeffs = coeffs
-        return coeffs
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors ------------------------------------------------
 

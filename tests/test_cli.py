@@ -92,6 +92,15 @@ def test_table_csv_and_json():
     assert data["rows"][3] == ["0", "2", "3", "1", "0"]
 
 
+@pytest.mark.parametrize("family", list(commands.TABLE))
+def test_table_json_is_the_whole_document_dumped(family):
+    # written row by row, the JSON keeps the bytes of one json.dumps of the
+    # whole table, whose entries are those of the CSV
+    argv = ["table", family, "--rows", "7", "--cols", "5", "--p", "2"]
+    rows = [line.split(",") for line in out(argv).splitlines()]
+    assert out([*argv, "--format", "json"]) == json.dumps({"family": family, "rows": rows})
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("family, rows, cols, cell", [
     ("binomial", 120, 130, ct.binomial),

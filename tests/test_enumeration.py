@@ -1,8 +1,9 @@
 """The generators themselves: canonical forms, counts, guards, structure maps."""
 
 import argparse
+import math
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -440,10 +441,34 @@ def test_words_over_fewer_than_two_letters():
     assert list(en.enumerate_functions(2, 0, "surjective")) == []
 
 
-def test_bell_bound_follows_aitkens_triangle():
-    for n in range(16):
-        for cap in (ct.bell(n) - 1, ct.bell(n)):
-            assert en._bell_within(n, cap) is (ct.bell(n) <= cap), (n, cap)
+@pytest.mark.parametrize("upto, exact, sizes", [
+    (lambda n: en._product_upto(range(2, n + 1)), lambda n: math.prod(range(2, n + 1)), range(16)),
+    (lambda n: en._product_upto(repeat(2, n)), lambda n: 2**n, range(40)),
+    (lambda n: en._product_upto(range(n, n - 3, -1)), lambda n: n * (n - 1) * (n - 2),
+     range(3, 200)),
+    (en._bell_upto, ct.bell, range(20)),
+    (lambda n: en._choose_upto(n, 2), lambda n: math.comb(n, 2), range(2, 2000)),
+    (lambda n: en._choose_upto(n, n // 2), lambda n: math.comb(n, n // 2), range(40)),
+    (lambda n: en._choose_upto(n, n - 3), lambda n: math.comb(n, 3), range(3, 400)),
+], ids=["factorial", "power-of-2", "falling", "bell", "choose-2", "middle", "choose-n-3"])
+def test_counts_are_exact_up_to_the_object_cap(upto, exact, sizes):
+    # a count up to MAX_OBJECTS is exact, and one past it stops past it;
+    # Aitken's triangle gives the Bell numbers
+    for n in sizes:
+        count, want = upto(n), exact(n)
+        assert count == want if want <= en.MAX_OBJECTS else count > en.MAX_OBJECTS, n
+
+
+def test_caps_are_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(en, "MAX_OBJECTS", 24)
+    assert en._product_upto(range(2, 5)) == 24 < en._product_upto(range(2, 6))
+    assert len(list(en.enumerate_permutations(4))) == 24
+    with pytest.raises(SizeGuardError, match="at most 24 objects and 10000000 letters"):
+        next(en.enumerate_permutations(5))
+    monkeypatch.setattr(en, "MAX_LETTERS", 10)
+    assert list(en.enumerate_functions(10, 1)) == [(1,) * 10]
+    with pytest.raises(SizeGuardError, match="at most 24 objects and 10 letters"):
+        next(en.enumerate_functions(11, 1))
 
 
 def test_huge_k_allocates_nothing():

@@ -227,6 +227,40 @@ def test_poset_error_in_fresh_process(tmp_path):
     assert code == 2 and proc.stderr == "error: n must be >= 0\n"
 
 
+# runs `python -m exactcomb.cli <args>` in this interpreter and prints the
+# exit code, how many times cli.py was executed, and the name of the module
+# registered as exactcomb.cli
+RUN_CLI = """
+import json, runpy, sys
+runs = []
+sys.addaudithook(lambda event, args: event == "exec"
+                 and args[0].co_filename.endswith("cli.py") and runs.append(1))
+sys.argv[0] = "exactcomb.cli"
+try:
+    runpy.run_module("exactcomb.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, len(runs), sys.modules["exactcomb.cli"].__name__]))
+"""
+
+
+def test_cli_module_run_as_main_is_loaded_once():
+    # `commands` imports from `exactcomb.cli`, which is the running module
+    proc = fresh(RUN_CLI, "table", "binomial", "--rows", "2", "--cols", "2")
+    assert proc.stdout.splitlines() == ["1,0", "1,1", json.dumps([0, 1, "__main__"])]
+
+
+def test_importtime_lists_a_submodule_loaded_through_the_package():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "from exactcomb import counting"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+            if "exactcomb" in line] == ["exactcomb", "exactcomb.exact_core",
+                                        "exactcomb.counting"]
+
+
 def test_import_exactcomb_loads_no_module_and_keeps_dir():
     proc = fresh("import exactcomb, json, sys; print(json.dumps([exactcomb.__all__, "
                  "dir(exactcomb), sorted(m for m in sys.modules if 'exactcomb' in m)]))")

@@ -214,7 +214,7 @@ def test_product_columns_match_transposed_rows(make, reverse):
     # factors' blocks; each must hold the bit-plane recursion's values, as
     # must the explicit opposite poset's, which gets both by recursion
     P = opposite_poset(make()) if reverse else make()
-    columns, rows = pm._table(P, columns=True), pm._table(P)
+    columns, rows = P._mobius_columns, P._mobius_rows
     plane_rows = pm._plane_rows(P)
     assert _maps(rows) == _maps(plane_rows)
     assert _maps(columns) == _maps(pm._transpose(rows)) == _maps(pm._transpose(plane_rows))
@@ -398,7 +398,7 @@ def test_delta_check_fails_on_a_corrupted_table():
     # one value of the last column off by one, on a product and on a poset
     # whose table comes from the bit-plane recursion
     for P in (pm.boolean_lattice(3), pm.divisor_poset(12), random_poset(random.Random(5), 8)):
-        xs, vals = pm._table(P, columns=True)[-1]
+        xs, vals = P._mobius_columns[-1]
         P._mobius_columns[-1] = (xs, [vals[0] + 1, *vals[1:]])
         assert not pm.delta_check(P)
 
@@ -540,9 +540,9 @@ def test_product_masks_are_built_by_the_first_query_that_reads_them(make, query)
     mu = pm.mobius(P)
     assert pm.invert(P, g) == pm._invert_reference(make(), g)
     assert pm.invert_dual(P, g) == pm._invert_reference(opposite_poset(make()), g)
-    assert P._masks is None and P._factors[0]._masks is None
+    assert "_masks" not in vars(P) and "_masks" not in vars(P._factors[0])
     query(P, P.elements[0], g)
-    assert P._masks is not None
+    assert "_masks" in vars(P)
     assert mu.table == pm._mobius_bitplane(P).table
 
 
@@ -585,7 +585,7 @@ def test_shared_poset_tables_under_threads():
                            (lambda: pm.divisor_poset(720720), lambda: _divisors_by_pairs(720720)),
                            (lambda: random_poset(random.Random(11), 40), None)):
         P = make()
-        assert (P._masks is None) == (by_pairs is not None)
+        assert ("_masks" not in vars(P)) == (by_pairs is not None)
         rng = random.Random(len(P))
         g = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in P.elements}
         fresh = make()
@@ -608,6 +608,55 @@ def test_shared_poset_tables_under_threads():
         if by_pairs:
             Q = by_pairs()
             assert P._masks == (Q._up, Q._down)
+
+
+def test_mobius_on_a_product_reads_no_order_or_mask():
+    # the product theorem needs only the factors' tables, so the top
+    # product gets no linear extension and no mask
+    P = pm.boolean_lattice(10)
+    pm.mobius(P)
+    assert "_mobius_rows" in vars(P)
+    assert not {"_order", "_rank", "_down_sizes", "_masks"} & vars(P).keys()
+
+
+def test_fields_under_threads_on_shared_and_fresh_products():
+    # 4 threads read the fields of one shared product and of fresh nested
+    # ones at once; on 3.10 and 3.11 every first read of a field takes
+    # that field's lock, shared by all posets, so a wait in a cycle would
+    # hang here, and each thread is joined with a timeout instead.  The
+    # fresh divisor lattice is that of 2^4 3^2 5 7 11 13 17 (480 divisors):
+    # four fresh copies of the 6720 divisors' tables took 400 MB
+    shared = pm.boolean_lattice(9)
+
+    def answers(P):
+        g = {e: i % 7 - 3 for i, e in enumerate(P.elements)}
+        return (pm.mobius(P)._rows, pm.invert(P, g), pm.invert_dual(P, g), pm.delta_check(P),
+                P.linear_extension())
+
+    def run(P9):
+        return [answers(P) for P in (P9, pm.boolean_lattice(10), pm.divisor_poset(12252240))]
+
+    want = run(pm.boolean_lattice(9))
+    start = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def work(i):
+        start.wait()
+        got[i] = run(shared)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 4
+    assert all(checked is True for _, _, _, checked, _ in want)
 
 
 def test_divisor_poset_shape():
