@@ -56,7 +56,6 @@ _EXPORTS = {
         "PosetError",
         "SubsetFamily",
         "mobius",
-        "zeta",
         "delta_check",
         "accumulate",
         "accumulate_dual",

@@ -68,7 +68,8 @@ class Record:
     The fields are the subclass's ``__slots__``, in order; its ``__init__``
     validates and then passes their values to ``Record.__init__``.  Equality
     (against the same class only), hashing and repr go by the fields, and
-    assigning or deleting an attribute raises AttributeError."""
+    assigning or deleting an attribute raises AttributeError, so a record
+    can be neither pickled nor copied."""
 
     __slots__ = ()
 
@@ -103,13 +104,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    # pickle and copy restore the slots through these, past __setattr__
-    def __getstate__(self):
-        return self._values()
-
-    def __setstate__(self, state):
-        Record.__init__(self, *state)
 
 
 def _show(value) -> str:

@@ -24,12 +24,12 @@ and the index of each pair of factor indices among its elements.
 A product builds no mask until a query reads one.  Its linear extension
 sorts by down-set sizes, the products of its factors' sizes, and its
 covers are its factors' covers, so building it, `mobius`, `invert` and
-`invert_dual` read none.  `up`, `down`, `interval`, `zeta`,
-`delta_check`, `accumulate`, `accumulate_dual` and the reference routes
-build both lists on first use from the factors' cover relations, with no
-pair list: the up-mask of (a, b) is its own bit OR'd with the up-masks
-of the pairs one cover step above it.  JSON is imported only by the
-functions that read it.
+`invert_dual` read none.  `up`, `down`, `interval`, `delta_check`,
+`accumulate`, `accumulate_dual` and the reference routes build both
+lists on first use from the factors' cover relations, with no pair list:
+the up-mask of (a, b) is its own bit OR'd with the up-masks of the pairs
+one cover step above it.  JSON is imported only by the functions that
+read it.
 
 Posets are immutable; each derived field is a `functools.cached_property`,
 computed on first read and kept: `_masks` (set at construction unless P
@@ -64,8 +64,8 @@ each storing it whole.  The Mobius table has two routes:
 it is the reference the tests and `verify` check the product route
 against, as `_mobius_reference`, the plain recursion over frozensets, is
 for the bit planes.  `delta_check` runs the bit-plane kernel down the
-columns.  `IncidenceFunction.table` is a read-only mapping view of the
-rows.
+columns.  An `IncidenceFunction` is itself a read-only mapping over the
+rows; its `table` is the function.
 
 Inversion and accumulation write the values as integer numerators over
 their least common denominator, sum integers along the stored columns
@@ -405,18 +405,23 @@ def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-class IncidenceFunction:
+class IncidenceFunction(Mapping):
     """A function on comparable pairs of a poset; incomparable pairs
-    evaluate to 0 (as for zeta, delta and the Mobius function).  Values are
-    kept by rows, one (indices of the y, values f(x, y)) pair of lists per
-    element x; `table` is a read-only view of them as {(x, y): value}."""
+    evaluate to 0 (as for delta and the Mobius function).  Values are kept
+    by rows, one (indices of the y, values f(x, y)) pair of lists per
+    element x, and read as a read-only mapping {(x, y): f(x, y)}: x in
+    element order, and the y of each x in linear-extension order, as the
+    recursion for mu visits them."""
 
     def __init__(self, poset: FinitePoset, table: Mapping[tuple, Rational]):
         rows: list[Row] = [([], []) for _ in poset.elements]
-        index = poset._index
+        index, up = poset._index, poset._up
         for (x, y), value in table.items():
-            cols, vals = rows[index[x]]
-            cols.append(index[y])
+            i, j = index[x], index[y]
+            if not up[i] >> j & 1:
+                raise ValueError(f"value on ({x!r}, {y!r}), but not {x!r} <= {y!r}")
+            cols, vals = rows[i]
+            cols.append(j)
             vals.append(value)
         self.poset, self._rows, self._maps = poset, rows, [None] * len(rows)
 
@@ -434,8 +439,8 @@ class IncidenceFunction:
         return found
 
     @property
-    def table(self) -> "_IncidenceTable":
-        return _IncidenceTable(self)
+    def table(self) -> "IncidenceFunction":
+        return self
 
     def __call__(self, x: Element, y: Element) -> Rational:
         index = self.poset._index
@@ -444,37 +449,29 @@ class IncidenceFunction:
             return 0
         return self._row_map(i).get(j, 0)
 
-    def items(self):
-        return self.table.items()
-
-
-class _IncidenceTable(Mapping):
-    """The values of an incidence function as a read-only mapping
-    {(x, y): f(x, y)}: x in element order, and the y of each x in
-    linear-extension order, as the recursion for mu visits them."""
-
-    __slots__ = ("_f",)
-
-    def __init__(self, f: IncidenceFunction):
-        self._f = f
-
     def __len__(self) -> int:
-        return sum(len(cols) for cols, _ in self._f._rows)
+        return sum(len(cols) for cols, _ in self._rows)
 
     def __iter__(self):
-        elements, rank = self._f.poset.elements, self._f.poset._rank
-        for x, (cols, _) in zip(elements, self._f._rows):
-            for j in sorted(cols, key=rank.__getitem__):
-                yield x, elements[j]
+        return (pair for pair, _ in self.items())
 
     def __getitem__(self, key) -> Rational:
-        index = self._f.poset._index
+        index = self.poset._index
         if isinstance(key, tuple) and len(key) == 2 and key[0] in index and key[1] in index:
-            row = self._f._row_map(index[key[0]])
+            row = self._row_map(index[key[0]])
             j = index[key[1]]
             if j in row:
                 return row[j]
         raise KeyError(key)
+
+    def items(self):
+        """An iterator over ((x, y), f(x, y)) in the order of iteration,
+        each row read once through its dict."""
+        elements, rank = self.poset.elements, self.poset._rank
+        for i, (x, (cols, _)) in enumerate(zip(elements, self._rows)):
+            row = self._row_map(i)
+            for j in sorted(cols, key=rank.__getitem__):
+                yield (x, elements[j]), row[j]
 
 
 def _plane_add(planes: list[list[int]], bit: int, value: int) -> None:
@@ -586,11 +583,6 @@ def _mobius_reference(P: FinitePoset) -> IncidenceFunction:
             row[y] = value
             table[(x, y)] = value
     return IncidenceFunction(P, table)
-
-
-def zeta(P: FinitePoset) -> IncidenceFunction:
-    return IncidenceFunction._from_rows(
-        P, [(cols, [1] * len(cols)) for cols in map(_bits, P._up)])
 
 
 def delta_check(P: FinitePoset) -> bool:

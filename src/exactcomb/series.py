@@ -206,9 +206,6 @@ class FormalSeries:
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
-    def __hash__(self) -> int:
-        return hash((self.den, self.nums))
-
     def __repr__(self) -> str:
         return f"FormalSeries({list(self.coeffs)!r})"
 

@@ -36,8 +36,8 @@ EXPORTS = {
     ],
     "poset_mobius": [
         "FinitePoset", "IncidenceFunction", "PosetError", "SubsetFamily", "mobius",
-        "zeta", "delta_check", "accumulate", "accumulate_dual", "invert",
-        "invert_dual", "boolean_lattice", "divisor_poset", "product_poset",
+        "delta_check", "accumulate", "accumulate_dual", "invert", "invert_dual",
+        "boolean_lattice", "divisor_poset", "product_poset",
         "sylvester_numbers", "sylvester_count", "jordan_counts", "sieve_counts",
     ],
 }

@@ -100,7 +100,7 @@ def test_rejected_input(call, kind, message):
 def test_edge_branches():
     a, b = FormalSeries([1, Fraction(1, 2), 3]), FormalSeries([2, 1])
     assert a - b == FormalSeries([-1, Fraction(-1, 2)])
-    assert b.__eq__([2, 1]) is NotImplemented and hash(b) == hash(FormalSeries([2, 1]))
+    assert b.__eq__([2, 1]) is NotImplemented
     assert repr(b) == "FormalSeries([Fraction(2, 1), Fraction(1, 1)])"
     assert pi.poly_mul((), (1, 2)) == pi.poly_mul((1, 2), ()) == ()
 

@@ -1,4 +1,4 @@
-"""Posets: construction, Mobius/zeta/delta, inversion, lattices, sieve."""
+"""Posets: construction, Mobius/delta, inversion, lattices, sieve."""
 
 import json
 import operator
@@ -250,7 +250,7 @@ def test_incidence_table_is_a_read_only_mapping():
     want = {(x, y): nt.mobius_classical(y // x)
             for x in P.elements for y in P.elements if y % x == 0}
     table = mu.table
-    assert isinstance(table, Mapping) and len(table) == len(want) == 18
+    assert table is mu and isinstance(table, Mapping) and len(table) == len(want) == 18
     assert table == want and want == table and not table != want
     assert table == pm._mobius_reference(P).table
     assert table != {**want, (1, 2): 5} and table != dict(list(want.items())[1:])
@@ -268,17 +268,25 @@ def test_incidence_table_is_a_read_only_mapping():
     copy[(1, 2)] = 0
     assert mu(1, 2) == -1
     # iteration goes x by x in element order and, for each x, along the
-    # linear extension, as the recursion visits the pairs
-    for Q in (P, pm.boolean_lattice(4), random_poset(random.Random(5), 8),
+    # linear extension, as the recursion visits the pairs; items() follows
+    # it, on products, explicit posets and an opposite poset alike
+    products = (pm.boolean_lattice(4), pm.product_poset(pm.divisor_poset(12),
+                                                        random_poset(random.Random(3), 5)))
+    for Q in (P, *products, random_poset(random.Random(5), 8),
               opposite_poset(pm.divisor_poset(360))):
         rank = {e: i for i, e in enumerate(Q.linear_extension())}
         order = [(x, y) for x in Q.elements for y in sorted(Q.up(x), key=rank.get)]
-        assert list(pm.mobius(Q).table) == order == list(pm._mobius_reference(Q).table)
-    # zeta still comes from mappings too
+        mu_q = pm.mobius(Q)
+        assert isinstance(mu_q, Mapping) and mu_q == pm._mobius_reference(Q)
+        assert list(mu_q) == order == list(pm._mobius_reference(Q).table)
+        assert list(mu_q.items()) == [(k, mu_q[k]) for k in mu_q]
+    # a function can also come from a mapping, on pairs x <= y only
     f = pm.IncidenceFunction(P, {(1, 2): 3, (2, 2): Fraction(1, 2)})
     assert f(1, 2) == 3 and f(2, 2) == Fraction(1, 2) and f(1, 4) == 0
     assert dict(f.items()) == {(1, 2): 3, (2, 2): Fraction(1, 2)}
-    assert pm.zeta(P).table == {(x, y): 1 for x in P.elements for y in P.up(x)}
+    for pair in ((2, 1), (4, 6)):
+        with pytest.raises(ValueError, match=rf"^value on \({pair[0]}, {pair[1]}\)"):
+            pm.IncidenceFunction(P, {(1, 2): 3, pair: 5})
 
 
 def test_integer_inversion_keeps_types():
@@ -384,12 +392,10 @@ def test_mobius_interval_rule_both_sides():
                 assert mu(x, y) == left == right
 
 
-def test_zeta_and_delta_check():
+def test_delta_check():
     rng = random.Random(9)
     for _ in range(20):
         P = random_poset(rng, rng.randint(1, 8))
-        z = pm.zeta(P)
-        assert all(z(x, x) == 1 for x in P.elements)
         assert pm.delta_check(P)
     assert pm.delta_check(pm.boolean_lattice(3))
 
@@ -531,9 +537,8 @@ def test_lattices_match_pair_list_construction(kind, n):
     lambda P, x, g: P.up(x),
     lambda P, x, g: P.interval(x, x),
     lambda P, x, g: pm.delta_check(P),
-    lambda P, x, g: pm.zeta(P),
     lambda P, x, g: pm.accumulate(P, g),
-], ids=["up", "interval", "delta_check", "zeta", "accumulate"])
+], ids=["up", "interval", "delta_check", "accumulate"])
 def test_product_masks_are_built_by_the_first_query_that_reads_them(make, query):
     P = make()
     g = {e: i % 7 - 3 for i, e in enumerate(P.elements)}

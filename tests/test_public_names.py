@@ -36,8 +36,8 @@ KEPT = {
                               "also at n = 963761198400, where a scan is out of reach",
     "poly_identities.evaluate": "the tests' point-evaluation reference for every "
                                 "basis expansion",
-    "IncidenceFunction.table": "read as mu.table by IncidenceFunction.items, by "
-                               "verify's Mobius checks and by perfbench's struct-ops",
+    "IncidenceFunction.table": "read as mu.table by verify's Mobius checks and by "
+                               "perfbench's struct-ops",
     "RecursiveMatrix.table": "called as matrix.table by the `exactcomb table` "
                              "command, by verify and by perfbench's struct-ops",
 }
