@@ -16,7 +16,8 @@ It then prints, as "module.qualname", every function or method defined
 in the package (a ``def``, not a lambda or comprehension) that never
 ran, with the reason it stays if KEPT names it.  It exits 1 when one of
 them is not in KEPT, or when a KEPT name ran or no longer exists (it then
-leaves the list), and 0 otherwise.  Standard library only; it takes a few seconds.
+leaves the list), and 0 otherwise.  Standard library only; it takes a
+few seconds.
 
     python3 tools/reach.py
 """
