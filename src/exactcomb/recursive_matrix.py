@@ -8,12 +8,13 @@ cheap at the sizes targeted here.
 
 A row is held as integers: (numerators, d), the row's series being
 numerators[k] / d.  The rule's own integer form (`FormalSeries.nums` over
-`FormalSeries.den`) is taken as it is: row n is the previous row
-convolved with the rule's nonzero terms (`series.convolve`), over the
-previous denominator times the rule's, so a rational rule runs the same
-route.  `entry` returns a numerator as it is when d is 1, as for every
-integer rule, and otherwise divides by `exact_core.exact_quotient`, which
-raises on a non-integral entry; `row_series` wraps a row's form in a
+`FormalSeries.den`) is taken up to its last nonzero term: row n is the
+previous row convolved with it (`series.convolve`, one pass over the row
+per run of three or more equal terms of the rule and per other nonzero
+term), over the previous denominator times the rule's, so a rational rule
+runs the same route.  `entry` returns a numerator as it is when d is 1, as
+for every integer rule, and otherwise divides by
+`exact_core.exact_quotient`, which raises on a non-integral entry; `row_series` wraps a row's form in a
 `FormalSeries` (`FormalSeries.from_form`) only on request.  The reference
 route is `rule**n` by repeated `Fraction` schoolbook products
 (`series._mul_schoolbook`), which the tests and `exactcomb verify`
@@ -34,6 +35,8 @@ class RecursiveMatrix:
         self.rule = rule.truncate(order)
         self.order = order
         nums, den = self.rule.nums, self.rule.den
+        # up to the last nonzero term, so each row's product skips the rest
+        nums = nums[: max((k + 1 for k, x in enumerate(nums) if x), default=0)]
         # row(m) = rule * row(m-1); the locals keep self out of a ref cycle
         self._table = RowTable(
             ([1] + [0] * order, 1),

@@ -168,6 +168,8 @@ def convolution_failure(families: Iterable[str], rows: int,
 
 # 1 + t/2 + t^2/3: a rule whose rows have integral and non-integral entries
 RATIONAL_RULE = FormalSeries([1, Fraction(1, 2), Fraction(1, 3)])
+# runs of three 2s and three -1s, which `series.convolve` adds as window sums
+RUNS_RULE = FormalSeries([2, 2, 2, -1, -1, -1])
 
 
 def _entries_or_none(mat: RecursiveMatrix, n: int) -> list[Optional[int]]:
@@ -184,11 +186,12 @@ def _entries_or_none(mat: RecursiveMatrix, n: int) -> list[Optional[int]]:
 def matrix_route_failure(rows: int, order: int) -> Optional[tuple]:
     """First (family, n), n < rows, where row n of a matrix of this order,
     as its series or as integer entries (None where not integral), differs
-    from rule**n by repeated schoolbook products.  The families are MATRICES
-    and the rational rule RATIONAL_RULE."""
+    from rule**n by repeated schoolbook products.  The families are MATRICES,
+    the rational rule RATIONAL_RULE and RUNS_RULE."""
     builds = {family: build for family, (build, _) in MATRICES.items()}
     builds["rational 1+t/2+t^2/3"] = (
         lambda order: RecursiveMatrix(RATIONAL_RULE.truncate(order), order))
+    builds["runs 2+2t+2t^2-t^3-t^4-t^5"] = lambda order: RecursiveMatrix(RUNS_RULE, order)
     for family, build in builds.items():
         mat = build(order)
         power = FormalSeries.one(order)

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactcomb import series
 from exactcomb.series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
 from exactcomb.verify import schoolbook_compose, schoolbook_power
 
@@ -107,6 +108,33 @@ def test_truncation_is_min_order():
 def test_mul_commutative_and_matches_convolution(a, b):
     assert a * b == b * a
     assert list((a * b).coeffs) == convolve(a, b)
+
+
+# lists built from runs of 1-5 equal terms, so that runs of WINDOW_RUN or more
+# come up, of 1 and of other values, as do zero tails
+BIG = 2**64 + 3
+TERMS = (0, 1, -1, 2, BIG)
+run_lists = st.lists(st.tuples(st.sampled_from(TERMS), st.integers(1, 5)), max_size=6).map(
+    lambda runs: [x for x, width in runs for _ in range(width)])
+
+
+@given(run_lists, run_lists, st.booleans())
+@settings(max_examples=300)
+@example([2, 2, 2, -1, -1, -1], [1, 2, 3, 4, 5, 6, 7], False)  # runs of 2s and of -1s
+@example([BIG] * 4 + [0, 0], [1, -1, 2, 1, 1], True)  # run cut at len(b), zero tail
+@example([1, 1, 1, 1, 1, 1, 1], [2, 1, 0], True)  # len(a) > len(b)
+@example([0, 0, 0], [1, 2, 3], False)
+@example([1, 1, 1], [], False)
+def test_convolve_matches_a_double_loop(a, b, as_tuples):
+    want = [0] * len(b)
+    for i, x in enumerate(a):
+        for j in range(len(b) - i):
+            want[i + j] += x * b[j]
+    if as_tuples:
+        a, b = tuple(a), tuple(b)
+    got = series.convolve(a, b)
+    assert type(got) is list and got is not b
+    assert got == want
 
 
 @given(small_series, small_series, small_series)

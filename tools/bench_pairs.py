@@ -9,6 +9,10 @@ the machine speed each run measured, the ``reference_ms`` line that run.py
 prints (the median time of its fixed reference kernel), per run and per
 side.  Standard library only.
 
+After each workload it prints to stderr one line per end-to-end metric: the
+parent's median and quartiles, the change's median, the change's wins and a
+verdict (`verdict`): gain, within bound, worse or unresolved.
+
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_7.json \\
         --workloads struct-ops coeff-session cli-oneshot --seeds 1 2 3 --seconds 20
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_7.json \\
@@ -46,10 +50,12 @@ def git_sha(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def directions(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Metric name -> "higher" or "lower", and end-to-end metric name -> the
+    bound by which it may worsen, from the checkout's BENCHMARK.json."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def cached_bytecode(checkout: Path) -> list[Path]:
@@ -106,6 +112,41 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return out
 
 
+def verdict(metric: dict, bound: float) -> str:
+    """One metric's summary read against its bound, a fraction of the
+    parent's median:
+    - "gain" when the change won at least nine tenths of the pairs, ties
+      counting for neither, and its median is better by more than the
+      parent's quartile spread;
+    - "worse" when its median is worse by more than the bound;
+    - "unresolved" when either side's quartile spread is wider than the
+      bound, unless every run of the change is better than every parent run;
+    - "within bound" otherwise."""
+    sign = {"higher": 1, "lower": -1}[metric["better"]]
+    parent, change = metric["parent"], metric["change"]
+    pairs = sum(metric["wins"].values())
+    gap = sign * (change["median"] - parent["median"])
+    limit = bound * abs(parent["median"])
+    if metric["wins"]["change"] >= 0.9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if gap < -limit:
+        return "worse"
+    all_better = (min(sign * v for v in change["values"])
+                  > max(sign * v for v in parent["values"]))
+    if max(side["q3"] - side["q1"] for side in (parent, change)) > limit and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
+def report(workload: str, name: str, metric: dict, bound: float) -> str:
+    """The stderr line for one end-to-end metric of a workload."""
+    parent, wins = metric["parent"], metric["wins"]
+    return (f"{workload} {name}: parent {parent['median']:.4g} "
+            f"[{parent['q1']:.4g}, {parent['q3']:.4g}] -> change "
+            f"{metric['change']['median']:.4g}, change won "
+            f"{wins['change']}/{sum(wins.values())}: {verdict(metric, bound)}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -131,7 +172,7 @@ def main() -> int:
         print(f"error: {args.out} was recorded for {[doc.get(k) for k in head]}, "
               f"not {list(head.values())}", file=sys.stderr)
         return 2
-    better = directions(sides["change"])
+    better, bounds = directions(sides["change"])
 
     for workload in args.workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -146,6 +187,10 @@ def main() -> int:
                 print(f"{workload} seed {seed} {side}: correct {result['correct']} "
                       f"ops_per_s {ops}", file=sys.stderr, flush=True)
         key = workload + ("+trace" if args.trace else "")
+        metrics = summarize(runs, better)
+        for name, bound in bounds.items():
+            if name in metrics:
+                print(report(key, name, metrics[name], bound), file=sys.stderr, flush=True)
         doc["workloads"][key] = {
             "workload": workload,
             "trace": bool(args.trace),
@@ -155,7 +200,7 @@ def main() -> int:
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
-            "metrics": summarize(runs, better),
+            "metrics": metrics,
         }
         if all("reference_ms" in r for rs in runs.values() for r in rs):
             doc["workloads"][key]["reference_ms"] = {
