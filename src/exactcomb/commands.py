@@ -120,20 +120,13 @@ def _partition_lines(n: int, k: Optional[int]):
     return ("|".join(map(text.__getitem__, part)) for part in en.enumerate_set_partitions(n, k))
 
 
-def _permutation_lines(n: int, cycles: Optional[int], derangements: bool):
-    from . import enumeration as en
-
-    return map(en.as_word, en.enumerate_permutations(
-        n, cycles=cycles, derangement_only=derangements))
-
-
 # the functions here yield the output lines
 ENUMERATE: dict[str, tuple[Parser, Callable]] = {
     "functions": (_ints(2, "mode"), _words("enumerate_functions")),
     "subsets": (_subset_args, _words("enumerate_subsets")),
     "multisets": (_ints(2), _multiset_lines),
     "partitions": (_ints(1, "blocks"), _partition_lines),
-    "permutations": (_ints(1, "cycles", "derangements"), _permutation_lines),
+    "permutations": (_ints(1, "cycles", "derangements"), _words("enumerate_permutations")),
     "gergonne": (_gergonne_query, _words("enumerate_gergonne")),
     "menage": (_ints(1), _words("enumerate_menage")),
 }

@@ -32,7 +32,16 @@ primes from a shared sieve.
 product as the falling factorial when binomial takes that route).  The
 rows of `recursive_matrix.binomial_matrix` and `multiset_matrix`, powers
 of the rules 1 + t and 1/(1 - t), are the reference routes that the tests
-and `verify` check both against.
+and `verify` check both against.  `gentile_coeff` answers k <= p by
+`multiset_coeff`, since the bound p then does not bind.
+
+Two row steps here are polynomial products that do not call
+`series.convolve`, on purpose: `_cycle_row` multiplies by (x + m - 1) and
+`_gentile_row` by 1 + t + ... + t^p.  Each is the second route of a check
+whose other side is built by `convolve`: `poly_identities.rising_expansion_coeffs`
+agrees the cycle rows with `rising_poly`, and `verify`'s "rows match closed
+forms" compares `gentile_coeff` with the rows of `gentile_matrix`.  Built
+by `convolve`, both sides would run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -215,11 +224,16 @@ _GENTILE: dict[int, RowTable] = {}
 
 
 def gentile_coeff(p: int, n: int, k: int) -> int:
-    """c^p(n, k): k indistinguishable balls in n boxes, at most p per box."""
+    """c^p(n, k): k indistinguishable balls in n boxes, at most p per box.
+    When k <= p no box can hold more than k balls, so the bound does not
+    bind and c^p(n, k) is `multiset_coeff(n, k)`, with its checked routes;
+    otherwise it is read from row n of the table for p."""
     if p < 1:
         raise ValueError("occupancy bound p must be >= 1")
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
+    if k <= p:
+        return multiset_coeff(n, k)
     if k > n * p:
         return 0
     table = _GENTILE.get(p)

@@ -5,9 +5,10 @@ A `FormalSeries` keeps coefficients 0..order in one integer form: a tuple
 lowest terms (gcd(den, *nums) == 1, so den is 1 for an integer series and
 equal series have equal forms).  Binary operations truncate the result to
 the smaller operand order, so every coefficient that is kept is exact.
-These series carry the rows of recursive matrices (integer coefficients)
-and the composition checks (rational coefficients), so there is a single
-series type.
+These series carry the rules and rows of recursive matrices (integer
+coefficients only: `recursive_matrix` refuses a rational rule, whose
+powers are this class's `**`) and the composition checks (rational
+coefficients), so there is a single series type.
 
 Every operation works on the form and builds no `Fraction`: a sum brings
 both numerator tuples to a common denominator, a product convolves them

@@ -442,13 +442,13 @@ ROUTE_CASES = [
     ["derangement", "9"], ["dnk", "6", "2"], ["surjections", "7", "3"],
     ["gergonne", "9", "3", "1"], ["touchard", "7"], ["menage", "6"], ["phi", "210"],
     ["mobius", "30"], ["birthday", "23"], ["graph", "graph", "4", "3"],
-    ["graph", "graph", "4"],
+    ["graph", "graph", "4"], ["gentile", "5", "3", "2"],
 ]
 
 # requests whose answer no second route checks at call time (ROADMAP item 2);
 # a request leaves this list when its family gains such a route
 ONE_ROUTE = {
-    ("gentile",): "read from its row table",
+    ("gentile", "2", "3", "3"): "k > p, read from its row table",
     ("multinomial",): "n! divided by each part's factorial, with no check",
     ("stirling1",): "the signed cycle-count row",
     ("stirling2",): "read from its row table",

@@ -183,11 +183,24 @@ def test_gentile_matches_series_power():
 
 
 def test_gentile_converges_to_multiset():
-    # once the per-box bound reaches k it stops binding
+    # once the per-box bound reaches k it stops binding; gentile_coeff then
+    # answers by multiset_coeff, so the rule's power is the second route
     for n in range(6):
         for k in range(7):
             for p in range(max(k, 1), k + 3):
-                assert ct.gentile_coeff(p, n, k) == ct.multiset_coeff(n, k)
+                power = FormalSeries([1] * (p + 1)) ** n
+                assert ct.gentile_coeff(p, n, k) == ct.multiset_coeff(n, k) == power.coeff_at(k)
+
+
+def test_gentile_with_k_at_most_p_builds_no_row():
+    # rows of the table for p hold n p + 1 entries: 20,000,001 here
+    tracemalloc.start()
+    try:
+        assert ct.gentile_coeff(10**7, 2, 1) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gentile_occupancy_oracle():

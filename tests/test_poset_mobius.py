@@ -21,7 +21,7 @@ import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 from exactcomb.exact_core import factorial
 from exactcomb.verify import (derangement_family, layered_poset, menage_family, opposite_poset,
-                              random_poset)
+                              random_poset, run_suites)
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -407,6 +407,21 @@ def test_delta_check_fails_on_a_corrupted_table():
         xs, vals = P._mobius_columns[-1]
         P._mobius_columns[-1] = (xs, [vals[0] + 1, *vals[1:]])
         assert not pm.delta_check(P)
+
+
+def test_verify_reaches_the_bit_planes_of_delta_check(monkeypatch):
+    # values with |mu| >= 2 go through _plane_add; off by one there, and
+    # only there, `verify mobius` must fail its inversion check
+    plane_add = pm._plane_add
+
+    def off_by_one_in_delta_check(planes, bit, value):
+        if sys._getframe(1).f_code is pm.delta_check.__code__:
+            value += 1
+        plane_add(planes, bit, value)
+
+    monkeypatch.setattr(pm, "_plane_add", off_by_one_in_delta_check)
+    failed = [check.name for _, check in run_suites(["mobius"]) if not check.ok]
+    assert failed == ["zeta*mu = delta and inversion roundtrips"]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ COEFF = [
     # the circular gergonne check, an empty selection, and both ends of birthday
     ["gergonne", "12", "4", "1", "--circular"], ["gergonne", "10", "0", "2"],
     ["birthday", "400", "--days", "365"], ["birthday", "30", "--days", "1000"],
+    # k <= p answers by multiset_coeff, with no row of 2 * 10^7 + 1 entries
+    ["gentile", "10000000", "2", "1"], ["gentile", "5", "3", "2"],
 ]
 
 TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]

@@ -57,6 +57,10 @@ KEPT = {
                                      "code tries to assign a field",
     "exact_core.Record.__delattr__": "the immutability guard: it runs only when "
                                      "code tries to delete a field",
+    "exact_core._label": "names the check in the message of a failed cross-check "
+                         "(agree, exact_quotient), which correct code never raises",
+    "exact_core._show": "writes the values in the message of a failed cross-check "
+                        "(agree, exact_quotient), which correct code never raises",
 }
 
 
