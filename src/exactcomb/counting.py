@@ -529,6 +529,8 @@ def graph_count(kind: str, n: int, k: Optional[int] = None) -> int:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRAPH_KINDS}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if k is not None and k < 0:
+        raise ValueError("k must be >= 0")
     slots = _SLOT_COUNTS[kind.replace("multi", "")](n)
     if "multi" in kind:
         if k is None:

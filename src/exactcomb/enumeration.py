@@ -42,7 +42,7 @@ from operator import add, contains
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .counting import GergonneQuery, TypeVector
-from .exact_core import SizeGuardError, guard  # noqa: F401 (kept as en.SizeGuardError)
+from .exact_core import guard
 
 # objects one walk visits, and letters in all the objects of one request:
 # at the caps, `exactcomb enumerate` took up to 2.8 s (`functions 6 10`, 10**6

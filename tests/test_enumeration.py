@@ -348,7 +348,6 @@ OVER_CAP = {
 
 def test_guards(monkeypatch):
     monkeypatch.setattr(pm, "MAX_DIVISOR_COUNT", pm.MAX_DIVISOR_COUNT - 1)
-    assert en.SizeGuardError is SizeGuardError
     for name, request in OVER_CAP.items():
         tracemalloc.start()
         try:

@@ -30,6 +30,8 @@ REJECTED = [
     (lambda: ct.derangement_fixed(-1, 0), ValueError, "n and k must be >= 0"),
     (lambda: ct.surjection_count(2, -1), ValueError, "k and n must be >= 0"),
     (lambda: ct.graph_count("graph", -1), ValueError, "n must be >= 0"),
+    (lambda: ct.graph_count("graph", 3, -1), ValueError, "k must be >= 0"),
+    (lambda: ct.graph_count("multidigraph", 3, -1), ValueError, "k must be >= 0"),
     (lambda: ct.alternating_convolution(1, 1, -1), ValueError, "n, m, k must be >= 0"),
     (lambda: ct.lower_bound_solutions(0, 3, []), ValueError, "need at least one variable"),
     (lambda: ct.lower_bound_solutions(2, 3, [1, -1]), ValueError,

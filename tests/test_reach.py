@@ -1,7 +1,8 @@
 """tools/reach.py names each function of a package that its traffic never
-runs, and fails on one that its keep-list does not name.  The report runs
-here on a small module written to a temporary directory, never on the
-real traffic."""
+runs, and each public name of it that no code outside tests/ reads, and
+fails on one that its keep-list does not name.  The report runs here on
+a small module written to a temporary directory, never on the real
+traffic."""
 
 import importlib.util
 import runpy
@@ -14,27 +15,67 @@ _spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.
 reach = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reach)
 
-MODULE = ("def used():\n"
-          "    return Box()\n"
+MODULE = ("from __future__ import annotations\n"
+          "\n"
+          "Alias = int  # read only in an annotation of used, which runs\n"
+          "READ = 1\n"
+          "DEAD = 2  # read only in dead, which never runs\n"
+          "TESTED = 3  # read only under tests/\n"
           "\n"
           "\n"
-          "class Box:\n"
-          "    def unused(self):\n"
-          "        return 0\n")
+          "def used(x: Alias) -> int:\n"
+          "    return READ + x\n"
+          "\n"
+          "\n"
+          "def dead():\n"
+          "    return DEAD\n"
+          "\n"
+          "\n"
+          "class A:\n"
+          "    def from_json(self):\n"
+          "        return 0\n"
+          "\n"
+          "    def dummy(self):  # run by tests only, so not by the traffic\n"
+          "        return 0\n"
+          "\n"
+          "\n"
+          "class B:\n"
+          "    def from_json(self):\n"
+          "        return 1\n")
+# a caller outside tests/: a parameter that shares a global's name reads the local
+CALLER = ("def show(DEAD):\n"
+          "    return DEAD\n"
+          "\n"
+          "\n"
+          "show(used(0))\n"
+          "for obj in (A(), B()):\n"
+          "    obj.from_json()\n")
+UNKEPT = ["mod.A.dummy", "mod.DEAD", "mod.TESTED", "mod.dead"]
+WHY = {name: "why" for name in UNKEPT}
 
 
 @pytest.mark.parametrize("kept, code, lines", [
-    ({}, 1, ["mod.Box.unused: UNREACHED, and not in the keep-list"]),
-    ({"mod.Box.unused": "why"}, 0, ["mod.Box.unused: kept, why"]),
-    ({"mod.Box.unused": "why", "mod.used": "stale", "mod.gone": "stale"}, 1,
-     ["mod.Box.unused: kept, why", "mod.gone: in the keep-list, but gone",
-      "mod.used: in the keep-list, but it ran"]),
+    ({}, 1, ["mod.A.dummy: UNREACHED, and not in the keep-list",
+             "mod.DEAD: UNREAD, and not in the keep-list",
+             "mod.TESTED: UNREAD, and not in the keep-list",
+             "mod.dead: UNREACHED, and not in the keep-list"]),
+    (WHY, 0, [f"{name}: kept, why" for name in UNKEPT]),
+    ({**WHY, "mod.used": "stale", "mod.READ": "stale", "mod.gone": "stale"}, 1,
+     [*(f"{name}: kept, why" for name in UNKEPT), "mod.READ: in the keep-list, but it is read",
+      "mod.gone: in the keep-list, but gone", "mod.used: in the keep-list, but it ran"]),
 ], ids=["unkept", "kept", "stale-keep"])
 def test_report_names_each_function_the_traffic_never_runs(tmp_path, kept, code, lines):
-    (tmp_path / "mod.py").write_text(MODULE)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(MODULE)
+    (tmp_path / "use.py").write_text(CALLER)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("assert TESTED == 3\n")
 
     def traffic():
-        runpy.run_path(str(tmp_path / "mod.py"))["used"]()
+        names = runpy.run_path(str(tmp_path / "pkg" / "mod.py"))
+        for caller in ("use.py", "tests/test_mod.py"):
+            runpy.run_path(str(tmp_path / caller), init_globals=names)
 
-    got_code, text = reach.report(tmp_path, traffic, kept)
-    assert (got_code, text.splitlines()) == (code, [*lines, "1 of 2 functions ran"])
+    got_code, text = reach.report(tmp_path, tmp_path / "pkg", traffic, kept)
+    assert (got_code, text.splitlines()) == (
+        code, [*lines, "3 of 5 functions ran", "4 of 6 public names are read"])

@@ -48,6 +48,7 @@ COEFF = [
     ["birthday", "400", "--days", "365"], ["birthday", "30", "--days", "1000"],
     # k <= p answers by multiset_coeff, with no row of 2 * 10^7 + 1 entries
     ["gentile", "10000000", "2", "1"], ["gentile", "5", "3", "2"],
+    ["graph", "graph", "3", "-1"],  # refused: no graph has a negative edge count
 ]
 
 TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]

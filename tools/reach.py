@@ -1,7 +1,9 @@
-"""List every function of src/exactcomb that no caller outside the tests runs.
+"""List every function of src/exactcomb that no caller outside the tests
+runs, and every public name of it that no such caller reads.
 
-A `sys.settrace` hook records each code object of the package that gets
-called while this process runs, in order (none of it starts a thread):
+A `sys.settrace` hook records each code object of a file under the
+repository, outside tests/, that gets called while this process runs, in
+order (none of it starts a thread):
 
 * `exactcomb verify`, every suite, then each other command of
   tests/cli_golden.json, through ``exactcomb.cli.main`` from the
@@ -14,17 +16,26 @@ called while this process runs, in order (none of it starts a thread):
 
 It then prints, as "module.qualname", every function or method defined
 in the package (a ``def``, not a lambda or comprehension) that never
-ran, with the reason it stays if KEPT names it.  It exits 1 when one of
-them is not in KEPT, or when a KEPT name ran or no longer exists (it then
-leaves the list), and 0 otherwise.  Standard library only; it takes a
-few seconds.
+ran, and, as "module.name", every public top-level class or assignment
+of the package that no recorded code object reads.  A code object reads
+each name one of its instructions loads by name or attribute (LOAD_NAME,
+LOAD_GLOBAL, LOAD_ATTR, LOAD_METHOD, IMPORT_FROM; whether or not that
+instruction ran), and each name in an annotation of its ``def`` or, for
+a module, of its top-level annotated assignments: under ``from
+__future__ import annotations`` no annotation is loaded.  A name is
+matched by its text alone.  Each one listed carries the reason it stays
+if KEPT names it.  The tool exits 1 when one of them is not in KEPT, or
+when a KEPT name ran, is read or no longer exists (it then leaves the
+list), and 0 otherwise.  Standard library only; it takes a few seconds.
 
     python3 tools/reach.py
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dis
 import io
 import json
 import os
@@ -39,7 +50,9 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "exactcomb"
 DECKS = 3
-# "module.qualname" -> why a function that no caller runs stays
+LOADS = {"LOAD_NAME", "LOAD_GLOBAL", "LOAD_ATTR", "LOAD_METHOD", "IMPORT_FROM"}
+# "module.qualname" or "module.name" -> why a function that no caller runs,
+# or a name that none reads, stays
 KEPT = {
     "__init__.__dir__": "lists the lazy exports for dir() on the package, which "
                         "interactive use calls and no program does",
@@ -85,43 +98,108 @@ def defined(package: Path) -> dict[tuple, str]:
     return out
 
 
-def ran_in(package: Path, traffic: Callable[[], None]) -> set[tuple]:
-    """(file, first line, name) of each code object of the package that
-    was called while `traffic` ran in this thread."""
-    prefix = str(package) + os.sep
-    ran: set[tuple] = set()
+def public(package: Path) -> dict[str, str]:
+    """"module.name" -> name for each public top-level class and assignment
+    target of the package's modules."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            out.update((f"{path.stem}.{name}", name) for name in names if not name.startswith("_"))
+    return out
+
+
+def ran_in(root: Path, traffic: Callable[[], None]) -> list[CodeType]:
+    """Each code object of a file under `root`, outside root/tests, that was
+    called while `traffic` ran in this thread."""
+    prefix, tests = str(root) + os.sep, str(root / "tests") + os.sep
+    ran: dict[int, CodeType] = {}  # by id: hashing a code object hashes its contents
 
     def trace(frame, event, arg):
         code = frame.f_code
-        if code.co_filename.startswith(prefix):
-            ran.add((code.co_filename, code.co_firstlineno, code.co_name))
+        if code.co_filename.startswith(prefix) and not code.co_filename.startswith(tests):
+            ran[id(code)] = code
 
     sys.settrace(trace)
     try:
         traffic()
     finally:
         sys.settrace(None)
-    return ran
+    return list(ran.values())
 
 
-def report(package: Path, traffic: Callable[[], None], kept: dict[str, str]) -> tuple[int, str]:
+def _annotated(tree: ast.Module) -> dict[tuple, list[ast.expr]]:
+    """(first line, name) -> the annotations of each function of a module,
+    as its code object keys it, and ("<module>") of its top-level annotated
+    assignments."""
+    out: dict[tuple, list[ast.expr]] = {
+        (1, "<module>"): [n.annotation for n in tree.body if isinstance(n, ast.AnnAssign)]}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            out[first, node.name] = [arg.annotation for arg in (
+                *args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                if arg and arg.annotation] + ([node.returns] if node.returns else [])
+    return out
+
+
+def _names(expression: ast.expr) -> set[str]:
+    """The names and attributes an annotation mentions, inside quotes too."""
+    out = set()
+    for node in ast.walk(expression):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out |= _names(ast.parse(node.value, mode="eval").body)
+    return out
+
+
+def read_by(codes: list[CodeType]) -> set[str]:
+    """Every name that the code objects load, or name in their annotations."""
+    read = {ins.argval for code in codes for ins in dis.get_instructions(code)
+            if ins.opname in LOADS}
+    annotations = {}
+    for code in codes:
+        if code.co_filename not in annotations:
+            annotations[code.co_filename] = _annotated(ast.parse(Path(code.co_filename).read_text()))
+        for expression in annotations[code.co_filename].get((code.co_firstlineno, code.co_name), []):
+            read |= _names(expression)
+    return read
+
+
+def report(root: Path, package: Path, traffic: Callable[[], None],
+           kept: dict[str, str]) -> tuple[int, str]:
     """The exit code and the text of the reach report of `package` under
-    `traffic`."""
-    functions = defined(package)
-    ran = ran_in(package, traffic)
-    unreached = sorted(name for key, name in functions.items() if key not in ran)
+    `traffic`, read from the files under `root` outside root/tests."""
+    functions, names = defined(package), public(package)
+    codes = ran_in(root, traffic)
+    ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes}
+    read = read_by(codes)
+    unreached = {name for key, name in functions.items() if key not in ran}
+    unread = {qualified for qualified, name in names.items() if name not in read}
     lines, code = [], 0
-    for name in unreached:
+    for name in sorted(unreached | unread):
         if name in kept:
             lines.append(f"{name}: kept, {kept[name]}")
         else:
-            lines.append(f"{name}: UNREACHED, and not in the keep-list")
+            lines.append(f"{name}: {'UNREACHED' if name in unreached else 'UNREAD'}, "
+                         "and not in the keep-list")
             code = 1
-    for name in sorted(set(kept) - set(unreached)):
-        gone = name not in functions.values()
-        lines.append(f"{name}: in the keep-list, but {'gone' if gone else 'it ran'}")
+    for name in sorted(set(kept) - unreached - unread):
+        why = "it ran" if name in functions.values() else "it is read" if name in names else "gone"
+        lines.append(f"{name}: in the keep-list, but {why}")
         code = 1
     lines.append(f"{len(functions) - len(unreached)} of {len(functions)} functions ran")
+    lines.append(f"{len(names) - len(unread)} of {len(names)} public names are read")
     return code, "\n".join(lines) + "\n"
 
 
@@ -162,7 +240,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     os.environ.pop("EXACTCOMB_VERBOSE", None)
-    code, text = report(PACKAGE, traffic, KEPT)
+    code, text = report(ROOT, PACKAGE, traffic, KEPT)
     sys.stdout.write(text)
     return code
 
