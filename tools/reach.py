@@ -135,9 +135,9 @@ def ran_in(root: Path, traffic: Callable[[], None]) -> list[CodeType]:
 
 
 def _annotated(tree: ast.Module) -> dict[tuple, list[ast.expr]]:
-    """(first line, name) -> the annotations of each function of a module,
-    as its code object keys it, and ("<module>") of its top-level annotated
-    assignments."""
+    """(first line, name) of each function of a module, as its code object
+    gives them, -> that function's annotations; (1, "<module>") -> those of
+    the module's top-level annotated assignments."""
     out: dict[tuple, list[ast.expr]] = {
         (1, "<module>"): [n.annotation for n in tree.body if isinstance(n, ast.AnnAssign)]}
     for node in ast.walk(tree):
@@ -167,11 +167,10 @@ def read_by(codes: list[CodeType]) -> set[str]:
     """Every name that the code objects load, or name in their annotations."""
     read = {ins.argval for code in codes for ins in dis.get_instructions(code)
             if ins.opname in LOADS}
-    annotations = {}
+    annotated = {path: _annotated(ast.parse(Path(path).read_text()))
+                 for path in {code.co_filename for code in codes}}
     for code in codes:
-        if code.co_filename not in annotations:
-            annotations[code.co_filename] = _annotated(ast.parse(Path(code.co_filename).read_text()))
-        for expression in annotations[code.co_filename].get((code.co_firstlineno, code.co_name), []):
+        for expression in annotated[code.co_filename].get((code.co_firstlineno, code.co_name), []):
             read |= _names(expression)
     return read
 
