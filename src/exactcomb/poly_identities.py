@@ -19,7 +19,6 @@ from .exact_core import agree, guard
 from .series import convolve
 
 Coeffs = tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 
 def trim(coeffs: Sequence[int]) -> Coeffs:
@@ -35,7 +34,7 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> Coeffs:
     return trim(convolve(a, list(b) + [0] * (len(a) - 1)))
 
 
-def evaluate(coeffs: Sequence[int], alpha: Scalar) -> Fraction:
+def evaluate(coeffs: Sequence[int], alpha: Union[int, Fraction]) -> Fraction:
     """Horner evaluation at an exact rational point."""
     alpha = Fraction(alpha)
     acc = Fraction(0)

@@ -7,19 +7,18 @@ The order is stored as int bitsets over element indices: one up-mask and
 one down-mask per element, so an interval [x, y] is one AND.  `up`,
 `down` and `interval` build frozensets from the masks when asked.
 
-One builder, `_labelled_product`, makes every product: each pair of
-factor elements gets a label, and the labels, sorted unless they already
-come in order, are the elements.  `product_poset(P, Q)` labels (a, b) by
-itself, already in pair order, so it sorts nothing; `boolean_lattice(n)`
-is the product of the lattices on the first ceil(n/2) atoms and on the
-rest, so of n 2-chains, labelled by unions; `divisor_poset(n)` is the
-product of the divisor lattices of two coprime parts of n, so of chains
-of prime powers, labelled by products and sorted as ints.  A union is
-sorted by one int key, (size << top) minus the sum of 1 << (top - x) over
-its atoms x (top the largest atom), which orders by size and then
-lexicographically; a | b has the sum of the keys of its disjoint parts,
-each computed once per factor element.  A product remembers its factors
-and the index of each pair of factor indices among its elements.
+Every product is a `_Product`, a `FinitePoset` made from its two factors:
+each pair of factor elements gets a label, and the labels, sorted unless
+they already come in order, are the elements.  `product_poset(P, Q)`
+labels (a, b) by itself, already in pair order, so it sorts nothing;
+`boolean_lattice(n)` is the product of the lattices on the first
+ceil(n/2) atoms and on the rest, so of n 2-chains, labelled by unions;
+`divisor_poset(n)` is the product of the divisor lattices of two coprime
+parts of n, so of chains of prime powers, labelled by products and
+sorted as ints.  A union is sorted by one int key, (size << top) minus
+the sum of 1 << (top - x) over its atoms x (top the largest atom), which
+orders by size and then lexicographically; a | b has the sum of the keys
+of its disjoint parts, each computed once per factor element.
 
 A product builds no mask until a query reads one.  Its linear extension
 sorts by down-set sizes, the products of its factors' sizes, and its
@@ -32,20 +31,22 @@ one cover step above it.  JSON is imported only by the functions that
 read it.
 
 Posets are immutable; each derived field is a `functools.cached_property`,
-computed on first read and kept: `_masks` (set at construction unless P
-is a product), `_covers`, `_down_sizes`, `_order` (a linear extension),
-`_rank` (each index's place in it), and the Mobius table's `_mobius_rows`
-(for each x, the indices of the y >= x and the values mu(x, y)) and
-`_mobius_columns` (the x <= y and mu(x, y)).  On CPython 3.10 and 3.11
-each field name has one lock, shared by all posets: a field is computed
-once, and a first read of it on another poset waits.  Fields read each
-other in one direction (columns, rows, rank, order, down-set sizes; a
-product's masks read its factors' covers and order) and an explicit
-poset's masks exist from the start, so no two locks wait on each other;
-from 3.12 there is no lock, and racing threads may both compute a field,
-each storing it whole.  The Mobius table has two routes:
+computed on first read and kept: `_covers`, `_down_sizes`, `_order` (a
+linear extension), `_rank` (each index's place in it), the Mobius
+table's `_mobius_rows` (for each x, the indices of the y >= x and the
+values mu(x, y)) and `_mobius_columns` (the x <= y and mu(x, y)), and on
+a `_Product` `_masks`, which an explicit poset sets at construction.  On
+CPython 3.10 and 3.11 there is one lock per field per kind, shared by
+all posets of that kind: a field is computed once, and a first read of
+it on another poset of the kind waits.  A product's fields may wait on
+its factors' fields; an explicit poset's fields never wait on a
+product's.  Fields read each other in one direction (columns, rows,
+rank, order, down-set sizes; a product's masks read its factors' covers
+and order), so no two locks wait on each other; from 3.12 there is no
+lock, and racing threads may both compute a field, each storing it
+whole.  The Mobius table has two routes:
 
-* a product: each row (column) is the outer product of the factors'
+* a `_Product`: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
   (Rota 1964; Stanley, EC1, Prop. 3.8.2).  It is joined from blocks
   built once per product, not entry by entry: for each element c of P
@@ -53,7 +54,7 @@ each storing it whole.  The Mobius table has two routes:
   for each distinct value v in P's table, v times each of Q's rows.  The
   row of (a, b) is one block and one scaled row per entry of P's row a,
   in the order of the entry-by-entry product;
-* any other poset: the interval recursion along a linear extension.  For
+* an explicit poset: the interval recursion along a linear extension.  For
   a fixed x, the values mu(x, y) found so far are kept as bit planes: for
   each binary digit k of |mu|, one mask of the y with that digit set and
   mu(x, y) > 0 and one for mu(x, y) < 0.  The sum over an interval I is
@@ -89,7 +90,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence, Union
 
 from .counting import binomial
 from .exact_core import Record, agree, guard, integer_form
@@ -139,10 +140,6 @@ class FinitePoset:
     """Explicit finite poset: elements plus a reflexive, antisymmetric,
     transitive relation (checked at construction)."""
 
-    # a product's factors, and a * len(Q) + b -> the index of (a, b)
-    _factors: Optional[tuple[FinitePoset, FinitePoset]] = None
-    _pair_index: Optional[list[int]] = None
-
     def __init__(self, elements: Sequence[Element],
                  relation: Iterable[tuple[Element, Element]]):
         self.elements: tuple[Element, ...] = tuple(elements)
@@ -160,21 +157,6 @@ class FinitePoset:
         self._masks = (up, down)
         self._validate()
 
-    @classmethod
-    def _derived(cls, elements: tuple, index: dict, **fields) -> "FinitePoset":
-        """A poset with no validation; `fields` say where its order comes
-        from: `_masks`, or `_factors` and `_pair_index`."""
-        P = cls.__new__(cls)
-        P.elements, P._index = elements, index
-        vars(P).update(fields)
-        return P
-
-    @cached_property
-    def _masks(self) -> tuple[list[int], list[int]]:
-        """(up-masks, down-masks): set by the constructor and `_chain`, and
-        closed over the factors' covers on a product."""
-        return _product_masks(self)
-
     @property
     def _up(self) -> list[int]:
         """Bit j of _up[i] says elements[i] <= elements[j]."""
@@ -187,16 +169,8 @@ class FinitePoset:
 
     @cached_property
     def _down_sizes(self) -> list[int]:
-        """The size of each down-set: on a product the products of its
-        factors' sizes, so no mask is read."""
-        if not self._factors:
-            return [mask.bit_count() for mask in self._down]
-        A, B = self._factors
-        sizes = [0] * len(self.elements)
-        pairs = [x * y for x in A._down_sizes for y in B._down_sizes]
-        for i, size in zip(self._pair_index, pairs):
-            sizes[i] = size
-        return sizes
+        """The size of each down-set."""
+        return [mask.bit_count() for mask in self._down]
 
     @cached_property
     def _order(self) -> list[int]:
@@ -237,10 +211,7 @@ class FinitePoset:
 
     @cached_property
     def _covers(self) -> list[list[int]]:
-        """For each element, the indices of the elements covering it: from
-        the factors' covers on a product, from the masks otherwise."""
-        if self._factors:
-            return _product_covers(self)
+        """For each element, the indices of the elements covering it."""
         up, down = self._masks
         covers = []
         for i, mask in enumerate(up):
@@ -250,15 +221,13 @@ class FinitePoset:
 
     @cached_property
     def _mobius_rows(self) -> list[Row]:
-        """For each x, the indices of the y >= x and mu(x, y): by the
-        product theorem on a product, by the bit-plane recursion otherwise."""
-        return _outer(self, "_mobius_rows") if self._factors else _plane_rows(self)
+        """For each x, the indices of the y >= x and mu(x, y), by the
+        bit-plane recursion."""
+        return _plane_rows(self)
 
     @cached_property
     def _mobius_columns(self) -> list[Row]:
         """For each y, the indices of the x <= y and mu(x, y)."""
-        if self._factors:
-            return _outer(self, "_mobius_columns")
         return _transpose(self._mobius_rows)
 
     # -- queries -------------------------------------------------------
@@ -356,48 +325,74 @@ def _lower_covers(upper: list[list[int]]) -> list[list[int]]:
     return lower
 
 
-def _product_covers(P: FinitePoset) -> list[list[int]]:
-    """The upper covers of a product: (a, b) is covered by (c, b) for each
-    c covering a and by (a, d) for each d covering b."""
-    (A, B), at = P._factors, P._pair_index
-    nb = len(B)
-    above_b = B._covers
-    covers: list[list[int]] = [[]] * len(at)
-    for a, above_a in enumerate(A._covers):
-        row = a * nb
-        for b, over in enumerate(above_b):
-            covers[at[row + b]] = ([at[c * nb + b] for c in above_a]
-                                   + [at[row + d] for d in over])
-    return covers
-
-
-def _product_masks(P: FinitePoset) -> tuple[list[int], list[int]]:
-    """A product's up- and down-masks, closed over its factors' covers."""
-    (A, B), at = P._factors, P._pair_index
-    nb = len(B)
-    above_a, above_b = A._covers, B._covers
-    up = _cover_closure(at, nb, above_a, above_b, A._order[::-1], B._order[::-1])
-    down = _cover_closure(at, nb, _lower_covers(above_a), _lower_covers(above_b),
-                          A._order, B._order)
-    return up, down
-
-
-def _labelled_product(P: FinitePoset, Q: FinitePoset, labels: list,
-                      elements: Iterable[Element]) -> FinitePoset:
+class _Product(FinitePoset):
     """P x Q ordered componentwise, labels[a * len(Q) + b] standing for the
     pair of P's a-th and Q's b-th elements; `elements` lists the labels,
     which must be distinct, in the product's order.  No mask is built."""
-    elements = tuple(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    at = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
-    return FinitePoset._derived(elements, index, _factors=(P, Q), _pair_index=at)
+
+    def __init__(self, P: FinitePoset, Q: FinitePoset, labels: list,
+                 elements: Iterable[Element]):
+        elements = tuple(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        self.elements, self._index, self._factors = elements, index, (P, Q)
+        self._pair_index = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
+
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """(up-masks, down-masks), closed over the factors' covers."""
+        (A, B), at = self._factors, self._pair_index
+        nb = len(B)
+        above_a, above_b = A._covers, B._covers
+        up = _cover_closure(at, nb, above_a, above_b, A._order[::-1], B._order[::-1])
+        down = _cover_closure(at, nb, _lower_covers(above_a), _lower_covers(above_b),
+                              A._order, B._order)
+        return up, down
+
+    @cached_property
+    def _down_sizes(self) -> list[int]:
+        """The products of the factors' down-set sizes, so no mask is read."""
+        A, B = self._factors
+        sizes = [0] * len(self.elements)
+        pairs = [x * y for x in A._down_sizes for y in B._down_sizes]
+        for i, size in zip(self._pair_index, pairs):
+            sizes[i] = size
+        return sizes
+
+    @cached_property
+    def _covers(self) -> list[list[int]]:
+        """(a, b) is covered by (c, b) for each c covering a and by (a, d)
+        for each d covering b."""
+        (A, B), at = self._factors, self._pair_index
+        nb = len(B)
+        above_b = B._covers
+        covers: list[list[int]] = [[]] * len(at)
+        for a, above_a in enumerate(A._covers):
+            row = a * nb
+            for b, over in enumerate(above_b):
+                covers[at[row + b]] = ([at[c * nb + b] for c in above_a]
+                                       + [at[row + d] for d in over])
+        return covers
+
+    @cached_property
+    def _mobius_rows(self) -> list[Row]:
+        """By the product theorem, from the factors' rows."""
+        return _outer(self, "_mobius_rows")
+
+    @cached_property
+    def _mobius_columns(self) -> list[Row]:
+        """By the product theorem, from the factors' columns."""
+        return _outer(self, "_mobius_columns")
+
+    # the same bodies under locks of their own (see the module docstring)
+    _order = cached_property(FinitePoset._order.func)
+    _rank = cached_property(FinitePoset._rank.func)
 
 
 def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
     """The pairs (a, b) of P x Q, ordered componentwise
     ((a, b) <= (a', b') when a <= a' and b <= b') and listed P-major."""
     pairs = list(product(P.elements, Q.elements))
-    return _labelled_product(P, Q, pairs, pairs)
+    return _Product(P, Q, pairs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +523,7 @@ def _transpose(rows: list[Row]) -> list[Row]:
     return columns
 
 
-def _outer(P: FinitePoset, field: str) -> list[Row]:
+def _outer(P: _Product, field: str) -> list[Row]:
     """The rows (`field` "_mobius_rows") or columns ("_mobius_columns") of
     a product's Mobius table, the outer products of that field of its
     factors, joined from blocks built once: block[b][c] holds the indices
@@ -560,7 +555,7 @@ def _outer(P: FinitePoset, field: str) -> list[Row]:
 def mobius(P: FinitePoset) -> IncidenceFunction:
     """The Mobius function: mu(x,x) = 1 and, below y, the values on
     [x, y) sum to -mu(x,y); computed once per poset, by the product
-    theorem on a product and by the bit-plane recursion otherwise."""
+    theorem on a `_Product` and by the bit-plane recursion otherwise."""
     return IncidenceFunction._from_rows(P, P._mobius_rows)
 
 
@@ -687,8 +682,10 @@ def _chain(elements: tuple) -> FinitePoset:
     full = (1 << n) - 1
     up = [full >> i << i for i in range(n)]
     down = [(2 << i) - 1 for i in range(n)]
-    index = {e: i for i, e in enumerate(elements)}
-    return FinitePoset._derived(elements, index, _masks=(up, down))
+    P = FinitePoset.__new__(FinitePoset)
+    P.elements, P._index = elements, {e: i for i, e in enumerate(elements)}
+    P._masks = (up, down)
+    return P
 
 
 def boolean_lattice(n: int) -> FinitePoset:
@@ -718,7 +715,7 @@ def _subset_lattice(atoms: tuple[int, ...]) -> FinitePoset:
     keys = [p + q for p in map(key, P.elements) for q in keys_q]
     labels = [a | b for a in P.elements for b in Q.elements]
     order = sorted(range(len(labels)), key=keys.__getitem__)
-    return _labelled_product(P, Q, labels, map(labels.__getitem__, order))
+    return _Product(P, Q, labels, map(labels.__getitem__, order))
 
 
 def divisor_poset(n: int) -> FinitePoset:
@@ -746,7 +743,7 @@ def _divisor_lattice(factors: tuple[tuple[int, int], ...], count: int) -> Finite
     P = _divisor_lattice(factors[:cut], size)
     Q = _divisor_lattice(factors[cut:], count // size)
     labels = [a * b for a in P.elements for b in Q.elements]
-    return _labelled_product(P, Q, labels, sorted(labels))
+    return _Product(P, Q, labels, sorted(labels))
 
 
 # ---------------------------------------------------------------------------

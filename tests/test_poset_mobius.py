@@ -679,6 +679,45 @@ def test_fields_under_threads_on_shared_and_fresh_products():
     assert all(checked is True for _, _, _, checked, _ in want)
 
 
+@pytest.mark.parametrize("field", ["_mobius_rows", "_order"])
+def test_explicit_mobius_waits_on_no_product_build(monkeypatch, field):
+    # on 3.10 and 3.11 a cached_property holds one lock for every instance
+    # of its class; a product's fields are fields of its own type, so an
+    # explicit poset's Mobius table is built while a product's build of
+    # `field` is parked, in the outer product or in the down-set sizes
+    product = pm.boolean_lattice(4)
+    parked, release = threading.Event(), threading.Event()
+
+    def parking(compute):
+        def run(P, *args):
+            if P is product:
+                parked.set()
+                release.wait(timeout=60)
+            return compute(P, *args)
+        return run
+
+    kind = type(product)
+    monkeypatch.setattr(pm, "_outer", parking(pm._outer))
+    monkeypatch.setattr(kind, "_down_sizes", property(parking(kind._down_sizes.func)))
+    chain3 = pm.FinitePoset(range(3), [(0, 1), (0, 2), (1, 2)])
+    got = []
+    build = threading.Thread(target=getattr, args=(product, field), daemon=True)
+    read = threading.Thread(target=lambda: got.append(dict(pm.mobius(chain3))), daemon=True)
+    build.start()
+    try:
+        assert parked.wait(timeout=60)
+        read.start()
+        read.join(timeout=10)
+        waited = read.is_alive()
+    finally:
+        release.set()
+    build.join(timeout=60)
+    read.join(timeout=60)
+    assert not waited, "the explicit poset's mobius waited for the product's build"
+    assert not build.is_alive() and got == [{
+        (0, 0): 1, (0, 1): -1, (0, 2): 0, (1, 1): 1, (1, 2): -1, (2, 2): 1}]
+
+
 def test_divisor_poset_shape():
     P = pm.divisor_poset(12)
     assert P.elements == (1, 2, 3, 4, 6, 12)

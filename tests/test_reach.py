@@ -1,11 +1,13 @@
 """tools/reach.py names each function of a package that its traffic never
 runs, and each public name of it that no code outside tests/ reads, and
 fails on one that its keep-list does not name.  The report runs here on
-a small module written to a temporary directory, never on the real
-traffic."""
+a small package, pkg, written to a temporary directory, never on the
+real traffic; the callers import from it as code outside the package
+does."""
 
 import importlib.util
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,10 @@ MODULE = ("from __future__ import annotations\n"
           "    def from_json(self):\n"
           "        return 1\n")
 # a caller outside tests/: a parameter that shares a global's name reads the local
-CALLER = ("def show(DEAD):\n"
+CALLER = ("from pkg.mod import A, B, used\n"
+          "\n"
+          "\n"
+          "def show(DEAD):\n"
           "    return DEAD\n"
           "\n"
           "\n"
@@ -65,38 +70,48 @@ WHY = {name: "why" for name in UNKEPT}
       "mod.gone: in the keep-list, but gone", "mod.used: in the keep-list, but it ran"]),
 ], ids=["unkept", "kept", "stale-keep"])
 def test_report_names_each_function_the_traffic_never_runs(tmp_path, kept, code, lines):
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "mod.py").write_text(MODULE)
-    (tmp_path / "use.py").write_text(CALLER)
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text("assert TESTED == 3\n")
-
-    def traffic():
-        names = runpy.run_path(str(tmp_path / "pkg" / "mod.py"))
-        for caller in ("use.py", "tests/test_mod.py"):
-            runpy.run_path(str(tmp_path / caller), init_globals=names)
-
+    traffic = _traffic(tmp_path, {"mod": MODULE}, CALLER,
+                       "from pkg.mod import TESTED\n\nassert TESTED == 3\n")
     got_code, text = reach.report(tmp_path, tmp_path / "pkg", traffic, kept)
     assert (got_code, text.splitlines()) == (
         code, [*lines, "3 of 5 functions ran", "4 of 6 public names are read"])
 
 
-def _flagged(root: Path, module: str, caller: str, tested: str = "") -> set[str]:
-    """Each name the report lists under a traffic that runs `module` as
-    pkg/mod.py, then `caller` outside tests/ and `tested` under tests/."""
+def _traffic(root: Path, modules: dict[str, str], caller: str, tested: str):
+    """Write `modules` as the files of root/pkg, then a traffic that runs
+    `caller` outside tests/ and `tested` under tests/, each able to import
+    pkg, which is imported afresh each time."""
     (root / "pkg").mkdir()
-    (root / "pkg" / "mod.py").write_text(module)
+    for name, source in modules.items():
+        (root / "pkg" / f"{name}.py").write_text(source)
     (root / "use.py").write_text(caller)
     (root / "tests").mkdir()
     (root / "tests" / "test_mod.py").write_text(tested)
 
     def traffic():
-        names = runpy.run_path(str(root / "pkg" / "mod.py"))
-        for path in ("use.py", "tests/test_mod.py"):
-            runpy.run_path(str(root / path), init_globals=names)
+        sys.path.insert(0, str(root))
+        try:
+            for path in ("use.py", "tests/test_mod.py"):
+                runpy.run_path(str(root / path))
+        finally:
+            sys.path.remove(str(root))
+            for name in [n for n in sys.modules if n.partition(".")[0] == "pkg"]:
+                del sys.modules[name]
 
+    return traffic
+
+
+def _unkept(root: Path, traffic) -> set[str]:
+    """Each name the report on root/pkg lists under `traffic`, with an
+    empty keep-list."""
     _, text = reach.report(root, root / "pkg", traffic, {})
     return {line.split(":")[0] for line in text.splitlines() if "not in the keep-list" in line}
+
+
+def _flagged(root: Path, module: str, caller: str, tested: str = "") -> set[str]:
+    """Each name the report lists under a traffic that runs `caller`
+    outside tests/ and `tested` under tests/, with `module` as pkg/mod.py."""
+    return _unkept(root, _traffic(root, {"mod": module}, caller, tested))
 
 
 def test_report_flags_a_name_or_method_only_tests_use(tmp_path):
@@ -115,15 +130,16 @@ def test_report_flags_a_name_or_method_only_tests_use(tmp_path):
               "\n"
               "def unused():\n"
               "    return 0\n")
-    assert _flagged(tmp_path, module, "Series().to_json()\n",
+    assert _flagged(tmp_path, module, "from pkg.mod import Series\n\nSeries().to_json()\n",
+                    "from pkg.mod import LIMIT, Series, unused\n\n"
                     "assert LIMIT and unused and Series.dummy\n") == {
         "mod.LIMIT", "mod.Series.dummy", "mod.unused"}
 
 
 @pytest.mark.parametrize("caller, found", [
-    ("for obj in (A(), B()):\n    obj.from_json()\n", set()),
-    ("A.from_json(A())\n", {"mod.B", "mod.B.from_json"}),
-    ("A.from_json(A())\nB.from_json(B())\n", set()),
+    ("from pkg.mod import A, B\n\nfor obj in (A(), B()):\n    obj.from_json()\n", set()),
+    ("from pkg.mod import A\n\nA.from_json(A())\n", {"mod.B", "mod.B.from_json"}),
+    ("from pkg.mod import A, B\n\nA.from_json(A())\nB.from_json(B())\n", set()),
 ], ids=["unqualified", "one-qualified", "both-qualified"])
 def test_report_needs_no_qualified_caller_for_a_shared_method_name(tmp_path, caller, found):
     # each method must run, so two classes may share a method name
@@ -138,25 +154,30 @@ def test_report_needs_no_qualified_caller_for_a_shared_method_name(tmp_path, cal
     assert _flagged(tmp_path, module, caller) == found
 
 
-@pytest.mark.parametrize("caller, found", [
-    ("def show(LIMIT):\n    return LIMIT\n\n\nshow(1)\n", {"mod.LIMIT"}),
-    ("def total():\n    LIMIT = [1]\n    return sum(LIMIT)\n\n\ntotal()\n", {"mod.LIMIT"}),
-    ("[LIMIT for LIMIT in range(2)]\n", {"mod.LIMIT"}),
-    ("def bump():\n    global LIMIT\n    LIMIT += 1\n\n\nbump()\n", set()),
-    ("def show(n):\n    return LIMIT + n\n\n\nshow(1)\n", set()),
+@pytest.mark.parametrize("run, found", [
+    ("def run(LIMIT=2):\n    return LIMIT\n", {"mod.LIMIT"}),
+    ("def run():\n    LIMIT = [1]\n    return sum(LIMIT)\n", {"mod.LIMIT"}),
+    ("def run():\n    return [LIMIT for LIMIT in range(2)]\n", {"mod.LIMIT"}),
+    ("def run():\n    global LIMIT\n    LIMIT += 1\n", set()),
+    ("def run(n=1):\n    return LIMIT + n\n", set()),
 ], ids=["parameter", "assignment", "comprehension", "global", "call"])
-def test_report_counts_no_read_of_a_local_that_shares_a_name(tmp_path, caller, found):
-    assert _flagged(tmp_path, "LIMIT = 1\n", caller) == found
+def test_report_counts_no_read_of_a_local_that_shares_a_name(tmp_path, run, found):
+    # the module's own function reads a local, not the global, of that name
+    module = "LIMIT = 1\n\n\n" + run
+    assert _flagged(tmp_path, module, "from pkg.mod import run\n\nrun()\n") == found
 
 
 @pytest.mark.parametrize("module, caller, found", [
     ("from __future__ import annotations\n\nAlias = int\n\n\n"
-     "def used(x: Alias) -> int:\n    return x\n", "used(1)\n", set()),
+     "def used(x: Alias) -> int:\n    return x\n", "from pkg.mod import used\n\nused(1)\n",
+     set()),
     ("Alias = int\n\n\ndef used(x: 'list[Alias]') -> int:\n    return len(x)\n",
-     "used([])\n", set()),
-    ("from __future__ import annotations\n\nAlias = int\nLIMIT: Alias = 1\n", "LIMIT\n", set()),
+     "from pkg.mod import used\n\nused([])\n", set()),
+    ("from __future__ import annotations\n\nAlias = int\nLIMIT: Alias = 1\n",
+     "from pkg.mod import LIMIT\n", set()),
     ("from __future__ import annotations\n\nAlias = int\n\n\n"
-     "def unused(x: Alias) -> int:\n    return x\n", "", {"mod.Alias", "mod.unused"}),
+     "def unused(x: Alias) -> int:\n    return x\n", "import pkg.mod\n",
+     {"mod.Alias", "mod.unused"}),
 ], ids=["future", "quoted", "module", "not-run"])
 def test_report_reads_a_name_in_an_annotation_of_code_that_ran(tmp_path, module, caller, found):
     assert _flagged(tmp_path, module, caller) == found
@@ -166,4 +187,39 @@ def test_report_counts_no_read_from_outside_the_root(tmp_path):
     # fractions.Fraction loads numbers.Rational, but the standard library
     # is not under the root, so the alias stays unread
     module = "from fractions import Fraction\n\nRational = Fraction\n"
-    assert _flagged(tmp_path, module, "Fraction(1, 2) + 1\n") == {"mod.Rational"}
+    caller = "from pkg.mod import Fraction\n\nFraction(1, 2) + 1\n"
+    assert _flagged(tmp_path, module, caller) == {"mod.Rational"}
+
+
+# mod and other both define Scalar, and the package exports other's, as
+# __init__.py exports the real package's names; mod reads its own Scalar
+# only in an annotation of double
+TWIN = ("from __future__ import annotations\n"
+        "\n"
+        "Scalar = int\n"
+        "\n"
+        "\n"
+        "def double(x: Scalar) -> Scalar:\n"
+        "    return 2 * x\n")
+EXPORTS = ('_EXPORTS = {"mod": ("double",), "other": ("Scalar",)}\n'
+           "\n"
+           "\n"
+           "def __getattr__(name):\n"
+           "    for home, names in _EXPORTS.items():\n"
+           "        if name in names:\n"
+           "            return getattr(__import__(home, globals(), None, (), 1), name)\n"
+           "    raise AttributeError(name)\n")
+
+
+@pytest.mark.parametrize("caller, found", [
+    ("from pkg import double\n\ndouble(1)\n", {"other.Scalar"}),
+    ("from pkg import double\nfrom pkg.other import Scalar\n\nScalar(1)\n",
+     {"mod.Scalar", "mod.double"}),
+    ("from pkg import Scalar, double\n\nScalar(1)\n", {"mod.Scalar", "mod.double"}),
+    ("import pkg.other\nfrom pkg import double\n\npkg.other.Scalar(1)\n", {"mod.double"}),
+], ids=["own-module", "imported-from", "package-export", "attribute"])
+def test_report_resolves_a_name_to_the_module_it_is_read_from(tmp_path, caller, found):
+    # a name read by name or imported is one module's; an attribute is
+    # matched by its text, so pkg.other.Scalar reads mod's Scalar too
+    modules = {"__init__": EXPORTS, "mod": TWIN, "other": "Scalar = int\n"}
+    assert _unkept(tmp_path, _traffic(tmp_path, modules, caller, "")) == found

@@ -109,11 +109,27 @@ RSA = [
     ["keygen", "--p", "5", "--q", "5", "--e", "3"],  # refused: p = q
 ]
 
+# usage errors, which argparse reports on stderr with exit code 2, in the
+# same bytes on CPython 3.10, 3.11 and 3.12
+USAGE = [
+    # no command, or none that the root parser knows
+    [], ["frobnicate"], ["-5"], ["--"], ["--", "coeff", "binomial", "5", "2"],
+    ["frobnicate", "coeff"], [""],
+    # an unknown option before the command
+    ["--verbose", "coeff", "binomial", "5", "2"], ["--verbose", "table", "binomial"],
+    # errors inside a command
+    ["coeff", "catalan", "5"], ["table", "pascal", "--rows", "3", "--cols", "3"],
+    ["table", "binomial", "--rows", "3"], ["rsa", "keygen", "--p", "61"],
+    ["poset"], ["rsa", "sign"], ["enumerate", "menage", "4", "--limit"],
+    # a prefix that fits two options
+    ["enumerate", "permutations", "4", "--c", "2"],
+]
+
 
 def commands() -> list[list[str]]:
     """`verify`, its list, each suite, a repeated selection, an unknown
-    suite, and the `coeff`, `table`, `enumerate`, `poset` and `rsa`
-    commands above."""
+    suite, the `coeff`, `table`, `enumerate`, `poset` and `rsa` commands
+    above, and the usage errors."""
     from exactcomb.verify import SUITES
 
     return [
@@ -127,6 +143,7 @@ def commands() -> list[list[str]]:
         *(["enumerate", *args] for args in ENUMERATE),
         *(["poset", *args] for args in POSET),
         *(["rsa", *args] for args in RSA),
+        *USAGE,
     ]
 
 

@@ -18,13 +18,18 @@ It then prints, as "module.qualname", every function or method defined
 in the package (a ``def``, not a lambda or comprehension) that never
 ran, and, as "module.name", every public top-level class or assignment
 of the package that no recorded code object reads.  A code object reads
-each name one of its instructions loads by name or attribute (LOAD_NAME,
-LOAD_GLOBAL, LOAD_ATTR, LOAD_METHOD, IMPORT_FROM; whether or not that
+each name one of its instructions loads (whether or not that
 instruction ran), and each name in an annotation of its ``def`` or, for
 a module, of its top-level annotated assignments: under ``from
-__future__ import annotations`` no annotation is loaded.  A name is
-matched by its text alone.  Each one listed carries the reason it stays
-if KEPT names it.  The tool exits 1 when one of them is not in KEPT, or
+__future__ import annotations`` no annotation is loaded.  A name loaded
+by name (LOAD_NAME, LOAD_GLOBAL) or in an annotation is the reading
+module's own, or that of the module its file imports it from with
+``from ... import``; an IMPORT_FROM reads the name of the module it
+imports from, and a name imported from the package itself is that of
+its home module in the package's ``_EXPORTS``.  An attribute (LOAD_ATTR,
+LOAD_METHOD, or ``x.name`` in an annotation) is matched by its text
+alone, in any module.  Each one listed carries the reason it stays if
+KEPT names it.  The tool exits 1 when one of them is not in KEPT, or
 when a KEPT name ran, is read or no longer exists (it then leaves the
 list), and 0 otherwise.  Standard library only; it takes a few seconds.
 
@@ -45,12 +50,11 @@ import tempfile
 from inspect import CO_NEWLOCALS
 from pathlib import Path
 from types import CodeType
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "exactcomb"
 DECKS = 3
-LOADS = {"LOAD_NAME", "LOAD_GLOBAL", "LOAD_ATTR", "LOAD_METHOD", "IMPORT_FROM"}
 # "module.qualname" or "module.name" -> why a function that no caller runs,
 # or a name that none reads, stays
 KEPT = {
@@ -150,29 +154,84 @@ def _annotated(tree: ast.Module) -> dict[tuple, list[ast.expr]]:
     return out
 
 
-def _names(expression: ast.expr) -> set[str]:
-    """The names and attributes an annotation mentions, inside quotes too."""
-    out = set()
+def _names(expression: ast.expr) -> Iterator[tuple[bool, str]]:
+    """(is an attribute, name) for each name and attribute an annotation
+    mentions, inside quotes too."""
     for node in ast.walk(expression):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            yield False, node.id
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            yield True, node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out |= _names(ast.parse(node.value, mode="eval").body)
-    return out
+            yield from _names(ast.parse(node.value, mode="eval").body)
 
 
-def read_by(codes: list[CodeType]) -> set[str]:
-    """Every name that the code objects load, or name in their annotations."""
-    read = {ins.argval for code in codes for ins in dis.get_instructions(code)
-            if ins.opname in LOADS}
-    annotated = {path: _annotated(ast.parse(Path(path).read_text()))
-                 for path in {code.co_filename for code in codes}}
+def _exports(package: Path) -> dict[str, str]:
+    """name -> home module, from the ``_EXPORTS`` table of the package's
+    __init__.py, if it has one."""
+    init = package / "__init__.py"
+    for node in ast.parse(init.read_text()).body if init.exists() else []:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return {name: home for home, names in ast.literal_eval(node.value).items()
+                    for name in names}
+    return {}
+
+
+def _home(package: Path, exports: dict[str, str], filename: str, module: str,
+          level: int, name: str) -> Optional[str]:
+    """"module.name" for `name` imported in `filename` from `module`, `level`
+    dots up, when that is the package or one of its modules; None otherwise."""
+    if level:
+        if level > 1 or Path(filename).parent != package:
+            return None
+        parts = module.split(".") if module else []
+    else:
+        parts = module.split(".")
+        if parts[0] != package.name:
+            return None
+        parts = parts[1:]
+    return f"{parts[0] if parts else exports.get(name, '__init__')}.{name}"
+
+
+def read_by(codes: list[CodeType], package: Path) -> tuple[set[str], set[str]]:
+    """What the code objects read: "module.name" for each name that they
+    load by name, import or annotate, resolved as the module docstring
+    says, and each attribute name that they load or annotate."""
+    exports = _exports(package)
+    files = {}
+    for path in {code.co_filename for code in codes}:
+        tree = ast.parse(Path(path).read_text())
+        imported = {alias.asname or alias.name: _home(package, exports, path, node.module or "",
+                                                      node.level, alias.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        own = Path(path).stem if Path(path).parent == package else None
+        files[path] = _annotated(tree), imported, own
+    names, attributes = set(), set()
     for code in codes:
-        for expression in annotated[code.co_filename].get((code.co_firstlineno, code.co_name), []):
-            read |= _names(expression)
-    return read
+        annotated, imported, own = files[code.co_filename]
+
+        def resolve(name: str) -> Optional[str]:
+            return imported[name] if name in imported else own and f"{own}.{name}"
+
+        instructions = list(dis.get_instructions(code))
+        for k, ins in enumerate(instructions):
+            if ins.opname in ("LOAD_NAME", "LOAD_GLOBAL"):
+                names.add(resolve(ins.argval))
+            elif ins.opname in ("LOAD_ATTR", "LOAD_METHOD"):
+                attributes.add(ins.argval)
+            elif ins.opname == "IMPORT_NAME":  # after LOAD_CONST level, LOAD_CONST names
+                source = ins.argval, instructions[k - 2].argval
+            elif ins.opname == "IMPORT_FROM":
+                names.add(_home(package, exports, code.co_filename, *source, ins.argval))
+        for expression in annotated.get((code.co_firstlineno, code.co_name), []):
+            for attribute, name in _names(expression):
+                if attribute:
+                    attributes.add(name)
+                else:
+                    names.add(resolve(name))
+    return names, attributes
 
 
 def report(root: Path, package: Path, traffic: Callable[[], None],
@@ -182,9 +241,10 @@ def report(root: Path, package: Path, traffic: Callable[[], None],
     functions, names = defined(package), public(package)
     codes = ran_in(root, traffic)
     ran = {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes}
-    read = read_by(codes)
+    read, attributes = read_by(codes, package)
     unreached = {name for key, name in functions.items() if key not in ran}
-    unread = {qualified for qualified, name in names.items() if name not in read}
+    unread = {qualified for qualified, name in names.items()
+              if qualified not in read and name not in attributes}
     lines, code = [], 0
     for name in sorted(unreached | unread):
         if name in kept:
