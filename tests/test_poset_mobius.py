@@ -642,10 +642,11 @@ def test_mobius_on_a_product_reads_no_order_or_mask():
 def test_fields_under_threads_on_shared_and_fresh_products():
     # 4 threads read the fields of one shared product and of fresh nested
     # ones at once; on 3.10 and 3.11 every first read of a field takes
-    # that field's lock, shared by all posets, so a wait in a cycle would
-    # hang here, and each thread is joined with a timeout instead.  The
-    # fresh divisor lattice is that of 2^4 3^2 5 7 11 13 17 (480 divisors):
-    # four fresh copies of the 6720 divisors' tables took 400 MB
+    # that field's lock, shared by all posets of its kind, so a wait in a
+    # cycle would hang here, and each thread is joined with a timeout
+    # instead.  The fresh divisor lattice is that of 2^4 3^2 5 7 11 13 17
+    # (480 divisors): four fresh copies of the 6720 divisors' tables took
+    # 400 MB
     shared = pm.boolean_lattice(9)
 
     def answers(P):
