@@ -17,7 +17,8 @@ returns a value.  Each names its check by a label: a string, or a tuple
 (name, *args) that is formatted only when the check fails.  No other
 module raises ArithmeticError itself.
 Every cap on the size of a request is checked by `guard`, which raises
-SizeGuardError (a ValueError) before the work starts.
+SizeGuardError (a ValueError) before the work starts.  A `RowTable`'s rows
+and each `once` field are built once, under the table's or object's lock.
 """
 
 from __future__ import annotations
@@ -58,6 +59,29 @@ class RowTable:
                 while len(rows) <= n:
                     rows.append(self._step(rows[-1], len(rows)))
         return rows[n]
+
+
+class once:
+    """A field computed on its object's first read, under a re-entrant lock
+    made once per object, and kept in the object's ``__dict__``: racing
+    threads compute it once and no read waits on another object.  Deadlock
+    is impossible while a field reads only fields of its object or of those
+    it was built from (a product's factors), never of one built from it."""
+
+    def __init__(self, func: Callable):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        fields = instance.__dict__
+        with fields.get("_once_lock") or fields.setdefault("_once_lock", threading.RLock()):
+            if self.name not in fields:
+                fields[self.name] = self.func(instance)
+        return fields[self.name]
 
 
 class Record:

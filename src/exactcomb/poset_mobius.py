@@ -30,21 +30,13 @@ the up-mask of (a, b) is its own bit OR'd with the up-masks of the pairs
 one cover step above it.  JSON is imported only by the functions that
 read it.
 
-Posets are immutable; each derived field is a `functools.cached_property`,
-computed on first read and kept: `_covers`, `_down_sizes`, `_order` (a
-linear extension), `_rank` (each index's place in it), the Mobius
+Posets are immutable; each derived field is an `exact_core.once`, built
+once per poset on first read and kept: `_covers`, `_down_sizes`, `_order`
+(a linear extension), `_rank` (each index's place in it), the Mobius
 table's `_mobius_rows` (for each x, the indices of the y >= x and the
 values mu(x, y)) and `_mobius_columns` (the x <= y and mu(x, y)), and on
-a `_Product` `_masks`, which an explicit poset sets at construction.  On
-CPython 3.10 and 3.11 there is one lock per field per kind, shared by
-all posets of that kind: a field is computed once, and a first read of
-it on another poset of the kind waits.  A product's fields may wait on
-its factors' fields; an explicit poset's fields never wait on a
-product's.  Fields read each other in one direction (columns, rows,
-rank, order, down-set sizes; a product's masks read its factors' covers
-and order), so no two locks wait on each other; from 3.12 there is no
-lock, and racing threads may both compute a field, each storing it
-whole.  The Mobius table has two routes:
+a `_Product` `_masks`, which an explicit poset sets at construction.  A
+field reads only its poset's and its factors' fields.  Mobius has two routes:
 
 * a `_Product`: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
@@ -87,13 +79,12 @@ element's count of sets; no intersection is walked and no set is built.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence, Union
 
 from .counting import binomial
-from .exact_core import Record, agree, guard, integer_form
+from .exact_core import Record, agree, guard, integer_form, once
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -167,19 +158,19 @@ class FinitePoset:
         """Bit i of _down[j] says elements[i] <= elements[j]."""
         return self._masks[1]
 
-    @cached_property
+    @once
     def _down_sizes(self) -> list[int]:
         """The size of each down-set."""
         return [mask.bit_count() for mask in self._down]
 
-    @cached_property
+    @once
     def _order(self) -> list[int]:
         """The indices in a linear extension: any order sorted by down-set
         size is one, since x < y forces down(x) to be strictly inside
         down(y); the sort is stable, so ties stay in index order."""
         return sorted(range(len(self.elements)), key=self._down_sizes.__getitem__)
 
-    @cached_property
+    @once
     def _rank(self) -> list[int]:
         """Each index's position in `_order`."""
         rank = [0] * len(self.elements)
@@ -209,7 +200,7 @@ class FinitePoset:
     def _members(self, mask: int) -> list[Element]:
         return [self.elements[i] for i in _bits(mask)]
 
-    @cached_property
+    @once
     def _covers(self) -> list[list[int]]:
         """For each element, the indices of the elements covering it."""
         up, down = self._masks
@@ -219,13 +210,13 @@ class FinitePoset:
             covers.append([j for j in _bits(above) if down[j] & above == 1 << j])
         return covers
 
-    @cached_property
+    @once
     def _mobius_rows(self) -> list[Row]:
         """For each x, the indices of the y >= x and mu(x, y), by the
         bit-plane recursion."""
         return _plane_rows(self)
 
-    @cached_property
+    @once
     def _mobius_columns(self) -> list[Row]:
         """For each y, the indices of the x <= y and mu(x, y)."""
         return _transpose(self._mobius_rows)
@@ -337,7 +328,7 @@ class _Product(FinitePoset):
         self.elements, self._index, self._factors = elements, index, (P, Q)
         self._pair_index = [index[e] for e in labels]  # a * len(Q) + b -> the index of (a, b)
 
-    @cached_property
+    @once
     def _masks(self) -> tuple[list[int], list[int]]:
         """(up-masks, down-masks), closed over the factors' covers."""
         (A, B), at = self._factors, self._pair_index
@@ -348,7 +339,7 @@ class _Product(FinitePoset):
                               A._order, B._order)
         return up, down
 
-    @cached_property
+    @once
     def _down_sizes(self) -> list[int]:
         """The products of the factors' down-set sizes, so no mask is read."""
         A, B = self._factors
@@ -358,7 +349,7 @@ class _Product(FinitePoset):
             sizes[i] = size
         return sizes
 
-    @cached_property
+    @once
     def _covers(self) -> list[list[int]]:
         """(a, b) is covered by (c, b) for each c covering a and by (a, d)
         for each d covering b."""
@@ -373,19 +364,15 @@ class _Product(FinitePoset):
                                        + [at[row + d] for d in over])
         return covers
 
-    @cached_property
+    @once
     def _mobius_rows(self) -> list[Row]:
         """By the product theorem, from the factors' rows."""
         return _outer(self, "_mobius_rows")
 
-    @cached_property
+    @once
     def _mobius_columns(self) -> list[Row]:
         """By the product theorem, from the factors' columns."""
         return _outer(self, "_mobius_columns")
-
-    # the same bodies under locks of their own (see the module docstring)
-    _order = cached_property(FinitePoset._order.func)
-    _rank = cached_property(FinitePoset._rank.func)
 
 
 def product_poset(P: FinitePoset, Q: FinitePoset) -> FinitePoset:

@@ -20,12 +20,12 @@ operand with fewer runs of equal nonzero terms.  `**` squares
 repeatedly, and `compose` is Horner's rule on the outer series' integer
 numerators, whose constants are added to the numerators without a new
 reduction, with one division by the outer denominator at the end.
-`coeffs`, the coefficients as reduced `Fraction`s, is a
-`functools.cached_property`: built from the form on first read and then
-kept (so the class has no `__slots__`); a series built from `Fraction`s
-keeps them as its `coeffs`.  The `Fraction` schoolbook product is kept
-as `_mul_schoolbook`, the reference route that the tests and
-`exactcomb verify` compare the product, powers (as n-fold schoolbook
+`coeffs`, the coefficients as reduced `Fraction`s, is an
+`exact_core.once`: built from the form on first read, once per series,
+and then kept (so the class has no `__slots__`); a series built from
+`Fraction`s keeps them as its `coeffs`.  The `Fraction` schoolbook
+product is kept as `_mul_schoolbook`, the reference route that the tests
+and `exactcomb verify` compare the product, powers (as n-fold schoolbook
 products) and composition against; it reads `coeffs`.
 
 `fractions` is imported only where a Fraction is read or made, so a
@@ -38,12 +38,11 @@ instead, since a call of `fraction` per coefficient measured slower.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate, groupby
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .exact_core import fraction, integer_form
+from .exact_core import fraction, integer_form, once
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -140,7 +139,7 @@ class FormalSeries:
         nums, self.den = integer_form(values)
         self.nums = tuple(nums)
 
-    @cached_property
+    @once
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced `Fraction`s, built from the form."""
         from fractions import Fraction

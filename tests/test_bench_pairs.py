@@ -25,14 +25,18 @@ STUB_RUN = """\
 import json, os, sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 import probe
+if probe.REFERENCE is not None:
+    print(f"  reference_ms {probe.REFERENCE} ms")
 print(json.dumps({"metrics": {"ops_per_s": {"value": probe.OPS, "unit": "1/s"}},
                   "correct": True, "failed": 0, "attempted": 1}))
 """
 
 
-def checkout(root: Path, ops: float) -> Path:
+def checkout(root: Path, ops: float, reference: float | None = None) -> Path:
+    """A checkout whose run.py reports `ops` and, unless None, the machine
+    speed `reference` in a reference_ms line, as perfbench/run.py does."""
     (root / "src").mkdir(parents=True)
-    (root / "src" / "probe.py").write_text(f"OPS = {ops}\n")
+    (root / "src" / "probe.py").write_text(f"OPS = {ops}\nREFERENCE = {reference}\n")
     (root / "perfbench").mkdir()
     (root / "perfbench" / "run.py").write_text(STUB_RUN)
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -88,6 +92,24 @@ def test_runs_write_no_bytecode(tmp_path):
     for side in (parent, change):
         assert not [p for p in (side / "src").rglob("*")
                     if p.name == "__pycache__" or p.suffix == ".pyc"]
+    # runs that print no machine speed get no speed line
+    assert "reference_ms" not in entry
+    assert "reference_ms" not in proc.stderr
+
+
+def test_prints_machine_speed_next_to_the_verdict(tmp_path):
+    parent = checkout(tmp_path / "parent", 1.0, reference=0.4)
+    change = checkout(tmp_path / "change", 1.0, reference=0.55)
+    out = tmp_path / "BENCH_0.json"
+    proc = record(parent, change, out)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-2:] == [
+        "stub ops_per_s: parent 1 [1, 1] -> change 1, change won 0/2: within bound",
+        "stub reference_ms (machine speed, lower is faster): "
+        "parent 0.4 [0.4, 0.4], change 0.55 [0.55, 0.55]"]
+    speed = json.loads(out.read_text())["workloads"]["stub"]["reference_ms"]
+    assert (speed["parent"]["values"], speed["change"]["values"]) == ([0.4, 0.4], [0.55, 0.55])
 
 
 def summary(parent, change, better="lower"):

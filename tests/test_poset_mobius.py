@@ -641,8 +641,8 @@ def test_mobius_on_a_product_reads_no_order_or_mask():
 
 def test_fields_under_threads_on_shared_and_fresh_products():
     # 4 threads read the fields of one shared product and of fresh nested
-    # ones at once; on 3.10 and 3.11 every first read of a field takes
-    # that field's lock, shared by all posets of its kind, so a wait in a
+    # ones at once; every first read of a field takes its poset's lock, and
+    # a product's fields take its factors' locks inside it, so a wait in a
     # cycle would hang here, and each thread is joined with a timeout
     # instead.  The fresh divisor lattice is that of 2^4 3^2 5 7 11 13 17
     # (480 divisors): four fresh copies of the 6720 divisors' tables took
@@ -681,42 +681,66 @@ def test_fields_under_threads_on_shared_and_fresh_products():
 
 
 @pytest.mark.parametrize("field", ["_mobius_rows", "_order"])
-def test_explicit_mobius_waits_on_no_product_build(monkeypatch, field):
-    # on 3.10 and 3.11 a cached_property holds one lock for every instance
-    # of its class; a product's fields are fields of its own type, so an
-    # explicit poset's Mobius table is built while a product's build of
-    # `field` is parked, in the outer product or in the down-set sizes
+def test_explicit_mobius_waits_on_no_product_build(monkeypatch, parking, field):
+    # an explicit poset's Mobius table is built while a product's build of
+    # `field` is held, in the outer product or in the down-set sizes
     product = pm.boolean_lattice(4)
-    parked, release = threading.Event(), threading.Event()
-
-    def parking(compute):
-        def run(P, *args):
-            if P is product:
-                parked.set()
-                release.wait(timeout=60)
-            return compute(P, *args)
-        return run
-
     kind = type(product)
-    monkeypatch.setattr(pm, "_outer", parking(pm._outer))
-    monkeypatch.setattr(kind, "_down_sizes", property(parking(kind._down_sizes.func)))
+    monkeypatch.setattr(pm, "_outer", parking.wrap(product, pm._outer))
+    monkeypatch.setattr(kind, "_down_sizes",
+                        property(parking.wrap(product, kind._down_sizes.func)))
     chain3 = pm.FinitePoset(range(3), [(0, 1), (0, 2), (1, 2)])
-    got = []
-    build = threading.Thread(target=getattr, args=(product, field), daemon=True)
-    read = threading.Thread(target=lambda: got.append(dict(pm.mobius(chain3))), daemon=True)
-    build.start()
-    try:
-        assert parked.wait(timeout=60)
-        read.start()
-        read.join(timeout=10)
-        waited = read.is_alive()
-    finally:
-        release.set()
-    build.join(timeout=60)
-    read.join(timeout=60)
+    waited, got = parking.read_beside(lambda: getattr(product, field),
+                                      lambda: dict(pm.mobius(chain3)))
     assert not waited, "the explicit poset's mobius waited for the product's build"
-    assert not build.is_alive() and got == [{
-        (0, 0): 1, (0, 1): -1, (0, 2): 0, (1, 1): 1, (1, 2): -1, (2, 2): 1}]
+    assert got == [{(0, 0): 1, (0, 1): -1, (0, 2): 0, (1, 1): 1, (1, 2): -1, (2, 2): 1}]
+
+
+@pytest.mark.parametrize("kind", ["explicit", "product"])
+def test_first_mobius_waits_on_no_other_poset(monkeypatch, parking, kind):
+    # a first `mobius` of one poset while the same field of another poset of
+    # its class is held inside its computation
+    if kind == "explicit":
+        make, held = lambda: random_poset(random.Random(5), 12), chain(4)
+        compute = "_plane_rows"
+    else:
+        make, held = lambda: pm.divisor_poset(12), pm.boolean_lattice(4)
+        compute = "_outer"
+    other = make()
+    assert type(other) is type(held)
+    monkeypatch.setattr(pm, compute, parking.wrap(held, getattr(pm, compute)))
+    waited, got = parking.read_beside(lambda: pm.mobius(held), lambda: dict(pm.mobius(other)))
+    assert not waited, f"the {kind} poset's mobius waited for another's build"
+    assert got == [dict(pm._mobius_reference(make()))]
+
+
+def test_racing_first_reads_compute_once(monkeypatch):
+    # 8 threads read `mobius` of one fresh product and of one fresh explicit
+    # poset at once: each poset's table (and each factor's) is computed by
+    # one call, and every thread gets the same rows
+    calls = []
+    for name in ("_outer", "_plane_rows"):
+        monkeypatch.setattr(pm, name, lambda P, *args, compute=getattr(pm, name):
+                            calls.append(P) or compute(P, *args))
+    product, explicit = pm.boolean_lattice(10), random_poset(random.Random(7), 60)
+    start = threading.Barrier(8, timeout=60)
+
+    def work(_):
+        start.wait()
+        return pm.mobius(product)._rows, pm.mobius(explicit)._rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rows is got[0][0] for rows, _ in got)
+    assert all(rows is got[0][1] for _, rows in got)
+    # boolean_lattice(10): 9 products over 10 two-element chains
+    assert len(calls) == len(set(map(id, calls))) == 20
+    assert product in calls and explicit in calls
 
 
 def test_divisor_poset_shape():

@@ -209,3 +209,19 @@ def test_operations_build_no_fraction(fraction_news):
     assert fraction_news == []
     assert results[:3] == [_mul_schoolbook(a, b), schoolbook_power(a, 5),
                            schoolbook_compose(a, g)]
+
+
+def test_first_coeffs_read_waits_on_no_other_series(parking):
+    # one series' `coeffs` is built while another's build is held inside
+    # its computation, where it reads the numerators
+    class Held(tuple):
+        def __iter__(self):
+            parking.hold()
+            return tuple.__iter__(self)
+
+    held, other = FormalSeries.from_form([1, 2, 3], 5), FormalSeries.from_form([4, 5, 6], 7)
+    held.nums = Held(held.nums)
+    waited, got = parking.read_beside(lambda: held.coeffs, lambda: other.coeffs)
+    assert not waited, "a series' coeffs waited for another series' build"
+    assert got == [(Fraction(4, 7), Fraction(5, 7), Fraction(6, 7))]
+    assert held.coeffs == (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5))

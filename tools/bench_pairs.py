@@ -11,7 +11,10 @@ side.  Standard library only.
 
 After each workload it prints to stderr one line per end-to-end metric: the
 parent's median and quartiles, the change's median, the change's wins and a
-verdict (`verdict`): gain, within bound, worse or unresolved.
+verdict (`verdict`): gain, within bound, worse or unresolved.  When the runs
+recorded the machine speed, one more line gives each side's median
+``reference_ms`` and quartiles, so that a verdict can be read against a
+drift of the machine; the verdict itself reads only the metric.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_7.json \\
         --workloads struct-ops coeff-session cli-oneshot --seeds 1 2 3 --seconds 20
@@ -147,6 +150,13 @@ def report(workload: str, name: str, metric: dict, bound: float) -> str:
             f"{wins['change']}/{sum(wins.values())}: {verdict(metric, bound)}")
 
 
+def speed_report(workload: str, reference: dict[str, dict]) -> str:
+    """The stderr line for the machine speed that each side's runs measured."""
+    sides = ", ".join(f"{side} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+                      for side, s in reference.items())
+    return f"{workload} reference_ms (machine speed, lower is faster): {sides}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -203,8 +213,10 @@ def main() -> int:
             "metrics": metrics,
         }
         if all("reference_ms" in r for rs in runs.values() for r in rs):
-            doc["workloads"][key]["reference_ms"] = {
-                side: spread([r["reference_ms"] for r in rs]) for side, rs in runs.items()}
+            reference = {side: spread([r["reference_ms"] for r in rs])
+                         for side, rs in runs.items()}
+            doc["workloads"][key]["reference_ms"] = reference
+            print(speed_report(key, reference), file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
