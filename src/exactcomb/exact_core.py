@@ -6,8 +6,7 @@ construction: always reduced, denominator strictly positive.  `counting`
 and `parse_rational` make theirs through `fraction`, which binds the class
 on its first call, so a command that makes none never loads `fractions`
 (nor the `decimal` and `numbers` modules it imports); `series` and
-`poset_mobius` import it only where a Fraction is read or made, and
-`poly_identities` with itself.
+`poset_mobius` import it only where a Fraction is read or made.
 
 The cross-check contract lives here: where independent routes compute one
 value, `agree` compares them, and where an exact division must come out

@@ -57,14 +57,6 @@ def _trial_candidates():
         f += 6
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return tuple(sorted(divs))
-
-
 def phi_scan(n: int) -> int:
     """Literal definition of the totient: scan 1..n counting coprimes."""
     if n < 1:

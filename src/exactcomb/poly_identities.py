@@ -10,9 +10,8 @@ assumed) here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .counting import cycle_count, falling_factorial, stirling1_signed, stirling2
 from .exact_core import agree, guard
@@ -32,15 +31,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> Coeffs:
     """a * b by `series.convolve`, with b padded to the product's length; its
     loop runs over the terms of a, so pass the shorter operand first."""
     return trim(convolve(a, list(b) + [0] * (len(a) - 1)))
-
-
-def evaluate(coeffs: Sequence[int], alpha: Union[int, Fraction]) -> Fraction:
-    """Horner evaluation at an exact rational point."""
-    alpha = Fraction(alpha)
-    acc = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * alpha + c
-    return acc
 
 
 def _shifted_product(shifts: range) -> Coeffs:

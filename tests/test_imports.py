@@ -62,12 +62,54 @@ import json
 print(json.dumps([code, modules]))
 """
 
-HEAVY = {"exactcomb.verify", "exactcomb.enumeration", "exactcomb.poset_mobius"}
-# standard-library modules that no command needs: `dataclasses` alone
-# imports `inspect`, `ast`, `dis` and `tokenize`, about 10 ms of start-up
-START_UP = {"dataclasses", "inspect"}
-# stands for the path of a small subset-family JSON file in argv
-FAMILY = "<family.json>"
+# the standard-library modules whose loading the table below pins down:
+# `fractions` imports `decimal`, so a command loads both (it reads or makes a
+# fraction) or neither; `dataclasses` alone imports `inspect`, `ast`, `dis`
+# and `tokenize`, about 10 ms of start-up, and no command needs it
+WATCHED = {"json", "csv", "fractions", "decimal", "dataclasses", "inspect"}
+
+# the exactcomb.* modules of a command: `coeff` and the help texts need the
+# root parser alone; the other commands build theirs from `commands`
+COEFF = "cli counting exact_core"
+HANDLER = COEFF + " commands"
+MATRIX = HANDLER + " recursive_matrix series"
+EVERY = MATRIX + " enumeration number_theory poly_identities poset_mobius verify"
+BOOLEAN3 = str(DATA / "boolean3.json")
+
+# (argv, every exactcomb.* module it loads, the modules of WATCHED it loads)
+LOADS = [
+    (["-h"], COEFF, ""),
+    (["coeff", "-h"], COEFF, ""),
+    (["coeff", "binomial", "6", "3"], COEFF, ""),
+    (["coeff", "stirling2", "9", "4"], COEFF, ""),
+    # the commands that factor
+    (["coeff", "phi", "360"], COEFF + " number_theory", ""),
+    (["coeff", "mobius", "30"], COEFF + " number_theory", ""),
+    # the commands that make a fraction
+    (["coeff", "gergonne", "12", "4", "1", "--circular"], COEFF, "fractions decimal"),
+    (["coeff", "birthday", "23"], COEFF, "fractions decimal"),
+    # a CSV table is written without `csv`, and only a JSON one loads `json`
+    (["table", "binomial", "--rows", "3", "--cols", "3"], MATRIX, ""),
+    (["table", "binomial", "--rows", "5", "--cols", "5", "--format", "csv"], MATRIX, ""),
+    (["table", "binomial", "--rows", "2", "--cols", "2", "--format", "json"], MATRIX, "json"),
+    (["table", "gentile", "--rows", "3", "--cols", "3", "--p", "2"], MATRIX, ""),
+    # rows read from the coeff table need no matrix
+    (["table", "stirling2", "--rows", "3", "--cols", "3"], HANDLER, ""),
+    (["enumerate", "subsets", "3"], HANDLER + " enumeration", ""),
+    (["enumerate", "partitions", "4"], HANDLER + " enumeration", ""),
+    (["enumerate", "menage", "4"], HANDLER + " enumeration", ""),
+    (["verify", "--list"], EVERY, "fractions decimal"),
+    (["verify", "core"], EVERY, "fractions decimal"),
+    (["verify", "numbers"], EVERY, "fractions decimal"),
+    # poset files are JSON; mobius and sieve print only integers, though
+    # poset_mobius holds fractions, and invert reads them
+    (["poset", "mobius", BOOLEAN3], HANDLER + " poset_mobius", "json"),
+    (["poset", "invert", BOOLEAN3, str(DATA / "boolean3_values.json")],
+     HANDLER + " poset_mobius", "json fractions decimal"),
+    (["poset", "sieve", str(DATA / "family.json")], HANDLER + " poset_mobius", "json"),
+    (["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "14"], HANDLER + " number_theory", ""),
+    (["rsa", "keygen", "--p", "61", "--q", "53", "--e", "17"], HANDLER + " number_theory", "json"),
+]
 
 
 def fresh(*code_and_args: str) -> subprocess.CompletedProcess:
@@ -82,99 +124,14 @@ def command(*argv: str) -> tuple[int, list[str], subprocess.CompletedProcess]:
     return code, modules, proc
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["coeff", "binomial", "6", "3"], HEAVY | {"exactcomb.recursive_matrix", "exactcomb.series"}),
-    (["coeff", "phi", "360"], HEAVY | {"exactcomb.recursive_matrix", "exactcomb.series"}),
-    (["table", "binomial", "--rows", "5", "--cols", "5"], HEAVY),
-    (["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "14"], HEAVY),
-])
-def test_command_loads_only_its_modules(argv, absent):
+@pytest.mark.parametrize("argv, ours, watched", LOADS,
+                         ids=[" ".join(argv).replace(f"{DATA}/", "") for argv, _, _ in LOADS])
+def test_command_loads_exactly_its_modules(argv, ours, watched):
     code, modules, proc = command(*argv)
     assert code == 0, proc.stderr
-    assert not (absent | START_UP) & set(modules), modules
-
-
-@pytest.mark.parametrize("argv, loaded", [
-    (["enumerate", "subsets", "3"], "exactcomb.enumeration"),
-    (["verify", "--list"], "exactcomb.verify"),
-    (["table", "stirling2", "--rows", "3", "--cols", "3"], "exactcomb.counting"),
-    (["verify", "numbers"], "exactcomb.verify"),
-    (["poset", "sieve", FAMILY], "exactcomb.poset_mobius"),
-    (["enumerate", "partitions", "4"], "exactcomb.enumeration"),
-])
-def test_command_loads_its_own_module(argv, loaded, tmp_path):
-    family = tmp_path / "family.json"
-    family.write_text(json.dumps({"universe": 4, "sets": [[0, 1], [1, 2]]}))
-    code, modules, proc = command(*(str(family) if a == FAMILY else a for a in argv))
-    assert code == 0, proc.stderr
-    assert loaded in modules
-    assert not START_UP & set(modules), modules
-    if argv[0] == "table":  # rows read from the coeff table need no matrix
-        assert "exactcomb.recursive_matrix" not in modules
-
-
-@pytest.mark.parametrize("argv, loads_json", [
-    (["table", "binomial", "--rows", "5", "--cols", "5", "--format", "csv"], False),
-    (["verify", "core"], False),
-    (["coeff", "binomial", "6", "3"], False),
-    (["enumerate", "subsets", "3"], False),
-    (["table", "binomial", "--rows", "2", "--cols", "2", "--format", "json"], True),
-])
-def test_only_json_commands_load_json(argv, loads_json):
-    code, modules, proc = command(*argv)
-    assert code == 0, proc.stderr
-    assert ("json" in modules) is loads_json and "csv" not in modules, modules
-
-
-# `fractions` imports `decimal`: a command loads both (it reads or makes a
-# fraction) or neither
-FRACTIONS = {"fractions", "decimal"}
-
-
-@pytest.mark.parametrize("argv, fractions, number_theory", [
-    (["coeff", "binomial", "6", "3"], False, False),
-    (["coeff", "stirling2", "9", "4"], False, False),
-    (["enumerate", "subsets", "3"], False, False),
-    (["table", "stirling2", "--rows", "3", "--cols", "3"], False, False),
-    # the commands that factor
-    (["coeff", "phi", "360"], False, True),
-    (["coeff", "mobius", "30"], False, True),
-    (["rsa", "encrypt", "--n", "25", "--e", "3", "--m", "14"], False, True),
-    (["rsa", "keygen", "--p", "61", "--q", "53", "--e", "17"], False, True),
-    # the commands that make or read a fraction
-    (["coeff", "gergonne", "12", "4", "1", "--circular"], True, False),
-    (["coeff", "birthday", "23"], True, False),
-    (["poset", "invert", str(DATA / "boolean3.json"), str(DATA / "boolean3_values.json")],
-     True, False),
-    # the commands that print only integers, though their modules hold fractions
-    (["poset", "mobius", str(DATA / "boolean3.json")], False, False),
-    (["poset", "sieve", str(DATA / "family.json")], False, False),
-    (["table", "binomial", "--rows", "3", "--cols", "3"], False, False),
-    (["table", "gentile", "--rows", "3", "--cols", "3", "--p", "2"], False, False),
-])
-def test_fractions_and_number_theory_load_only_where_used(argv, fractions, number_theory):
-    code, modules, proc = command(*argv)
-    assert code == 0, proc.stderr
-    assert FRACTIONS & set(modules) == (FRACTIONS if fractions else set()), modules
-    assert ("exactcomb.number_theory" in modules) is number_theory, modules
-
-
-@pytest.mark.parametrize("argv", [
-    ["-h"],
-    ["coeff", "-h"],
-    ["coeff", "stirling2", "9", "4"],
-    ["coeff", "gergonne", "12", "4", "1", "--circular"],
-    ["table", "stirling2", "--rows", "3", "--cols", "3"],
-    ["enumerate", "menage", "4"],
-    ["verify", "--list"],
-    ["poset", "mobius", str(DATA / "boolean3.json")],
-    ["rsa", "keygen", "--p", "61", "--q", "53", "--e", "17"],
-])
-def test_only_the_other_commands_load_their_handler_module(argv):
-    code, modules, proc = command(*argv)
-    assert code == 0, proc.stderr
-    other = argv[0] in {"table", "enumerate", "verify", "poset", "rsa"}
-    assert ("exactcomb.commands" in modules) is other, modules
+    assert sorted(m for m in modules if m.startswith("exactcomb.")) == sorted(
+        f"exactcomb.{m}" for m in ours.split()), modules
+    assert WATCHED & set(modules) == set(watched.split()), modules
 
 
 # each run in a fresh interpreter, on whose first error path `fractions` is

@@ -41,7 +41,6 @@ REJECTED = [
      "size guard exceeded: n=10000000000000 exceeds the trial-division bound"),
     (lambda: nt.phi_scan(0), ValueError, "n must be >= 1"),
     (lambda: nt.euler_phi(0), ValueError, "n must be >= 1"),
-    (lambda: nt.divisors(0), ValueError, "n must be >= 1"),
     (lambda: nt.mod_inverse(3, 1), ValueError, "modulus must be >= 2"),
     (lambda: nt.mod_inverse(0, 7), ValueError, "need 0 < x < n, got x=0, n=7"),
     (lambda: nt.mod_pow(2, -1, 7), ValueError, "exponent must be >= 0"),

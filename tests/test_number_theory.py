@@ -24,13 +24,6 @@ def test_factorize_golden():
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
 
 
-def test_divisors():
-    assert nt.divisors(12) == (1, 2, 3, 4, 6, 12)
-    assert nt.divisors(1) == (1,)
-    for n in range(1, 500):
-        assert nt.divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
 def test_euler_phi_golden():
     assert nt.euler_phi(30) == 8
     assert nt.euler_phi(1) == 1

@@ -1,6 +1,7 @@
 """Posets: construction, Mobius/delta, inversion, lattices, sieve."""
 
 import json
+import math
 import operator
 import random
 import sys
@@ -498,11 +499,26 @@ def test_boolean_lattice_cap_rejects_before_allocating():
     assert peak < 64 * 1024
 
 
+def divisors(n):
+    """The positive divisors of n, ascending, by trial division up to
+    isqrt(n): the reference for divisor_poset's elements, which come from
+    the factorization instead."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(low + [n // d for d in reversed(low) if d * d != n])
+
+
+def test_divisor_poset_lists_the_divisors():
+    assert divisors(1) == (1,) and divisors(12) == (1, 2, 3, 4, 6, 12)
+    for n in range(1, 500):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0), n
+        assert pm.divisor_poset(n).elements == divisors(n), n
+
+
 def test_divisor_cap_rejects_before_allocating(monkeypatch):
     # no n that factorize accepts has more divisors than 963761198400, so
     # the cap is lowered below its count to see where the check runs
     n = 963761198400
-    count = len(nt.divisors(n))
+    count = len(divisors(n))
     assert count == pm.MAX_DIVISOR_COUNT
     monkeypatch.setattr(pm, "MAX_DIVISOR_COUNT", count - 1)
     tracemalloc.start()
@@ -525,7 +541,7 @@ def _boolean_by_pairs(n):
 
 def _divisors_by_pairs(n):
     """The divisor lattice from its full list of pairs, validated."""
-    divs = nt.divisors(n)
+    divs = divisors(n)
     return pm.FinitePoset(divs, [(a, b) for a in divs for b in divs if b % a == 0])
 
 
@@ -587,7 +603,7 @@ def test_subset_factor_keys_hold_for_atoms_past_one(atoms):
 
 def test_largest_divisor_lattice_is_a_product():
     P = pm.divisor_poset(963761198400)
-    assert P.elements == nt.divisors(963761198400)
+    assert P.elements == divisors(963761198400)
     low, high = P._factors  # split where the divisor count passes sqrt(6720)
     assert low.elements[-1] == 2**6 * 3**4 * 5**2
     assert high.elements[-1] == 7 * 11 * 13 * 17 * 19 * 23

@@ -110,7 +110,7 @@ RSA = [
 ]
 
 # usage errors, which argparse reports on stderr with exit code 2, in the
-# same bytes on CPython 3.10, 3.11 and 3.12
+# same bytes on CPython 3.11, 3.12 and 3.13
 USAGE = [
     # no command, or none that the root parser knows
     [], ["frobnicate"], ["-5"], ["--"], ["--", "coeff", "binomial", "5", "2"],

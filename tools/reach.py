@@ -62,9 +62,6 @@ KEPT = {
                         "interactive use calls and no program does",
     "series.FormalSeries.__repr__": "shows a series in the REPL; no program "
                                     "prints one by its repr",
-    "number_theory.divisors": "the tests' reference for divisor_poset's elements",
-    "poly_identities.evaluate": "the tests' point-evaluation reference for every "
-                                "basis expansion",
     "poset_mobius.IncidenceFunction.__iter__": "required by collections.abc.Mapping; "
         "list(mu) and keys() read it, while the package reads a function through "
         "__call__, items() and len()",
