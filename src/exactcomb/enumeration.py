@@ -37,6 +37,7 @@ block an ascending tuple, blocks ordered by their minimum.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations, compress, permutations, product, repeat
 from operator import add, contains
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -129,17 +130,11 @@ def _with_tails(
     tails_of: Callable[[object], list[tuple[int, ...]]],
 ) -> Iterator[tuple[int, ...]]:
     """Each prefix of a walk over (prefix, key) pairs followed by each tail
-    in tails_of(key), in order.  tails_of runs once per key, into a table
-    local to this call, so walks consumed side by side share nothing, and
-    a finished object passes through no generator frame."""
-    table: dict = {}
-
-    def tails(key):
-        got = table.get(key)
-        if got is None:
-            got = table[key] = tails_of(key)
-        return got
-
+    in tails_of(key), in order.  tails_of runs once per key, through a
+    `functools.cache` made for each call, so walks consumed side by side
+    share nothing, and a finished object passes through no generator
+    frame."""
+    tails = cache(tails_of)
     return chain.from_iterable(map(prefix.__add__, tails(key)) for prefix, key in walk)
 
 
@@ -308,7 +303,7 @@ def enumerate_set_partitions(n: int, k: Optional[int] = None) -> Iterator[Partit
 
 def partition_type(partition: Partition) -> TypeVector:
     """The multiplicity vector recording how many blocks of each size."""
-    return TypeVector.of_sizes([len(b) for b in partition]) if partition else TypeVector(0, ())
+    return TypeVector.of_sizes([len(b) for b in partition])
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ if TYPE_CHECKING:
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
-# maxsize of every lru_cache in the library: well above the working set of a
-# long session, yet bounded, so no cache grows without limit
+# maxsize of every lru_cache of answers: well above the working set of a long
+# session, yet bounded (`counting._gentile_table` keeps tables, under its own cap)
 CACHE_SIZE = 1 << 15
 
 

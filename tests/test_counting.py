@@ -43,6 +43,7 @@ def test_iter_type_vectors_counts_integer_partitions():
     for n, want in golden.items():
         tvs = list(ct.iter_type_vectors(n))
         assert len(tvs) == len(set(tvs)) == want
+    assert list(ct.iter_type_vectors(0)) == [ct.TypeVector(0, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,17 @@ def test_gentile_with_k_at_most_p_builds_no_row():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_gentile_tables_are_kept_for_eight_p():
+    # (1 + t + ... + t^p)^4 at t^(p+1): 20 values of p through a cache of 8
+    ct._gentile_table.cache_clear()
+    want = {p: (FormalSeries([1] * (p + 1) + [0]) ** 4).coeff_at(p + 1) for p in range(1, 21)}
+    for p in range(1, 21):
+        assert ct.gentile_coeff(p, 4, p + 1) == want[p], p
+    assert ct._gentile_table.cache_info().currsize == 8
+    for p in (1, 5, 12):  # evicted: a new table gives the same answer
+        assert ct.gentile_coeff(p, 4, p + 1) == want[p], p
 
 
 def test_gentile_occupancy_oracle():
@@ -624,6 +636,7 @@ MEMOISED = (ct.derangement, ct.derangement_fixed, ct.surjection_count, ct.gergon
 def test_memoised_families_are_bounded():
     for fn in MEMOISED:
         assert fn.cache_parameters()["maxsize"] == CACHE_SIZE, fn.__name__
+    assert ct._gentile_table.cache_parameters()["maxsize"] == 8
 
 
 @pytest.mark.parametrize("family, args, route", [
@@ -674,6 +687,33 @@ def test_memoised_families_under_threads():
         order = list(range(len(calls)))
         order = order[i * len(order) // 8:] + order[:i * len(order) // 8]
         return [(j, calls[j][0](*calls[j][1])) for j in (order[::-1] if i % 2 else order)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            answers = [answer for part in pool.map(ask, range(8), timeout=120) for answer in part]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answers) == 8 * len(calls)
+    for j, answer in answers:
+        assert answer == expected[j], calls[j]
+
+
+def test_gentile_tables_under_threads():
+    # 8 threads, switching often, ask for 12 values of p through a cache of
+    # 8 tables, so tables are evicted and built again while others read them
+    calls = [(p, n, k) for n in range(2, 31, 7) for p in range(1, 13)
+             for k in range(p + 1, n * p + 1, 3 * p)]
+    tables = {p: ct._gentile_table.__wrapped__(p) for p in range(1, 13)}
+    expected = [tables[p][n][k] for p, n, k in calls]
+    ct._gentile_table.cache_clear()
+
+    def ask(i):
+        # thread i starts at its own eighth of the calls; odd threads go backwards
+        order = list(range(len(calls)))
+        order = order[i * len(order) // 8:] + order[:i * len(order) // 8]
+        return [(j, ct.gentile_coeff(*calls[j])) for j in (order[::-1] if i % 2 else order)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

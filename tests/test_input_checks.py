@@ -1,8 +1,10 @@
 """Input checks and edge branches: each rejected call, its exception type and
 its message, and the few branches that only an unusual input reaches."""
 
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -94,7 +96,20 @@ REJECTED = [
 ]
 
 
-@pytest.mark.parametrize("call, kind, message", REJECTED)
+def _call_texts() -> list[str]:
+    """The text of each REJECTED row's call, as this file writes it: a row's
+    test id, so adding or deleting a row renames no other row's test."""
+    source = Path(__file__).read_text()
+    rows = next(node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "REJECTED")
+    return [ast.get_source_segment(source, row.elts[0].body) for row in rows.elts]
+
+
+REJECTED_IDS = _call_texts()
+assert len(set(REJECTED_IDS)) == len(REJECTED_IDS) == len(REJECTED), "REJECTED ids must be unique"
+
+
+@pytest.mark.parametrize("call, kind, message", REJECTED, ids=REJECTED_IDS)
 def test_rejected_input(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$"):
         call()
