@@ -21,7 +21,7 @@ from exactcomb import (
     sylvester_count,
     touchard,
 )
-from exactcomb.verify import derangement_family, menage_family
+from exactcomb.verify.sieve import derangement_family, menage_family
 
 print("Mobius values on the subset lattice of {1,2,3} from the bottom:")
 lat = boolean_lattice(3)

@@ -28,10 +28,11 @@ Each command imports only the modules it runs: `counting` and
 `exact_core` are loaded here; `phi`, `mobius` and the `rsa` subcommands
 load `number_theory`, `table` loads `recursive_matrix` for its matrix
 families, `enumerate` loads `enumeration`, `poset` loads `poset_mobius`
-and `verify` loads `verify`, each when the command runs, and only the
+and `verify` loads the `verify` package and the module of each suite it
+runs (none for `--list`), each when the command runs, and only the
 commands that read or print JSON load `json`.  `fractions` is loaded only
 by the commands that read or make a fraction: `coeff gergonne`, `coeff
-birthday`, `poset invert` and `verify`.
+birthday`, `poset invert` and a `verify` run whose suites make one.
 """
 
 from __future__ import annotations

@@ -112,12 +112,12 @@ def as_word(values: Sequence[int]) -> str:
     """Word form of a function/letter sequence; single-digit alphabets
     concatenate ("1312"), larger ones join with commas."""
     try:
-        word = bytes(values).translate(_DIGITS)
+        word = bytes(values).translate(_DIGITS).decode()
     except ValueError:  # a letter outside 0..255
-        word = b"-"
-    if b"-" in word:
+        word = "-"
+    if "-" in word:
         return ",".join(map(str, values))
-    return word.decode()
+    return word
 
 
 # ---------------------------------------------------------------------------

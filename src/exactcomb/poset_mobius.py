@@ -98,12 +98,12 @@ Row = tuple[list[int], list[int]]
 # start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.04 s and
 # 27 MB, (13) 0.09-0.13 s and 50 MB, (14) 0.3-0.45 s and 113 MB, the table
 # about 3x per atom.  `delta_check`, which also builds the masks, takes
-# that to (12) 0.6-1.0 s and 41 MB, (13) 3.4-4.2 s and 92 MB, (14) 16-17 s
-# and 248 MB.  13 is the last within 100 MB either way.
+# that to (12) 0.4 s and 29 MB, (13) 2.0-2.1 s and 61 MB, (14) 11.4 s and
+# 162 MB.  13 is the last within 100 MB either way.
 MAX_BOOLEAN_GROUND = 13
 # divisor_poset(963761198400), whose 6720 divisors are the most of any n
 # that factorize accepts (n <= 10**12), takes 0.005 s to build and 0.1 s
-# with its Mobius table, at a 48 MB peak (2.4-4.0 s and 89 MB with
+# with its Mobius table, at a 48 MB peak (1.8 s and 56 MB with
 # `delta_check`); the cap admits exactly that range.
 MAX_DIVISOR_COUNT = 6720
 
@@ -570,8 +570,9 @@ def _mobius_reference(P: FinitePoset) -> IncidenceFunction:
 def delta_check(P: FinitePoset) -> bool:
     """Verify sum_{x: z <= x <= y} mu(x, y) = delta(z, y) on all
     comparable pairs (the zeta * mu = delta identity), with the column
-    of values below y kept as bit planes."""
-    up, down = P._masks
+    of values below y kept as bit planes.  The planes hold only x <= y,
+    so the AND with up(z) alone picks out [z, y]."""
+    up = P._masks[0]
     for j, (xs, vals) in enumerate(P._mobius_columns):
         planes = [[0, 0]]
         for i, value in zip(xs, vals):
@@ -581,9 +582,15 @@ def delta_check(P: FinitePoset) -> bool:
                 planes[0][1] |= 1 << i
             elif value:
                 _plane_add(planes, 1 << i, value)
-        for i in xs:
-            if _plane_sum(up[i] & down[j], planes) != (1 if i == j else 0):
-                return False
+        if len(planes) == 1:  # every value in {-1, 0, 1}: two popcounts a pair
+            pos, neg = planes[0]
+            for i in xs:
+                if (up[i] & pos).bit_count() - (up[i] & neg).bit_count() != (i == j):
+                    return False
+        else:
+            for i in xs:
+                if _plane_sum(up[i], planes) != (i == j):
+                    return False
     return True
 
 

@@ -14,6 +14,7 @@ import exactcomb.counting as ct
 import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
 import exactcomb.verify as vf
+from exactcomb.verify.numbers import primality_failure
 
 
 @pytest.mark.parametrize("suite", vf.SUITES)
@@ -120,9 +121,9 @@ def test_verify_runs_the_legendre_binomial_route(monkeypatch):
 
 
 def test_verify_numbers_checks_primality(monkeypatch):
-    assert vf.primality_failure(2000) is None
+    assert primality_failure(2000) is None
     # prime powers taken for primes: the first is 4
     monkeypatch.setattr(nt, "is_prime", lambda n: len(nt.factorize(n)) == 1)
-    assert vf.primality_failure(2000) == 4
+    assert primality_failure(2000) == 4
     failed = [check.name for _, check in vf.run_suites(["numbers"]) if not check.ok]
     assert failed == ["trial division vs phi(p) = p - 1 to 2000"]

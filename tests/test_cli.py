@@ -12,6 +12,7 @@ import exactcomb.counting as ct
 import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 import exactcomb.verify as vf
+import exactcomb.verify.core as verify_core
 from exactcomb import cli, commands
 from exactcomb.cli import main, run
 from exactcomb.exact_core import parse_int, parse_rational
@@ -244,7 +245,7 @@ def test_poset_sieve_command(tmp_path):
 
 
 def test_poset_sieve_fixed_point_family(tmp_path):
-    from exactcomb.verify import derangement_family
+    from exactcomb.verify.sieve import derangement_family
 
     family = tmp_path / "derangement4.json"
     fam = derangement_family(4)
@@ -414,9 +415,10 @@ def test_a_raising_check_fails_alone(monkeypatch, capsys, module, name, exc, aff
 @pytest.mark.parametrize("suites", [["not-a-suite", "core"], ["core", "not-a-suite"]])
 def test_unknown_suite_exits_2_before_any_check(monkeypatch, suites):
     calls = []
-    monkeypatch.setattr(vf, "CHECKS", [
+    # run_suites reads a suite's rows from the suite's module
+    monkeypatch.setattr(verify_core, "CHECKS", [
         (suite, check, lambda: calls.append(1) or (True, ""))
-        for suite, check, _ in vf.CHECKS])
+        for suite, check, _ in verify_core.CHECKS])
     assert run(["verify", *suites], list) == (
         2, f"error: unknown suite 'not-a-suite'; available: all, {', '.join(vf.SUITES)}")
     assert calls == []

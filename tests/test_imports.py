@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import exactcomb
+from exactcomb.verify import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = SRC.parent / "tests" / "data"
@@ -74,7 +75,10 @@ WATCHED = {"json", "csv", "fractions", "decimal", "dataclasses", "inspect"}
 COEFF = "cli counting exact_core"
 HANDLER = COEFF + " commands"
 MATRIX = HANDLER + " recursive_matrix series"
-EVERY = MATRIX + " enumeration number_theory poly_identities poset_mobius verify"
+VERIFY = HANDLER + " verify"
+# a full `verify` loads every module of the library and every suite's module
+EVERY = " ".join([MATRIX, "enumeration number_theory poly_identities poset_mobius verify",
+                  *(f"verify.{suite}" for suite in SUITES)])
 BOOLEAN3 = str(DATA / "boolean3.json")
 
 # (argv, every exactcomb.* module it loads, the modules of WATCHED it loads)
@@ -99,9 +103,15 @@ LOADS = [
     (["enumerate", "subsets", "3"], HANDLER + " enumeration", ""),
     (["enumerate", "partitions", "4"], HANDLER + " enumeration", ""),
     (["enumerate", "menage", "4"], HANDLER + " enumeration", ""),
-    (["verify", "--list"], EVERY, "fractions decimal"),
-    (["verify", "core"], EVERY, "fractions decimal"),
-    (["verify", "numbers"], EVERY, "fractions decimal"),
+    # `verify` with suites named loads their modules and what they call, and
+    # `--list` no suite's module
+    (["verify", "--list"], VERIFY, ""),
+    (["verify", "core"], VERIFY + " verify.core", ""),
+    (["verify", "numbers"], VERIFY + " number_theory verify.numbers", ""),
+    (["verify", "series"], VERIFY + " series verify.series", "fractions decimal"),
+    (["verify", "mobius"], VERIFY + " number_theory poset_mobius verify.mobius",
+     "fractions decimal"),
+    (["verify"], EVERY, "fractions decimal"),
     # poset files are JSON; mobius and sieve print only integers, though
     # poset_mobius holds fractions, and invert reads them
     (["poset", "mobius", BOOLEAN3], HANDLER + " poset_mobius", "json"),

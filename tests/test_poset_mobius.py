@@ -21,8 +21,9 @@ import exactcomb.enumeration as en
 import exactcomb.number_theory as nt
 import exactcomb.poset_mobius as pm
 from exactcomb.exact_core import factorial
-from exactcomb.verify import (derangement_family, layered_poset, menage_family, opposite_poset,
-                              random_poset, run_suites)
+from exactcomb.verify import run_suites
+from exactcomb.verify.mobius import layered_poset, opposite_poset, random_poset
+from exactcomb.verify.sieve import derangement_family, menage_family
 
 # ---------------------------------------------------------------------------
 # construction and validation

@@ -81,9 +81,10 @@ def _traffic(root: Path, modules: dict[str, str], caller: str, tested: str):
     """Write `modules` as the files of root/pkg, then a traffic that runs
     `caller` outside tests/ and `tested` under tests/, each able to import
     pkg, which is imported afresh each time."""
-    (root / "pkg").mkdir()
     for name, source in modules.items():
-        (root / "pkg" / f"{name}.py").write_text(source)
+        path = root / "pkg" / f"{name}.py"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
     (root / "use.py").write_text(caller)
     (root / "tests").mkdir()
     (root / "tests" / "test_mod.py").write_text(tested)
@@ -223,3 +224,36 @@ def test_report_resolves_a_name_to_the_module_it_is_read_from(tmp_path, caller, 
     # matched by its text, so pkg.other.Scalar reads mod's Scalar too
     modules = {"__init__": EXPORTS, "mod": TWIN, "other": "Scalar = int\n"}
     assert _unkept(tmp_path, _traffic(tmp_path, modules, caller, "")) == found
+
+
+# a subpackage, as the verify package is: its __init__ is named by the
+# subpackage, and its modules import from it and from the package above
+SUBPACKAGE = {
+    "__init__": "",
+    "mod": "LIMIT = 1\n",
+    "sub/__init__": ("from __future__ import annotations\n"
+                     "\n"
+                     "Alias = int\n"
+                     "UNUSED = 0\n"
+                     "\n"
+                     "\n"
+                     "def helper() -> int:\n"
+                     "    return 1\n"),
+    "sub/leaf": ("from __future__ import annotations\n"
+                 "\n"
+                 "from ..mod import LIMIT\n"
+                 "from . import Alias, helper\n"
+                 "\n"
+                 "\n"
+                 "def run(x: Alias) -> int:\n"
+                 "    return LIMIT + helper() + x\n"
+                 "\n"
+                 "\n"
+                 "def dead():\n"
+                 "    return 0\n"),
+}
+
+
+def test_report_walks_a_subpackage_and_resolves_its_relative_imports(tmp_path):
+    traffic = _traffic(tmp_path, SUBPACKAGE, "from pkg.sub.leaf import run\n\nrun(1)\n", "")
+    assert _unkept(tmp_path, traffic) == {"sub.UNUSED", "sub.leaf.dead"}

@@ -10,7 +10,7 @@ from exactcomb.recursive_matrix import (
     multiset_matrix,
 )
 from exactcomb.series import FormalSeries
-from exactcomb.verify import schoolbook_power
+from exactcomb.verify.series import schoolbook_power
 
 
 def test_row_series_golden():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from exactcomb import series
 from exactcomb.series import FormalSeries, _mul_schoolbook, exp_series, geometric_series
-from exactcomb.verify import schoolbook_compose, schoolbook_power
+from exactcomb.verify.series import schoolbook_compose, schoolbook_power
 
 small_series = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=5, max_size=5

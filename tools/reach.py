@@ -17,7 +17,9 @@ order (none of it starts a thread):
 It then prints, as "module.qualname", every function or method defined
 in the package (a ``def``, not a lambda or comprehension) that never
 ran, and, as "module.name", every public top-level class or assignment
-of the package that no recorded code object reads.  A code object reads
+of the package that no recorded code object reads; a module of a
+subpackage is named by its dotted path below the package ("verify.core"),
+and a subpackage's __init__.py by the subpackage.  A code object reads
 each name one of its instructions loads (whether or not that
 instruction ran), and each name in an annotation of its ``def`` or, for
 a module, of its top-level annotated assignments: under ``from
@@ -75,7 +77,19 @@ KEPT = {
                          "(agree, exact_quotient), which correct code never raises",
     "exact_core._show": "writes the values in the message of a failed cross-check "
                         "(agree, exact_quotient), which correct code never raises",
+    "verify.__getattr__": "builds verify.CHECKS, every row in print order, on first "
+                          "access, for a reader of the whole table such as the acceptance "
+                          "tests; run_suites reads each suite's own module instead, so "
+                          "that a run loads only the suites it names",
 }
+
+
+def _module(package: Path, path: Path) -> str:
+    """The name of a module file of the package: its dotted path below the
+    package, a subpackage's __init__.py by the subpackage's name and the
+    package's own as "__init__"."""
+    parts = path.relative_to(package).with_suffix("").parts
+    return ".".join(parts[:-1] if len(parts) > 1 and parts[-1] == "__init__" else parts)
 
 
 def defined(package: Path) -> dict[tuple, str]:
@@ -94,8 +108,8 @@ def defined(package: Path) -> dict[tuple, str]:
             else:
                 walk(const, name + ".")
 
-    for path in sorted(package.glob("*.py")):
-        walk(compile(path.read_text(), str(path), "exec"), path.stem + ".")
+    for path in sorted(package.rglob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), _module(package, path) + ".")
     return out
 
 
@@ -103,7 +117,7 @@ def public(package: Path) -> dict[str, str]:
     """"module.name" -> name for each public top-level class and assignment
     target of the package's modules."""
     out = {}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
                 names = [node.name]
@@ -112,7 +126,8 @@ def public(package: Path) -> dict[str, str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            out.update((f"{path.stem}.{name}", name) for name in names if not name.startswith("_"))
+            out.update((f"{_module(package, path)}.{name}", name)
+                       for name in names if not name.startswith("_"))
     return out
 
 
@@ -180,15 +195,16 @@ def _home(package: Path, exports: dict[str, str], filename: str, module: str,
     """"module.name" for `name` imported in `filename` from `module`, `level`
     dots up, when that is the package or one of its modules; None otherwise."""
     if level:
-        if level > 1 or Path(filename).parent != package:
+        base = Path(filename).parents[level - 1]
+        if base != package and package not in base.parents:
             return None
-        parts = module.split(".") if module else []
+        parts = [*base.relative_to(package).parts, *(module.split(".") if module else [])]
     else:
         parts = module.split(".")
         if parts[0] != package.name:
             return None
         parts = parts[1:]
-    return f"{parts[0] if parts else exports.get(name, '__init__')}.{name}"
+    return f"{'.'.join(parts) if parts else exports.get(name, '__init__')}.{name}"
 
 
 def read_by(codes: list[CodeType], package: Path) -> tuple[set[str], set[str]]:
@@ -203,7 +219,7 @@ def read_by(codes: list[CodeType], package: Path) -> tuple[set[str], set[str]]:
                                                       node.level, alias.name)
                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
-        own = Path(path).stem if Path(path).parent == package else None
+        own = _module(package, Path(path)) if package in Path(path).parents else None
         files[path] = _annotated(tree), imported, own
     names, attributes = set(), set()
     for code in codes:
