@@ -15,6 +15,16 @@ ArithmeticError, with a short message for values of any size, and never
 returns a value.  Each names its check by a label: a string, or a tuple
 (name, *args) that is formatted only when the check fails.  No other
 module raises ArithmeticError itself.
+
+`falling_factorial` is the one product of consecutive integers, by three
+branches chosen by measurement.  For n below `FACTORIAL_TABLE_SIZE` it is a
+quotient of two entries of one table of 0!, 1!, ..., or, for a short range,
+one `math.prod`; above the bound, a balanced product tree.  `factorial`
+reads the table below the bound and agrees the tree with `math.factorial`
+above it.  The table is built once, on first use, and certified by one
+agreement of its last entry with `math.factorial`: that covers every entry,
+not the index a caller reads, which the callers' own cross-checks cover.
+
 Every cap on the size of a request is checked by `guard`, which raises
 SizeGuardError (a ValueError) before the work starts.  A `RowTable`'s rows
 and each `once` field are built once, under the table's or object's lock.
@@ -25,7 +35,8 @@ from __future__ import annotations
 import math
 import re
 import threading
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -191,20 +202,65 @@ def integer_form(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+# 0!, 1!, ..., (FACTORIAL_TABLE_SIZE - 1)!, 34 KB with its list: empty until
+# the first call that reads it, then certified and stored in one assignment
+FACTORIAL_TABLE_SIZE = 256
+_FACTORIALS: list[int] = []
+
+# a product of at most this many consecutive integers is one math.prod, and
+# a longer one is split in halves down to such leaves; of leaves of 8 to 128
+# terms, 64 measured fastest from 10^3 to 10^5 terms (CPython 3.11, x86-64)
+_PRODUCT_LEAF = 64
+
+
+def _factorial_table() -> list[int]:
+    """The factorial table, built by running products and certified by one
+    agreement of its last entry with math.factorial: every entry divides the
+    last, so one wrong step changes the last.  Built in a local list and
+    then stored, as `counting._SIEVE` is, so racing threads may each build
+    it and a failed certificate stores nothing."""
+    global _FACTORIALS
+    table = list(accumulate(range(1, FACTORIAL_TABLE_SIZE), mul, initial=1))
+    top = FACTORIAL_TABLE_SIZE - 1
+    agree(("factorial table", top), table[top], math.factorial(top))
+    _FACTORIALS = table
+    return table
+
+
+def _product(lo: int, hi: int) -> int:
+    """lo (lo+1) ... (hi-1), by halves down to leaves of `_PRODUCT_LEAF`
+    terms, so the large multiplications pair operands of equal size."""
+    if hi - lo <= _PRODUCT_LEAF:
+        return math.prod(range(lo, hi))
+    mid = (lo + hi) // 2
+    return _product(lo, mid) * _product(mid, hi)
+
+
 def falling_factorial(n: int, k: int) -> int:
     """(n)_k = n (n-1) ... (n-k+1), for any integer n; the empty product is 1.
     The one product of consecutive integers: factorials and rising
     factorials are computed here."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return math.prod(range(n - k + 1, n + 1))
+    if k > n >= 0:
+        return 0  # the range holds 0
+    # inside the table, math.prod measured faster below about 20 terms at
+    # n = 255, 12 at n = 200 and never at n <= 100 (CPython 3.11, x86-64):
+    # so the quotient of two entries is taken unless 8k < n - 100
+    if 0 <= n < FACTORIAL_TABLE_SIZE and 8 * k >= n - 100:
+        table = _FACTORIALS or _factorial_table()
+        return table[n] // table[n - k]
+    return _product(n - k + 1, n + 1)
 
 
 def factorial(n: int) -> int:
-    """n! = (n)_n as an exact integer (0! = 1)."""
+    """n! = (n)_n as an exact integer (0! = 1): read from the certified table
+    below its bound, else the product tree agreed with math.factorial."""
     if n < 0:
         raise ValueError(f"factorial is undefined for negative n (got {n})")
-    return falling_factorial(n, n)
+    if n < FACTORIAL_TABLE_SIZE:
+        return (_FACTORIALS or _factorial_table())[n]
+    return agree(("factorial", n), falling_factorial(n, n), math.factorial(n))
 
 
 def gcd(a: int, b: int) -> int:

@@ -42,8 +42,8 @@ CHECKS: list[tuple[str, str, Thunk]] = [
         ct.binomial(3, 2) == 3 and ct.binomial(6, 3) == 20 and ct.binomial(7, 0) == 1)),
     ("counting", "row sums are powers of two", lambda: _holds(
         all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))),
-    # 71 <= k <= 129 has j = min(k, 200 - k) with j^2 > 25 * 200, where
-    # binomial's second route is the Legendre product
+    # row 200 lies below the factorial table's bound, so binomial's second
+    # route is a quotient of table entries for every k
     ("counting", "row 200 sums to 2^200", lambda: _holds(
         sum(ct.binomial(200, k) for k in range(201)) == 2**200)),
     ("counting", "multinomial sums are k^n", Range(multinomial_sum_failure, (7, 7), (9, 8))),

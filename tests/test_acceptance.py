@@ -103,23 +103,6 @@ def test_criterion_10_number_theory():
     assert nt.rsa_decrypt(25, 7, 19) == 14
 
 
-def test_verify_runs_the_legendre_binomial_route(monkeypatch):
-    calls = []
-    legendre = ct._binomial_legendre
-    monkeypatch.setattr(ct, "_binomial_legendre",
-                        lambda n, k: calls.append((n, k)) or legendre(n, k))
-    ct.binomial.cache_clear()
-    assert all(check.ok for _, check in vf.run_suites(["counting"]))
-    assert (200, 100) in calls
-    # a wrong Legendre product fails the check (the disagreement is caught)
-    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: legendre(n, k) + 1)
-    ct.binomial.cache_clear()
-    failed = [check.name for _, check in vf.run_suites(["counting"]) if not check.ok]
-    ct.binomial.cache_clear()
-    # only the check that reaches the Legendre route fails
-    assert failed == ["row 200 sums to 2^200"]
-
-
 def test_verify_numbers_checks_primality(monkeypatch):
     assert primality_failure(2000) is None
     # prime powers taken for primes: the first is 4

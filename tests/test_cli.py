@@ -288,6 +288,18 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("wrong", [1, 2, 4])
+def test_multinomial_catches_a_wrong_factorial(monkeypatch, capsys, wrong):
+    # 4!/(2! 1! 1!) against C(2, 2) C(3, 1) C(4, 1): one factorial off by one
+    # leaves a quotient that is not whole, or one the binomials disagree with
+    factorial = ct.factorial
+    monkeypatch.setattr(ct, "factorial", lambda n: factorial(n) + (n == wrong))
+    ct.binomial.cache_clear()
+    assert main(["coeff", "multinomial", "4", "2", "1", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: internal inconsistency")
+    ct.binomial.cache_clear()
+
+
 def test_console_entry_point(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -451,7 +463,6 @@ ROUTE_CASES = [
 # a request leaves this list when its family gains such a route
 ONE_ROUTE = {
     ("gentile", "2", "3", "3"): "k > p, read from its row table",
-    ("multinomial",): "n! divided by each part's factorial, with no check",
     ("stirling1",): "the signed cycle-count row",
     ("stirling2",): "read from its row table",
     ("cycles",): "read from its row table",

@@ -93,18 +93,25 @@ def test_falling_route_matches_math_comb(pair):
 
 
 def test_binomial_second_route_by_size(monkeypatch):
-    # j^2 <= 25 n takes the falling factorial, anything larger Legendre;
-    # either way a wrong second route is caught
+    # n below the factorial table's bound, or j^2 <= 40 n, takes the falling
+    # factorial, anything larger Legendre (verify's row 200 the first, and
+    # cli-oneshot's C(2000, ~1000) the second); either way a wrong second
+    # route is caught
+    falling = [(9, 4), (100, 50), (200, 100), (255, 127), (10**4, 500), (10**4, 9500)]
+    legendre = [(1000, 500), (2000, 1000)]
     monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: 0)
-    for n, k in ((9, 4), (100, 50), (10**4, 500), (10**4, 9500)):
+    for n, k in falling:
         with pytest.raises(ArithmeticError):
             ct.binomial.__wrapped__(n, k)
-    assert ct.binomial.__wrapped__(1000, 500) == math.comb(1000, 500)
+    for n, k in legendre:
+        assert ct.binomial.__wrapped__(n, k) == math.comb(n, k)
     monkeypatch.undo()
     monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: 0)
-    with pytest.raises(ArithmeticError):
-        ct.binomial.__wrapped__(1000, 500)
-    assert ct.binomial.__wrapped__(10**4, 500) == math.comb(10**4, 500)
+    for n, k in legendre:
+        with pytest.raises(ArithmeticError):
+            ct.binomial.__wrapped__(n, k)
+    for n, k in falling:
+        assert ct.binomial.__wrapped__(n, k) == math.comb(n, k)
 
 
 def test_binomial_small_k_needs_no_sieve():

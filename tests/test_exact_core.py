@@ -1,16 +1,19 @@
 import ast
 import copy
 import math
+import operator
 import pickle
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exactcomb import counting
+from exactcomb import counting, exact_core
 from exactcomb.exact_core import (
     CACHE_SIZE,
     Record,
@@ -44,9 +47,15 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-@given(st.integers(-50, 300), st.integers(0, 60))
+# n crosses the factorial table's bound (256) and, inside it, the cut between
+# one math.prod and a quotient of table entries (8k < n - 100)
+@given(st.integers(-60, 700).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, abs(n) + 1))))
+@example((255, 19)).via("the last short range read by math.prod at the bound")
+@example((255, 20)).via("the first quotient of table entries there")
+@example((256, 256)).via("the first factorial above the table")
 @settings(deadline=None)
-def test_one_product_of_consecutive_integers(n, k):
+def test_one_product_of_consecutive_integers(case):
+    n, k = case
     product = 1
     for i in range(k):  # the definition: n (n-1) ... (n-k+1), for negative n too
         product *= n - i
@@ -56,6 +65,53 @@ def test_one_product_of_consecutive_integers(n, k):
         assert factorial(n) == math.factorial(n)
     if n >= 1:
         assert counting.rising_factorial(n, k) == math.perm(n + k - 1, k)
+
+
+def test_large_factorials_agree_with_math():
+    assert factorial(5000) == math.factorial(5000)
+    assert falling_factorial(100000, 1581) == math.perm(100000, 1581)
+
+
+def test_a_wrong_table_step_raises_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(exact_core, "_FACTORIALS", [])
+    monkeypatch.setattr(exact_core, "mul", lambda prev, m: prev * m + (m == 200))
+    for first in (lambda: factorial(3), lambda: falling_factorial(120, 60)):
+        with pytest.raises(ArithmeticError, match=r"factorial table\(255\)"):
+            first()
+        assert exact_core._FACTORIALS == []
+    monkeypatch.setattr(exact_core, "mul", operator.mul)
+    assert factorial(3) == 6
+    assert exact_core._FACTORIALS == [math.factorial(m) for m in range(256)]
+
+
+def test_the_table_is_built_once(monkeypatch):
+    builds = []
+    build = exact_core._factorial_table
+    monkeypatch.setattr(exact_core, "_FACTORIALS", [])
+    monkeypatch.setattr(exact_core, "_factorial_table", lambda: builds.append(1) or build())
+    assert [factorial(m) for m in range(300)] == [math.factorial(m) for m in range(300)]
+    assert falling_factorial(200, 150) == math.perm(200, 150)
+    assert builds == [1]
+
+
+def test_first_calls_from_two_threads_agree(monkeypatch):
+    monkeypatch.setattr(exact_core, "_FACTORIALS", [])
+    start = threading.Barrier(2)
+
+    def first(n):
+        start.wait(timeout=10)
+        return [falling_factorial(n, k) for k in range(n + 1)] + [factorial(m) for m in range(n)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            answers = [f.result(timeout=60) for f in [pool.submit(first, 255) for _ in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers[0] == answers[1]
+    assert answers[0][:256] == [math.perm(255, k) for k in range(256)]
+    assert exact_core._FACTORIALS == [math.factorial(m) for m in range(256)]
 
 
 def _gcd_by_factorization(a, b):

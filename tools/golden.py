@@ -49,6 +49,11 @@ COEFF = [
     # k <= p answers by multiset_coeff, with no row of 2 * 10^7 + 1 entries
     ["gentile", "10000000", "2", "1"], ["gentile", "5", "3", "2"],
     ["graph", "graph", "3", "-1"],  # refused: no graph has a negative edge count
+    # past the factorial table's bound: a product tree, and 300! against math.factorial
+    ["dnk", "300", "10"], ["multinomial", "300", "100", "200"],
+    # the size the benchmark's one-shot coeff asks for: binomial's second
+    # route is the Legendre product there, and no smaller entry reaches it
+    ["binomial", "2000", "1000"],
 ]
 
 TABLE_FAMILIES = ["binomial", "multiset", "gentile", "stirling1", "stirling2", "cycles"]
