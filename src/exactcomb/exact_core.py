@@ -16,12 +16,11 @@ returns a value.  Each names its check by a label: a string, or a tuple
 (name, *args) that is formatted only when the check fails.  No other
 module raises ArithmeticError itself.
 
-`falling_factorial` is the one product of consecutive integers, by three
+`falling_factorial` is the one product of consecutive integers, by two
 branches chosen by measurement.  For n below `FACTORIAL_TABLE_SIZE` it is a
-quotient of two entries of one table of 0!, 1!, ..., or, for a short range,
-one `math.prod`; above the bound, a balanced product tree.  `factorial`
-reads the table below the bound and agrees the tree with `math.factorial`
-above it.  The table is built once, on first use, and certified by one
+quotient of two entries of one table of 0!, 1!, ...; above the bound, and
+for negative n, a balanced product tree.  `factorial` reads the table below
+the bound and agrees the tree with `math.factorial` above it.  The table is built once, on first use, and certified by one
 agreement of its last entry with `math.factorial`: that covers every entry,
 not the index a caller reads, which the callers' own cross-checks cover.
 
@@ -203,7 +202,10 @@ def integer_form(values) -> tuple[list[int], int]:
 
 
 # 0!, 1!, ..., (FACTORIAL_TABLE_SIZE - 1)!, 34 KB with its list: empty until
-# the first call that reads it, then certified and stored in one assignment
+# the first call that reads it, then certified and stored in one assignment.
+# `counting.binomial` takes its falling route for every n below this bound,
+# where it is a quotient of entries: retune `counting._FALLING_MAX_SQUARE_OVER_N`
+# and that module's docstring with it
 FACTORIAL_TABLE_SIZE = 256
 _FACTORIALS: list[int] = []
 
@@ -244,10 +246,7 @@ def falling_factorial(n: int, k: int) -> int:
         raise ValueError("k must be >= 0")
     if k > n >= 0:
         return 0  # the range holds 0
-    # inside the table, math.prod measured faster below about 20 terms at
-    # n = 255, 12 at n = 200 and never at n <= 100 (CPython 3.11, x86-64):
-    # so the quotient of two entries is taken unless 8k < n - 100
-    if 0 <= n < FACTORIAL_TABLE_SIZE and 8 * k >= n - 100:
+    if 0 <= n < FACTORIAL_TABLE_SIZE:
         table = _FACTORIALS or _factorial_table()
         return table[n] // table[n - k]
     return _product(n - k + 1, n + 1)

@@ -103,6 +103,25 @@ def test_criterion_10_number_theory():
     assert nt.rsa_decrypt(25, 7, 19) == 14
 
 
+def test_verify_runs_the_falling_binomial_route(monkeypatch):
+    # row 200 lies below the factorial table's bound, so every binomial of it
+    # takes the falling route, the central one too
+    calls = []
+    falling = ct._binomial_falling
+    monkeypatch.setattr(ct, "_binomial_falling",
+                        lambda n, j: calls.append((n, j)) or falling(n, j))
+    ct.binomial.cache_clear()
+    assert all(check.ok for _, check in vf.run_suites(["counting"]))
+    assert {(200, j) for j in range(101)} <= set(calls)
+    # a falling route wrong on row 200 alone fails that check (the
+    # disagreement is caught)
+    monkeypatch.setattr(ct, "_binomial_falling", lambda n, j: falling(n, j) + (n == 200))
+    ct.binomial.cache_clear()
+    failed = [check.name for _, check in vf.run_suites(["counting"]) if not check.ok]
+    ct.binomial.cache_clear()
+    assert failed == ["row 200 sums to 2^200"]
+
+
 def test_verify_numbers_checks_primality(monkeypatch):
     assert primality_failure(2000) is None
     # prime powers taken for primes: the first is 4

@@ -300,6 +300,25 @@ def test_multinomial_catches_a_wrong_factorial(monkeypatch, capsys, wrong):
     ct.binomial.cache_clear()
 
 
+def test_coeff_binomial_runs_the_legendre_route(monkeypatch, capsys):
+    # `verify` reaches no Legendre product (its binomials lie below the
+    # factorial table's bound); a one-shot C(2000, 1000) does, and a wrong
+    # Legendre product makes it exit 1
+    calls = []
+    legendre = ct._binomial_legendre
+    monkeypatch.setattr(ct, "_binomial_legendre",
+                        lambda n, k: calls.append((n, k)) or legendre(n, k))
+    ct.binomial.cache_clear()
+    assert main(["coeff", "binomial", "2000", "1000"]) == 0
+    assert calls == [(2000, 1000)]
+    assert capsys.readouterr().out.strip() == str(math.comb(2000, 1000))
+    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: legendre(n, k) + 1)
+    ct.binomial.cache_clear()
+    assert main(["coeff", "binomial", "2000", "1000"]) == 1
+    assert capsys.readouterr().err.startswith("error: internal inconsistency")
+    ct.binomial.cache_clear()
+
+
 def test_console_entry_point(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

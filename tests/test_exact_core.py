@@ -47,11 +47,11 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-# n crosses the factorial table's bound (256) and, inside it, the cut between
-# one math.prod and a quotient of table entries (8k < n - 100)
+# n crosses the factorial table's bound (256), below which the product is a
+# quotient of table entries and above which it is a product tree
 @given(st.integers(-60, 700).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, abs(n) + 1))))
-@example((255, 19)).via("the last short range read by math.prod at the bound")
-@example((255, 20)).via("the first quotient of table entries there")
+@example((255, 1)).via("the shortest quotient of table entries at the bound")
+@example((255, 255)).via("the last factorial in the table")
 @example((256, 256)).via("the first factorial above the table")
 @settings(deadline=None)
 def test_one_product_of_consecutive_integers(case):
