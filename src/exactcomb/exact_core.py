@@ -115,10 +115,7 @@ class Record:
         # the fields by one C-level getter: a record that keys a memo cache
         # is hashed on every call and compared on every hit
         get = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:
-            cls._values = lambda self: (get(self),)
-        else:
-            cls._values = lambda self: get(self)
+        cls._values = lambda self: get(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

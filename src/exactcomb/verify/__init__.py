@@ -1,12 +1,12 @@
 """Self-checks: every identity the library claims, run end to end.
 
 Each suite is a module of this package, named after it, whose `CHECKS`
-rows (suite, name, thunk) are in print order; a thunk takes no argument
-and returns (ok, detail).  `SUITES` names the suites in that order.
-`run_suites` imports the modules of the suites it runs and no other, so
-`verify core` compiles the core checks alone and loads no module they do
-not call, and `verify --list` loads no check module.  `CHECKS`, every row
-of every suite in print order, is built on first access.
+rows (name, thunk) are in print order; a thunk takes no argument and
+returns (ok, detail).  A row's suite is the module that holds it.
+`SUITES` names the suites in print order.  `run_suites` imports the
+modules of the suites it runs and no other, so `verify core` compiles the
+core checks alone and loads no module they do not call, and `verify
+--list` loads no check module.
 
 `run_suites` runs each check on its own: a check that raises an Exception
 fails alone, with "raised <Type>: <message>" as its detail, and every
@@ -64,7 +64,7 @@ class Range(Record):
         return failure is None, "" if failure is None else f"first failure {failure}"
 
 
-def _rows(suite: str) -> list[tuple[str, str, Thunk]]:
+def _rows(suite: str) -> list[tuple[str, Thunk]]:
     """The `CHECKS` rows of a suite, from its module, imported on first use
     by a relative __import__, which `-X importtime` times."""
     return __import__(suite, globals(), None, (), 1).CHECKS
@@ -81,19 +81,11 @@ def run_suites(names: list[str]) -> list[tuple[str, Check]]:
     results = []
     for name in names:
         for module in SUITES if name == "all" else (name,):
-            for suite, check_name, thunk in _rows(module):
+            for check_name, thunk in _rows(module):
                 try:
                     ok, detail = thunk()
                 except Exception as exc:
                     ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-                results.append((suite, Check(check_name, ok, detail)))
+                results.append((module, Check(check_name, ok, detail)))
     return results
 
-
-def __getattr__(name: str):
-    # CHECKS, every row in print order, loads every suite's module
-    if name != "CHECKS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    checks = [row for suite in SUITES for row in _rows(suite)]
-    globals()[name] = checks
-    return checks

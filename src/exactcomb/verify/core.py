@@ -23,13 +23,12 @@ def gcd_failure(seed: int, trials: int) -> Optional[int]:
     return None
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("core", "factorial golden", lambda: _holds(
+CHECKS: list[tuple[str, Thunk]] = [
+    ("factorial golden", lambda: _holds(
         factorial(0) == 1 and factorial(4) == 24 and factorial(12) == 479001600)),
-    ("core", "factorial recursion to 200", lambda: _holds(
+    ("factorial recursion to 200", lambda: _holds(
         all(factorial(n) == n * factorial(n - 1) for n in range(1, 201)))),
-    ("core", "gcd golden", lambda: _holds(
+    ("gcd golden", lambda: _holds(
         gcd(3, 20) == 1 and gcd(7, 0) == 7 and gcd(30, 210) == 30)),
-    ("core", "gcd commutative and divides", Range(gcd_failure, (11, 200), (12, 5000))),
+    ("gcd commutative and divides", Range(gcd_failure, (11, 200), (12, 5000))),
 ]

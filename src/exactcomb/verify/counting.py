@@ -36,31 +36,29 @@ def derangement_ratio_failure(size: int) -> Optional[int]:
     return None
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("counting", "binomial golden", lambda: _holds(
+CHECKS: list[tuple[str, Thunk]] = [
+    ("binomial golden", lambda: _holds(
         ct.binomial(3, 2) == 3 and ct.binomial(6, 3) == 20 and ct.binomial(7, 0) == 1)),
-    ("counting", "row sums are powers of two", lambda: _holds(
+    ("row sums are powers of two", lambda: _holds(
         all(sum(ct.binomial(n, k) for k in range(n + 1)) == 2**n for n in range(21)))),
     # row 200 lies below the factorial table's bound, so binomial's second
     # route is a quotient of table entries for every k
-    ("counting", "row 200 sums to 2^200", lambda: _holds(
+    ("row 200 sums to 2^200", lambda: _holds(
         sum(ct.binomial(200, k) for k in range(201)) == 2**200)),
-    ("counting", "multinomial sums are k^n", Range(multinomial_sum_failure, (7, 7), (9, 8))),
-    ("counting", "partition statistics agree", lambda: _holds(
+    ("multinomial sums are k^n", Range(multinomial_sum_failure, (7, 7), (9, 8))),
+    ("partition statistics agree", lambda: _holds(
         all(sum(ct.stirling2(n, k) for k in range(n + 1)) == ct.bell(n)
             == sum(ct.faa_di_bruno(tv) for tv in ct.iter_type_vectors(n))
             for n in range(11)))),
-    ("counting", "permutation statistics agree", lambda: _holds(
+    ("permutation statistics agree", lambda: _holds(
         all(sum(ct.cycle_count(n, k) for k in range(n + 1)) == factorial(n)
             == sum(ct.cauchy_count(tv) for tv in ct.iter_type_vectors(n))
             for n in range(11)))),
-    ("counting", "fixed-point counts sum to n!", lambda: _holds(
+    ("fixed-point counts sum to n!", lambda: _holds(
         all(sum(ct.derangement_fixed(n, k) for k in range(n + 1)) == factorial(n)
             for n in range(10)))),
-    ("counting", "derangement ratio brackets 1/e",
-     Range(derangement_ratio_failure, (19,), (60,))),
-    ("counting", "alternating convolution cases", lambda: _holds(
+    ("derangement ratio brackets 1/e", Range(derangement_ratio_failure, (19,), (60,))),
+    ("alternating convolution cases", lambda: _holds(
         ct.alternating_convolution(2, 2, 1) == 0 and ct.alternating_convolution(3, 1, 2) == 1
         and ct.alternating_convolution(1, 3, 2) == 3)),
 ]

@@ -47,10 +47,7 @@ def _errata(fn: Callable[[], int], good: int, misprint: int) -> Thunk:
     return check
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    *(("errata", f"{name} = {good}", _errata(fn, good, misprint))
-      for name, fn, good, misprint in ERRATA),
-    ("errata", "oracle confirms pinned values",
-     Range(errata_oracle_failure, ((4,),), ((4, 5, 6),))),
+CHECKS: list[tuple[str, Thunk]] = [
+    *((f"{name} = {good}", _errata(fn, good, misprint)) for name, fn, good, misprint in ERRATA),
+    ("oracle confirms pinned values", Range(errata_oracle_failure, ((4,),), ((4, 5, 6),))),
 ]

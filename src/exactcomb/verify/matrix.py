@@ -86,19 +86,16 @@ def matrix_route_failure(rows: int, order: int) -> Optional[tuple]:
     return None
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("matrix", "Pascal rows 0..3",
+CHECKS: list[tuple[str, Thunk]] = [
+    ("Pascal rows 0..3",
      Range(printed_rows_failure, ("binomial", 6, range(4)), ("binomial", 4, range(4)))),
-    ("matrix", "multiset rows 0..3",
+    ("multiset rows 0..3",
      Range(printed_rows_failure, ("multiset", 6, range(4)), ("multiset", 4, range(4)))),
-    ("matrix", "occupancy-bound p=2 row 3",
+    ("occupancy-bound p=2 row 3",
      Range(printed_rows_failure, ("gentile p=2", 6, (3,)), ("gentile p=2", 6, range(4)))),
-    ("matrix", "rows match closed forms to n=40",
-     Range(closed_form_failure, (41, 42), (81, 82), (13, 10))),
-    ("matrix", "convolutions over all splits to n=8", Range(
+    ("rows match closed forms to n=40", Range(closed_form_failure, (41, 42), (81, 82), (13, 10))),
+    ("convolutions over all splits to n=8", Range(
         convolution_failure, (("binomial",), 9, 6), (tuple(MATRICES), 13, 12),
         (tuple(MATRICES), 13, 8))),
-    ("matrix", "integer rows match schoolbook rule powers to n=8",
-     Range(matrix_route_failure, (9, 8))),
+    ("integer rows match schoolbook rule powers to n=8", Range(matrix_route_failure, (9, 8))),
 ]

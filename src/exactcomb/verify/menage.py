@@ -38,11 +38,9 @@ def menage_count_failure(size: int) -> Optional[int]:
     return next((n for n in range(2, size) if ct.menage_count(n) != seatings(n)), None)
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("menage", "U3=1 U4=2 U5=13", lambda: _holds(
+CHECKS: list[tuple[str, Thunk]] = [
+    ("U3=1 U4=2 U5=13", lambda: _holds(
         ct.touchard(3) == 1 and ct.touchard(4) == 2 and ct.touchard(5) == 13)),
-    ("menage", "formula matches exhaustive seating",
-     Range(menage_seating_failure, (6,), (10,))),
-    ("menage", "full count is 2 n! U_n", Range(menage_count_failure, (5,), (6,))),
+    ("formula matches exhaustive seating", Range(menage_seating_failure, (6,), (10,))),
+    ("full count is 2 n! U_n", Range(menage_count_failure, (5,), (6,))),
 ]

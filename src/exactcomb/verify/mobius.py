@@ -60,7 +60,7 @@ def mobius_route_failure(seed: int, trials: int, max_size: int) -> Optional[int]
     for trial in range(trials):
         size = rng.randint(1, max_size)
         P = layered_poset(rng, size) if trial % 2 else random_poset(rng, size)
-        if pm.mobius(P).table != pm._mobius_reference(P).table:
+        if pm.mobius(P) != pm._mobius_reference(P):
             return trial
     return None
 
@@ -87,8 +87,7 @@ def product_route_failure(seed: int, trials: int, max_size: int) -> Optional[tup
         for n in range(1, 201):
             yield ("divisor", n), pm.divisor_poset(n)
 
-    return next((case for case, P in cases()
-                 if pm.mobius(P).table != pm._mobius_bitplane(P).table), None)
+    return next((case for case, P in cases() if pm.mobius(P) != pm._mobius_bitplane(P)), None)
 
 
 def integer_inversion_failure(seed: int, trials: int, max_size: int) -> Optional[int]:
@@ -150,18 +149,15 @@ def layered_poset(rng: random.Random, levels: int) -> pm.FinitePoset:
     return pm.FinitePoset(elements, pairs)
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("mobius", "boolean lattice closed form to n=6",
-     Range(boolean_mobius_failure, (7,), (11,))),
-    ("mobius", "divisor poset matches classical mu to 200",
-     Range(divisor_mobius_failure, (200,), (500,))),
-    ("mobius", "zeta*mu = delta and inversion roundtrips",
+CHECKS: list[tuple[str, Thunk]] = [
+    ("boolean lattice closed form to n=6", Range(boolean_mobius_failure, (7,), (11,))),
+    ("divisor poset matches classical mu to 200", Range(divisor_mobius_failure, (200,), (500,))),
+    ("zeta*mu = delta and inversion roundtrips",
      Range(inversion_failure, (5, 12, 8), (77, 50, 10))),
-    ("mobius", "bit-plane Mobius matches the interval recursion",
+    ("bit-plane Mobius matches the interval recursion",
      Range(mobius_route_failure, (6, 12, 10), (78, 50, 14))),
-    ("mobius", "product-theorem Mobius matches the bit-plane recursion",
+    ("product-theorem Mobius matches the bit-plane recursion",
      Range(product_route_failure, (7, 8, 3), (71, 40, 4))),
-    ("mobius", "integer inversion matches the Fraction sum",
+    ("integer inversion matches the Fraction sum",
      Range(integer_inversion_failure, (8, 12, 8), (72, 50, 10))),
 ]

@@ -33,26 +33,25 @@ def rsa_roundtrip_failure(keys: Iterable[tuple[int, int, int]]) -> Optional[tupl
     return None
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("numbers", "totient golden", lambda: _holds(
+CHECKS: list[tuple[str, Thunk]] = [
+    ("totient golden", lambda: _holds(
         nt.euler_phi(30) == 8 and nt.euler_phi(100) == 40
         and nt.euler_phi(125) == 100 and nt.euler_phi(210) == 48)),
-    ("numbers", "product formula vs divisor-classification count to 2000",
+    ("product formula vs divisor-classification count to 2000",
      Range(totient_failure, (2000,), (100_000,))),
-    ("numbers", "product formula vs literal scan to 600", lambda: _holds(
+    ("product formula vs literal scan to 600", lambda: _holds(
         all(nt.euler_phi(n) == nt.phi_scan(n) for n in range(1, 600)))),
-    ("numbers", "trial division vs phi(p) = p - 1 to 2000", Range(primality_failure, (2000,))),
-    ("numbers", "classical mu golden", lambda: _holds(
+    ("trial division vs phi(p) = p - 1 to 2000", Range(primality_failure, (2000,))),
+    ("classical mu golden", lambda: _holds(
         nt.mobius_classical(6) == 1 and nt.mobius_classical(4) == 0
         and nt.mobius_classical(1) == 1)),
     # d = 27 is the inverse of e = 3 mod phi(55) = 40, for the roundtrip row below
-    ("numbers", "inverse and power golden", lambda: _holds(
+    ("inverse and power golden", lambda: _holds(
         nt.mod_inverse(3, 20) == 7 and nt.mod_pow(19, 7, 25) == 14
         and nt.rsa_keygen(5, 11, 3).d == 27)),
-    ("numbers", "raw demo n=25", lambda: _holds(
+    ("raw demo n=25", lambda: _holds(
         nt.mod_pow(14, 3, 25) == 19 and nt.mod_pow(19, 7, 25) == 14)),
-    ("numbers", "keypair (5,11,3) full roundtrip", Range(
+    ("keypair (5,11,3) full roundtrip", Range(
         rsa_roundtrip_failure, (((5, 11, 3),),),
         (((5, 11, 3), (7, 11, 7), (13, 17, 5), (41, 71, 11), (47, 59, 3)),))),
 ]

@@ -96,12 +96,11 @@ def graph_count_failure(size: int, edges: int) -> Optional[tuple]:
     return None
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("oracles", "function counts", Range(functions_failure, (5,), (6,))),
-    ("oracles", "subset counts", Range(subsets_failure, (9,), (17,))),
-    ("oracles", "multiset counts", Range(multisets_failure, (5, 6), (6, 8))),
-    ("oracles", "partition counts", Range(partitions_failure, (8,), (11,))),
-    ("oracles", "permutation counts", Range(permutations_failure, (7,), (9,))),
-    ("oracles", "graph counts on every kind", Range(graph_count_failure, (4, 4), (5, 6))),
+CHECKS: list[tuple[str, Thunk]] = [
+    ("function counts", Range(functions_failure, (5,), (6,))),
+    ("subset counts", Range(subsets_failure, (9,), (17,))),
+    ("multiset counts", Range(multisets_failure, (5, 6), (6, 8))),
+    ("partition counts", Range(partitions_failure, (8,), (11,))),
+    ("permutation counts", Range(permutations_failure, (7,), (9,))),
+    ("graph counts on every kind", Range(graph_count_failure, (4, 4), (5, 6))),
 ]

@@ -20,12 +20,10 @@ def falling_roundtrip_failure(size: int) -> Optional[int]:
     )
 
 
-# (suite, name, thunk) in print order; a thunk returns (ok, detail)
-CHECKS: list[tuple[str, str, Thunk]] = [
-    ("stirling", "transition matrices invert (12x12)",
-     lambda: _holds(poly.stirling_inverse_check(12))),
-    ("stirling", "power <-> falling roundtrip", Range(falling_roundtrip_failure, (11,), (16,))),
-    ("stirling", "factorial-basis expansions match cycle counts", lambda: _holds(all(
+CHECKS: list[tuple[str, Thunk]] = [
+    ("transition matrices invert (12x12)", lambda: _holds(poly.stirling_inverse_check(12))),
+    ("power <-> falling roundtrip", Range(falling_roundtrip_failure, (11,), (16,))),
+    ("factorial-basis expansions match cycle counts", lambda: _holds(all(
         poly.rising_expansion_coeffs(n)[k] == ct.cycle_count(n, k)
         and poly.falling_expansion_coeffs(n)[k] == ct.stirling1_signed(n, k)
         for n in range(13) for k in range(n + 1)))),

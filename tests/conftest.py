@@ -3,6 +3,33 @@ import threading
 
 import pytest
 
+import exactcomb.verify as vf
+
+# (suite, name, thunk) for every verify row, in print order: each suite's
+# rows are those of its own module of the verify package
+VERIFY_ROWS = [(suite, name, thunk) for suite in vf.SUITES for name, thunk in vf._rows(suite)]
+# (function, arguments) of every larger range of a verify `Range` row
+DEEP = [(rng.fn, args) for _, _, rng in VERIFY_ROWS if isinstance(rng, vf.Range)
+        for args in rng.deep]
+
+
+def _call_id(fn, args) -> str:
+    """fn(args) as text, a long argument shown by its type and length."""
+    text = [repr(a) if len(repr(a)) <= 20 else f"{type(a).__name__}[{len(a)}]" for a in args]
+    return f"{fn.__name__}({', '.join(text)})"
+
+
+@pytest.fixture
+def verify_rows():
+    """Every verify row as (suite, name, thunk), in print order."""
+    return VERIFY_ROWS
+
+
+@pytest.fixture(params=DEEP, ids=[_call_id(fn, args) for fn, args in DEEP])
+def deep_range(request):
+    """One (function, arguments) of DEEP."""
+    return request.param
+
 
 @pytest.fixture
 def digit_limit():

@@ -1,6 +1,6 @@
-"""Acceptance suite: every `verify` suite, each range check of
-`verify.CHECKS` at the larger ranges its row holds, and the oracles that
-no suite runs.
+"""Acceptance suite: every `verify` suite, each range check of a verify
+row at the larger ranges that row holds, and the oracles that no suite
+runs.
 
 Everything here is exact integer/rational equality.
 """
@@ -23,19 +23,8 @@ def test_suite(suite):
     assert not failed, failed
 
 
-# (function, arguments) of every larger range in the range rows of CHECKS
-DEEP = [(rng.fn, args) for _, _, rng in vf.CHECKS if isinstance(rng, vf.Range)
-        for args in rng.deep]
-
-
-def _call_id(fn, args) -> str:
-    """fn(args) as text, a long argument shown by its type and length."""
-    text = [repr(a) if len(repr(a)) <= 20 else f"{type(a).__name__}[{len(a)}]" for a in args]
-    return f"{fn.__name__}({', '.join(text)})"
-
-
-@pytest.mark.parametrize("fn, args", DEEP, ids=[_call_id(fn, args) for fn, args in DEEP])
-def test_range_check_at_larger_ranges(fn, args):
+def test_range_check_at_larger_ranges(deep_range):
+    fn, args = deep_range
     assert fn(*args) is None
 
 

@@ -419,7 +419,8 @@ def _raises(exc):
     (ct, "touchard", KeyError("d(9)"), "menage"),
     (nt, "euler_phi", ZeroDivisionError("division by zero"), "numbers"),
 ], ids=["ValueError", "KeyError", "ZeroDivisionError"])
-def test_a_raising_check_fails_alone(monkeypatch, capsys, module, name, exc, affected):
+def test_a_raising_check_fails_alone(monkeypatch, capsys, verify_rows, module, name, exc,
+                                     affected):
     monkeypatch.setattr(module, name, _raises(exc))
     assert main(["verify"]) == 1
     out, err = capsys.readouterr()
@@ -427,7 +428,7 @@ def test_a_raising_check_fails_alone(monkeypatch, capsys, module, name, exc, aff
     lines = out.splitlines()
     # every check of the run prints, in table order, and the summary counts them all
     assert [line[6:].split("  [")[0] for line in lines[:-1]] == [
-        f"{suite}: {check}" for suite, check, _ in vf.CHECKS]
+        f"{suite}: {check}" for suite, check, _ in verify_rows]
     failed = [line for line in lines if line.startswith("FAIL  ")]
     expected = {
         "menage": ["U3=1 U4=2 U5=13", "formula matches exhaustive seating",
@@ -438,7 +439,7 @@ def test_a_raising_check_fails_alone(monkeypatch, capsys, module, name, exc, aff
     }[affected]
     detail = f"[raised {type(exc).__name__}: {exc}]"
     assert failed == [f"FAIL  {affected}: {check}  {detail}" for check in expected]
-    total = len(vf.CHECKS)
+    total = len(verify_rows)
     assert lines[-1] == f"{total - 3}/{total} checks passed, 3 FAILED"
     assert "unknown suite" not in out
 
@@ -448,8 +449,7 @@ def test_unknown_suite_exits_2_before_any_check(monkeypatch, suites):
     calls = []
     # run_suites reads a suite's rows from the suite's module
     monkeypatch.setattr(verify_core, "CHECKS", [
-        (suite, check, lambda: calls.append(1) or (True, ""))
-        for suite, check, _ in verify_core.CHECKS])
+        (check, lambda: calls.append(1) or (True, "")) for check, _ in verify_core.CHECKS])
     assert run(["verify", *suites], list) == (
         2, f"error: unknown suite 'not-a-suite'; available: all, {', '.join(vf.SUITES)}")
     assert calls == []

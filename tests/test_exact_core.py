@@ -363,15 +363,3 @@ def test_record_repr_equality_hash_and_immutability(case):
     for twin in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         with pytest.raises(AttributeError):
             twin(record)
-
-
-def test_a_one_field_record_keeps_a_tuple_of_values():
-    class Box(Record):
-        __slots__ = ("item",)
-
-        def __init__(self, item):
-            super().__init__(item)
-
-    box = Box((1, 2))
-    assert box._values() == ((1, 2),) and hash(box) == hash(((1, 2),))
-    assert box == Box((1, 2)) and box != Box((1, 3))

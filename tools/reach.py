@@ -77,10 +77,6 @@ KEPT = {
                          "(agree, exact_quotient), which correct code never raises",
     "exact_core._show": "writes the values in the message of a failed cross-check "
                         "(agree, exact_quotient), which correct code never raises",
-    "verify.__getattr__": "builds verify.CHECKS, every row in print order, on first "
-                          "access, for a reader of the whole table such as the acceptance "
-                          "tests; run_suites reads each suite's own module instead, so "
-                          "that a run loads only the suites it names",
 }
 
 
