@@ -45,6 +45,10 @@ CHECKS: list[tuple[str, Thunk]] = [
     # route is a quotient of table entries for every k
     ("row 200 sums to 2^200", lambda: _holds(
         sum(ct.binomial(200, k) for k in range(201)) == 2**200)),
+    # above that bound, with j^2 > 40 n, all three binomials take the
+    # Legendre route
+    ("Pascal's rule at C(2000, 1000)", lambda: _holds(
+        ct.binomial(2000, 1000) == ct.binomial(1999, 999) + ct.binomial(1999, 1000))),
     ("multinomial sums are k^n", Range(multinomial_sum_failure, (7, 7), (9, 8))),
     ("partition statistics agree", lambda: _holds(
         all(sum(ct.stirling2(n, k) for k in range(n + 1)) == ct.bell(n)

@@ -111,6 +111,24 @@ def test_verify_runs_the_falling_binomial_route(monkeypatch):
     assert failed == ["row 200 sums to 2^200"]
 
 
+def test_verify_runs_the_legendre_binomial_route(monkeypatch):
+    # C(2000, 1000) and its parents lie above the factorial table's bound
+    # with j^2 > 40 n, so each takes the Legendre route
+    calls = []
+    legendre = ct._binomial_legendre
+    monkeypatch.setattr(ct, "_binomial_legendre",
+                        lambda n, k: calls.append((n, k)) or legendre(n, k))
+    ct.binomial.cache_clear()
+    assert all(check.ok for _, check in vf.run_suites(["counting"]))
+    assert sorted(calls) == [(1999, 999), (1999, 1000), (2000, 1000)]
+    # a Legendre product off by one fails that check of `verify` and no other
+    monkeypatch.setattr(ct, "_binomial_legendre", lambda n, k: legendre(n, k) + 1)
+    ct.binomial.cache_clear()
+    failed = [(suite, check.name) for suite, check in vf.run_suites(["all"]) if not check.ok]
+    ct.binomial.cache_clear()
+    assert failed == [("counting", "Pascal's rule at C(2000, 1000)")]
+
+
 def test_verify_numbers_checks_primality(monkeypatch):
     assert primality_failure(2000) is None
     # prime powers taken for primes: the first is 4

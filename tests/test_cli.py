@@ -301,8 +301,7 @@ def test_multinomial_catches_a_wrong_factorial(monkeypatch, capsys, wrong):
 
 
 def test_coeff_binomial_runs_the_legendre_route(monkeypatch, capsys):
-    # `verify` reaches no Legendre product (its binomials lie below the
-    # factorial table's bound); a one-shot C(2000, 1000) does, and a wrong
+    # a one-shot C(2000, 1000) takes the Legendre route, and a wrong
     # Legendre product makes it exit 1
     calls = []
     legendre = ct._binomial_legendre
