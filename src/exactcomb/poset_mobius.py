@@ -40,12 +40,15 @@ field reads only its poset's and its factors' fields.  Mobius has two routes:
 
 * a `_Product`: each row (column) is the outer product of the factors'
   rows (columns), as mu((a, b), (a', b')) = mu_P(a, a') mu_Q(b, b')
-  (Rota 1964; Stanley, EC1, Prop. 3.8.2).  It is joined from blocks
-  built once per product, not entry by entry: for each element c of P
-  and row b of Q, the indices of the pairs (c, d) for d in that row, and
-  for each distinct value v in P's table, v times each of Q's rows.  The
-  row of (a, b) is one block and one scaled row per entry of P's row a,
-  in the order of the entry-by-entry product;
+  (Rota 1964; Stanley, EC1, Prop. 3.8.2).  Its indices are joined from
+  blocks built once per product, not entry by entry: for each element c
+  of P and row b of Q, the indices of the pairs (c, d) for d in that
+  row, and the row of (a, b) is one block per entry of P's row a, in the
+  order of the entry-by-entry product.  Its values depend only on the
+  value sequences of P's row a and Q's row b, so each distinct pair of
+  sequences gets one list, shared by every row with that pair (36 lists
+  for the 1024 rows of `boolean_lattice(10)`).  No code changes a row
+  once it is built;
 * an explicit poset: the interval recursion along a linear extension.  For
   a fixed x, the values mu(x, y) found so far are kept as bit planes: for
   each binary digit k of |mu|, one mask of the y with that digit set and
@@ -95,15 +98,15 @@ Rational = Union[int, "Fraction"]
 Row = tuple[list[int], list[int]]
 
 # Poset plus Mobius table, peak RSS of a fresh process (about 16 MB at
-# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.04 s and
-# 27 MB, (13) 0.09-0.13 s and 50 MB, (14) 0.3-0.45 s and 113 MB, the table
+# start), CPython 3.11 on one x86-64 core: boolean_lattice(12) 0.02 s and
+# 22 MB, (13) 0.05-0.06 s and 35 MB, (14) 0.13-0.15 s and 70 MB, the table
 # about 3x per atom.  `delta_check`, which also builds the masks, takes
-# that to (12) 0.4 s and 29 MB, (13) 2.0-2.1 s and 61 MB, (14) 11.4 s and
-# 162 MB.  13 is the last within 100 MB either way.
+# that to (12) 0.4 s and 31 MB, (13) 1.8-2.0 s and 63 MB, (14) 10.9-11.6 s
+# and 165 MB.  13 is the last within 100 MB with the check.
 MAX_BOOLEAN_GROUND = 13
 # divisor_poset(963761198400), whose 6720 divisors are the most of any n
-# that factorize accepts (n <= 10**12), takes 0.005 s to build and 0.1 s
-# with its Mobius table, at a 48 MB peak (1.8 s and 56 MB with
+# that factorize accepts (n <= 10**12), takes 0.004 s to build and 0.05 s
+# with its Mobius table, at a 34 MB peak (2.0-2.2 s and 62 MB with
 # `delta_check`); the cap admits exactly that range.
 MAX_DIVISOR_COUNT = 6720
 
@@ -514,28 +517,35 @@ def _outer(P: _Product, field: str) -> list[Row]:
     """The rows (`field` "_mobius_rows") or columns ("_mobius_columns") of
     a product's Mobius table, the outer products of that field of its
     factors, joined from blocks built once: block[b][c] holds the indices
-    of the pairs (c, d) for d in B's row b, and scaled[v][b] the values
-    v * w for w in B's row b.  The row of (a, b) is
-    block[b][c] and scaled[v][b] for each entry (c, v) of A's row a in turn,
-    so its entries come in the order of the pair-by-pair product."""
+    of the pairs (c, d) for d in B's row b.  The row of (a, b) is
+    block[b][c] for each entry (c, v) of A's row a in turn, so its entries
+    come in the order of the pair-by-pair product, and its values are v * w
+    for each such v and each w of B's row b.  Those depend only on the two
+    factor rows' value sequences, so each factor row's sequence is keyed
+    once, the list is built once per distinct pair of sequences, and every
+    row with that pair holds that same list.  Rows are read-only: a poset
+    also shares them with each `IncidenceFunction` made from it."""
     (A, B), at = P._factors, P._pair_index
     nb, rows_a, rows_b = len(B), getattr(A, field), getattr(B, field)
     pairs = [at[a * nb:(a + 1) * nb].__getitem__ for a in range(len(A))]
     block = [[list(map(pair, cols_b)) for pair in pairs] for cols_b, _ in rows_b]
-    values_a = {v for _, vals_a in rows_a for v in vals_a}
-    scaled = {v: [[v * w for w in vals_b] for _, vals_b in rows_b] for v in values_a}
+    patterns: dict[tuple, int] = {}  # a value sequence of B -> its id
+    pattern_b = [patterns.setdefault(tuple(vals_b), len(patterns)) for _, vals_b in rows_b]
+    built: dict[tuple, list[list[int]]] = {}  # a value sequence of A -> its lists by id
     out: list[Row] = [([], [])] * len(at)
     for a, (cols_a, vals_a) in enumerate(rows_a):
-        lists = [scaled[v] for v in vals_a]
+        key = tuple(vals_a)
+        values = built.get(key)
+        if values is None:
+            values = built[key] = []
+            for vals_b in patterns:
+                values.append([v * w for v in vals_a for w in vals_b])
         row = a * nb
         for b, blocks in enumerate(block):
             cols: list[int] = []
-            vals: list[int] = []
             for c in cols_a:
                 cols += blocks[c]
-            for values in lists:
-                vals += values[b]
-            out[at[row + b]] = (cols, vals)
+            out[at[row + b]] = (cols, values[pattern_b[b]])
     return out
 
 
