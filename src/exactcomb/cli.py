@@ -22,17 +22,19 @@ and the choice errors list them all, but only the command named on the
 command line gets its arguments (and `poset` and `rsa` their nested
 subparsers).  A `coeff` call thus builds the root parser, six named
 subparsers and its own arguments, and compiles `cli`, `exact_core` and
-`counting` only.
+`counting` only, with `series` for a `gentile` request with k > p, whose
+rows `series.convolve` builds.
 
 Each command imports only the modules it runs: `counting` and
 `exact_core` are loaded here; `phi`, `mobius` and the `rsa` subcommands
-load `number_theory`, `table` loads `recursive_matrix` for its matrix
-families, `enumerate` loads `enumeration`, `poset` loads `poset_mobius`
-and `verify` loads the `verify` package and the module of each suite it
-runs (none for `--list`), each when the command runs, and only the
-commands that read or print JSON load `json`.  `fractions` is loaded only
-by the commands that read or make a fraction: `coeff gergonne`, `coeff
-birthday`, `poset invert` and a `verify` run whose suites make one.
+load `number_theory`, `coeff gentile` with k > p loads `series`, `table`
+loads `recursive_matrix` for its matrix families, `enumerate` loads
+`enumeration`, `poset` loads `poset_mobius` and `verify` loads the
+`verify` package and the module of each suite it runs (none for
+`--list`), each when the command runs, and only the commands that read or
+print JSON load `json`.  `fractions` is loaded only by the commands that
+read or make a fraction: `coeff gergonne`, `coeff birthday`, `poset
+invert` and a `verify` run whose suites make one.
 """
 
 from __future__ import annotations

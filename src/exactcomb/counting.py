@@ -19,12 +19,13 @@ answers many requests; an answer that is one number has only its
   `derangement` and `touchard` keep one triangle row or two values.
 
 A disagreement raises and is never cached: an `lru_cache` keeps only
-returned values and a `RowTable` only rows whose step returned, so the
-next call with that argument runs its routes again.  The other families
-(`multinomial`, `faa_di_bruno`, `cauchy_count`, `menage_count`,
-`birthday_probability` and the factorials) are products or quotients
-over the cached values and factorials, computed on every call;
-`multinomial`'s quotient of factorials agrees with a product of binomials.
+returned values and a `RowTable` only the rows of an extension whose
+steps and check all returned, so the next call with that argument runs its
+routes again.  The other families (`multinomial`, `faa_di_bruno`,
+`cauchy_count`, `menage_count`, `birthday_probability` and the
+factorials) are products or quotients over the cached values and
+factorials, computed on every call; `multinomial`'s quotient of factorials
+agrees with a product of binomials.
 
 `binomial` runs two cheap routes: `math.comb` and, for n below
 `exact_core.FACTORIAL_TABLE_SIZE` or j = min(k, n - k) with j^2 <= 40 n,
@@ -39,25 +40,31 @@ of the rules 1 + t and 1/(1 - t), are the reference routes that the tests
 and `verify` check both against.  `gentile_coeff` answers k <= p by
 `multiset_coeff`, since the bound p then does not bind.
 
-Two row steps here are polynomial products that do not call
-`series.convolve`: `_cycle_row` multiplies by (x + m - 1) and
-`_gentile_row` by 1 + t + ... + t^p.  Each is the second route of a check
-whose other side is built by `convolve`: `poly_identities.rising_expansion_coeffs`
-agrees the cycle rows with `rising_poly`, and `verify`'s "rows match closed
-forms" compares `gentile_coeff` with the rows of `gentile_matrix`.  Built
-by `convolve`, the cycle rows would run the same arithmetic on both sides.
-For p >= 2, `convolve` adds the rule's run of p + 1 equal terms as window
-sums of one prefix sum, which is `_gentile_row`'s method too, so that
-check compares two separate codings of one method.
+One row step here is a polynomial product that does not call
+`series.convolve`: `_cycle_row`, which multiplies by (x + m - 1).  It is
+the second route of a check whose other side `convolve` builds:
+`poly_identities.rising_expansion_coeffs` agrees the cycle rows with
+`rising_poly`, itself a `convolve` product, so cycle rows built by
+`convolve` would run the same arithmetic on both sides.
+
+Gentile's rows are `convolve` rows: row m is row m - 1 times the rule
+g = 1 + t + ... + t^p.  Each extension of a table certifies its new top
+row n by Miller's power recurrence for f = g^n (`_gentile_check`), an
+identity of the power rather than a second coding of the product.  The top
+row is enough: call row m the first wrong row, and c its lowest wrong
+column, off by e.  Each later row is g times the one below it, so row
+n > m is still off by e g_0^(n-m) = e at column c, and the check of row n
+fails.  The caveat: errors made in different rows could cancel there.
+`verify`'s "rows match closed forms" still compares `gentile_coeff` with
+the rows of `gentile_matrix`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache, partial
-from itertools import accumulate, compress, islice
-from operator import sub
+from functools import lru_cache
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .exact_core import (CACHE_SIZE, FACTORIAL_TABLE_SIZE, Record, RowTable, agree,
@@ -220,22 +227,44 @@ def multiset_coeff(n: int, k: int) -> int:
     return agree(("multiset_coeff", n, k), via_rising, binomial(n + k - 1, k))
 
 
-# c^p(m, k) = sum_{i=0}^{min(p, k)} c^p(m-1, k-i): a window of the previous
-# row, padded with p zeros, as a difference of its prefix sums
-def _gentile_row(p: int, prev: list[int], m: int) -> list[int]:
-    sums = [0, *accumulate(prev + [0] * p)]
-    top = m * p + 1
-    return list(map(sub, sums[1 : top + 1], [0] * p + sums[: top - p]))
+def _gentile_check(p: int, row: list[int], n: int) -> None:
+    """Certify row n of the table for p as the coefficients of f = g^n,
+    g = 1 + t + ... + t^p, by J. C. P. Miller's power recurrence: g f' = n g' f
+    gives k f_k = (n + 1) W_k - k S_k, with S_k = f_{k-1} + ... + f_{k-p} and
+    W_k = 1 f_{k-1} + ... + p f_{k-p}.  With f_0 = 1 and n p + 1 entries, the
+    checked entries below k fix f_k, so the row passes only if it is g^n.  S
+    and W slide by one entry per k over the row's own entries, with no second
+    row kept: each k adds f_{k-1} and drops f_{k-1-p}."""
+    label = ("gentile row", p, n)
+    agree(label, len(row), n * p + 1)
+    agree(label, row[0], 1)
+    s = w = 0
+    dropped = chain(repeat(0, p), row)
+    for k, (added, old, entry) in enumerate(zip(row, dropped, islice(row, 1, None)), 1):
+        s += added - old
+        w += s - p * old
+        f = exact_quotient(label, (n + 1) * w - k * s, k)
+        # `agree` only on a mismatch, to raise: a call per entry doubled the
+        # check's time on the 5,000,001 entries of row 5 for p = 10^6
+        if f != entry:
+            agree(label, f, entry)
 
 
 # coeff-session draws p from 2..5, `verify` uses p = 2 and a CLI call asks for
 # one p, so no benchmark workload evicts a table
 @lru_cache(maxsize=8)
 def _gentile_table(p: int) -> RowTable:
-    """The rows of c^p(n, k) for one p.  Two threads that ask for a new p
-    at the same moment may each build a table; both are correct, and the
-    cache keeps one."""
-    return RowTable([1], partial(_gentile_row, p))
+    """The rows of c^p(n, k) for one p: row m is row m - 1, padded with p
+    zeros, times the rule 1 + t + ... + t^p, by `series.convolve` (imported
+    here, so no other family loads `series`), and each extension's top row
+    is certified by `_gentile_check`.  Two threads that ask for a new p at
+    the same moment may each build a table; both are correct, and the cache
+    keeps one."""
+    from .series import convolve
+
+    rule = (1,) * (p + 1)
+    return RowTable([1], lambda prev, m: convolve(rule, prev + [0] * p),
+                    check=lambda row, n: _gentile_check(p, row, n))
 
 
 def gentile_coeff(p: int, n: int, k: int) -> int:

@@ -20,13 +20,15 @@ module raises ArithmeticError itself.
 branches chosen by measurement.  For n below `FACTORIAL_TABLE_SIZE` it is a
 quotient of two entries of one table of 0!, 1!, ...; above the bound, and
 for negative n, a balanced product tree.  `factorial` reads the table below
-the bound and agrees the tree with `math.factorial` above it.  The table is built once, on first use, and certified by one
-agreement of its last entry with `math.factorial`: that covers every entry,
-not the index a caller reads, which the callers' own cross-checks cover.
+the bound and agrees the tree with `math.factorial` above it.  The table is
+built once, on first use, and certified by one agreement of its last entry
+with `math.factorial`: that covers every entry, not the index a caller
+reads, which the callers' own cross-checks cover.
 
 Every cap on the size of a request is checked by `guard`, which raises
 SizeGuardError (a ValueError) before the work starts.  A `RowTable`'s rows
-and each `once` field are built once, under the table's or object's lock.
+and each `once` field are built once, under the table's or object's lock;
+a table's optional check runs there too, once per extension.
 """
 
 from __future__ import annotations
@@ -52,21 +54,35 @@ class RowTable:
     """Rows 0, 1, 2, ... of a recursion whose every row answers many requests
     (a triangle's row, a matrix row), each built once under the table's lock.
 
-    ``step(prev, m)`` returns row m from row m-1; the lock does not re-enter,
-    so a step must not index its own table.  Finished rows are read without
-    the lock: the list only grows and ``append`` is atomic."""
+    ``step(prev, m)`` returns row m from row m-1.  A request past the top
+    row extends the table: the new rows are built in a local list, and
+    ``check(row, n)``, if given, is called once on the new top row n (it
+    raises ArithmeticError, by `agree` or `exact_quotient`, on a wrong row).
+    The new rows are added only when every step and the check return, in one
+    atomic extend, so a failed extension keeps none of them and the next
+    request builds and checks them again.  Both run under the table's lock,
+    which does not re-enter, so neither the step nor the check may index its
+    own table.  Finished rows are read without the lock: the list only
+    grows."""
 
-    def __init__(self, first, step: Callable[[object, int], object]):
+    def __init__(self, first, step: Callable[[object, int], object],
+                 check: Callable[[object, int], None] | None = None):
         self._rows = [first]
         self._step = step
+        self._check = check
         self._lock = threading.Lock()
 
     def __getitem__(self, n: int):
         rows = self._rows
         if n >= len(rows):
             with self._lock:
-                while len(rows) <= n:
-                    rows.append(self._step(rows[-1], len(rows)))
+                if n >= len(rows):
+                    new = [rows[-1]]
+                    for m in range(len(rows), n + 1):
+                        new.append(self._step(new[-1], m))
+                    if self._check is not None:
+                        self._check(new[-1], n)
+                    rows += new[1:]
         return rows[n]
 
 

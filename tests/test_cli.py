@@ -318,6 +318,32 @@ def test_coeff_binomial_runs_the_legendre_route(monkeypatch, capsys):
     ct.binomial.cache_clear()
 
 
+def test_coeff_gentile_catches_a_wrong_product(monkeypatch, capsys):
+    # gentile's rows are built by convolve; one made 1 too large at column 5
+    # of rows 3 and up fails Miller's check of the top row, and the table
+    # keeps none of the rows that extension built
+    import exactcomb.series as series
+
+    convolve = series.convolve
+
+    def wrong(a, b):
+        row = convolve(a, b)
+        if len(row) > 6:
+            row[5] += 1
+        return row
+
+    monkeypatch.setattr(series, "convolve", wrong)
+    ct._gentile_table.cache_clear()
+    try:
+        assert main(["coeff", "gentile", "2", "3", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal inconsistency")
+        assert "gentile row(2,3)" in err
+        assert ct._gentile_table(2)._rows == [[1]]
+    finally:
+        ct._gentile_table.cache_clear()
+
+
 def test_console_entry_point(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -480,7 +506,6 @@ ROUTE_CASES = [
 # requests whose answer no second route checks at call time (ROADMAP item 2);
 # a request leaves this list when its family gains such a route
 ONE_ROUTE = {
-    ("gentile", "2", "3", "3"): "k > p, read from its row table",
     ("stirling1",): "the signed cycle-count row",
     ("stirling2",): "read from its row table",
     ("cycles",): "read from its row table",

@@ -15,7 +15,7 @@ import exactcomb.counting as ct
 import exactcomb.enumeration as en
 from exactcomb.exact_core import CACHE_SIZE, factorial
 from exactcomb.recursive_matrix import binomial_matrix
-from exactcomb.series import FormalSeries, geometric_series
+from exactcomb.series import FormalSeries, convolve, geometric_series
 
 # ---------------------------------------------------------------------------
 # type vectors
@@ -220,6 +220,50 @@ def test_gentile_tables_are_kept_for_eight_p():
     assert ct._gentile_table.cache_info().currsize == 8
     for p in (1, 5, 12):  # evicted: a new table gives the same answer
         assert ct.gentile_coeff(p, 4, p + 1) == want[p], p
+
+
+def test_miller_check_passes_on_the_rule_powers():
+    for p in range(1, 8):
+        row = [1]
+        for n in range(151):
+            ct._gentile_check(p, row, n)
+            row = convolve((1,) * (p + 1), row + [0] * p)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_miller_check_fails_on_every_entry_made_wrong(p):
+    table = ct._gentile_table.__wrapped__(p)
+    for n in (3, 40):
+        row = table[n]
+        label = rf"gentile row\({p},{n}\)"
+        for k in range(len(row)):
+            wrong = list(row)
+            wrong[k] += 1
+            with pytest.raises(ArithmeticError, match=label):
+                ct._gentile_check(p, wrong, n)
+        for wrong in (row + [0], row[:-1]):
+            with pytest.raises(ArithmeticError, match=label):
+                ct._gentile_check(p, wrong, n)
+
+
+def test_a_wrong_row_below_the_top_fails_the_top_row_check():
+    # row 17 off by one at column 5 makes every later row off by one there
+    # (g_0 = 1), so the check of row 60 sees it and keeps none of the rows
+    table = ct._gentile_table.__wrapped__(3)
+    step = table._step
+
+    def wrong(prev, m):
+        row = step(prev, m)
+        if m == 17:
+            row[5] += 1
+        return row
+
+    table._step = wrong
+    with pytest.raises(ArithmeticError, match=r"gentile row\(3,60\)"):
+        table[60]
+    assert table._rows == [[1]]
+    table._step = step
+    assert table[60] == list((FormalSeries([1] * 4 + [0] * 177) ** 60).nums)
 
 
 def test_gentile_occupancy_oracle():

@@ -219,6 +219,77 @@ def test_row_table_builds_each_row_once_under_threads():
     assert len(built) == len(set(built)) == 2 * 159
 
 
+def test_a_failing_check_keeps_none_of_the_new_rows():
+    calls = []
+
+    def step(prev, m):
+        calls.append(("step", m))
+        return prev + [m]
+
+    def check(row, n):
+        calls.append(("check", n))
+        if failing:
+            raise ArithmeticError(f"internal inconsistency in row {n}")
+
+    table = RowTable([0], step, check=check)
+    failing = False
+    assert table[2] == [0, 1, 2]
+    failing = True
+    with pytest.raises(ArithmeticError, match="row 5"):
+        table[5]
+    assert len(table._rows) == 3
+    # a warm read runs neither the step nor the check
+    assert table[1] == [0, 1]
+    failing = False
+    assert table[5] == [0, 1, 2, 3, 4, 5]
+    assert len(table._rows) == 6
+    steps = [("step", m) for m in (3, 4, 5)]
+    assert calls == [("step", 1), ("step", 2), ("check", 2),
+                     *steps, ("check", 5), *steps, ("check", 5)]
+
+
+def test_row_table_checks_each_extension_once_under_threads():
+    # as in test_row_table_builds_each_row_once_under_threads, 8 threads race
+    # past the top; each extension runs its steps and then one check of its
+    # top row, all under the lock, so no two extensions interleave
+    events = []
+
+    def step(prev, m):
+        events.append(("step", m))
+        return counting._stirling2_row(prev, m)
+
+    def check(row, n):
+        events.append(("check", n))
+        assert row == [counting.stirling2(n, k) for k in range(n + 1)]
+
+    table = RowTable([1], step, check=check)
+
+    def ask(i):
+        return [(n, table[n]) for n in range(152 + i, -1, -8)]
+
+    with ThreadPoolExecutor(8) as pool:
+        answers = [answer for rows in pool.map(ask, range(8)) for answer in rows]
+    for n, row in answers:
+        assert row == [counting.stirling2(n, k) for k in range(n + 1)]
+    built = checked = 0
+    for kind, m in events:
+        if kind == "step":  # each row once, in order
+            assert m == built + 1
+            built = m
+        else:  # once per extension, on its top row
+            assert checked < m == built
+            checked = m
+    assert built == checked == 159
+
+
+def test_the_other_row_tables_pass_no_check():
+    for table in (counting._STIRLING2, counting._CYCLES, binomial_matrix(6)._table):
+        assert table._check is None
+    assert counting._STIRLING2[5] == [0, 1, 15, 25, 10, 1]
+    assert counting._CYCLES[5] == [0, 24, 50, 35, 10, 1]
+    assert binomial_matrix(6).row_series(4).nums == (1, 4, 6, 4, 1, 0, 0)
+
+
 def test_agree_returns_the_common_value():
     assert agree("one", 7, 7, 7) == 7
     assert agree("rows", [1, -2], [1, -2]) == [1, -2]

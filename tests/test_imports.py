@@ -87,6 +87,9 @@ LOADS = [
     (["coeff", "-h"], COEFF, ""),
     (["coeff", "binomial", "6", "3"], COEFF, ""),
     (["coeff", "stirling2", "9", "4"], COEFF, ""),
+    # gentile's rows are built by series.convolve; with k <= p there is no row
+    (["coeff", "gentile", "2", "3", "3"], COEFF + " series", ""),
+    (["coeff", "gentile", "5", "3", "2"], COEFF, ""),
     # the commands that factor
     (["coeff", "phi", "360"], COEFF + " number_theory", ""),
     (["coeff", "mobius", "30"], COEFF + " number_theory", ""),

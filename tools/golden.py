@@ -48,6 +48,8 @@ COEFF = [
     ["birthday", "400", "--days", "365"], ["birthday", "30", "--days", "1000"],
     # k <= p answers by multiset_coeff, with no row of 2 * 10^7 + 1 entries
     ["gentile", "10000000", "2", "1"], ["gentile", "5", "3", "2"],
+    # 120 rows built in one extension, and Miller's check of its 601-entry top row
+    ["gentile", "5", "120", "300"],
     ["graph", "graph", "3", "-1"],  # refused: no graph has a negative edge count
     # past the factorial table's bound: a product tree, and 300! against math.factorial
     ["dnk", "300", "10"], ["multinomial", "300", "100", "200"],
