@@ -319,17 +319,18 @@ def test_coeff_binomial_runs_the_legendre_route(monkeypatch, capsys):
 
 
 def test_coeff_gentile_catches_a_wrong_product(monkeypatch, capsys):
-    # gentile's rows are built by convolve; one made 1 too large at column 5
-    # of rows 3 and up fails Miller's check of the top row, and the table
-    # keeps none of the rows that extension built
+    # gentile's rows are built by convolve, each up to its middle; one made 1
+    # too large at column 3 of rows 3 and up (row 3's middle, since p = 2)
+    # fails Miller's check of the top row, and the table keeps none of the
+    # rows that extension built
     import exactcomb.series as series
 
     convolve = series.convolve
 
     def wrong(a, b):
         row = convolve(a, b)
-        if len(row) > 6:
-            row[5] += 1
+        if len(row) > 3:
+            row[3] += 1
         return row
 
     monkeypatch.setattr(series, "convolve", wrong)

@@ -201,7 +201,7 @@ def test_gentile_converges_to_multiset():
 
 
 def test_gentile_with_k_at_most_p_builds_no_row():
-    # rows of the table for p hold n p + 1 entries: 20,000,001 here
+    # rows of the table for p hold n p // 2 + 1 entries: 10,000,001 here
     tracemalloc.start()
     try:
         assert ct.gentile_coeff(10**7, 2, 1) == 2
@@ -222,12 +222,49 @@ def test_gentile_tables_are_kept_for_eight_p():
         assert ct.gentile_coeff(p, 4, p + 1) == want[p], p
 
 
+def _rule_powers(p, top):
+    # the whole rows of (1 + t + ... + t^p)^n for n = 0..top, by convolve
+    row = [1]
+    for _ in range(top + 1):
+        yield row
+        row = convolve((1,) * (p + 1), row + [0] * p)
+
+
 def test_miller_check_passes_on_the_rule_powers():
     for p in range(1, 8):
-        row = [1]
-        for n in range(151):
-            ct._gentile_check(p, row, n)
-            row = convolve((1,) * (p + 1), row + [0] * p)
+        for n, row in enumerate(_rule_powers(p, 150)):
+            ct._gentile_check(p, row[:n * p // 2 + 1], n)
+
+
+def test_gentile_rows_are_kept_up_to_their_middle():
+    for p in range(1, 8):
+        table = ct._gentile_table.__wrapped__(p)
+        for n, row in enumerate(_rule_powers(p, 60)):
+            assert len(table[n]) == n * p // 2 + 1, (p, n)
+            assert table[n] == row[:n * p // 2 + 1], (p, n)
+
+
+def test_gentile_reads_every_column_through_the_mirror():
+    # n p odd has two middle columns and n p even one; both read the stored half
+    for p in range(1, 8):
+        for n, row in enumerate(_rule_powers(p, 60)):
+            for k in range(n * p + 2):
+                assert ct.gentile_coeff(p, n, k) == (row[k] if k <= n * p else 0), (p, n, k)
+
+
+def test_gentile_tables_hold_half_rows():
+    # whole rows for p = 2..5 up to n = 120 held 5.2 MB; their halves 2.6 MB
+    want = {p: list(_rule_powers(p, 120))[-1][p + 1] for p in range(2, 6)}
+    ct._gentile_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in range(2, 6):
+            assert ct.gentile_coeff(p, 120, p + 1) == want[p]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        ct._gentile_table.cache_clear()
+    assert held < 3.2e6
 
 
 @pytest.mark.parametrize("p", range(1, 8))
@@ -235,27 +272,33 @@ def test_miller_check_fails_on_every_entry_made_wrong(p):
     table = ct._gentile_table.__wrapped__(p)
     for n in (3, 40):
         row = table[n]
+        assert len(row) == n * p // 2 + 1
         label = rf"gentile row\({p},{n}\)"
         for k in range(len(row)):
             wrong = list(row)
             wrong[k] += 1
             with pytest.raises(ArithmeticError, match=label):
                 ct._gentile_check(p, wrong, n)
-        for wrong in (row + [0], row[:-1]):
+        # the true next column, or the half without its middle, pass the
+        # recurrence entry by entry: only the row's length tells them apart
+        for wrong in (row + [row[n * p - len(row)]], row[:-1]):
             with pytest.raises(ArithmeticError, match=label):
                 ct._gentile_check(p, wrong, n)
 
 
-def test_a_wrong_row_below_the_top_fails_the_top_row_check():
-    # row 17 off by one at column 5 makes every later row off by one there
-    # (g_0 = 1), so the check of row 60 sees it and keeps none of the rows
+@pytest.mark.parametrize("column", [5, 25])
+def test_a_wrong_row_below_the_top_fails_the_top_row_check(column):
+    # row 17 off by one at a column of its half (25 is its middle, which the
+    # next row also reads as its mirror, column 26) makes every later row off
+    # by one there (g_0 = 1), so the check of row 60 sees it and keeps none
+    # of the rows
     table = ct._gentile_table.__wrapped__(3)
     step = table._step
 
     def wrong(prev, m):
         row = step(prev, m)
         if m == 17:
-            row[5] += 1
+            row[column] += 1
         return row
 
     table._step = wrong
@@ -263,7 +306,7 @@ def test_a_wrong_row_below_the_top_fails_the_top_row_check():
         table[60]
     assert table._rows == [[1]]
     table._step = step
-    assert table[60] == list((FormalSeries([1] * 4 + [0] * 177) ** 60).nums)
+    assert table[60] == list((FormalSeries([1] * 4 + [0] * 177) ** 60).nums)[:91]
 
 
 def test_gentile_occupancy_oracle():
@@ -756,8 +799,8 @@ def test_gentile_tables_under_threads():
     # 8 tables, so tables are evicted and built again while others read them
     calls = [(p, n, k) for n in range(2, 31, 7) for p in range(1, 13)
              for k in range(p + 1, n * p + 1, 3 * p)]
-    tables = {p: ct._gentile_table.__wrapped__(p) for p in range(1, 13)}
-    expected = [tables[p][n][k] for p, n, k in calls]
+    rows = {p: list(_rule_powers(p, 30)) for p in range(1, 13)}
+    expected = [rows[p][n][k] for p, n, k in calls]
     ct._gentile_table.cache_clear()
 
     def ask(i):

@@ -48,8 +48,12 @@ COEFF = [
     ["birthday", "400", "--days", "365"], ["birthday", "30", "--days", "1000"],
     # k <= p answers by multiset_coeff, with no row of 2 * 10^7 + 1 entries
     ["gentile", "10000000", "2", "1"], ["gentile", "5", "3", "2"],
-    # 120 rows built in one extension, and Miller's check of its 601-entry top row
+    # 120 rows built in one extension, and Miller's check of its top row's
+    # 301-entry half, up to column 300, its middle
     ["gentile", "5", "120", "300"],
+    # the mirror at a row's middle: n p = 10 has one middle column, 5; n p = 15
+    # has two, 7 (the last stored) and 8 (read as 7)
+    ["gentile", "2", "5", "5"], ["gentile", "3", "5", "7"], ["gentile", "3", "5", "8"],
     ["graph", "graph", "3", "-1"],  # refused: no graph has a negative edge count
     # past the factorial table's bound: a product tree, and 300! against math.factorial
     ["dnk", "300", "10"], ["multinomial", "300", "100", "200"],
