@@ -53,17 +53,16 @@ g = 1 + t + ... + t^p.  Each row is kept only up to its middle, columns
 `gentile_coeff` reads column k at min(k, m p - k), and each new half is the
 product with row m - 1 read on past its own half by that mirror.  Each
 extension of a table certifies its new top row n by Miller's power
-recurrence for f = g^n (`_gentile_check`), an identity of the power rather
-than a second coding of the product.  The recurrence fixes each f_k from
-the entries below it, so a half that passes is the true half of g^n, and
-its mirror is the rest of the row.  The top row is enough: call row m the
-first wrong row, and c its lowest wrong column, off by e; c is at or below
-row m's middle, and every mirrored column read on from it lies above c.
-Each later row is g times the one below it, so row n > m is still off by
-e g_0^(n-m) = e at column c, within its half, and the check of row n
-fails.  The caveat: errors made in different rows could cancel there.
-`verify`'s "rows match closed forms" still compares `gentile_coeff` with
-the rows of `gentile_matrix`.
+recurrence for f = g^n (`series.check_power_row`, which the recursive
+matrices' tables run too), an identity of the power rather than a second
+coding of the product.  The recurrence fixes each f_k from the entries
+below it, so a half that passes is the true half of g^n, and its mirror is
+the rest of the row.  The top row is enough, as that function's docstring
+argues for whole rows: the first wrong row's lowest wrong column c is at or
+below its middle, and every mirrored column read on from it lies above c,
+so each later row is still off at column c, within its half.  `verify`'s
+"rows match closed forms" still compares `gentile_coeff` with the rows of
+`gentile_matrix`.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, compress, islice
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .exact_core import (CACHE_SIZE, FACTORIAL_TABLE_SIZE, Record, RowTable, agree,
@@ -234,32 +233,6 @@ def multiset_coeff(n: int, k: int) -> int:
     return agree(("multiset_coeff", n, k), via_rising, binomial(n + k - 1, k))
 
 
-def _gentile_check(p: int, row: list[int], n: int) -> None:
-    """Certify row n of the table for p as the first half of the coefficients
-    of f = g^n, g = 1 + t + ... + t^p, by J. C. P. Miller's power recurrence:
-    g f' = n g' f gives k f_k = (n + 1) W_k - k S_k, with S_k = f_{k-1} + ...
-    + f_{k-p} and W_k = 1 f_{k-1} + ... + p f_{k-p}.  The row holds f_0..f_h,
-    h = n p // 2, up to its middle.  With f_0 = 1 and h + 1 entries, the
-    checked entries below k fix f_k, so the row passes only if it is that half
-    of g^n; g^n is a palindrome (f_k = f_{np-k}), so its mirror is the rest.
-    S and W slide by one entry per k over the row's own entries, with no
-    second row kept: each k adds f_{k-1} and drops f_{k-1-p}."""
-    label = ("gentile row", p, n)
-    agree(label, len(row), n * p // 2 + 1)
-    agree(label, row[0], 1)
-    s = w = 0
-    dropped = chain(repeat(0, p), row)
-    for k, (added, old, entry) in enumerate(zip(row, dropped, islice(row, 1, None)), 1):
-        s += added - old
-        w += s - p * old
-        f = exact_quotient(label, (n + 1) * w - k * s, k)
-        # `agree` only on a mismatch, to raise: a call per entry took the
-        # check of row 5 for p = 10^6 (2,500,001 entries) from 1.3 s to 1.7 s
-        # (median of 3, CPython 3.11, x86-64)
-        if f != entry:
-            agree(label, f, entry)
-
-
 # coeff-session draws p from 2..5, `verify` uses p = 2 and a CLI call asks for
 # one p, so no benchmark workload evicts a table
 @lru_cache(maxsize=8)
@@ -270,10 +243,11 @@ def _gentile_table(p: int) -> RowTable:
     (imported here, so no other family loads `series`), cut to row m's half.
     Those columns read row m - 1 up to column m p // 2, past its half: there
     column j is column (m - 1) p - j of the half, or zero when j > (m - 1) p,
-    which happens only for m = 1.  Each extension's top row is certified by
-    `_gentile_check`.  Two threads that ask for a new p at the same moment
+    which happens only for m = 1.  Each extension's top row n is certified by
+    `series.check_power_row` as the first n p // 2 + 1 coefficients of the
+    rule's n-th power.  Two threads that ask for a new p at the same moment
     may each build a table; both are correct, and the cache keeps one."""
-    from .series import convolve
+    from .series import check_power_row, convolve
 
     rule = (1,) * (p + 1)
 
@@ -284,7 +258,8 @@ def _gentile_table(p: int) -> RowTable:
         lo = (m - 1) * p - m * p // 2
         return convolve(rule, prev + (prev[lo:lo + need][::-1] if lo >= 0 else [0] * need))
 
-    return RowTable([1], step, check=lambda row, n: _gentile_check(p, row, n))
+    return RowTable([1], step, check=lambda row, n: check_power_row(
+        ("gentile row", p, n), p, row, n, n * p // 2 + 1))
 
 
 def gentile_coeff(p: int, n: int, k: int) -> int:

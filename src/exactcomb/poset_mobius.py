@@ -61,7 +61,8 @@ it is the reference the tests and `verify` check the product route
 against, as `_mobius_reference`, the plain recursion over frozensets, is
 for the bit planes.  `delta_check` runs the bit-plane kernel down the
 columns.  An `IncidenceFunction` is itself a read-only mapping over the
-rows; its `table` is the function.
+rows; its `table` is the function, and its rows as dicts, which a lookup
+reads, are one `once` field, `_maps`, built on the first lookup.
 
 Inversion and accumulation write the values as integer numerators over
 their least common denominator, sum integers along the stored columns
@@ -408,20 +409,18 @@ class IncidenceFunction(Mapping):
             cols, vals = rows[i]
             cols.append(j)
             vals.append(value)
-        self.poset, self._rows, self._maps = poset, rows, [None] * len(rows)
+        self.poset, self._rows = poset, rows
 
     @classmethod
     def _from_rows(cls, poset: FinitePoset, rows: list[Row]) -> "IncidenceFunction":
         f = cls.__new__(cls)
-        f.poset, f._rows, f._maps = poset, rows, [None] * len(rows)
+        f.poset, f._rows = poset, rows
         return f
 
-    def _row_map(self, i: int) -> dict:
-        """Row i as {index of y: value}, built on first lookup."""
-        found = self._maps[i]
-        if found is None:
-            found = self._maps[i] = dict(zip(*self._rows[i]))
-        return found
+    @once
+    def _maps(self) -> list[dict]:
+        """Each row as {index of y: value}, built on the first lookup."""
+        return [dict(zip(*row)) for row in self._rows]
 
     @property
     def table(self) -> "IncidenceFunction":
@@ -432,7 +431,7 @@ class IncidenceFunction(Mapping):
         i, j = index.get(x), index.get(y)
         if i is None or j is None:
             return 0
-        return self._row_map(i).get(j, 0)
+        return self._maps[i].get(j, 0)
 
     def __len__(self) -> int:
         return sum(len(cols) for cols, _ in self._rows)
@@ -443,7 +442,7 @@ class IncidenceFunction(Mapping):
     def __getitem__(self, key) -> Rational:
         index = self.poset._index
         if isinstance(key, tuple) and len(key) == 2 and key[0] in index and key[1] in index:
-            row = self._row_map(index[key[0]])
+            row = self._maps[index[key[0]]]
             j = index[key[1]]
             if j in row:
                 return row[j]
@@ -453,8 +452,7 @@ class IncidenceFunction(Mapping):
         """An iterator over ((x, y), f(x, y)) in the order of iteration,
         each row read once through its dict."""
         elements, rank = self.poset.elements, self.poset._rank
-        for i, (x, (cols, _)) in enumerate(zip(elements, self._rows)):
-            row = self._row_map(i)
+        for x, (cols, _), row in zip(elements, self._rows, self._maps):
             for j in sorted(cols, key=rank.__getitem__):
                 yield (x, elements[j]), row[j]
 

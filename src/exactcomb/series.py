@@ -6,9 +6,8 @@ lowest terms (gcd(den, *nums) == 1, so den is 1 for an integer series and
 equal series have equal forms).  Binary operations truncate the result to
 the smaller operand order, so every coefficient that is kept is exact.
 These series carry the rules and rows of recursive matrices (integer
-coefficients only: `recursive_matrix` refuses a rational rule, whose
-powers are this class's `**`) and the composition checks (rational
-coefficients), so there is a single series type.
+coefficients) and the composition checks (rational coefficients), so
+there is a single series type.
 
 Every operation works on the form and builds no `Fraction`: a sum brings
 both numerator tuples to a common denominator, a product convolves them
@@ -28,6 +27,11 @@ product is kept as `_mul_schoolbook`, the reference route that the tests
 and `exactcomb verify` compare the product, powers (as n-fold schoolbook
 products) and composition against; it reads `coeffs`.
 
+`check_power_row` certifies a row of a power table of 1 + t + ... + t^q,
+gentile's in `counting` or a recursive matrix's, by Miller's power
+recurrence, in one pass over the row's own entries: both tables call it
+on the top row of each extension.
+
 `fractions` is imported only where a Fraction is read or made, so a
 series built from ints and every operation on the form load none of it
 (`table binomial` prints its rows without it).  A single Fraction is made
@@ -38,11 +42,11 @@ instead, since a call of `fraction` per coefficient measured slower.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .exact_core import fraction, integer_form, once
+from .exact_core import agree, exact_quotient, fraction, integer_form, once
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -99,6 +103,39 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             out[i:] = map(add, out[i:], tail)
         i = j
     return [0] * size if out is None else out
+
+
+def check_power_row(label: str | tuple, q: int, row: Sequence[int], n: int,
+                    size: int) -> None:
+    """Certify `row` as coefficients 0..size-1 of f = g^n, g = 1 + t + ... +
+    t^q, by J. C. P. Miller's power recurrence: g f' = n g' f gives
+    k f_k = (n + 1) W_k - k S_k, with S_k = f_{k-1} + ... + f_{k-q} and
+    W_k = 1 f_{k-1} + ... + q f_{k-q}.  With f_0 = 1, the checked entries
+    below k fix f_k, so a row of `size` entries passes only if it is g^n
+    truncated there.  S and W slide by one entry per k over the row's own
+    entries, with no second row kept: each k adds f_{k-1} and drops
+    f_{k-1-q}.  A wrong length or entry raises ArithmeticError (by `agree` or
+    `exact_quotient`) under `label`.
+
+    A table whose row m is g times row m - 1, truncated, needs only its top
+    row checked: call row m the first wrong row and c its lowest wrong
+    column, off by e.  Column c of row m + 1 is g_0 = 1 times column c of
+    row m plus columns below c, which are right, so every later row n is
+    off by e at column c too, and the check of row n fails.  The caveat:
+    errors made in different rows could cancel there."""
+    agree(label, len(row), size)
+    agree(label, row[0], 1)
+    s = w = 0
+    dropped = chain(repeat(0, q), row)
+    for k, (added, old, entry) in enumerate(zip(row, dropped, islice(row, 1, None)), 1):
+        s += added - old
+        w += s - q * old
+        f = exact_quotient(label, (n + 1) * w - k * s, k)
+        # `agree` only on a mismatch, to raise: a call per entry took the
+        # check of gentile's half row 5 for p = 10^6 (2,500,001 entries) from
+        # 1.3 s to 1.7 s (median of 3, CPython 3.11, x86-64)
+        if f != entry:
+            agree(label, f, entry)
 
 
 def _runs(nums: Sequence[int]) -> int:

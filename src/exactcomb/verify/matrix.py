@@ -1,17 +1,14 @@
 """The "matrix" suite: recursive matrices against the rows printed in the
-paper, their closed forms, Vandermonde convolution and rule powers."""
+paper, their closed forms, Vandermonde convolution and rule powers.
+`series.convolve`'s window runs of terms other than 1 are checked in the
+series suite, by the powers of its `RUNS_RULE`."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
 from .. import counting as ct
-from ..recursive_matrix import (
-    RecursiveMatrix,
-    binomial_matrix,
-    gentile_matrix,
-    multiset_matrix,
-)
+from ..recursive_matrix import binomial_matrix, gentile_matrix, multiset_matrix
 from ..series import FormalSeries, _mul_schoolbook
 from . import Range, Thunk
 
@@ -65,17 +62,11 @@ def convolution_failure(families: Iterable[str], rows: int,
     return None
 
 
-# runs of three 2s and three -1s, which `series.convolve` adds as window sums
-RUNS_RULE = FormalSeries([2, 2, 2, -1, -1, -1])
-
-
 def matrix_route_failure(rows: int, order: int) -> Optional[tuple]:
-    """First (family, n), n < rows, where row n of a matrix of this order,
-    as its series or as its entries, differs from rule**n by repeated
-    schoolbook products.  The families are MATRICES and RUNS_RULE."""
-    builds = {family: build for family, (build, _) in MATRICES.items()}
-    builds["runs 2+2t+2t^2-t^3-t^4-t^5"] = lambda order: RecursiveMatrix(RUNS_RULE, order)
-    for family, build in builds.items():
+    """First (family, n), n < rows, where row n of a MATRICES matrix of this
+    order, as its series or as its entries, differs from rule**n by repeated
+    schoolbook products."""
+    for family, (build, _) in MATRICES.items():
         mat = build(order)
         power = FormalSeries.one(order)
         for n in range(rows):

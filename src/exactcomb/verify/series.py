@@ -46,11 +46,20 @@ def random_rational_series(rng: random.Random, order: int) -> FormalSeries:
                          if rng.random() < 0.7 else 0 for _ in range(order + 1)])
 
 
+# runs of three 2s and three -1s, which `convolve` adds as window sums when
+# `**` squares; the recursive matrices' rules are runs of 1s only
+RUNS_RULE = FormalSeries([2, 2, 2, -1, -1, -1, 0, 0, 0])
+
+
 def series_route_failure(seed: int, trials: int, order: int,
-                         max_power: int) -> Optional[int]:
-    """First of `trials` where a product, a power (at most `max_power`) or a
-    composition of random rational series of orders up to `order` differs
-    from the schoolbook route."""
+                         max_power: int) -> Optional[int | tuple]:
+    """("RUNS_RULE", n) for the first n <= 8 where RUNS_RULE**n differs from
+    n schoolbook products; else the first of `trials` where a product, a
+    power (at most `max_power`) or a composition of random rational series
+    of orders up to `order` differs from the schoolbook route."""
+    for n in range(9):
+        if RUNS_RULE**n != schoolbook_power(RUNS_RULE, n):
+            return "RUNS_RULE", n
     rng = random.Random(seed)
     for trial in range(trials):
         a = random_rational_series(rng, rng.randint(0, order))

@@ -345,6 +345,36 @@ def test_coeff_gentile_catches_a_wrong_product(monkeypatch, capsys):
         ct._gentile_table.cache_clear()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family, builder, options", [
+    ("binomial", "binomial_matrix", []), ("multiset", "multiset_matrix", []),
+    ("gentile", "gentile_matrix", ["--p", "3"])])
+def test_table_catches_a_wrong_product(monkeypatch, capsys, family, builder, options, fmt):
+    # every matrix row is a convolve product; one made 1 too large at column 5
+    # fails Miller's check of the top row, so the command exits 1 with nothing
+    # on stdout, and the matrix keeps only its row 0
+    import exactcomb.recursive_matrix as rm
+
+    convolve, build, built = rm.convolve, getattr(rm, builder), []
+
+    def wrong(a, b):
+        row = convolve(a, b)
+        if len(row) > 6:
+            row[5] += 1
+        return row
+
+    monkeypatch.setattr(rm, "convolve", wrong)
+    monkeypatch.setattr(rm, builder, lambda *args: built.append(build(*args)) or built[-1])
+    argv = ["table", family, "--rows", "9", "--cols", "8", "--format", fmt, *options]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal inconsistency")
+    assert "matrix row(" in captured.err
+    [matrix] = built
+    assert matrix._table._rows == [[1] + [0] * 7]
+
+
 def test_console_entry_point(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -533,10 +563,17 @@ def test_every_coeff_answer_comes_from_a_checked_route(monkeypatch):
             return value
         return wrapped
 
-    for module in (ct, nt):
+    # every loaded module of the package that binds either check by name, so
+    # a check that moves to another module is still recorded; `series`, whose
+    # power-row check gentile's table imports on first use, is loaded first
+    import exactcomb.series  # noqa: F401
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != "exactcomb":
+            continue
         for name in ("agree", "exact_quotient"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+            if name in vars(module):
+                monkeypatch.setattr(module, name, recording(vars(module)[name]))
     for case in ROUTE_CASES:
         for module in (ct, nt):
             for obj in vars(module).values():

@@ -232,8 +232,9 @@ def _rule_powers(p, top):
 
 def test_miller_check_passes_on_the_rule_powers():
     for p in range(1, 8):
+        check = ct._gentile_table.__wrapped__(p)._check
         for n, row in enumerate(_rule_powers(p, 150)):
-            ct._gentile_check(p, row[:n * p // 2 + 1], n)
+            check(row[:n * p // 2 + 1], n)
 
 
 def test_gentile_rows_are_kept_up_to_their_middle():
@@ -270,6 +271,7 @@ def test_gentile_tables_hold_half_rows():
 @pytest.mark.parametrize("p", range(1, 8))
 def test_miller_check_fails_on_every_entry_made_wrong(p):
     table = ct._gentile_table.__wrapped__(p)
+    check = table._check
     for n in (3, 40):
         row = table[n]
         assert len(row) == n * p // 2 + 1
@@ -278,12 +280,12 @@ def test_miller_check_fails_on_every_entry_made_wrong(p):
             wrong = list(row)
             wrong[k] += 1
             with pytest.raises(ArithmeticError, match=label):
-                ct._gentile_check(p, wrong, n)
+                check(wrong, n)
         # the true next column, or the half without its middle, pass the
         # recurrence entry by entry: only the row's length tells them apart
         for wrong in (row + [row[n * p - len(row)]], row[:-1]):
             with pytest.raises(ArithmeticError, match=label):
-                ct._gentile_check(p, wrong, n)
+                check(wrong, n)
 
 
 @pytest.mark.parametrize("column", [5, 25])

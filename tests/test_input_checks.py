@@ -76,10 +76,8 @@ REJECTED = [
      "missing key 'universe' in a subset family file"),
     (lambda: pm.SubsetFamily.from_json('{"universe": 3}'), ValueError,
      "missing key 'sets' in a subset family file"),
-    (lambda: rm.RecursiveMatrix(FormalSeries([1, 1]), -1), ValueError,
-     "order must be >= 0"),
-    (lambda: rm.RecursiveMatrix(FormalSeries([1, Fraction(1, 2)]), 1), ValueError,
-     "a recursive matrix needs an integer rule up to its order"),
+    (lambda: rm.RecursiveMatrix(1, -1), ValueError, "order must be >= 0"),
+    (lambda: rm.RecursiveMatrix(0, 3), ValueError, "occupancy bound p must be >= 1"),
     (lambda: rm.binomial_matrix(3).entry(-1, 0), ValueError, "row index must be >= 0"),
     (lambda: rm.binomial_matrix(3).vandermonde_convolve(1, 1, 4), IndexError,
      "column 4 out of range (order 3)"),

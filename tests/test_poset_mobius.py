@@ -812,6 +812,33 @@ def test_racing_first_reads_compute_once(monkeypatch):
     assert product in calls and explicit in calls
 
 
+def test_racing_lookups_build_the_row_dicts_once(monkeypatch):
+    # 8 threads look up every pair of one fresh Mobius function at once: its
+    # rows as dicts are one `once` field, built by one call under its lock
+    P = pm.boolean_lattice(6)
+    want = dict(pm._mobius_reference(P))
+    field = vars(pm.IncidenceFunction)["_maps"]
+    calls = []
+    monkeypatch.setattr(field, "func", lambda f, build=field.func: calls.append(f) or build(f))
+    mu = pm.mobius(P)
+    start = threading.Barrier(8, timeout=60)
+
+    def work(_):
+        start.wait()
+        return [mu(x, y) for x, y in want], [mu[pair] for pair in want]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1 and calls[0] is mu
+    assert got == [(list(want.values()),) * 2] * 8
+    assert dict(mu.items()) == want
+
+
 def test_divisor_poset_shape():
     P = pm.divisor_poset(12)
     assert P.elements == (1, 2, 3, 4, 6, 12)

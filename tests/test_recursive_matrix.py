@@ -1,7 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
+import exactcomb.recursive_matrix as rm
 from exactcomb.counting import binomial, gentile_coeff, multiset_coeff
 from exactcomb.recursive_matrix import (
     RecursiveMatrix,
@@ -94,9 +93,78 @@ def test_gentile_recursion_and_vanishing():
                 assert g.entry(n, k) == 0
 
 
-def test_rule_needs_integer_terms_only_up_to_the_order():
-    m = RecursiveMatrix(FormalSeries([1, 1, Fraction(1, 2)]), 1)
-    assert m.table(3, 2) == [[1, 0], [1, 1], [1, 2]]
+def _naive_rows(p, order, top):
+    # row n of the powers of 1 + t + ... + t^p up to t^order, each entry the
+    # sum of the p + 1 entries at and left of it in the row before
+    row = [1] + [0] * order
+    for _ in range(top + 1):
+        yield row
+        row = [sum(row[max(0, k - p):k + 1]) for k in range(order + 1)]
+
+
+def test_rows_are_the_truncated_rule_powers():
+    for order in range(14):
+        for p in range(1, 18):
+            mat = RecursiveMatrix(p, order)
+            assert mat.rule == FormalSeries([int(k <= p) for k in range(order + 1)])
+            assert mat.table(25, order + 1) == list(_naive_rows(p, order, 24)), (p, order)
+
+
+# builder: (the matrix of an order, its p)
+BUILDERS = {"binomial": (binomial_matrix, 1),
+            "multiset": (multiset_matrix, None),
+            "gentile p=3": (lambda order: gentile_matrix(3, order), 3),
+            "gentile p=7": (lambda order: gentile_matrix(7, order), 7)}
+# orders below, at and above p; multiset's p is above any order
+ORDERS = [pytest.param(build, order, id=f"{name}-order{order}")
+          for name, (build, p) in BUILDERS.items()
+          for order in (sorted({0, p - 1, p, 3 * p + 2}) if p else (0, 1, 6, 40))]
+
+
+@pytest.mark.parametrize("build, order", ORDERS)
+def test_the_power_check_passes_on_every_row(build, order):
+    mat = build(order)
+    check = mat._table._check
+    mat.table(201, order + 1)
+    for n in range(201):
+        check(mat._table[n], n)
+
+
+def test_a_table_runs_one_check(monkeypatch):
+    calls = []
+    check = rm.check_power_row
+    monkeypatch.setattr(rm, "check_power_row",
+                        lambda label, *args: calls.append(label) or check(label, *args))
+    for mat in (binomial_matrix(12), multiset_matrix(12), gentile_matrix(2, 12)):
+        calls.clear()
+        assert mat.table(30, 13) == mat.table(30, 13)
+        assert len(calls) == 1 and calls[0][0] == "matrix row" and calls[0][-1] == 29
+    assert binomial_matrix(5).table(0, 3) == [] and calls == [calls[0]]
+
+
+@pytest.mark.parametrize("family", ["binomial", "multiset", "gentile p=3"])
+def test_a_wrong_row_below_the_top_fails_the_top_row_check(family):
+    # row 17 off by one at column 5 leaves every later row off by one there
+    # (the rule's constant is 1), so the check of row 60 sees it and the
+    # table keeps none of the new rows
+    build = BUILDERS[family][0]
+    mat = build(30)
+    table = mat._table
+    mat.table(5, 31)  # rows 0..4, built and checked before the fault
+    step, kept = table._step, list(table._rows)
+
+    def wrong(prev, m):
+        row = step(prev, m)
+        if m == 17:
+            row[5] += 1
+        return row
+
+    table._step = wrong
+    with pytest.raises(ArithmeticError, match=r"matrix row\(\d+,60\)"):
+        mat.table(61, 31)
+    assert table._rows == kept
+    table._step = step
+    assert mat.table(61, 31) == build(30).table(61, 31)
 
 
 def test_integral_rows_build_no_fraction(fraction_news):
