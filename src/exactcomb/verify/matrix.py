@@ -39,12 +39,12 @@ def printed_rows_failure(family: str, order: int, rows: Iterable[int]) -> Option
 
 
 def closed_form_failure(rows: int, order: int) -> Optional[tuple]:
-    """First (family, n, k), n < rows, k <= order: entry != closed form."""
+    """First (family, n, k), n < rows, k <= order: entry != closed form.  The
+    rows are read as one table, so the matrix checks only its top row."""
     for family, (build, closed) in MATRICES.items():
-        mat = build(order)
-        for n in range(rows):
-            for k in range(order + 1):
-                if mat.entry(n, k) != closed(n, k):
+        for n, row in enumerate(build(order).table(rows, order + 1)):
+            for k, value in enumerate(row):
+                if value != closed(n, k):
                     return family, n, k
     return None
 

@@ -54,12 +54,15 @@ RUNS_RULE = FormalSeries([2, 2, 2, -1, -1, -1, 0, 0, 0])
 def series_route_failure(seed: int, trials: int, order: int,
                          max_power: int) -> Optional[int | tuple]:
     """("RUNS_RULE", n) for the first n <= 8 where RUNS_RULE**n differs from
-    n schoolbook products; else the first of `trials` where a product, a
-    power (at most `max_power`) or a composition of random rational series
-    of orders up to `order` differs from the schoolbook route."""
+    n schoolbook products (each power one product past the last); else the
+    first of `trials` where a product, a power (at most `max_power`) or a
+    composition of random rational series of orders up to `order` differs
+    from the schoolbook route."""
+    power = FormalSeries.one(RUNS_RULE.order)
     for n in range(9):
-        if RUNS_RULE**n != schoolbook_power(RUNS_RULE, n):
+        if RUNS_RULE**n != power:
             return "RUNS_RULE", n
+        power = _mul_schoolbook(power, RUNS_RULE)
     rng = random.Random(seed)
     for trial in range(trials):
         a = random_rational_series(rng, rng.randint(0, order))
